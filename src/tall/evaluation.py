@@ -262,6 +262,8 @@ def train_soft_prompt(llm: CausalLM, world: World, corpus_lr: list,
 def eval_soft_prompt(llm: CausalLM, params: SoftPromptParams, world: World,
                      examples: list[EvalExample], sampler: SamplerConfig,
                      batch_size: int = 128) -> list[EvalRecord]:
+    if not examples:
+        raise ValueError("evaluation dataset is empty")
     preds = []
     for start in range(0, len(examples), batch_size):
         chunk = examples[start : start + batch_size]

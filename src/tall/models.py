@@ -3,8 +3,12 @@
 Both are pre-LN transformers over the blocks in :mod:`tall.nn`, with
 learned absolute positions added at the embedding step and the output
 projection weight-tied to the target-side token embedding.  Greedy
-decoding recomputes the full prefix each step; key-value caching is
-deliberately out of scope.
+decoding is incremental: ``decoder_forward`` with a per-layer
+:class:`~tall.nn.LayerCache` list embeds only the newest token, at the
+position after the cached ones, appends its self-attention keys and
+values to the cache and projects the encoder memory into cross-attention
+keys and values once, on the first step.  Teacher-forced training passes
+no cache and runs the whole sequence in one call.
 
 Sequence conventions (content ids exclude specials):
 
@@ -79,17 +83,17 @@ def _p(prefix: str, name: str) -> str:
 
 
 def embed_sequence(store: ParamStore, prefix: str, embed_name: str,
-                   ids: np.ndarray) -> Tensor:
-    """Token embedding plus learned positions for the first L slots."""
+                   ids: np.ndarray, start: int = 0) -> Tensor:
+    """Token embedding plus learned positions ``start .. start + L - 1``."""
     pos_table = store[_p(prefix, "pos")]
-    l = ids.shape[-1]
-    if l > pos_table.shape[0]:
+    end = start + ids.shape[-1]
+    if end > pos_table.shape[0]:
         raise ShapeError(
-            f"sequence length {l} exceeds {_p(prefix, 'pos')} table "
+            f"sequence length {end} exceeds {_p(prefix, 'pos')} table "
             f"({pos_table.shape[0]} positions)"
         )
     tok = T.embedding(store[_p(prefix, embed_name)], ids)
-    pos = T.embedding(pos_table, np.arange(l))
+    pos = T.embedding(pos_table, np.arange(start, end))
     return T.add(tok, pos)
 
 
@@ -100,11 +104,11 @@ def tied_logits(hidden: Tensor, embed: Tensor) -> Tensor:
 
 def _stack_forward(x: Tensor, store: ParamStore, prefix: str, n_layers: int,
                    cfg: LayerConfig, self_mask, cross_kv=None,
-                   cross_mask=None) -> Tensor:
+                   cross_mask=None, cache: list | None = None) -> Tensor:
     for i in range(n_layers):
         x = nn.transformer_layer_forward(
             x, cross_kv, cfg, store, _p(prefix, f"layers.{i}"), self_mask,
-            cross_mask)
+            cross_mask, None if cache is None else cache[i])
     return nn.layer_norm(x, store, _p(prefix, "final_ln"))
 
 
@@ -139,13 +143,23 @@ def encoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
 
 def decoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
                     ids: np.ndarray, lengths: np.ndarray, memory: Tensor,
-                    memory_lengths: np.ndarray) -> Tensor:
-    x = embed_sequence(store, prefix, "tgt_embed", ids)
-    self_mask = causal_valid_mask(lengths, ids.shape[1])
+                    memory_lengths: np.ndarray,
+                    cache: list[nn.LayerCache] | None = None) -> Tensor:
+    """Decoder hidden states for ``ids`` [B, L].
+
+    With ``cache`` (one :class:`~tall.nn.LayerCache` per layer) ``ids``
+    continue the tokens already cached, and ``lengths`` count the cached
+    tokens too.  The first call with fresh caches projects ``memory`` for
+    cross-attention; later calls reuse that projection.
+    """
+    start = 0 if cache is None else cache[0].self_attn.length
+    x = embed_sequence(store, prefix, "tgt_embed", ids, start)
+    end = start + ids.shape[1]
+    self_mask = causal_valid_mask(lengths, end)[:, start:]
     cross_mask = key_valid_mask(memory_lengths, ids.shape[1], memory.shape[1])
     return _stack_forward(x, store, prefix, cfg.dec_layers,
                           cfg.layer(causal=True), self_mask,
-                          cross_kv=memory, cross_mask=cross_mask)
+                          cross_kv=memory, cross_mask=cross_mask, cache=cache)
 
 
 class Translator:
@@ -180,35 +194,34 @@ class Translator:
         return logits, labels, mask
 
     def greedy_translate(self, src_seqs: list, cap: int | None = None) -> list:
-        """Deterministic argmax decode; returns content ids without EOS."""
+        """Deterministic argmax decode; returns content ids without EOS.
+
+        Rows decode in lockstep, one cached ``decoder_forward`` call per
+        step, for at most ``cap`` steps or until every row has emitted
+        EOS.  A row that has emitted EOS is fed PAD from then on; PAD
+        tokens (emitted or fed) are left out of the result.
+        """
         if not src_seqs:
             return []
         cap = cap if cap is not None else self.cfg.max_len - 1
         memory, mem_lengths = self.encode(src_seqs)
         b = len(src_seqs)
-        ys = [[BOS] for _ in range(b)]
+        cache = [nn.LayerCache() for _ in range(self.cfg.dec_layers)]
+        step_ids = np.full((b, 1), BOS, dtype=np.int64)
         done = np.zeros(b, dtype=bool)
-        for _ in range(cap):
-            dec_ids, dec_lengths = pad_batch(ys)
-            hidden = decoder_forward(self.store, "decoder", self.cfg, dec_ids,
-                                     dec_lengths, memory, mem_lengths)
+        out = [[] for _ in range(b)]
+        for t in range(cap):
+            hidden = decoder_forward(self.store, "decoder", self.cfg, step_ids,
+                                     np.full(b, t + 1), memory, mem_lengths,
+                                     cache)
             logits = tied_logits(hidden, self.store["decoder.tgt_embed"]).data
-            last = logits[np.arange(b), dec_lengths - 1]
-            nxt = last.argmax(axis=1)
-            for i in range(b):
-                if done[i]:
-                    ys[i].append(PAD)
-                elif nxt[i] == EOS:
-                    done[i] = True
-                    ys[i].append(PAD)
-                else:
-                    ys[i].append(int(nxt[i]))
+            nxt = logits[:, -1].argmax(axis=1)
+            done = done | (nxt == EOS)
+            step_ids = np.where(done, PAD, nxt)[:, None]
+            for i in np.flatnonzero(~done & (nxt != PAD)):
+                out[i].append(int(nxt[i]))
             if done.all():
                 break
-        out = []
-        for i, y in enumerate(ys):
-            toks = [t for t in y[1:] if t != PAD]
-            out.append(toks)
         return out
 
 

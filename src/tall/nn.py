@@ -8,6 +8,9 @@ its matching ``init_*`` function created.  Conventions:
   block, biases everywhere, GELU feed-forward.
 * masked attention logits get -1e9 rather than -inf so softmax never
   sees NaN.
+* incremental decoding passes a :class:`LayerCache` per layer: attention
+  then keeps its projected keys and values between calls, so each call
+  needs to project only its new query positions.
 * the dimension-alignment adapter is Linear -> LayerNorm -> GELU ->
   Linear -> LayerNorm; this is the stack whose parameter count matches
   the published per-module figures (see adapter_param_count).
@@ -15,7 +18,7 @@ its matching ``init_*`` function created.  Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +72,34 @@ class LayerConfig:
 
     def attn(self, d_kv: int | None = None) -> AttentionConfig:
         return AttentionConfig(self.d_model, self.n_heads, self.causal, d_kv)
+
+
+@dataclass
+class KVCache:
+    """Projected keys and values [B, h, L, hd] one attention block keeps
+    between incremental decode calls.
+
+    With ``grow`` (self-attention) every call appends its keys and values
+    and attends over all of them.  Without it (cross-attention) the first
+    call projects its key/value input and later calls reuse the result,
+    ignoring their key/value input.
+    """
+
+    grow: bool
+    k: Tensor | None = None
+    v: Tensor | None = None
+
+    @property
+    def length(self) -> int:
+        return 0 if self.k is None else self.k.shape[2]
+
+
+@dataclass
+class LayerCache:
+    """The attention caches of one transformer layer."""
+
+    self_attn: KVCache = field(default_factory=lambda: KVCache(grow=True))
+    cross_attn: KVCache = field(default_factory=lambda: KVCache(grow=False))
 
 
 class ParamStore:
@@ -269,8 +300,12 @@ def _mask_bias(mask: np.ndarray, n_heads: int, dtype) -> np.ndarray:
 
 def multi_head_attention(q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
                          cfg: AttentionConfig, store: ParamStore,
-                         prefix: str) -> Tensor:
-    """Scaled dot-product attention, batched as [B, L, d] or plain [L, d]."""
+                         prefix: str, cache: KVCache | None = None) -> Tensor:
+    """Scaled dot-product attention, batched as [B, L, d] or plain [L, d].
+
+    With ``cache`` (batched input only) the keys and values come from, and
+    go to, the cache, so ``mask`` spans every cached key: [B, Lq, Lcache].
+    """
     squeeze = q_in.ndim == 2
     if squeeze:
         q_in = T.reshape(q_in, (1,) + q_in.shape)
@@ -288,8 +323,16 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
         return T.swapaxes(T.reshape(x, (b, length, h, hd)), 1, 2)
 
     q = split_heads(linear(q_in, store, f"{prefix}.q"), lq)
-    k = split_heads(linear(kv_in, store, f"{prefix}.k"), lkv)
-    v = split_heads(linear(kv_in, store, f"{prefix}.v"), lkv)
+    if cache is not None and not cache.grow and cache.k is not None:
+        k, v = cache.k, cache.v
+    else:
+        k = split_heads(linear(kv_in, store, f"{prefix}.k"), lkv)
+        v = split_heads(linear(kv_in, store, f"{prefix}.v"), lkv)
+        if cache is not None:
+            if cache.k is not None:
+                k = T.concat([cache.k, k], axis=2)
+                v = T.concat([cache.v, v], axis=2)
+            cache.k, cache.v = k, v
 
     scores = T.scale(T.matmul(q, T.swapaxes(k, 2, 3)), hd ** -0.5)
     scores = T.add(scores, _mask_bias(mask, h, scores.dtype))
@@ -307,10 +350,13 @@ def ffn_forward(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
 def transformer_layer_forward(x: Tensor, cross_kv: Tensor | None,
                               cfg: LayerConfig, store: ParamStore, prefix: str,
                               self_mask: np.ndarray,
-                              cross_mask: np.ndarray | None = None) -> Tensor:
+                              cross_mask: np.ndarray | None = None,
+                              cache: LayerCache | None = None) -> Tensor:
+    """One pre-LN layer; with ``cache`` the masks span the cached keys."""
     normed = layer_norm(x, store, f"{prefix}.ln_self")
     h = T.add(x, multi_head_attention(
-        normed, normed, self_mask, cfg.attn(), store, f"{prefix}.self_attn"))
+        normed, normed, self_mask, cfg.attn(), store, f"{prefix}.self_attn",
+        None if cache is None else cache.self_attn))
     if cross_kv is not None:
         if cross_mask is None:
             raise ContractError("cross_kv given without cross_mask")
@@ -318,6 +364,7 @@ def transformer_layer_forward(x: Tensor, cross_kv: Tensor | None,
                                     cross_kv.shape[-1])
         h = T.add(h, multi_head_attention(
             layer_norm(h, store, f"{prefix}.ln_cross"), cross_kv,
-            cross_mask, cross_cfg, store, f"{prefix}.cross_attn"))
+            cross_mask, cross_cfg, store, f"{prefix}.cross_attn",
+            None if cache is None else cache.cross_attn))
     return T.add(h, ffn_forward(layer_norm(h, store, f"{prefix}.ln_ffn"),
                                 store, f"{prefix}.ffn"))

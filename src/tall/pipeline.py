@@ -162,7 +162,6 @@ class TallBatch:
     dec_ids: np.ndarray          # [B, Lt] BOS + teacher[:-1] (LR space)
     dec_lengths: np.ndarray
     targets: np.ndarray          # [B] final teacher token per example
-    full_targets: np.ndarray     # [B, Lt] teacher tokens (loss masks all but last)
 
 
 class TallModel:
@@ -336,10 +335,9 @@ class TallModel:
             [list(t[:-1]) + [EOS] for t in teachers])
         hr_ids, hr_lengths = pad_batch(hr_lm_seqs)
         dec_ids, dec_lengths = pad_batch([[BOS] + list(t[:-1]) for t in teachers])
-        full_targets, _ = pad_batch([list(t) for t in teachers])
         targets = np.array([t[-1] for t in teachers], dtype=np.int64)
         return TallBatch(enc_ids, enc_lengths, hr_ids, hr_lengths, dec_ids,
-                         dec_lengths, targets, full_targets)
+                         dec_lengths, targets)
 
     def loss(self, batch: TallBatch) -> Tensor:
         """Mean final-token cross entropy (all other positions zero-grad)."""

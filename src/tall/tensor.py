@@ -118,6 +118,11 @@ def _data(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
+def _needs_grad(x) -> bool:
+    """Whether backward should compute a gradient for operand ``x``."""
+    return isinstance(x, Tensor) and x.requires_grad
+
+
 class Tape:
     """Ordered record of operations for reverse-mode differentiation.
 
@@ -157,7 +162,7 @@ class Tape:
                 continue
             grads = backward_fn(out.grad)
             for inp, g in zip(inputs, grads):
-                if g is None or not isinstance(inp, Tensor) or not inp.requires_grad:
+                if g is None or not _needs_grad(inp):
                     continue
                 if inp.grad is None:
                     inp.grad = g
@@ -168,14 +173,8 @@ class Tape:
 _ACTIVE: list[Tape] = []
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    tape.backward(loss)
-
-
 def _register(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
-    if _ACTIVE and any(
-        isinstance(t, Tensor) and t.requires_grad for t in inputs
-    ):
+    if _ACTIVE and any(_needs_grad(t) for t in inputs):
         out.requires_grad = True
         _ACTIVE[-1]._nodes.append((out, inputs, backward_fn))
     return out
@@ -201,8 +200,8 @@ def add(a, b) -> Tensor:
     out = Tensor(a_d + b_d)
 
     def bwd(g):
-        ga = _unbroadcast(g, a_d.shape) if isinstance(a, Tensor) else None
-        gb = _unbroadcast(g, b_d.shape) if isinstance(b, Tensor) else None
+        ga = _unbroadcast(g, a_d.shape) if _needs_grad(a) else None
+        gb = _unbroadcast(g, b_d.shape) if _needs_grad(b) else None
         return ga, gb
 
     return _register(out, (a, b), bwd)
@@ -213,8 +212,8 @@ def sub(a, b) -> Tensor:
     out = Tensor(a_d - b_d)
 
     def bwd(g):
-        ga = _unbroadcast(g, a_d.shape) if isinstance(a, Tensor) else None
-        gb = -_unbroadcast(g, b_d.shape) if isinstance(b, Tensor) else None
+        ga = _unbroadcast(g, a_d.shape) if _needs_grad(a) else None
+        gb = -_unbroadcast(g, b_d.shape) if _needs_grad(b) else None
         return ga, gb
 
     return _register(out, (a, b), bwd)
@@ -225,8 +224,8 @@ def mul(a, b) -> Tensor:
     out = Tensor(a_d * b_d)
 
     def bwd(g):
-        ga = _unbroadcast(g * b_d, a_d.shape) if isinstance(a, Tensor) else None
-        gb = _unbroadcast(g * a_d, b_d.shape) if isinstance(b, Tensor) else None
+        ga = _unbroadcast(g * b_d, a_d.shape) if _needs_grad(a) else None
+        gb = _unbroadcast(g * a_d, b_d.shape) if _needs_grad(b) else None
         return ga, gb
 
     return _register(out, (a, b), bwd)
@@ -259,12 +258,6 @@ def swapaxes(a: Tensor, i: int, j: int) -> Tensor:
     return _register(out, (a,), bwd)
 
 
-def transpose2d(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose2d expects a matrix, got shape {a.shape}")
-    return swapaxes(a, 0, 1)
-
-
 def concat(parts: list, axis: int) -> Tensor:
     datas = [_data(p) for p in parts]
     out = Tensor(np.concatenate(datas, axis=axis))
@@ -274,7 +267,7 @@ def concat(parts: list, axis: int) -> Tensor:
     def bwd(g):
         pieces = np.split(g, splits, axis=axis)
         return [
-            np.ascontiguousarray(piece) if isinstance(p, Tensor) else None
+            np.ascontiguousarray(piece) if _needs_grad(p) else None
             for p, piece in zip(parts, pieces)
         ]
 
@@ -301,16 +294,6 @@ def sum_all(a: Tensor) -> Tensor:
 
 def mean_all(a: Tensor) -> Tensor:
     return scale(sum_all(a), 1.0 / a.size)
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout.  rate == 0 is an exact no-op (no tape node)."""
-    if rate == 0.0:
-        return a
-    if not 0.0 <= rate < 1.0:
-        raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = (rng.random(a.shape) >= rate).astype(a.dtype) / (1.0 - rate)
-    return mul(a, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +324,10 @@ def matmul(a, b) -> Tensor:
 
     def bwd(g):
         ga = gb = None
-        if isinstance(a, Tensor):
+        if _needs_grad(a):
             ga = np.einsum("...ij,...kj->...ik", g, b_d)
             ga = _unbroadcast(ga, a_d.shape)
-        if isinstance(b, Tensor):
+        if _needs_grad(b):
             if b_d.ndim == 2 and g.ndim > 2:
                 gb = np.einsum(
                     "ik,ij->kj", a_d.reshape(-1, a_d.shape[-1]),
@@ -396,14 +379,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
-        d_gamma = (g * xh).sum(axis=lead) if isinstance(gamma, Tensor) else None
-        d_beta = g.sum(axis=lead) if isinstance(beta, Tensor) else None
-        dxh = g * g_d
-        dx = inv * (
-            dxh
-            - dxh.mean(axis=-1, keepdims=True)
-            - xh * (dxh * xh).mean(axis=-1, keepdims=True)
-        )
+        d_gamma = (g * xh).sum(axis=lead) if _needs_grad(gamma) else None
+        d_beta = g.sum(axis=lead) if _needs_grad(beta) else None
+        dx = None
+        if _needs_grad(x):
+            dxh = g * g_d
+            dx = inv * (
+                dxh
+                - dxh.mean(axis=-1, keepdims=True)
+                - xh * (dxh * xh).mean(axis=-1, keepdims=True)
+            )
         return dx, d_gamma, d_beta
 
     return _register(out, (x, gamma, beta), bwd)

@@ -4,6 +4,7 @@ import pytest
 from tall.evaluation import (
     EvalExample,
     EvalRecord,
+    SoftPromptParams,
     accuracy,
     clone_llm,
     eval_direct,
@@ -15,6 +16,7 @@ from tall.evaluation import (
     train_soft_prompt,
 )
 from tall.models import CausalLM, CausalLMConfig, Seq2SeqConfig, Translator
+from tall.nn import ParamStore
 from tall.pipeline import SamplerConfig
 from tall.pretrain import TrainConfig, train_translator
 from tall.tensor import ShapeError
@@ -296,6 +298,14 @@ class TestSoftPrompt:
         records = eval_soft_prompt(llm, params, world, examples[:20],
                                    SamplerConfig(seed=1))
         assert len(records) == 20
+
+    def test_empty_dataset_rejected(self, tiny_world):
+        _, world, _, _, llm = tiny_world
+        store = ParamStore()
+        store.add("prompt", np.zeros((2, llm.cfg.d_model)))
+        with pytest.raises(ValueError, match="evaluation dataset is empty"):
+            eval_soft_prompt(llm, SoftPromptParams(store, 2), world, [],
+                             SamplerConfig())
 
     def test_published_prompt_size_arithmetic(self):
         assert 30 * 96 == 2880

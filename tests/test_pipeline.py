@@ -164,6 +164,33 @@ class TestGradientFlow:
                 assert t.grad is not None, name
                 assert np.any(t.grad != 0.0), name
 
+    def test_frozen_backbones_leave_trainable_grads_unchanged(self):
+        """Skipping frozen-weight gradients changes no trainable byte."""
+        runs = []
+        for unfreeze in (False, True):
+            model, corpus, _ = tiny_setup(seed=5)
+            if unfreeze:
+                for _, t in model.store.items():
+                    t.requires_grad = True
+            teachers = [list(p.lr_tokens) for p in corpus[:6]]
+            batch = model.make_batch(
+                teachers, model.translate_prefixes([t[:-1] for t in teachers]))
+            with Tape() as tape:
+                loss = model.loss(batch)
+            tape.backward(loss)
+            grads = {n: t.grad.tobytes()
+                     for n, t in model.store.trainable_items()}
+            frozen_grads = [model.store[n].grad for n in model.store.names()
+                            if n.split(".", 1)[0] in FROZEN_PARTS]
+            runs.append((loss.data.tobytes(), grads, len(tape), frozen_grads))
+        (loss_f, grads_f, nodes_f, frozen_f), (loss_u, grads_u, nodes_u,
+                                               frozen_u) = runs
+        assert all(g is None for g in frozen_f)
+        assert all(g is not None for g in frozen_u)
+        assert loss_f == loss_u
+        assert grads_f == grads_u
+        assert nodes_f < nodes_u
+
     def test_final_token_loss_masks_all_other_positions(self):
         model, corpus, _ = tiny_setup(seed=4)
         # heterogeneous lengths by construction of the corpus

@@ -232,6 +232,19 @@ class TestBackward:
         assert w.grad is None
         assert x.grad is not None
 
+    def test_matmul_backward_skips_frozen_weight(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=False)
+        with Tape() as tape:
+            y = matmul(x, w)
+        [(out, inputs, backward_fn)] = tape._nodes
+        assert out is y and inputs == (x, w)
+        gx, gw = backward_fn(np.ones(y.shape))
+        assert gw is None
+        np.testing.assert_array_equal(
+            gx, np.einsum("bij,kj->bik", np.ones(y.shape), w.data))
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
