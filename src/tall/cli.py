@@ -11,20 +11,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import runner
 from .checkpoint import CheckpointError, save_checkpoint
-from .config import (
-    ConfigError,
-    benchmark_config,
-    compat_hash,
-    config_hash,
-    load_config,
-    resolved_dict,
-)
+from .config import ConfigError, config_hash, load_config, tall_config
 from .params_report import check_report, format_report, param_report
 from .pipeline import evaluate_tall, train_tall
+from .pretrain import split_train_eval
 from .tensor import NumericalError, ShapeError
 
 EXIT_OK = 0
@@ -172,8 +164,6 @@ def cmd_train_tall(args) -> int:
 
 
 def _resume_heldout(model, corpus, cfg, seed):
-    from .pretrain import split_train_eval
-
     teachers = [list(p.lr_tokens) for p in corpus]
     hr_lm = model.translate_prefixes([t[:-1] for t in teachers])
     _, heldout = split_train_eval(list(zip(teachers, hr_lm)),
@@ -184,8 +174,7 @@ def _resume_heldout(model, corpus, cfg, seed):
 def cmd_eval(args) -> int:
     cfg, seed = _load(args)
     if args.all:
-        wanted = ["direct", "finetuned", "from_scratch", "naive",
-                  "soft_prompt", "tall"]
+        wanted = sorted(CLI_APPROACHES.values())
     else:
         wanted = [CLI_APPROACHES[args.approach]]
     needs_translators = bool({"naive", "tall"} & set(wanted))
@@ -223,8 +212,6 @@ def cmd_param_report(args) -> int:
         raise ConfigError(f"unknown preset {preset!r}")
     if preset == "toy":
         cfg, _ = _load(args)
-        from .config import tall_config
-
         report = param_report("toy", tall_config(cfg))
     else:
         report = param_report(preset)

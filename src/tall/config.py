@@ -117,11 +117,6 @@ class SoftPromptSection(TrainSection):
     epochs: int = 2
     n_prompt: int = 30
 
-    def to_train_config(self, seed: int) -> TrainConfig:
-        base = {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(TrainSection)}
-        return TrainConfig(seed=seed, **base)
-
 
 @dataclass
 class TrainingSection:

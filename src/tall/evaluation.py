@@ -15,23 +15,18 @@ stops a whole evaluation.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .models import CausalLM, Translator, pad_batch
+from .models import CausalLM, Translator, pad_batch, tied_logits
 from .nn import ParamStore
-from .optim import AdamW, clip_grad_norm, cosine_lr
 from .pipeline import SamplerConfig, TallModel, example_rng, sample_token
-from .pretrain import TrainConfig, _epoch_batches
-from .tensor import Tape, Tensor
+from .pretrain import TrainConfig, fit, train_llm
+from .tensor import Tensor
 from .world import (BOS, N_SPECIALS, ToyGrammar, World, corpus_hash,
                     generate_corpus)
-
-APPROACHES = ("direct", "finetuned", "from_scratch", "naive", "soft_prompt",
-              "tall")
 
 
 @dataclass(frozen=True)
@@ -209,8 +204,6 @@ def _soft_prompt_logits(llm: CausalLM, prompt: Tensor, lm_prefixes: list
     x = T.concat([block, tok], axis=1)
     full_lengths = lengths + n_prompt
     hidden = llm.hidden_from_embeddings(x, full_lengths)
-    from .models import tied_logits
-
     return tied_logits(hidden, llm.store["tok_embed"]), full_lengths
 
 
@@ -230,33 +223,18 @@ def train_soft_prompt(llm: CausalLM, world: World, corpus_lr: list,
     store.add("prompt", rng.normal(0.0, 0.1,
                                    size=(n_prompt, llm.cfg.d_model)))
     params = SoftPromptParams(store, n_prompt)
-    opt = AdamW(store, lr=train_cfg.learning_rate,
-                weight_decay=train_cfg.weight_decay)
-    updates_per_epoch = -(-len(corpus_lr) // train_cfg.batch_size)
-    total = max(1, updates_per_epoch * train_cfg.epochs)
-    metrics, update = [], 0
-    for epoch in range(train_cfg.epochs):
-        for batch_idx in _epoch_batches(len(corpus_lr), train_cfg.batch_size,
-                                        train_cfg.seed, epoch):
-            batch = [corpus_lr[i] for i in batch_idx]
-            lm_prefix = [world.lr_to_lm(np.array(s[:-1])).tolist() for s in batch]
-            targets = np.array(
-                [world.lr_to_lm(np.array([s[-1]]))[0] for s in batch])
-            with Tape() as tape:
-                logits, lengths = _soft_prompt_logits(
-                    llm, params.embeddings, lm_prefix)
-                loss = T.cross_entropy_last_token(logits, targets, lengths)
-            tape.backward(loss)
-            grad_norm = clip_grad_norm(opt.params, train_cfg.grad_clip_norm)
-            lr = cosine_lr(update, total, train_cfg.learning_rate,
-                           train_cfg.warmup_steps)
-            opt.step(lr)
-            opt.zero_grad()
-            metrics.append({"step": update, "split": "train",
-                            "loss": loss.item(), "lr": lr,
-                            "grad_norm": grad_norm})
-            update += 1
-    return params, metrics
+
+    def loss_fn(batch_idx):
+        batch = [corpus_lr[i] for i in batch_idx]
+        lm_prefix = [world.lr_to_lm(np.array(s[:-1])).tolist() for s in batch]
+        targets = np.array(
+            [world.lr_to_lm(np.array([s[-1]]))[0] for s in batch])
+        logits, lengths = _soft_prompt_logits(llm, params.embeddings,
+                                              lm_prefix)
+        # weight 1: an update averages micro-batch means (see ``pretrain``)
+        return T.cross_entropy_last_token(logits, targets, lengths), 1
+
+    return params, fit(store, train_cfg, len(corpus_lr), loss_fn)
 
 
 def eval_soft_prompt(llm: CausalLM, params: SoftPromptParams, world: World,
@@ -293,8 +271,6 @@ def clone_llm(llm: CausalLM) -> CausalLM:
 def finetune_llm(llm: CausalLM, world: World, corpus_lr: list,
                  train_cfg: TrainConfig) -> tuple[CausalLM, dict, list[dict]]:
     """Continue next-token training of every LM weight on LR data."""
-    from .pretrain import train_llm
-
     tuned = clone_llm(llm)
     if train_cfg.epochs == 0:
         return tuned, {"kind": "finetuned", "step": 0}, []
@@ -307,8 +283,6 @@ def finetune_llm(llm: CausalLM, world: World, corpus_lr: list,
 
 def from_scratch_llm(world: World, corpus_lr: list, llm_cfg,
                      train_cfg: TrainConfig) -> tuple[CausalLM, dict, list[dict]]:
-    from .pretrain import train_llm
-
     sequences = [world.lr_to_lm(np.array(s)).tolist() for s in corpus_lr]
     model, meta, metrics = train_llm(llm_cfg, sequences, train_cfg)
     meta["kind"] = "from_scratch"

@@ -30,16 +30,21 @@ from .models import (
     CausalLMConfig,
     Seq2SeqConfig,
     Translator,
+    _stack_forward,
     causal_valid_mask,
+    decoder_forward,
+    encoder_forward,
     key_valid_mask,
     pad_batch,
     tied_logits,
 )
 from .nn import AdapterSpec, LayerConfig, ParamStore
-from .optim import AdamW, clip_grad_norm, cosine_lr
-from .pretrain import TrainConfig, _epoch_batches, split_train_eval
-from .tensor import NumericalError, Tape, Tensor
-from .world import BOS, EOS, BilingualPair, World
+# perfbench/test_perfbench.py::test_tracer_wraps_copies_and_restores_originals
+# checks that the tracer wraps this module-level copy
+from .optim import clip_grad_norm  # noqa: F401
+from .pretrain import TrainConfig, fit, split_train_eval
+from .tensor import Tensor
+from .world import BOS, EOS, PAD, BilingualPair, World
 
 TRAINABLE_PARTS = ("adapter1", "bridge1", "adapter2", "bridge2")
 FROZEN_PARTS = ("encoder", "llm", "decoder")
@@ -228,8 +233,6 @@ class TallModel:
 
     def encode_lr(self, enc_ids: np.ndarray, enc_lengths: np.ndarray) -> Tensor:
         """Stage 1: frozen encoder over the LR prefix."""
-        from .models import encoder_forward
-
         h = encoder_forward(self.store, "encoder", self.cfg.encoder_cfg,
                             enc_ids, enc_lengths)
         if h.shape[-1] != self.cfg.adapter1.d_in:
@@ -263,8 +266,6 @@ class TallModel:
             raise StageDimensionError(
                 4, f"injected embedding width {h_b1.shape[-1]} != LM width "
                    f"{self.cfg.llm_cfg.d_model}")
-        from .models import _stack_forward
-
         x = T.add(h_b1, T.embedding(self.store["llm.pos"],
                                     np.arange(h_b1.shape[1])))
         mask = causal_valid_mask(hr_lengths, h_b1.shape[1])
@@ -293,8 +294,6 @@ class TallModel:
             raise StageDimensionError(
                 7, f"decoder memory width {memory.shape[-1]} != decoder "
                    f"width {self.cfg.decoder_cfg.d_model}")
-        from .models import decoder_forward
-
         hidden = decoder_forward(self.store, "decoder", self.cfg.decoder_cfg,
                                  dec_ids, dec_lengths, memory, memory_lengths)
         return tied_logits(hidden, self.store["decoder.tgt_embed"])
@@ -360,19 +359,12 @@ class TallModel:
             raise ValueError("cannot predict from an empty prefix")
         if hr_lm_seqs is None:
             hr_lm_seqs = self.translate_prefixes(prefixes)
-        enc_ids, enc_lengths = pad_batch([list(p) + [EOS] for p in prefixes])
-        hr_ids, hr_lengths = pad_batch(hr_lm_seqs)
-        dec_ids, dec_lengths = pad_batch([[BOS] + list(p) for p in prefixes])
-        h_enc = self.encode_lr(enc_ids, enc_lengths)
-        h_a1 = nn.adapter_forward(h_enc, self.cfg.adapter1, self.store,
-                                  "adapter1")
-        h_b1 = self.bridge1_forward(hr_ids, hr_lengths, h_a1, enc_lengths)
-        h_llm = self.llm_blocks(h_b1, hr_lengths)
-        h_a2 = nn.adapter_forward(h_llm, self.cfg.adapter2, self.store,
-                                  "adapter2")
-        h_b2 = self.bridge2_forward(h_a2, hr_lengths)
-        logits = self.decode(dec_ids, dec_lengths, h_b2, hr_lengths).data
-        last = logits[np.arange(len(prefixes)), dec_lengths - 1]
+        # make_batch holds out each teacher's last token, so a PAD
+        # placeholder after each prefix makes the whole prefix the input
+        batch = self.make_batch([list(p) + [PAD] for p in prefixes],
+                                hr_lm_seqs)
+        logits = self.forward(batch).data
+        last = logits[np.arange(len(prefixes)), batch.dec_lengths - 1]
         if rngs is None:
             rngs = [example_rng(sampler.seed, i) for i in range(len(prefixes))]
         return [int(sample_token(last[i], sampler, rngs[i]))
@@ -380,15 +372,15 @@ class TallModel:
 
 
 def train_tall(model: TallModel, corpus: list[BilingualPair],
-               train_cfg: TrainConfig, eval_every: int = 0
-               ) -> tuple[dict, list[dict]]:
+               train_cfg: TrainConfig) -> tuple[dict, list[dict]]:
     """Final-token training of the four trainable parts.
 
     Strips the last word of each LR sentence, greedy-translates the
     prefix once up front (the translator is frozen, so the translations
     are constants), then optimizes the mean final-token cross entropy
-    with AdamW under a cosine schedule.  Tracks held-out loss, accuracy
-    and perplexity, and restores the best snapshot by held-out loss.
+    with ``fit``.  After each epoch it records held-out loss, accuracy
+    and perplexity, and at the end it restores the best snapshot by
+    held-out loss.
     """
     if not corpus:
         raise ValueError("corpus must be nonempty")
@@ -398,69 +390,29 @@ def train_tall(model: TallModel, corpus: list[BilingualPair],
     examples = list(zip(teachers, hr_lm))
     train, heldout = split_train_eval(examples, train_cfg.eval_fraction,
                                       train_cfg.seed)
-    opt = AdamW(model.store, lr=train_cfg.learning_rate,
-                weight_decay=train_cfg.weight_decay)
-    updates_per_epoch = -(-len(train) // (train_cfg.batch_size
-                                          * train_cfg.grad_accum_steps))
-    total_updates = max(1, updates_per_epoch * train_cfg.epochs)
-    metrics: list[dict] = []
     best = {"loss": np.inf, "step": -1, "params": None}
-    update = 0
 
-    def evaluate(step: int) -> None:
-        if not heldout:
-            return
+    def loss_fn(batch_idx):
+        chunk = [train[i] for i in batch_idx]
+        batch = model.make_batch([t for t, _ in chunk], [h for _, h in chunk])
+        return T.scale(model.loss(batch), float(len(chunk))), len(chunk)
+
+    def evaluate(step: int) -> dict:
         stats = evaluate_tall(model, heldout, batch_size=train_cfg.batch_size)
-        metrics.append({"step": step, "split": "eval", **stats})
         if stats["loss"] < best["loss"]:
             best.update(loss=stats["loss"], step=step, params={
                 n: t.data.copy() for n, t in model.store.trainable_items()})
+        return stats
 
-    for epoch in range(train_cfg.epochs):
-        pending_loss, pending_examples, micro = 0.0, 0, 0
-        for batch_idx in _epoch_batches(len(train), train_cfg.batch_size,
-                                        train_cfg.seed, epoch):
-            chunk = [train[i] for i in batch_idx]
-            batch = model.make_batch([t for t, _ in chunk],
-                                     [h for _, h in chunk])
-            with Tape() as tape:
-                mean_loss = model.loss(batch)
-                loss_sum = T.scale(mean_loss, float(len(chunk)))
-            tape.backward(loss_sum)
-            pending_loss += loss_sum.item()
-            pending_examples += len(chunk)
-            micro += 1
-            if micro < train_cfg.grad_accum_steps:
-                continue
-            if not np.isfinite(pending_loss):
-                raise NumericalError(
-                    f"tall training diverged at update {update}")
-            for p in opt.params:
-                if p.grad is not None:
-                    p.grad = p.grad / pending_examples
-            grad_norm = clip_grad_norm(opt.params, train_cfg.grad_clip_norm)
-            lr = cosine_lr(update, total_updates, train_cfg.learning_rate,
-                           train_cfg.warmup_steps)
-            opt.step(lr)
-            opt.zero_grad()
-            metrics.append({
-                "step": update, "split": "train",
-                "loss": pending_loss / pending_examples,
-                "lr": lr, "grad_norm": grad_norm,
-            })
-            update += 1
-            if eval_every and update % eval_every == 0:
-                evaluate(update)
-            pending_loss, pending_examples, micro = 0.0, 0, 0
-        evaluate(update)
-
+    metrics = fit(model.store, train_cfg, len(train), loss_fn,
+                  evaluate if heldout else None)
     if best["params"] is not None:
         for n, arr in best["params"].items():
             model.store[n].data[:] = arr
     meta = {
         "kind": "tall",
         "seed": train_cfg.seed,
-        "step": update,
+        "step": sum(m["split"] == "train" for m in metrics),
         "best_step": best["step"],
         "best_eval_loss": None if best["loss"] is np.inf else float(best["loss"]),
     }

@@ -1,16 +1,30 @@
-"""Training loops that build the frozen stand-ins the pipeline needs.
+"""The training loop, and the trainers of the frozen stand-ins.
 
-Both trainers share the same bookkeeping: summed cross entropy per
-micro-batch, gradient accumulation over ``grad_accum_steps`` micro
-batches, normalization by the update's total token count, global-norm
-clipping, AdamW with a cosine schedule.  Every source of randomness is
-a child of ``TrainConfig.seed``, so re-running reproduces checkpoints
-bit for bit.
+Every trainer in the package is a ``loss_fn`` handed to ``fit``, the
+one accumulate-normalise-clip-step loop.  ``loss_fn(batch_idx)``
+returns ``(loss, weight)`` for one micro-batch of training examples.
+``fit`` backpropagates each loss, and after ``grad_accum_steps``
+micro-batches (or the shorter last group of an epoch) divides the
+summed gradients and losses by the summed weight, refuses a non-finite
+loss, clips the global gradient norm and takes one AdamW step on a
+cosine schedule.
+
+The weight says what an update averages over.  The translator and LM
+trainers here, which build the pipeline's frozen backbones, return
+summed token cross entropy with the token count, so an update is the
+mean over every target token it saw.  TALL returns its mean final-token
+loss times the batch size with the batch size, a mean over examples.
+The soft prompt returns its mean loss with weight 1: at accumulation 1
+that is its batch mean exactly, and at accumulation > 1 it averages the
+micro-batch means, so a short last batch counts as much as a full one.
+
+Every source of randomness is a child of ``TrainConfig.seed``, so
+re-running reproduces checkpoints bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,45 +73,53 @@ def _epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
         yield order[start : start + batch_size]
 
 
-class _Trainer:
-    """Accumulate-normalize-clip-step driver shared by all training ops."""
+def fit(store, train_cfg: TrainConfig, n_train: int, loss_fn,
+        evaluate=None) -> list[dict]:
+    """Train the trainable tensors of ``store``; return the metrics records.
 
-    def __init__(self, store, train_cfg: TrainConfig, total_updates: int):
-        self.cfg = train_cfg
-        self.opt = AdamW(store, lr=train_cfg.learning_rate,
-                         weight_decay=train_cfg.weight_decay)
-        self.total_updates = max(1, total_updates)
-        self.update_index = 0
-        self.metrics: list[dict] = []
-
-    @property
-    def lr_now(self) -> float:
-        return cosine_lr(self.update_index, self.total_updates,
-                         self.cfg.learning_rate, self.cfg.warmup_steps)
-
-    def apply_update(self, loss_sum: float, token_count: int) -> dict:
-        if not np.isfinite(loss_sum):
-            raise NumericalError(
-                f"training diverged: loss is not finite at update "
-                f"{self.update_index} (loss_sum={loss_sum})"
-            )
-        for p in self.opt.params:
-            if p.grad is not None:
-                p.grad = p.grad / token_count
-        grad_norm = clip_grad_norm(self.opt.params, self.cfg.grad_clip_norm)
-        lr = self.lr_now
-        self.opt.step(lr)
-        self.opt.zero_grad()
-        record = {
-            "step": self.update_index,
-            "split": "train",
-            "loss": loss_sum / token_count,
-            "lr": lr,
-            "grad_norm": grad_norm,
-        }
-        self.metrics.append(record)
-        self.update_index += 1
-        return record
+    ``loss_fn(batch_idx)`` returns ``(loss, weight)`` for one micro-batch
+    of indices into the ``n_train`` training examples.  ``evaluate(step)``,
+    when given, runs after each epoch, and the dict it returns is
+    recorded with ``split="eval"``.
+    """
+    accum = train_cfg.grad_accum_steps
+    opt = AdamW(store, lr=train_cfg.learning_rate,
+                weight_decay=train_cfg.weight_decay)
+    total_updates = max(1, -(-n_train // (train_cfg.batch_size * accum))
+                        * train_cfg.epochs)
+    metrics: list[dict] = []
+    update = 0
+    for epoch in range(train_cfg.epochs):
+        batches = list(_epoch_batches(n_train, train_cfg.batch_size,
+                                      train_cfg.seed, epoch))
+        for start in range(0, len(batches), accum):
+            loss_sum, weight = 0.0, 0
+            for batch_idx in batches[start : start + accum]:
+                with Tape() as tape:
+                    loss, w = loss_fn(batch_idx)
+                tape.backward(loss)
+                loss_sum += loss.item()
+                weight += w
+            if not np.isfinite(loss_sum):
+                raise NumericalError(
+                    f"training diverged: loss is not finite at update "
+                    f"{update} (loss_sum={loss_sum})")
+            for p in opt.params:
+                if p.grad is not None:
+                    p.grad = p.grad / weight
+            grad_norm = clip_grad_norm(opt.params, train_cfg.grad_clip_norm)
+            lr = cosine_lr(update, total_updates, train_cfg.learning_rate,
+                           train_cfg.warmup_steps)
+            opt.step(lr)
+            opt.zero_grad()
+            metrics.append({"step": update, "split": "train",
+                            "loss": loss_sum / weight, "lr": lr,
+                            "grad_norm": grad_norm})
+            update += 1
+        if evaluate is not None:
+            metrics.append({"step": update, "split": "eval",
+                            **evaluate(update)})
+    return metrics
 
 
 def train_translator(direction: str, model_cfg: Seq2SeqConfig,
@@ -120,44 +142,25 @@ def train_translator(direction: str, model_cfg: Seq2SeqConfig,
     train, heldout = split_train_eval(examples, train_cfg.eval_fraction,
                                       train_cfg.seed)
     model = Translator.init(model_cfg, train_cfg.seed)
-    updates_per_epoch = -(-len(train) // (train_cfg.batch_size
-                                          * train_cfg.grad_accum_steps))
-    trainer = _Trainer(model.store, train_cfg,
-                       updates_per_epoch * train_cfg.epochs)
 
-    for epoch in range(train_cfg.epochs):
-        batches = _epoch_batches(len(train), train_cfg.batch_size,
-                                 train_cfg.seed, epoch)
-        pending_loss, pending_tokens, micro = 0.0, 0, 0
-        for batch_idx in batches:
-            srcs = [train[i][0] for i in batch_idx]
-            tgts = [train[i][1] for i in batch_idx]
-            with Tape() as tape:
-                logits, labels, mask = model.teacher_logits(srcs, tgts)
-                loss_sum, n_tok = T.cross_entropy_sum(logits, labels, mask)
-            tape.backward(loss_sum)
-            pending_loss += loss_sum.item()
-            pending_tokens += n_tok
-            micro += 1
-            if micro == train_cfg.grad_accum_steps:
-                trainer.apply_update(pending_loss, pending_tokens)
-                pending_loss, pending_tokens, micro = 0.0, 0, 0
-        if micro:
-            trainer.apply_update(pending_loss, pending_tokens)
+    def loss_fn(batch_idx):
+        logits, labels, mask = model.teacher_logits(
+            [train[i][0] for i in batch_idx], [train[i][1] for i in batch_idx])
+        return T.cross_entropy_sum(logits, labels, mask)
 
+    metrics = fit(model.store, train_cfg, len(train), loss_fn)
+    step = len(metrics)
     exact = translator_exact_match(model, heldout) if heldout else float("nan")
     if heldout:
-        trainer.metrics.append({
-            "step": trainer.update_index, "split": "eval",
-            "exact_match": exact, "n": len(heldout),
-        })
+        metrics.append({"step": step, "split": "eval",
+                        "exact_match": exact, "n": len(heldout)})
     meta = {
         "kind": f"translator-{direction}",
         "seed": train_cfg.seed,
-        "step": trainer.update_index,
+        "step": step,
         "heldout_exact_match": exact,
     }
-    return model, meta, trainer.metrics
+    return model, meta, metrics
 
 
 def translator_exact_match(model: Translator, examples: list,
@@ -186,42 +189,24 @@ def train_llm(model_cfg: CausalLMConfig, sequences: list,
                                       train_cfg.seed)
     model = init_model if init_model is not None else CausalLM.init(
         model_cfg, train_cfg.seed)
-    updates_per_epoch = -(-len(train) // (train_cfg.batch_size
-                                          * train_cfg.grad_accum_steps))
-    trainer = _Trainer(model.store, train_cfg,
-                       updates_per_epoch * train_cfg.epochs)
 
-    for epoch in range(train_cfg.epochs):
-        pending_loss, pending_tokens, micro = 0.0, 0, 0
-        for batch_idx in _epoch_batches(len(train), train_cfg.batch_size,
-                                        train_cfg.seed, epoch):
-            batch = [train[i] for i in batch_idx]
-            with Tape() as tape:
-                logits, labels, mask = model.logits_for(batch)
-                loss_sum, n_tok = T.cross_entropy_sum(logits, labels, mask)
-            tape.backward(loss_sum)
-            pending_loss += loss_sum.item()
-            pending_tokens += n_tok
-            micro += 1
-            if micro == train_cfg.grad_accum_steps:
-                trainer.apply_update(pending_loss, pending_tokens)
-                pending_loss, pending_tokens, micro = 0.0, 0, 0
-        if micro:
-            trainer.apply_update(pending_loss, pending_tokens)
+    def loss_fn(batch_idx):
+        logits, labels, mask = model.logits_for([train[i] for i in batch_idx])
+        return T.cross_entropy_sum(logits, labels, mask)
 
+    metrics = fit(model.store, train_cfg, len(train), loss_fn)
+    step = len(metrics)
     ppl = llm_perplexity(model, heldout) if heldout else float("nan")
     if heldout:
-        trainer.metrics.append({
-            "step": trainer.update_index, "split": "eval",
-            "perplexity": ppl, "n": len(heldout),
-        })
+        metrics.append({"step": step, "split": "eval",
+                        "perplexity": ppl, "n": len(heldout)})
     meta = {
         "kind": "causal-lm",
         "seed": train_cfg.seed,
-        "step": trainer.update_index,
+        "step": step,
         "heldout_perplexity": ppl,
     }
-    return model, meta, trainer.metrics
+    return model, meta, metrics
 
 
 def llm_perplexity(model: CausalLM, sequences: list,

@@ -8,42 +8,37 @@ architecture-compatibility hash that loading verifies.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
 from . import evaluation as ev
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint
 from .config import (
     RunConfig,
+    benchmark_config,
     build_eval_grammar,
     build_grammar,
     build_world,
     compat_hash,
     config_hash,
     llm_config,
+    resolved_dict,
     tall_config,
     translator_config,
 )
 from .models import CausalLM, Translator
 from .nn import ParamStore
-from .pipeline import TallModel, evaluate_tall, train_tall
+from .pipeline import TallModel, train_tall
 from .pretrain import train_llm, train_translator
-from .world import World, generate_corpus
+from .world import generate_corpus
 
 
 def stamp_meta(cfg: RunConfig, meta: dict) -> dict:
     meta = dict(meta)
-    meta["config"] = json.loads(json.dumps(_cfg_dict(cfg)))
+    meta["config"] = json.loads(json.dumps(resolved_dict(cfg)))
     meta["config_hash"] = config_hash(cfg)
     meta["compat_hash"] = compat_hash(cfg)
     return meta
-
-
-def _cfg_dict(cfg: RunConfig) -> dict:
-    from .config import resolved_dict
-
-    return resolved_dict(cfg)
 
 
 def train_corpus(cfg: RunConfig):
@@ -76,10 +71,6 @@ def pretrain_llm(cfg: RunConfig, seed: int, corpus=None
     model, meta, metrics = train_llm(llm_config(cfg), sequences,
                                      cfg.train.llm.to_train_config(seed))
     return model, stamp_meta(cfg, meta), metrics
-
-
-def save_model(model, meta: dict, path) -> None:
-    save_checkpoint(model.store, meta, path)
 
 
 def load_translator(cfg: RunConfig, direction: str, path) -> tuple[Translator, dict]:
@@ -207,8 +198,6 @@ def run_benchmark_seed(seed: int, approaches=None, cfg: RunConfig | None = None
     Returns per-approach accuracy rows plus the artifacts needed by
     callers that inspect freezing or reuse the trained pipeline.
     """
-    from .config import benchmark_config
-
     cfg = benchmark_config(seed) if cfg is None else cfg
     approaches = list(approaches or ("direct", "naive", "soft_prompt", "tall"))
     corpus = train_corpus(cfg)

@@ -110,10 +110,6 @@ class Tensor:
         return matmul(self, other)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _data(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 

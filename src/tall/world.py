@@ -242,30 +242,6 @@ def generate_corpus(seed: int, n: int, grammar: ToyGrammar,
     return pairs
 
 
-def make_final_token_deterministic(pairs: list[BilingualPair], world: World,
-                                   seed: int) -> list[BilingualPair]:
-    """Rewrite each pair so the final HR token is a fixed function of the
-    penultimate one (a seeded symbol permutation).
-
-    Construction for separable-task tests: the missing word becomes
-    perfectly predictable from context, so a working training path must
-    reach ~100% accuracy on it.  Pairs that collide after rewriting are
-    dropped.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDE7]))
-    perm = rng.permutation(world.hr_vocab_size)
-    out, seen = [], set()
-    for p in pairs:
-        hr = np.array(p.hr_tokens, dtype=np.int64)
-        hr[-1] = perm[hr[-2] - N_SPECIALS] + N_SPECIALS
-        key = tuple(hr.tolist())
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(BilingualPair(key, tuple(world.lr_of_hr(hr).tolist())))
-    return out
-
-
 def corpus_hash(sentences) -> str:
     """Stable content hash used to stamp evaluation results."""
     h = hashlib.sha256()

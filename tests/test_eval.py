@@ -19,7 +19,7 @@ from tall.models import CausalLM, CausalLMConfig, Seq2SeqConfig, Translator
 from tall.nn import ParamStore
 from tall.pipeline import SamplerConfig
 from tall.pretrain import TrainConfig, train_translator
-from tall.tensor import ShapeError
+from tall.tensor import NumericalError, ShapeError
 from tall.world import N_SPECIALS, ToyGrammar, World, generate_corpus
 
 
@@ -298,6 +298,27 @@ class TestSoftPrompt:
         records = eval_soft_prompt(llm, params, world, examples[:20],
                                    SamplerConfig(seed=1))
         assert len(records) == 20
+
+    def test_grad_accumulation_sets_the_update_count(self, tiny_world):
+        _, world, corpus, _, llm = tiny_world
+        corpus_lr = [list(p.lr_tokens) for p in corpus[:40]]
+        tc = TrainConfig(learning_rate=5e-4, epochs=2, batch_size=4,
+                         grad_accum_steps=4, seed=3)
+        params, metrics = train_soft_prompt(clone_llm(llm), world, corpus_lr,
+                                            tc, n_prompt=2)
+        # ceil(40 / (4 * 4)) = 3 updates per epoch
+        assert len(metrics) == 6
+        assert [m["step"] for m in metrics] == list(range(6))
+        assert params.embeddings.grad is None
+
+    def test_divergence_aborts(self, tiny_world):
+        _, world, corpus, _, llm = tiny_world
+        llm = clone_llm(llm)
+        llm.store["tok_embed"].data[0, 0] = np.nan
+        corpus_lr = [list(p.lr_tokens) for p in corpus[:8]]
+        tc = TrainConfig(epochs=1, batch_size=4, seed=3)
+        with pytest.raises(NumericalError, match="not finite"):
+            train_soft_prompt(llm, world, corpus_lr, tc, n_prompt=2)
 
     def test_empty_dataset_rejected(self, tiny_world):
         _, world, _, _, llm = tiny_world

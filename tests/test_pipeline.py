@@ -325,6 +325,19 @@ class TestTraining:
         stats = evaluate_tall(model, heldout, batch_size=8)
         assert stats["loss"] == meta["best_eval_loss"]
 
+    def test_accumulation_flushes_each_epoch(self):
+        # 24 pairs in batches of 8 are 3 micro-batches per epoch; at
+        # accumulation 2 each epoch makes a full and a short update
+        model, corpus, _ = tiny_setup(seed=14)
+        tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=8,
+                         grad_accum_steps=2, seed=6, eval_fraction=0.0)
+        meta, metrics = train_tall(model, corpus, tc)
+        train = [m for m in metrics if m["split"] == "train"]
+        assert meta["step"] == len(train) == 4
+        assert [m["step"] for m in train] == [0, 1, 2, 3]
+        assert train[-1]["lr"] == cosine_lr(3, 4, 1e-3)
+        assert all(t.grad is None for _, t in model.store.trainable_items())
+
     def test_refuses_unfrozen_backbone(self):
         model, corpus, _ = tiny_setup(seed=11)
         model.store["llm.tok_embed"].requires_grad = True

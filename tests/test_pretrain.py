@@ -4,10 +4,12 @@ import pytest
 from tall import tensor as T
 from tall.checkpoint import load_checkpoint, save_checkpoint
 from tall.models import CausalLM, CausalLMConfig, Seq2SeqConfig
+from tall.nn import ParamStore
 from tall.optim import clip_grad_norm, cosine_lr
 from tall.pretrain import (
     TrainConfig,
     _epoch_batches,
+    fit,
     llm_perplexity,
     split_train_eval,
     train_llm,
@@ -116,14 +118,15 @@ class TestLlmTraining:
         assert blobs[0] == blobs[1]
 
     def test_divergence_aborts(self):
-        from tall.nn import ParamStore
-        from tall.pretrain import _Trainer
-
         store = ParamStore()
         store.add("w", np.ones(3))
-        trainer = _Trainer(store, TrainConfig(), total_updates=10)
-        with pytest.raises(NumericalError):
-            trainer.apply_update(float("nan"), 10)
+
+        def nan_loss(batch_idx):
+            return T.Tensor(np.array(np.nan)), len(batch_idx)
+
+        with pytest.raises(NumericalError, match="not finite at update 0"):
+            fit(store, TrainConfig(), 10, nan_loss)
+        assert store["w"].data.tolist() == [1.0, 1.0, 1.0]
 
 
 class TestGradAccumulation:
