@@ -1,7 +1,9 @@
 """Operator command line: pretraining, pipeline training, eval, reports.
 
-Exit codes: 0 success, 2 configuration problem, 3 checkpoint problem,
-4 numerical failure during training.
+Exit codes: 0 success, 2 configuration problem, 3 checkpoint problem
+(including a checkpoint/config mismatch between pipeline stages),
+4 numerical failure during training, 5 any other shape the models cannot
+take (such as a sequence longer than a position table).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from . import runner
 from .checkpoint import CheckpointError, save_checkpoint
 from .config import ConfigError, config_hash, load_config, tall_config
 from .params_report import check_report, format_report, param_report
-from .pipeline import evaluate_tall, train_tall
+from .pipeline import StageDimensionError, evaluate_tall, train_tall
 from .pretrain import split_train_eval
 from .tensor import NumericalError, ShapeError
 
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CHECKPOINT = 3
 EXIT_NUMERICAL = 4
+EXIT_SHAPE = 5
 
 CLI_APPROACHES = {
     "direct": "direct",
@@ -245,9 +248,12 @@ def main(argv=None) -> int:
     except (CheckpointError, OSError) as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except ShapeError as exc:
+    except StageDimensionError as exc:
         print(f"checkpoint/config mismatch: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
+    except ShapeError as exc:
+        print(f"shape error: {exc}", file=sys.stderr)
+        return EXIT_SHAPE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

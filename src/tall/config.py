@@ -82,7 +82,6 @@ class TallSection:
 
 @dataclass
 class ModelsSection:
-    dtype: str = "f64"
     translator: TranslatorSection = field(default_factory=TranslatorSection)
     llm: LlmSection = field(default_factory=LlmSection)
     tall: TallSection = field(default_factory=TallSection)

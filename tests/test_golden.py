@@ -70,7 +70,7 @@ def _json_hash(obj) -> str:
 
 
 @pytest.fixture(scope="module")
-def golden_run():
+def golden_run(reference_kernel_module):
     grammar = ToyGrammar(hr_vocab_size=16, min_len=4, max_len=7, seed=4)
     world = World(hr_vocab_size=16, seed=4)
     corpus = generate_corpus(4, 40, grammar, world)

@@ -1,11 +1,14 @@
-"""Import hygiene of the package, checked with the stdlib ``ast`` module.
+"""Import hygiene and the product seam, checked with the stdlib ``ast``.
 
-Two rules for every module under ``src/tall``:
+Three rules for every module under ``src/tall``:
 
 - a module-level import binds a name the module references, unless its
   line carries ``# noqa: F401`` (an import kept on purpose);
 - no function imports from the package itself: a relative import inside
-  a function hides a dependency, or an import cycle, from the reader.
+  a function hides a dependency, or an import cycle, from the reader;
+- every matrix product goes through ``tensor.matmul``: ``np.einsum``,
+  ``np.matmul``, ``np.dot`` and the ``@`` operator appear only in
+  ``tensor.py``, which calls ``np.matmul`` once, in its private kernel.
 """
 
 import ast
@@ -67,6 +70,21 @@ def local_relative_imports(path: Path) -> list[str]:
     return found
 
 
+def numpy_products(path: Path) -> list[str]:
+    tree, _ = _parse(path)
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("einsum", "matmul", "dot")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            found.append(f"{path.name}:{node.lineno} @")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
@@ -75,6 +93,17 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_local_relative_imports(path):
     assert local_relative_imports(path) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "tensor.py"], ids=lambda p: p.name)
+def test_products_go_through_tensor_matmul(path):
+    assert numpy_products(path) == []
+
+
+def test_tensor_has_one_product_kernel():
+    [site] = numpy_products(SRC / "tensor.py")
+    assert site.endswith(" np.matmul")
 
 
 def test_checks_catch_what_they_name(tmp_path):
@@ -89,3 +118,12 @@ def test_checks_catch_what_they_name(tmp_path):
         "    return BOS\n")
     assert unused_imports(bad) == ["bad.py:1 json", "bad.py:3 pad_batch"]
     assert local_relative_imports(bad) == ["bad.py:6 in f"]
+    prod = tmp_path / "prod.py"
+    prod.write_text(
+        "import numpy as np\n"
+        "a = np.einsum('ij,jk->ik', x, y)\n"
+        "b = np.dot(x, y) + x @ y\n"
+        "c @= np.matmul(x, y)\n")
+    assert numpy_products(prod) == [
+        "prod.py:2 np.einsum", "prod.py:3 @", "prod.py:3 np.dot",
+        "prod.py:4 @", "prod.py:4 np.matmul"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tall import tensor as T
 from tall.tensor import (
     ContractError,
     NumericalError,
@@ -54,6 +55,7 @@ class TestMatmul:
         x = Tensor([[5.0, 6.0], [7.0, 8.0]])
         np.testing.assert_array_equal(matmul(p, x).data, [[5.0, 6.0], [0.0, 0.0]])
 
+    @pytest.mark.usefixtures("reference_kernel")
     def test_against_triple_loop(self):
         rng = np.random.default_rng(42)
         a = rng.standard_normal((3, 4))
@@ -61,6 +63,7 @@ class TestMatmul:
         out = matmul(Tensor(a), Tensor(b))
         np.testing.assert_array_equal(out.data, naive_matmul(a, b))
 
+    @pytest.mark.usefixtures("reference_kernel")
     def test_triple_loop_large_inner_dim(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((5, 96))
@@ -73,6 +76,7 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
+    @pytest.mark.usefixtures("reference_kernel")
     def test_batched_matches_per_slice(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 3, 5))
@@ -80,6 +84,62 @@ class TestMatmul:
         out = matmul(Tensor(a), Tensor(b)).data
         for i in range(4):
             np.testing.assert_array_equal(out[i], naive_matmul(a[i], b[i]))
+
+
+MATMUL_SHAPES = {
+    "2d_at_2d": ((5, 7), (7, 3)),
+    "3d_at_weight": ((4, 6, 7), (7, 3)),
+    "4d_attention": ((2, 3, 5, 4), (2, 3, 4, 6)),
+}
+
+
+def _product_and_grads(a, b, g):
+    """matmul's output and both operand gradients for upstream ``g``."""
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        out = matmul(ta, tb)
+        loss = sum_all(mul(out, Tensor(g)))
+    tape.backward(loss)
+    return out.data, ta.grad, tb.grad
+
+
+def _operands(shapes, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shapes[0])
+    b = rng.standard_normal(shapes[1])
+    return a, b, rng.standard_normal(np.matmul(a, b).shape)
+
+
+class TestShippedKernel:
+    """The BLAS kernel against the einsum reference, and its determinism."""
+
+    @pytest.mark.parametrize("shapes", MATMUL_SHAPES.values(),
+                             ids=MATMUL_SHAPES.keys())
+    def test_forward_and_backward_match_reference(
+            self, shapes, monkeypatch, einsum_reference):
+        a, b, g = _operands(shapes, seed=11)
+        shipped = _product_and_grads(a, b, g)
+        monkeypatch.setattr(T, "_product", einsum_reference)
+        reference = _product_and_grads(a, b, g)
+        for got, want in zip(shipped, reference):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shapes", MATMUL_SHAPES.values(),
+                             ids=MATMUL_SHAPES.keys())
+    def test_bytes_do_not_depend_on_buffer_offset(self, shapes):
+        def at_offset(x, offset):
+            buf = np.zeros(x.nbytes + 32, dtype=np.uint8)
+            view = buf[offset:offset + x.nbytes].view(np.float64).reshape(x.shape)
+            view[...] = x
+            return view
+
+        a, b, g = _operands(shapes, seed=12)
+        runs = []
+        for offset in (0, 8, 16, 24):
+            a_o, b_o, g_o = (at_offset(x, offset) for x in (a, b, g))
+            runs.append([x.tobytes() for x in _product_and_grads(a_o, b_o, g_o)])
+        assert all(run == runs[0] for run in runs[1:])
 
 
 class TestSoftmax:
@@ -232,6 +292,7 @@ class TestBackward:
         assert w.grad is None
         assert x.grad is not None
 
+    @pytest.mark.usefixtures("reference_kernel")
     def test_matmul_backward_skips_frozen_weight(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
