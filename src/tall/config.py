@@ -18,9 +18,10 @@ from pathlib import Path
 
 import yaml
 
+from .evaluation import SamplerConfig
 from .models import CausalLMConfig, Seq2SeqConfig
 from .nn import AdapterSpec
-from .pipeline import BridgeConfig, SamplerConfig, TallConfig
+from .pipeline import BridgeConfig, TallConfig
 from .pretrain import TrainConfig
 from .world import ToyGrammar, World
 
@@ -137,16 +138,9 @@ class SamplerSection:
     temperature: float = 0.7
     top_k: int = 50
     top_p: float = 0.95
-    seed: int = 0
 
-    def to_sampler(self, seed: int | None = None) -> SamplerConfig:
-        return SamplerConfig(self.temperature, self.top_k, self.top_p,
-                             self.seed if seed is None else seed)
-
-
-@dataclass
-class PathsSection:
-    out_dir: str = "runs"
+    def to_sampler(self, seed: int) -> SamplerConfig:
+        return SamplerConfig(self.temperature, self.top_k, self.top_p, seed)
 
 
 @dataclass
@@ -155,7 +149,6 @@ class RunConfig:
     models: ModelsSection = field(default_factory=ModelsSection)
     train: TrainingSection = field(default_factory=TrainingSection)
     sampler: SamplerSection = field(default_factory=SamplerSection)
-    paths: PathsSection = field(default_factory=PathsSection)
 
 
 def _from_dict(cls, data, path: str):
@@ -216,7 +209,24 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
             if not isinstance(node, dict):
                 raise ConfigError(f"override path {key!r} crosses a scalar")
         node[parts[-1]] = value
-    return _from_dict(RunConfig, data, "")
+    cfg = _from_dict(RunConfig, data, "")
+    _check_heads(cfg)
+    return cfg
+
+
+def _check_heads(cfg: RunConfig) -> None:
+    """Every attention stack splits its width evenly across its heads."""
+    m = cfg.models
+    # the bridges run at the LM width and the decoder (translator) width
+    for key, d_model, n_heads in (
+            ("models.translator", m.translator.d_model, m.translator.n_heads),
+            ("models.llm", m.llm.d_model, m.llm.n_heads),
+            ("models.tall.bridge1", m.llm.d_model, m.tall.bridge1.n_heads),
+            ("models.tall.bridge2", m.translator.d_model,
+             m.tall.bridge2.n_heads)):
+        if n_heads < 1 or d_model % n_heads:
+            raise ConfigError(f"{key}.n_heads: {n_heads} does not divide "
+                              f"d_model {d_model}")
 
 
 def resolved_dict(cfg: RunConfig) -> dict:

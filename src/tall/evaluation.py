@@ -1,8 +1,16 @@
 """The six evaluation approaches over one shared missing-word task.
 
-Every approach consumes the identical evaluation dataset and identical
-per-example sampler streams (derived from the sampler seed and example
-index), so accuracy differences come from the approaches themselves.
+Every approach consumes the identical evaluation dataset and turns logits
+into an answer the same way, so accuracy differences come from the
+approaches themselves.  ``_predict`` is that one loop: it walks the
+examples in chunks, asks the approach for the last-position logits of
+each chunk's prefixes, draws one id per row with ``_draw`` and maps it
+back to LR space.  ``_draw`` is ``sample_token`` on the example's own
+stream, ``example_rng(sampler.seed, index)``, so a draw depends only on
+the sampler seed and the example index, never on chunking or on the
+other examples.  This module is the only one that samples; the pipeline
+and the models return logits.
+
 Predictions are scored in LR token space; approaches whose raw output
 lives in the LM space map it back first (``scored_id``), and anything
 unmappable scores as incorrect with a sentinel prediction of -1.  The
@@ -16,17 +24,77 @@ stops a whole evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import tensor as T
 from .models import CausalLM, Translator, pad_batch, tied_logits
 from .nn import ParamStore
-from .pipeline import SamplerConfig, TallModel, example_rng, sample_token
+from .pipeline import TallModel
 from .pretrain import TrainConfig, fit, train_llm
 from .tensor import Tensor
 from .world import (BOS, N_SPECIALS, ToyGrammar, World, corpus_hash,
                     generate_corpus)
+
+
+# Examples per chunk of every evaluation loop.
+CHUNK = 128
+
+
+@dataclass
+class SamplerConfig:
+    temperature: float = 0.7
+    top_k: int = 50
+    top_p: float = 0.95
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.temperature < 0:
+            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if self.top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
+        if not 0.0 < self.top_p <= 1.0:
+            raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
+
+
+def sample_token(logits: np.ndarray, sampler: SamplerConfig,
+                 rng: np.random.Generator) -> int:
+    """Temperature, then top-k, then nucleus filtering, then one draw.
+
+    temperature == 0 means pure argmax (lowest index wins ties) and draws
+    nothing from ``rng``.  The nucleus keeps the smallest
+    descending-probability prefix reaching top_p, never fewer than one
+    candidate.
+    """
+    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
+    if logits.size < 1:
+        raise ValueError("sample_token needs at least one logit")
+    if sampler.temperature == 0.0:
+        return int(np.argmax(logits))
+    scaled = logits / sampler.temperature
+    scaled -= scaled.max()
+    p = np.exp(scaled)
+    p /= p.sum()
+    order = np.argsort(-p, kind="stable")[: min(sampler.top_k, p.size)]
+    probs = p[order]
+    cum = np.cumsum(probs)
+    cut = int(np.searchsorted(cum, sampler.top_p * cum[-1], side="left")) + 1
+    kept, probs = order[:cut], probs[:cut]
+    probs = probs / probs.sum()
+    idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    return int(kept[min(idx, cut - 1)])
+
+
+def example_rng(global_seed: int, example_index: int) -> np.random.Generator:
+    """Per-example sampler stream; parallel and serial runs agree."""
+    return np.random.default_rng(
+        np.random.SeedSequence([global_seed, example_index]))
+
+
+def _draw(row: np.ndarray, sampler: SamplerConfig, index: int) -> int:
+    """One id from ``row`` on example ``index``'s own stream."""
+    return sample_token(row, sampler, example_rng(sampler.seed, index))
 
 
 @dataclass(frozen=True)
@@ -84,32 +152,46 @@ def _records(approach: str, examples: list[EvalExample],
     ]
 
 
+def _predict(approach: str, examples: list[EvalExample],
+             sampler: SamplerConfig,
+             next_logits: Callable[[list], np.ndarray],
+             to_lr: Callable[[int], int]) -> list[EvalRecord]:
+    """The prediction loop every single-step approach shares.
+
+    ``next_logits`` maps a chunk of LR prefixes to the logits [B, V] of
+    the token after each; ``to_lr`` maps a drawn id to the LR id scored.
+    """
+    if not examples:
+        raise ValueError("evaluation dataset is empty")
+    preds = []
+    for start in range(0, len(examples), CHUNK):
+        chunk = examples[start : start + CHUNK]
+        logits = next_logits([ex.prefix for ex in chunk])
+        preds.extend(to_lr(_draw(row, sampler, start + j))
+                     for j, row in enumerate(logits))
+    return _records(approach, examples, preds)
+
+
+def _lm_ids(world: World, lr_seqs: list) -> list:
+    """LR id sequences re-tokenized into LM ids."""
+    return [world.lr_to_lm(np.array(s)).tolist() for s in lr_seqs]
+
+
+def _lm_to_lr(world: World) -> Callable[[int], int]:
+    return lambda lm_id: scored_id(world.lm_to_lr(lm_id))
+
+
 # ---------------------------------------------------------------------------
 # direct family: feed LR ids (remapped) straight into a causal LM
-
-
-def _direct_predictions(llm: CausalLM, world: World,
-                        examples: list[EvalExample], sampler: SamplerConfig,
-                        batch_size: int = 128) -> list[int]:
-    preds = []
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
-        prefixes = [world.lr_to_lm(np.array(ex.prefix)).tolist() for ex in chunk]
-        logits = llm.next_token_logits(prefixes)
-        for j, ex in enumerate(chunk):
-            rng = example_rng(sampler.seed, start + j)
-            lm_id = sample_token(logits[j], sampler, rng)
-            preds.append(scored_id(world.lm_to_lr(lm_id)))
-    return preds
 
 
 def eval_direct(llm: CausalLM, world: World, examples: list[EvalExample],
                 sampler: SamplerConfig, approach: str = "direct"
                 ) -> list[EvalRecord]:
-    if not examples:
-        raise ValueError("evaluation dataset is empty")
-    return _records(approach, examples,
-                    _direct_predictions(llm, world, examples, sampler))
+    return _predict(approach, examples, sampler,
+                    lambda prefixes: llm.next_token_logits(
+                        _lm_ids(world, prefixes)),
+                    _lm_to_lr(world))
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +200,8 @@ def eval_direct(llm: CausalLM, world: World, examples: list[EvalExample],
 
 def eval_naive(lr2hr: Translator, llm: CausalLM, hr2lr: Translator,
                world: World, examples: list[EvalExample],
-               sampler: SamplerConfig, batch_size: int = 128,
-               log: list | None = None) -> list[EvalRecord]:
+               sampler: SamplerConfig, log: list | None = None
+               ) -> list[EvalRecord]:
     """Translate the LR prefix to HR, let the LM add one HR token, translate
     the completed sentence back and score its last LR token.
 
@@ -137,8 +219,8 @@ def eval_naive(lr2hr: Translator, llm: CausalLM, hr2lr: Translator,
     if not examples:
         raise ValueError("evaluation dataset is empty")
     preds = []
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
+    for start in range(0, len(examples), CHUNK):
+        chunk = examples[start : start + CHUNK]
         hr_seqs = lr2hr.greedy_translate([ex.prefix for ex in chunk])
         reasons: dict[int, str] = {}
         fits_lm = []
@@ -152,8 +234,7 @@ def eval_naive(lr2hr: Translator, llm: CausalLM, hr2lr: Translator,
             for j in fits_lm]) if fits_lm else []
         completed: dict[int, list] = {}
         for row, j in enumerate(fits_lm):
-            rng = example_rng(sampler.seed, start + j)
-            lm_id = sample_token(logits[row], sampler, rng)
+            lm_id = _draw(logits[row], sampler, start + j)
             hr_id = scored_id(world.lm_to_hr(lm_id))
             if hr_id == -1:
                 reasons[j] = ("LM emitted a special token" if lm_id < N_SPECIALS
@@ -226,7 +307,7 @@ def train_soft_prompt(llm: CausalLM, world: World, corpus_lr: list,
 
     def loss_fn(batch_idx):
         batch = [corpus_lr[i] for i in batch_idx]
-        lm_prefix = [world.lr_to_lm(np.array(s[:-1])).tolist() for s in batch]
+        lm_prefix = _lm_ids(world, [s[:-1] for s in batch])
         targets = np.array(
             [world.lr_to_lm(np.array([s[-1]]))[0] for s in batch])
         logits, lengths = _soft_prompt_logits(llm, params.embeddings,
@@ -238,23 +319,15 @@ def train_soft_prompt(llm: CausalLM, world: World, corpus_lr: list,
 
 
 def eval_soft_prompt(llm: CausalLM, params: SoftPromptParams, world: World,
-                     examples: list[EvalExample], sampler: SamplerConfig,
-                     batch_size: int = 128) -> list[EvalRecord]:
-    if not examples:
-        raise ValueError("evaluation dataset is empty")
-    preds = []
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
-        lm_prefix = [world.lr_to_lm(np.array(ex.prefix)).tolist()
-                     for ex in chunk]
+                     examples: list[EvalExample], sampler: SamplerConfig
+                     ) -> list[EvalRecord]:
+    def next_logits(prefixes):
         logits, lengths = _soft_prompt_logits(llm, params.embeddings,
-                                              lm_prefix)
-        rows = logits.data[np.arange(len(chunk)), lengths - 1]
-        for j, ex in enumerate(chunk):
-            rng = example_rng(sampler.seed, start + j)
-            lm_id = sample_token(rows[j], sampler, rng)
-            preds.append(scored_id(world.lm_to_lr(lm_id)))
-    return _records("soft_prompt", examples, preds)
+                                              _lm_ids(world, prefixes))
+        return logits.data[np.arange(len(prefixes)), lengths - 1]
+
+    return _predict("soft_prompt", examples, sampler, next_logits,
+                    _lm_to_lr(world))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +347,7 @@ def finetune_llm(llm: CausalLM, world: World, corpus_lr: list,
     tuned = clone_llm(llm)
     if train_cfg.epochs == 0:
         return tuned, {"kind": "finetuned", "step": 0}, []
-    sequences = [world.lr_to_lm(np.array(s)).tolist() for s in corpus_lr]
+    sequences = _lm_ids(world, corpus_lr)
     model, meta, metrics = train_llm(llm.cfg, sequences, train_cfg,
                                      init_model=tuned)
     meta["kind"] = "finetuned"
@@ -283,7 +356,7 @@ def finetune_llm(llm: CausalLM, world: World, corpus_lr: list,
 
 def from_scratch_llm(world: World, corpus_lr: list, llm_cfg,
                      train_cfg: TrainConfig) -> tuple[CausalLM, dict, list[dict]]:
-    sequences = [world.lr_to_lm(np.array(s)).tolist() for s in corpus_lr]
+    sequences = _lm_ids(world, corpus_lr)
     model, meta, metrics = train_llm(llm_cfg, sequences, train_cfg)
     meta["kind"] = "from_scratch"
     return model, meta, metrics
@@ -294,15 +367,6 @@ def from_scratch_llm(world: World, corpus_lr: list, llm_cfg,
 
 
 def eval_tall(model: TallModel, examples: list[EvalExample],
-              sampler: SamplerConfig, batch_size: int = 128
-              ) -> list[EvalRecord]:
-    if not examples:
-        raise ValueError("evaluation dataset is empty")
-    preds = []
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
-        rngs = [example_rng(sampler.seed, start + j)
-                for j in range(len(chunk))]
-        preds.extend(model.predict_final_tokens(
-            [ex.prefix for ex in chunk], sampler, rngs=rngs))
-    return _records("tall", examples, preds)
+              sampler: SamplerConfig) -> list[EvalRecord]:
+    # the pipeline decodes straight into LR ids, scored as drawn
+    return _predict("tall", examples, sampler, model.final_logits, int)

@@ -112,25 +112,29 @@ def _stack_forward(x: Tensor, store: ParamStore, prefix: str, n_layers: int,
     return nn.layer_norm(x, store, _p(prefix, "final_ln"))
 
 
+def init_stack(store: ParamStore, prefix: str, n_pos: int, n_layers: int,
+               cfg: LayerConfig, rng: np.random.Generator,
+               cross_kv_dim: int | None = None) -> None:
+    """Positions, then ``n_layers`` layers, then the final layer norm."""
+    nn.init_embedding(store, _p(prefix, "pos"), n_pos, cfg.d_model, rng)
+    for i in range(n_layers):
+        nn.init_transformer_layer(store, _p(prefix, f"layers.{i}"), cfg, rng,
+                                  cross_kv_dim=cross_kv_dim)
+    nn.init_layer_norm(store, _p(prefix, "final_ln"), cfg.d_model)
+
+
 def init_encoder(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
                  rng: np.random.Generator) -> None:
     nn.init_embedding(store, f"{prefix}.src_embed", cfg.vocab_src, cfg.d_model, rng)
-    nn.init_embedding(store, f"{prefix}.pos", cfg.max_len, cfg.d_model, rng)
-    for i in range(cfg.enc_layers):
-        nn.init_transformer_layer(store, f"{prefix}.layers.{i}",
-                                  cfg.layer(causal=False), rng)
-    nn.init_layer_norm(store, f"{prefix}.final_ln", cfg.d_model)
+    init_stack(store, prefix, cfg.max_len, cfg.enc_layers,
+               cfg.layer(causal=False), rng)
 
 
 def init_decoder(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
                  rng: np.random.Generator) -> None:
     nn.init_embedding(store, f"{prefix}.tgt_embed", cfg.vocab_tgt, cfg.d_model, rng)
-    nn.init_embedding(store, f"{prefix}.pos", cfg.max_len, cfg.d_model, rng)
-    for i in range(cfg.dec_layers):
-        nn.init_transformer_layer(store, f"{prefix}.layers.{i}",
-                                  cfg.layer(causal=True), rng,
-                                  cross_kv_dim=cfg.d_model)
-    nn.init_layer_norm(store, f"{prefix}.final_ln", cfg.d_model)
+    init_stack(store, prefix, cfg.max_len, cfg.dec_layers,
+               cfg.layer(causal=True), rng, cross_kv_dim=cfg.d_model)
 
 
 def encoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
@@ -237,10 +241,7 @@ class CausalLM:
         store = ParamStore()
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x11A]))
         nn.init_embedding(store, "tok_embed", cfg.vocab_size, cfg.d_model, rng)
-        nn.init_embedding(store, "pos", cfg.max_len, cfg.d_model, rng)
-        for i in range(cfg.n_layers):
-            nn.init_transformer_layer(store, f"layers.{i}", cfg.layer(), rng)
-        nn.init_layer_norm(store, "final_ln", cfg.d_model)
+        init_stack(store, "", cfg.max_len, cfg.n_layers, cfg.layer(), rng)
         return cls(cfg, store)
 
     def hidden_from_ids(self, ids: np.ndarray, lengths: np.ndarray) -> Tensor:

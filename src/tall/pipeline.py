@@ -14,7 +14,9 @@ Stages (numbers used in dimension-mismatch errors):
    with cross-attention to stage 6, then the frozen tied head
 
 Only {adapter1, bridge1, adapter2, bridge2} ever receive gradients;
-training uses the final-token loss exclusively.
+training uses the final-token loss exclusively.  At inference the
+pipeline returns the final-position logits (``TallModel.final_logits``)
+and does no sampling; :mod:`tall.evaluation` draws the answer.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .models import (
     causal_valid_mask,
     decoder_forward,
     encoder_forward,
+    init_stack,
     key_valid_mask,
     pad_batch,
     tied_logits,
@@ -56,57 +59,6 @@ class StageDimensionError(T.ShapeError):
     def __init__(self, stage: int, detail: str):
         super().__init__(f"stage {stage}: {detail}")
         self.stage = stage
-
-
-@dataclass
-class SamplerConfig:
-    temperature: float = 0.7
-    top_k: int = 50
-    top_p: float = 0.95
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
-
-
-def sample_token(logits: np.ndarray, sampler: SamplerConfig,
-                 rng: np.random.Generator | None = None) -> int:
-    """Temperature, then top-k, then nucleus filtering, then one draw.
-
-    temperature == 0 means pure argmax (lowest index wins ties).  The
-    nucleus keeps the smallest descending-probability prefix reaching
-    top_p, never fewer than one candidate.
-    """
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if logits.size < 1:
-        raise ValueError("sample_token needs at least one logit")
-    if sampler.temperature == 0.0:
-        return int(np.argmax(logits))
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([sampler.seed]))
-    scaled = logits / sampler.temperature
-    scaled -= scaled.max()
-    p = np.exp(scaled)
-    p /= p.sum()
-    order = np.argsort(-p, kind="stable")[: min(sampler.top_k, p.size)]
-    probs = p[order]
-    cum = np.cumsum(probs)
-    cut = int(np.searchsorted(cum, sampler.top_p * cum[-1], side="left")) + 1
-    kept, probs = order[:cut], probs[:cut]
-    probs = probs / probs.sum()
-    idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    return int(kept[min(idx, cut - 1)])
-
-
-def example_rng(global_seed: int, example_index: int) -> np.random.Generator:
-    """Per-example sampler stream; parallel and serial runs agree."""
-    return np.random.default_rng(
-        np.random.SeedSequence([global_seed, example_index]))
 
 
 @dataclass(frozen=True)
@@ -200,20 +152,11 @@ class TallModel:
         store.adopt("decoder", hr2lr.store.subset("decoder"))
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A11]))
         nn.init_adapter(store, "adapter1", cfg.adapter1, rng)
-        nn.init_embedding(store, "bridge1.pos", cfg.llm_cfg.max_len,
-                          cfg.llm_cfg.d_model, rng)
-        for i in range(cfg.bridge1.n_layers):
-            nn.init_transformer_layer(store, f"bridge1.layers.{i}",
-                                      cfg.bridge1_layer(), rng,
-                                      cross_kv_dim=cfg.llm_cfg.d_model)
-        nn.init_layer_norm(store, "bridge1.final_ln", cfg.llm_cfg.d_model)
+        init_stack(store, "bridge1", cfg.llm_cfg.max_len, cfg.bridge1.n_layers,
+                   cfg.bridge1_layer(), rng, cross_kv_dim=cfg.llm_cfg.d_model)
         nn.init_adapter(store, "adapter2", cfg.adapter2, rng)
-        nn.init_embedding(store, "bridge2.pos", cfg.llm_cfg.max_len,
-                          cfg.decoder_cfg.d_model, rng)
-        for i in range(cfg.bridge2.n_layers):
-            nn.init_transformer_layer(store, f"bridge2.layers.{i}",
-                                      cfg.bridge2_layer(), rng)
-        nn.init_layer_norm(store, "bridge2.final_ln", cfg.decoder_cfg.d_model)
+        init_stack(store, "bridge2", cfg.llm_cfg.max_len, cfg.bridge2.n_layers,
+                   cfg.bridge2_layer(), rng)
         for part in FROZEN_PARTS:
             store.freeze(part)
         return cls(cfg, store, world, lr2hr)
@@ -253,12 +196,9 @@ class TallModel:
                                  np.arange(hr_ids.shape[1])))
         self_mask = causal_valid_mask(hr_lengths, hr_ids.shape[1])
         cross_mask = key_valid_mask(a1_lengths, hr_ids.shape[1], h_a1.shape[1])
-        cfg = self.cfg.bridge1_layer()
-        for i in range(self.cfg.bridge1.n_layers):
-            x = nn.transformer_layer_forward(
-                x, h_a1, cfg, self.store, f"bridge1.layers.{i}", self_mask,
-                cross_mask)
-        return nn.layer_norm(x, self.store, "bridge1.final_ln")
+        return _stack_forward(x, self.store, "bridge1", self.cfg.bridge1.n_layers,
+                              self.cfg.bridge1_layer(), self_mask,
+                              cross_kv=h_a1, cross_mask=cross_mask)
 
     def llm_blocks(self, h_b1: Tensor, hr_lengths: np.ndarray) -> Tensor:
         """Stage 4: frozen LM blocks on injected embeddings, positions re-added."""
@@ -281,11 +221,8 @@ class TallModel:
         x = T.add(h_a2, T.embedding(self.store["bridge2.pos"],
                                     np.arange(h_a2.shape[1])))
         mask = key_valid_mask(lengths, h_a2.shape[1], h_a2.shape[1])
-        cfg = self.cfg.bridge2_layer()
-        for i in range(self.cfg.bridge2.n_layers):
-            x = nn.transformer_layer_forward(
-                x, None, cfg, self.store, f"bridge2.layers.{i}", mask)
-        return nn.layer_norm(x, self.store, "bridge2.final_ln")
+        return _stack_forward(x, self.store, "bridge2", self.cfg.bridge2.n_layers,
+                              self.cfg.bridge2_layer(), mask)
 
     def decode(self, dec_ids: np.ndarray, dec_lengths: np.ndarray,
                memory: Tensor, memory_lengths: np.ndarray) -> Tensor:
@@ -346,29 +283,20 @@ class TallModel:
 
     # -- inference ------------------------------------------------------------
 
-    def predict_final_tokens(self, prefixes: list, sampler: SamplerConfig,
-                             rngs: list | None = None,
-                             hr_lm_seqs: list | None = None) -> list[int]:
-        """Missing-word prediction for a batch of LR prefixes.
+    def final_logits(self, prefixes: list) -> np.ndarray:
+        """LR logits [B, V_lr] for the token after each LR prefix.
 
-        One word is one token in this world, so a single sampled token
-        per example is the answer.  ``rngs`` supplies one generator per
-        example (defaults to streams derived from sampler.seed).
+        One word is one token in this world, so this row is the whole
+        missing-word answer; the caller samples it.
         """
         if any(len(p) == 0 for p in prefixes):
             raise ValueError("cannot predict from an empty prefix")
-        if hr_lm_seqs is None:
-            hr_lm_seqs = self.translate_prefixes(prefixes)
         # make_batch holds out each teacher's last token, so a PAD
         # placeholder after each prefix makes the whole prefix the input
         batch = self.make_batch([list(p) + [PAD] for p in prefixes],
-                                hr_lm_seqs)
+                                self.translate_prefixes(prefixes))
         logits = self.forward(batch).data
-        last = logits[np.arange(len(prefixes)), batch.dec_lengths - 1]
-        if rngs is None:
-            rngs = [example_rng(sampler.seed, i) for i in range(len(prefixes))]
-        return [int(sample_token(last[i], sampler, rngs[i]))
-                for i in range(len(prefixes))]
+        return logits[np.arange(len(prefixes)), batch.dec_lengths - 1]
 
 
 def train_tall(model: TallModel, corpus: list[BilingualPair],

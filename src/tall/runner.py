@@ -122,8 +122,7 @@ def write_metrics(metrics: list[dict], path) -> None:
 def run_approaches(cfg: RunConfig, approaches, lr2hr: Translator,
                    hr2lr: Translator, llm: CausalLM,
                    tall_model: TallModel | None, examples, dataset_hash: str,
-                   corpus=None, sampler_seed: int | None = None
-                   ) -> tuple[list[dict], dict]:
+                   sampler_seed: int, corpus=None) -> tuple[list[dict], dict]:
     """Evaluate the requested approaches on one shared dataset.
 
     The fine-tuned, from-scratch, and soft-prompt baselines train here,

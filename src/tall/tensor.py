@@ -93,28 +93,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # Arithmetic sugar; the module-level functions do the real work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _data(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
@@ -204,18 +182,6 @@ def add(a, b) -> Tensor:
     def bwd(g):
         ga = _unbroadcast(g, a_d.shape) if _needs_grad(a) else None
         gb = _unbroadcast(g, b_d.shape) if _needs_grad(b) else None
-        return ga, gb
-
-    return _register(out, (a, b), bwd)
-
-
-def sub(a, b) -> Tensor:
-    a_d, b_d = _data(a), _data(b)
-    out = Tensor(a_d - b_d)
-
-    def bwd(g):
-        ga = _unbroadcast(g, a_d.shape) if _needs_grad(a) else None
-        gb = -_unbroadcast(g, b_d.shape) if _needs_grad(b) else None
         return ga, gb
 
     return _register(out, (a, b), bwd)

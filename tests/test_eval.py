@@ -4,6 +4,7 @@ import pytest
 from tall.evaluation import (
     EvalExample,
     EvalRecord,
+    SamplerConfig,
     SoftPromptParams,
     accuracy,
     clone_llm,
@@ -17,7 +18,6 @@ from tall.evaluation import (
 )
 from tall.models import CausalLM, CausalLMConfig, Seq2SeqConfig, Translator
 from tall.nn import ParamStore
-from tall.pipeline import SamplerConfig
 from tall.pretrain import TrainConfig, train_translator
 from tall.tensor import NumericalError, ShapeError
 from tall.world import N_SPECIALS, ToyGrammar, World, generate_corpus

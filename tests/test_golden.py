@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 from tall.evaluation import (
+    SamplerConfig,
+    eval_direct,
+    eval_naive,
     eval_soft_prompt,
     eval_tall,
     make_eval_dataset,
@@ -25,7 +28,6 @@ from tall.evaluation import (
 from tall.models import CausalLMConfig, Seq2SeqConfig
 from tall.pipeline import (
     BridgeConfig,
-    SamplerConfig,
     TallConfig,
     TallModel,
     train_tall,
@@ -34,6 +36,10 @@ from tall.pretrain import TrainConfig, train_llm, train_translator
 from tall.world import ToyGrammar, World, generate_corpus
 
 GOLDEN = {
+    "direct.eval":
+        "6cf08cc73c82b09f8fe8a7eacb8ea79be3d23038a1953d9446e22b9412135e7b",
+    "naive.eval":
+        "1de5df508f552d95ae4e62b79b96c7738a8d30cd1832ffe6a853a6acf547227c",
     "lr2hr.store":
         "74f978bc619561b01c6255b7d0aa2d2466277e596f339e3a6870b2cc35ef586e",
     "lr2hr.metrics":
@@ -120,6 +126,15 @@ def golden_run(reference_kernel_module):
     sampler = SamplerConfig(temperature=0.7, top_k=5, top_p=0.9, seed=8)
     out["tall.eval"] = _json_hash(
         [dataclasses.asdict(r) for r in eval_tall(model, examples, sampler)])
+
+    # direct (finetuned and from-scratch share its path) and the naive
+    # round trip, on the same examples and sampler
+    out["direct.eval"] = _json_hash(
+        [dataclasses.asdict(r)
+         for r in eval_direct(llm, world, examples, sampler)])
+    out["naive.eval"] = _json_hash(
+        [dataclasses.asdict(r)
+         for r in eval_naive(lr2hr, llm, hr2lr, world, examples, sampler)])
 
     # soft prompt: warmup, and 20 sentences in batches of 8 end in a 4
     corpus_lr = [list(p.lr_tokens) for p in corpus[:20]]

@@ -1,6 +1,6 @@
 """Import hygiene and the product seam, checked with the stdlib ``ast``.
 
-Three rules for every module under ``src/tall``:
+Four rules for every module under ``src/tall``:
 
 - a module-level import binds a name the module references, unless its
   line carries ``# noqa: F401`` (an import kept on purpose);
@@ -8,7 +8,10 @@ Three rules for every module under ``src/tall``:
   a function hides a dependency, or an import cycle, from the reader;
 - every matrix product goes through ``tensor.matmul``: ``np.einsum``,
   ``np.matmul``, ``np.dot`` and the ``@`` operator appear only in
-  ``tensor.py``, which calls ``np.matmul`` once, in its private kernel.
+  ``tensor.py``, which calls ``np.matmul`` once, in its private kernel;
+- only ``evaluation.py`` samples: ``sample_token`` and ``example_rng``
+  are called nowhere else, so every approach draws its answer the same
+  way.
 """
 
 import ast
@@ -85,6 +88,20 @@ def numpy_products(path: Path) -> list[str]:
     return sorted(found)
 
 
+def sampling_calls(path: Path) -> list[str]:
+    tree, _ = _parse(path)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        name = (fn.id if isinstance(fn, ast.Name)
+                else fn.attr if isinstance(fn, ast.Attribute) else None)
+        if name in ("sample_token", "example_rng"):
+            found.append(f"{path.name}:{node.lineno} {name}")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
@@ -99,6 +116,13 @@ def test_no_function_local_relative_imports(path):
     "path", [p for p in MODULES if p.name != "tensor.py"], ids=lambda p: p.name)
 def test_products_go_through_tensor_matmul(path):
     assert numpy_products(path) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "evaluation.py"],
+    ids=lambda p: p.name)
+def test_only_evaluation_samples(path):
+    assert sampling_calls(path) == []
 
 
 def test_tensor_has_one_product_kernel():
@@ -127,3 +151,11 @@ def test_checks_catch_what_they_name(tmp_path):
     assert numpy_products(prod) == [
         "prod.py:2 np.einsum", "prod.py:3 @", "prod.py:3 np.dot",
         "prod.py:4 @", "prod.py:4 np.matmul"]
+    samp = tmp_path / "samp.py"
+    samp.write_text(
+        "from .evaluation import example_rng, sample_token\n"
+        "a = sample_token(row, s, example_rng(0, i))\n"
+        "b = ev.sample_token(row, s, rng)\n")
+    assert sampling_calls(samp) == [
+        "samp.py:2 example_rng", "samp.py:2 sample_token",
+        "samp.py:3 sample_token"]

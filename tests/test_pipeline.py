@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tall import tensor as T
+from tall.evaluation import SamplerConfig, example_rng, sample_token
 from tall.models import CausalLM, CausalLMConfig, Seq2SeqConfig, Translator
 from tall.nn import AdapterSpec
 from tall.optim import cosine_lr
@@ -9,13 +10,10 @@ from tall.pipeline import (
     FROZEN_PARTS,
     TRAINABLE_PARTS,
     BridgeConfig,
-    SamplerConfig,
     StageDimensionError,
     TallConfig,
     TallModel,
     evaluate_tall,
-    example_rng,
-    sample_token,
     train_tall,
 )
 from tall.pretrain import TrainConfig
@@ -49,12 +47,13 @@ class TestSampler:
     def test_temperature_zero_is_argmax(self):
         logits = np.array([0.1, 3.0, -1.0, 2.9])
         s = SamplerConfig(temperature=0.0, top_k=50, top_p=0.95, seed=1)
-        assert all(sample_token(logits, s) == 1 for _ in range(5))
+        rng = np.random.default_rng(0)
+        assert all(sample_token(logits, s, rng) == 1 for _ in range(5))
 
     def test_temperature_zero_tie_lowest_index(self):
         logits = np.array([2.0, 5.0, 5.0])
         s = SamplerConfig(temperature=0.0)
-        assert sample_token(logits, s) == 1
+        assert sample_token(logits, s, np.random.default_rng(0)) == 1
 
     def test_top_k_one_is_argmax(self):
         logits = np.array([0.5, 0.1, 2.0, 1.9])
@@ -349,13 +348,13 @@ class TestPrediction:
     def test_greedy_prediction_repeatable(self):
         model, corpus, world = tiny_setup(seed=12)
         prefix = list(corpus[0].lr_tokens[:-1])
-        s = SamplerConfig(temperature=0.0)
-        first = model.predict_final_tokens([prefix], s)
+        first = model.final_logits([prefix])
+        assert first.shape == (1, world.vocab_lr)
         for _ in range(3):
-            assert model.predict_final_tokens([prefix], s) == first
-        assert 0 <= first[0] < world.vocab_lr
+            assert model.final_logits([prefix]).tobytes() == first.tobytes()
+        assert 0 <= int(first[0].argmax()) < world.vocab_lr
 
     def test_empty_prefix_rejected(self):
         model, _, _ = tiny_setup(seed=13)
         with pytest.raises(ValueError):
-            model.predict_final_tokens([[]], SamplerConfig())
+            model.final_logits([[]])
