@@ -13,7 +13,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -67,18 +69,11 @@ class LlmSection:
 
 
 @dataclass
-class BridgeSection:
-    n_layers: int = 2
-    n_heads: int = 4
-    d_ff: int = 128
-
-
-@dataclass
 class TallSection:
     adapter1_hidden: int = 192
     adapter2_hidden: int = 128
-    bridge1: BridgeSection = field(default_factory=BridgeSection)
-    bridge2: BridgeSection = field(default_factory=BridgeSection)
+    bridge1: BridgeConfig = field(default_factory=BridgeConfig)
+    bridge2: BridgeConfig = field(default_factory=BridgeConfig)
 
 
 @dataclass
@@ -156,27 +151,31 @@ def _from_dict(cls, data, path: str):
         return cls()
     if not isinstance(data, dict):
         raise ConfigError(f"config section {path or '<root>'} must be a mapping")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key in data:
-        if key not in fields:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key: {where}")
+    types = typing.get_type_hints(cls)
     kwargs = {}
-    for name, f in fields.items():
-        if name not in data:
-            continue
-        value = data[name]
-        if dataclasses.is_dataclass(f.type) or (
-                isinstance(f.type, str) and f.type[0].isupper()):
-            sub_cls = f.type if dataclasses.is_dataclass(f.type) else globals()[f.type]
-            kwargs[name] = _from_dict(sub_cls, value,
-                                      f"{path}.{name}" if path else name)
-        else:
-            kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value in section {path or '<root>'}: {exc}")
+    for name, value in data.items():
+        where = f"{path}.{name}" if path else name
+        if name not in types:
+            raise ConfigError(f"unknown config key: {where}")
+        kind = types[name]
+        kwargs[name] = (_from_dict(kind, value, where)
+                        if dataclasses.is_dataclass(kind)
+                        else _scalar(kind, value, where))
+    return cls(**kwargs)
+
+
+def _scalar(kind: type, value, where: str):
+    """``value`` checked against its field's type; YAML reads ``1e-3`` as a
+    string, so a float field also takes a string that ``float()`` parses."""
+    if kind is float and isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    elif isinstance(value, bool) == (kind is bool) and isinstance(
+            value, (int, float) if kind is float else kind):
+        return value
+    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
 
 
 def _parse_override(text: str):
@@ -211,6 +210,8 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
         node[parts[-1]] = value
     cfg = _from_dict(RunConfig, data, "")
     _check_heads(cfg)
+    _check_lengths(cfg)
+    _check_builders(cfg)
     return cfg
 
 
@@ -227,6 +228,40 @@ def _check_heads(cfg: RunConfig) -> None:
         if n_heads < 1 or d_model % n_heads:
             raise ConfigError(f"{key}.n_heads: {n_heads} does not divide "
                               f"d_model {d_model}")
+
+
+def _check_lengths(cfg: RunConfig) -> None:
+    """Every position table holds the longest sequence its stack sees."""
+    w, m = cfg.world.max_len, cfg.models
+    # stages 3, 4 and 6 hold llm.max_len positions and see BOS plus a
+    # greedy translation of up to translator.max_len - 1 tokens
+    for key, have, need, what in (
+            ("models.translator.max_len", m.translator.max_len, w + 1,
+             "world.max_len + 1"),
+            ("models.llm.max_len", m.llm.max_len, w + 1, "world.max_len + 1"),
+            ("models.llm.max_len", m.llm.max_len, m.translator.max_len,
+             "models.translator.max_len"),
+            ("models.llm.max_len", m.llm.max_len,
+             cfg.train.soft_prompt.n_prompt + w,
+             "train.soft_prompt.n_prompt + world.max_len")):
+        if have < need:
+            raise ConfigError(f"{key}: {have} positions cannot hold "
+                              f"{what} = {need}")
+
+
+def _check_builders(cfg: RunConfig) -> None:
+    """Build every derived config once, so a bad value fails at load time."""
+    builds = [("world", partial(build_world, cfg)),
+              ("models", partial(tall_config, cfg)),
+              ("sampler", partial(cfg.sampler.to_sampler, 0))]
+    builds += [(f"train.{f.name}",
+                partial(getattr(cfg.train, f.name).to_train_config, 0))
+               for f in dataclasses.fields(cfg.train)]
+    for key, build in builds:
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
 
 
 def resolved_dict(cfg: RunConfig) -> dict:
@@ -300,10 +335,7 @@ def tall_config(cfg: RunConfig) -> TallConfig:
         encoder_cfg=enc, llm_cfg=lm, decoder_cfg=dec,
         adapter1=AdapterSpec(enc.d_model, t.adapter1_hidden, lm.d_model),
         adapter2=AdapterSpec(lm.d_model, t.adapter2_hidden, dec.d_model),
-        bridge1=BridgeConfig(t.bridge1.n_layers, t.bridge1.n_heads,
-                             t.bridge1.d_ff),
-        bridge2=BridgeConfig(t.bridge2.n_layers, t.bridge2.n_heads,
-                             t.bridge2.d_ff))
+        bridge1=t.bridge1, bridge2=t.bridge2)
 
 
 def benchmark_config(seed: int = 0) -> RunConfig:

@@ -1,14 +1,20 @@
 """Toy sequence models: an encoder-decoder translator and a causal LM.
 
-Both are pre-LN transformers over the blocks in :mod:`tall.nn`, with
-learned absolute positions added at the embedding step and the output
-projection weight-tied to the target-side token embedding.  Greedy
-decoding is incremental: ``decoder_forward`` with a per-layer
-:class:`~tall.nn.LayerCache` list embeds only the newest token, at the
-position after the cached ones, appends its self-attention keys and
-values to the cache and projects the encoder memory into cross-attention
-keys and values once, on the first step.  Teacher-forced training passes
-no cache and runs the whole sequence in one call.
+Both are pre-LN transformers over the blocks in :mod:`tall.nn`, with the
+output projection weight-tied to the target-side token embedding.  Every
+transformer stack, here and in :mod:`tall.pipeline`, runs through
+``_stack_forward``, which owns three decisions: it adds the stack's
+learned ``<prefix>.pos`` table to the token embeddings its caller passes
+(and rejects a sequence longer than that table), builds the self mask
+from the sequence lengths, causal exactly when the stack's
+:class:`~tall.nn.LayerConfig` says so, and builds the cross mask from
+the memory lengths.  Greedy decoding is incremental: ``decoder_forward``
+with a per-layer :class:`~tall.nn.LayerCache` list embeds only the
+newest token, at the position after the cached ones, appends its
+self-attention keys and values to the cache and projects the encoder
+memory into cross-attention keys and values once, on the first step.
+Teacher-forced training passes no cache and runs the whole sequence in
+one call.
 
 Sequence conventions (content ids exclude specials):
 
@@ -74,27 +80,8 @@ def key_valid_mask(lengths: np.ndarray, l_query: int, l_key: int) -> np.ndarray:
     return np.broadcast_to(valid[:, None, :], (len(lengths), l_query, l_key))
 
 
-def causal_valid_mask(lengths: np.ndarray, l: int) -> np.ndarray:
-    return key_valid_mask(lengths, l, l) & nn.causal_mask(l)[None]
-
-
 def _p(prefix: str, name: str) -> str:
     return f"{prefix}.{name}" if prefix else name
-
-
-def embed_sequence(store: ParamStore, prefix: str, embed_name: str,
-                   ids: np.ndarray, start: int = 0) -> Tensor:
-    """Token embedding plus learned positions ``start .. start + L - 1``."""
-    pos_table = store[_p(prefix, "pos")]
-    end = start + ids.shape[-1]
-    if end > pos_table.shape[0]:
-        raise ShapeError(
-            f"sequence length {end} exceeds {_p(prefix, 'pos')} table "
-            f"({pos_table.shape[0]} positions)"
-        )
-    tok = T.embedding(store[_p(prefix, embed_name)], ids)
-    pos = T.embedding(pos_table, np.arange(start, end))
-    return T.add(tok, pos)
 
 
 def tied_logits(hidden: Tensor, embed: Tensor) -> Tensor:
@@ -103,8 +90,30 @@ def tied_logits(hidden: Tensor, embed: Tensor) -> Tensor:
 
 
 def _stack_forward(x: Tensor, store: ParamStore, prefix: str, n_layers: int,
-                   cfg: LayerConfig, self_mask, cross_kv=None,
-                   cross_mask=None, cache: list | None = None) -> Tensor:
+                   cfg: LayerConfig, lengths: np.ndarray, cross_kv=None,
+                   cross_lengths=None, cache: list | None = None) -> Tensor:
+    """One transformer stack over token embeddings ``x`` [B, L, d].
+
+    Adds ``<prefix>.pos`` at positions ``start .. start + L - 1``, where
+    ``start`` counts the tokens already in ``cache``, and masks keys at or
+    past ``lengths`` (which count cached tokens too), causally iff
+    ``cfg.causal``; cross-attention to ``cross_kv`` masks keys at or past
+    ``cross_lengths``.
+    """
+    start = 0 if cache is None else cache[0].self_attn.length
+    end = start + x.shape[1]
+    pos_table = store[_p(prefix, "pos")]
+    if end > pos_table.shape[0]:
+        raise ShapeError(
+            f"sequence length {end} exceeds {_p(prefix, 'pos')} table "
+            f"({pos_table.shape[0]} positions)"
+        )
+    x = T.add(x, T.embedding(pos_table, np.arange(start, end)))
+    self_mask = key_valid_mask(lengths, x.shape[1], end)
+    if cfg.causal:
+        self_mask = self_mask & nn.causal_mask(end)[start:]
+    cross_mask = None if cross_kv is None else key_valid_mask(
+        cross_lengths, x.shape[1], cross_kv.shape[1])
     for i in range(n_layers):
         x = nn.transformer_layer_forward(
             x, cross_kv, cfg, store, _p(prefix, f"layers.{i}"), self_mask,
@@ -139,10 +148,9 @@ def init_decoder(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
 
 def encoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
                     ids: np.ndarray, lengths: np.ndarray) -> Tensor:
-    x = embed_sequence(store, prefix, "src_embed", ids)
-    mask = key_valid_mask(lengths, ids.shape[1], ids.shape[1])
+    x = T.embedding(store[f"{prefix}.src_embed"], ids)
     return _stack_forward(x, store, prefix, cfg.enc_layers,
-                          cfg.layer(causal=False), mask)
+                          cfg.layer(causal=False), lengths)
 
 
 def decoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
@@ -156,14 +164,10 @@ def decoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
     tokens too.  The first call with fresh caches projects ``memory`` for
     cross-attention; later calls reuse that projection.
     """
-    start = 0 if cache is None else cache[0].self_attn.length
-    x = embed_sequence(store, prefix, "tgt_embed", ids, start)
-    end = start + ids.shape[1]
-    self_mask = causal_valid_mask(lengths, end)[:, start:]
-    cross_mask = key_valid_mask(memory_lengths, ids.shape[1], memory.shape[1])
+    x = T.embedding(store[f"{prefix}.tgt_embed"], ids)
     return _stack_forward(x, store, prefix, cfg.dec_layers,
-                          cfg.layer(causal=True), self_mask,
-                          cross_kv=memory, cross_mask=cross_mask, cache=cache)
+                          cfg.layer(causal=True), lengths, cross_kv=memory,
+                          cross_lengths=memory_lengths, cache=cache)
 
 
 class Translator:
@@ -245,18 +249,13 @@ class CausalLM:
         return cls(cfg, store)
 
     def hidden_from_ids(self, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
-        x = embed_sequence(self.store, "", "tok_embed", ids)
-        return self.hidden_from_embeddings(x, lengths, add_positions=False)
+        x = T.embedding(self.store["tok_embed"], ids)
+        return self.hidden_from_embeddings(x, lengths)
 
-    def hidden_from_embeddings(self, x: Tensor, lengths: np.ndarray,
-                               add_positions: bool = True) -> Tensor:
-        """Run the blocks on externally supplied input embeddings."""
-        if add_positions:
-            pos = T.embedding(self.store["pos"], np.arange(x.shape[1]))
-            x = T.add(x, pos)
-        mask = causal_valid_mask(lengths, x.shape[1])
+    def hidden_from_embeddings(self, x: Tensor, lengths: np.ndarray) -> Tensor:
+        """Run the blocks, positions included, on input embeddings."""
         return _stack_forward(x, self.store, "", self.cfg.n_layers,
-                              self.cfg.layer(), mask)
+                              self.cfg.layer(), lengths)
 
     def logits_for(self, seqs: list) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """Teacher-forced LM logits plus (labels, mask) for training."""

@@ -32,7 +32,6 @@ MASKED_LOGIT = -1e9
 class AttentionConfig:
     d_model: int
     n_heads: int
-    causal: bool = False
     d_kv: int | None = None  # key/value input width; defaults to d_model
 
     def __post_init__(self):
@@ -68,10 +67,10 @@ class LayerConfig:
     d_model: int
     n_heads: int
     d_ff: int
-    causal: bool = False
+    causal: bool = False  # models._stack_forward builds a causal self mask
 
     def attn(self, d_kv: int | None = None) -> AttentionConfig:
-        return AttentionConfig(self.d_model, self.n_heads, self.causal, d_kv)
+        return AttentionConfig(self.d_model, self.n_heads, d_kv)
 
 
 @dataclass
@@ -234,10 +233,8 @@ def init_transformer_layer(store: ParamStore, prefix: str, cfg: LayerConfig,
     init_attention(store, f"{prefix}.self_attn", cfg.attn(), rng)
     if cross_kv_dim is not None:
         init_layer_norm(store, f"{prefix}.ln_cross", cfg.d_model)
-        init_attention(
-            store, f"{prefix}.cross_attn",
-            AttentionConfig(cfg.d_model, cfg.n_heads, False, cross_kv_dim), rng,
-        )
+        init_attention(store, f"{prefix}.cross_attn", cfg.attn(cross_kv_dim),
+                       rng)
     init_layer_norm(store, f"{prefix}.ln_ffn", cfg.d_model)
     init_ffn(store, f"{prefix}.ffn", cfg.d_model, cfg.d_ff, rng)
 
@@ -360,11 +357,10 @@ def transformer_layer_forward(x: Tensor, cross_kv: Tensor | None,
     if cross_kv is not None:
         if cross_mask is None:
             raise ContractError("cross_kv given without cross_mask")
-        cross_cfg = AttentionConfig(cfg.d_model, cfg.n_heads, False,
-                                    cross_kv.shape[-1])
         h = T.add(h, multi_head_attention(
             layer_norm(h, store, f"{prefix}.ln_cross"), cross_kv,
-            cross_mask, cross_cfg, store, f"{prefix}.cross_attn",
+            cross_mask, cfg.attn(cross_kv.shape[-1]), store,
+            f"{prefix}.cross_attn",
             None if cache is None else cache.cross_attn))
     return T.add(h, ffn_forward(layer_norm(h, store, f"{prefix}.ln_ffn"),
                                 store, f"{prefix}.ffn"))

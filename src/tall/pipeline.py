@@ -33,11 +33,9 @@ from .models import (
     Seq2SeqConfig,
     Translator,
     _stack_forward,
-    causal_valid_mask,
     decoder_forward,
     encoder_forward,
     init_stack,
-    key_valid_mask,
     pad_batch,
     tied_logits,
 )
@@ -192,13 +190,9 @@ class TallModel:
                 3, f"cross-attention memory width {h_a1.shape[-1]} != LM "
                    f"width {self.cfg.llm_cfg.d_model}")
         x = T.embedding(self.store["llm.tok_embed"], hr_ids)
-        x = T.add(x, T.embedding(self.store["bridge1.pos"],
-                                 np.arange(hr_ids.shape[1])))
-        self_mask = causal_valid_mask(hr_lengths, hr_ids.shape[1])
-        cross_mask = key_valid_mask(a1_lengths, hr_ids.shape[1], h_a1.shape[1])
         return _stack_forward(x, self.store, "bridge1", self.cfg.bridge1.n_layers,
-                              self.cfg.bridge1_layer(), self_mask,
-                              cross_kv=h_a1, cross_mask=cross_mask)
+                              self.cfg.bridge1_layer(), hr_lengths,
+                              cross_kv=h_a1, cross_lengths=a1_lengths)
 
     def llm_blocks(self, h_b1: Tensor, hr_lengths: np.ndarray) -> Tensor:
         """Stage 4: frozen LM blocks on injected embeddings, positions re-added."""
@@ -206,11 +200,8 @@ class TallModel:
             raise StageDimensionError(
                 4, f"injected embedding width {h_b1.shape[-1]} != LM width "
                    f"{self.cfg.llm_cfg.d_model}")
-        x = T.add(h_b1, T.embedding(self.store["llm.pos"],
-                                    np.arange(h_b1.shape[1])))
-        mask = causal_valid_mask(hr_lengths, h_b1.shape[1])
-        return _stack_forward(x, self.store, "llm", self.cfg.llm_cfg.n_layers,
-                              self.cfg.llm_cfg.layer(), mask)
+        return _stack_forward(h_b1, self.store, "llm", self.cfg.llm_cfg.n_layers,
+                              self.cfg.llm_cfg.layer(), hr_lengths)
 
     def bridge2_forward(self, h_a2: Tensor, lengths: np.ndarray) -> Tensor:
         """Stage 6: bidirectional bridge preparing the decoder memory."""
@@ -218,11 +209,9 @@ class TallModel:
             raise StageDimensionError(
                 6, f"bridge2 input width {h_a2.shape[-1]} != decoder width "
                    f"{self.cfg.decoder_cfg.d_model}")
-        x = T.add(h_a2, T.embedding(self.store["bridge2.pos"],
-                                    np.arange(h_a2.shape[1])))
-        mask = key_valid_mask(lengths, h_a2.shape[1], h_a2.shape[1])
-        return _stack_forward(x, self.store, "bridge2", self.cfg.bridge2.n_layers,
-                              self.cfg.bridge2_layer(), mask)
+        return _stack_forward(h_a2, self.store, "bridge2",
+                              self.cfg.bridge2.n_layers,
+                              self.cfg.bridge2_layer(), lengths)
 
     def decode(self, dec_ids: np.ndarray, dec_lengths: np.ndarray,
                memory: Tensor, memory_lengths: np.ndarray) -> Tensor:

@@ -15,7 +15,6 @@ from . import evaluation as ev
 from .checkpoint import load_checkpoint
 from .config import (
     RunConfig,
-    benchmark_config,
     build_eval_grammar,
     build_grammar,
     build_world,
@@ -28,7 +27,7 @@ from .config import (
 )
 from .models import CausalLM, Translator
 from .nn import ParamStore
-from .pipeline import TallModel, train_tall
+from .pipeline import TallModel
 from .pretrain import train_llm, train_translator
 from .world import generate_corpus
 
@@ -52,22 +51,20 @@ def eval_dataset(cfg: RunConfig, eval_seed: int | None = None):
                                 seed, cfg.world.eval_size)
 
 
-def pretrain_translator(cfg: RunConfig, direction: str, seed: int,
-                        corpus=None) -> tuple[Translator, dict, list[dict]]:
-    corpus = train_corpus(cfg) if corpus is None else corpus
+def pretrain_translator(cfg: RunConfig, direction: str, seed: int
+                        ) -> tuple[Translator, dict, list[dict]]:
     model_cfg = translator_config(cfg, direction)
     model, meta, metrics = train_translator(
-        direction, model_cfg, corpus,
+        direction, model_cfg, train_corpus(cfg),
         cfg.train.translator.to_train_config(seed))
     return model, stamp_meta(cfg, meta), metrics
 
 
-def pretrain_llm(cfg: RunConfig, seed: int, corpus=None
+def pretrain_llm(cfg: RunConfig, seed: int
                  ) -> tuple[CausalLM, dict, list[dict]]:
-    corpus = train_corpus(cfg) if corpus is None else corpus
     world = build_world(cfg)
     sequences = [world.hr_to_lm(np.array(p.hr_tokens)).tolist()
-                 for p in corpus]
+                 for p in train_corpus(cfg)]
     model, meta, metrics = train_llm(llm_config(cfg), sequences,
                                      cfg.train.llm.to_train_config(seed))
     return model, stamp_meta(cfg, meta), metrics
@@ -122,7 +119,7 @@ def write_metrics(metrics: list[dict], path) -> None:
 def run_approaches(cfg: RunConfig, approaches, lr2hr: Translator,
                    hr2lr: Translator, llm: CausalLM,
                    tall_model: TallModel | None, examples, dataset_hash: str,
-                   sampler_seed: int, corpus=None) -> tuple[list[dict], dict]:
+                   sampler_seed: int) -> tuple[list[dict], dict]:
     """Evaluate the requested approaches on one shared dataset.
 
     The fine-tuned, from-scratch, and soft-prompt baselines train here,
@@ -138,8 +135,7 @@ def run_approaches(cfg: RunConfig, approaches, lr2hr: Translator,
     def need_corpus_lr():
         nonlocal corpus_lr
         if corpus_lr is None:
-            pairs = train_corpus(cfg) if corpus is None else corpus
-            corpus_lr = [list(p.lr_tokens) for p in pairs]
+            corpus_lr = [list(p.lr_tokens) for p in train_corpus(cfg)]
         return corpus_lr
 
     for approach in approaches:
@@ -188,41 +184,6 @@ def run_approaches(cfg: RunConfig, approaches, lr2hr: Translator,
         "n_examples": len(examples),
     }
     return rows, {"header": header, "records": all_records}
-
-
-def run_benchmark_seed(seed: int, approaches=None, cfg: RunConfig | None = None
-                       ) -> dict:
-    """Train everything for one benchmark seed and evaluate.
-
-    Returns per-approach accuracy rows plus the artifacts needed by
-    callers that inspect freezing or reuse the trained pipeline.
-    """
-    cfg = benchmark_config(seed) if cfg is None else cfg
-    approaches = list(approaches or ("direct", "naive", "soft_prompt", "tall"))
-    corpus = train_corpus(cfg)
-    lr2hr, meta_l, _ = pretrain_translator(cfg, "lr2hr", seed, corpus)
-    hr2lr, meta_h, _ = pretrain_translator(cfg, "hr2lr", seed, corpus)
-    llm, meta_m, _ = pretrain_llm(cfg, seed, corpus)
-    tall_model = None
-    tall_meta = None
-    if "tall" in approaches:
-        tall_model = assemble_tall(cfg, lr2hr, hr2lr, llm, seed)
-        tall_meta, _ = train_tall(tall_model, corpus,
-                                  cfg.train.tall.to_train_config(seed))
-    examples, dataset_hash = eval_dataset(cfg)
-    rows, details = run_approaches(cfg, approaches, lr2hr, hr2lr, llm,
-                                   tall_model, examples, dataset_hash,
-                                   corpus=corpus, sampler_seed=seed)
-    return {
-        "seed": seed,
-        "rows": rows,
-        "header": details["header"],
-        "models": {"lr2hr": lr2hr, "hr2lr": hr2lr, "llm": llm,
-                   "tall": tall_model},
-        "meta": {"lr2hr": meta_l, "hr2lr": meta_h, "llm": meta_m,
-                 "tall": tall_meta},
-        "config": cfg,
-    }
 
 
 def format_results_table(rows: list[dict], header: dict) -> str:

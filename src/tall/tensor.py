@@ -482,47 +482,3 @@ def cross_entropy_sum(
         return (dl,)
 
     return _register(out, (logits,), bwd), n
-
-
-# ---------------------------------------------------------------------------
-# verification oracle
-
-
-def finite_diff_grad(f, params: list[Tensor], eps: float = 1e-5) -> list[np.ndarray]:
-    """Central-difference gradient estimate, one coordinate at a time.
-
-    ``f`` takes no arguments, reads the current parameter values, and
-    returns a scalar float.  Independent of the tape machinery by
-    construction; used to cross-check :meth:`Tape.backward`.
-    """
-    grads = []
-    for p in params:
-        g = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(f())
-            flat[i] = orig - eps
-            f_minus = float(f())
-            flat[i] = orig
-            gflat[i] = (f_plus - f_minus) / (2.0 * eps)
-        grads.append(g)
-    return grads
-
-
-def max_relative_error(analytic, numeric, floor: float = 1e-6) -> float:
-    """max_i |a_i - n_i| / max(|a_i|, |n_i|, floor), 0.0 for empty input."""
-    a = np.asarray(analytic).reshape(-1)
-    n = np.asarray(numeric).reshape(-1)
-    if a.size == 0:
-        return 0.0
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-    return float(np.max(np.abs(a - n) / denom))
-
-
-def assert_finite(x, what: str = "tensor") -> None:
-    arr = _data(x)
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"{what} contains NaN or Inf")

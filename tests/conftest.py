@@ -1,4 +1,5 @@
-"""Shared fixtures: the einsum reference kernel as the tests' oracle.
+"""Shared oracles: the einsum reference kernel and the finite-difference
+gradient check.
 
 ``tensor.matmul`` computes every product with one private kernel,
 ``tensor._product`` (BLAS).  BLAS results are deterministic for fixed
@@ -19,6 +20,40 @@ from tall import tensor
 def reference_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``[..., m, k] @ [..., k, n]``, accumulated over k in order."""
     return np.einsum("...ik,...kj->...ij", a, b)
+
+
+def finite_diff_grad(f, params: list, eps: float = 1e-5) -> list[np.ndarray]:
+    """Central-difference gradient estimate, one coordinate at a time.
+
+    ``f`` takes no arguments, reads the current parameter values, and
+    returns a scalar float.  Independent of the tape machinery by
+    construction; used to cross-check :meth:`tall.tensor.Tape.backward`.
+    """
+    grads = []
+    for p in params:
+        g = np.zeros_like(p.data)
+        flat = p.data.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = float(f())
+            flat[i] = orig - eps
+            f_minus = float(f())
+            flat[i] = orig
+            gflat[i] = (f_plus - f_minus) / (2.0 * eps)
+        grads.append(g)
+    return grads
+
+
+def max_relative_error(analytic, numeric, floor: float = 1e-6) -> float:
+    """max_i |a_i - n_i| / max(|a_i|, |n_i|, floor), 0.0 for empty input."""
+    a = np.asarray(analytic).reshape(-1)
+    n = np.asarray(numeric).reshape(-1)
+    if a.size == 0:
+        return 0.0
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+    return float(np.max(np.abs(a - n) / denom))
 
 
 @pytest.fixture

@@ -43,6 +43,29 @@ class TestExitCodes:
         assert "config error: models.llm.n_heads" in capsys.readouterr().err
         assert not (tmp_path / "llm.npz").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--approach", "soft-prompt", "--llm", "llm.npz",
+          "--set", "train.soft_prompt.n_prompt=30"],
+         "models.llm.max_len: 24 positions cannot hold "
+         "train.soft_prompt.n_prompt + world.max_len = 37"),
+        (["param-report", "--preset", "toy",
+          "--set", "models.tall.adapter1_hidden=0"],
+         "models: adapter dims must be positive"),
+        (["pretrain", "llm", "--out", "llm.npz",
+          "--set", "train.tall.epochs=0"],
+         "train.tall: TrainConfig fields must be positive"),
+        (["pretrain", "llm", "--out", "llm.npz",
+          "--set", "models.llm.n_heads=abc"],
+         "models.llm.n_heads: expected int, got 'abc'"),
+    ], ids=["n_prompt", "adapter1_hidden", "epochs", "n_heads"])
+    def test_bad_config_value_exits_before_any_work(
+            self, tmp_path, monkeypatch, capsys, argv, message):
+        (tmp_path / "run.yaml").write_text(TINY_RUN)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*argv, "--config", "run.yaml"]) == cli.EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "llm.npz").exists()
+
 
 @pytest.mark.parametrize("preset", ["bloomz", "qwen"])
 def test_param_report_check_reproduces_published_numbers(preset, capsys):

@@ -1,4 +1,5 @@
-"""Strict configuration loading: unknown keys name their dotted path."""
+"""Strict configuration loading: unknown keys and bad values name their
+dotted path."""
 
 import re
 
@@ -37,3 +38,56 @@ def test_removed_unread_keys_are_rejected(tmp_path, text, where):
 def test_heads_must_divide_the_width(section):
     with pytest.raises(ConfigError, match=rf"^{re.escape(section)}\.n_heads: "):
         load_config(None, [f"{section}.n_heads=5"])
+
+
+@pytest.mark.parametrize("override, message", [
+    ("models.llm.n_heads=abc", "models.llm.n_heads: expected int, got 'abc'"),
+    ("world.seed=true", "world.seed: expected int, got True"),
+    ("world.pair_swap=1", "world.pair_swap: expected bool, got 1"),
+    ("world.cipher=3", "world.cipher: expected str, got 3"),
+    ("train.tall.learning_rate=fast",
+     "train.tall.learning_rate: expected float, got 'fast'"),
+])
+def test_scalar_values_are_checked_against_their_field_type(override, message):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        load_config(None, [override])
+
+
+def test_float_field_takes_the_string_yaml_reads_for_an_exponent():
+    cfg = load_config(None, ["train.tall.learning_rate=1e-3"])
+    assert cfg.train.tall.learning_rate == 1e-3
+    assert isinstance(cfg.train.tall.learning_rate, float)
+
+
+@pytest.mark.parametrize("override, section", [
+    ("models.tall.adapter1_hidden=0", "models"),
+    ("world.cipher=rot13", "world"),
+    ("train.tall.epochs=0", "train.tall"),
+    ("train.soft_prompt.eval_fraction=1.5", "train.soft_prompt"),
+    ("sampler.top_p=0", "sampler"),
+])
+def test_derived_configs_are_built_at_load_time(override, section):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(section)}: "):
+        load_config(None, [override])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["models.translator.max_len=12"],
+     "models.translator.max_len: 12 positions cannot hold world.max_len + 1 = 13"),
+    (["models.llm.max_len=12", "models.translator.max_len=13"],
+     "models.llm.max_len: 12 positions cannot hold world.max_len + 1 = 13"),
+    (["models.llm.max_len=31"],
+     "models.llm.max_len: 31 positions cannot hold "
+     "models.translator.max_len = 32"),
+    (["train.soft_prompt.n_prompt=53"],
+     "models.llm.max_len: 64 positions cannot hold "
+     "train.soft_prompt.n_prompt + world.max_len = 65"),
+])
+def test_position_tables_must_hold_their_longest_sequence(overrides, message):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        load_config(None, overrides)
+
+
+def test_position_tables_exactly_at_their_limits_load():
+    load_config(None, ["models.llm.max_len=42", "train.soft_prompt.n_prompt=30",
+                       "models.translator.max_len=13"])

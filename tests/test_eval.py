@@ -311,6 +311,15 @@ class TestSoftPrompt:
         assert [m["step"] for m in metrics] == list(range(6))
         assert params.embeddings.grad is None
 
+    def test_prompt_past_the_position_table_is_refused(self, tiny_world):
+        _, world, corpus, _, llm = tiny_world
+        corpus_lr = [list(p.lr_tokens) for p in corpus[:4]]
+        tc = TrainConfig(epochs=1, batch_size=4, seed=3)
+        with pytest.raises(ShapeError, match=r"sequence length \d+ exceeds "
+                           r"pos table \(48 positions\)"):
+            train_soft_prompt(clone_llm(llm), world, corpus_lr, tc,
+                              n_prompt=llm.cfg.max_len)
+
     def test_divergence_aborts(self, tiny_world):
         _, world, corpus, _, llm = tiny_world
         llm = clone_llm(llm)

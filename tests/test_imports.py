@@ -1,6 +1,6 @@
 """Import hygiene and the product seam, checked with the stdlib ``ast``.
 
-Four rules for every module under ``src/tall``:
+Five rules for every module under ``src/tall``:
 
 - a module-level import binds a name the module references, unless its
   line carries ``# noqa: F401`` (an import kept on purpose);
@@ -11,7 +11,10 @@ Four rules for every module under ``src/tall``:
   ``tensor.py``, which calls ``np.matmul`` once, in its private kernel;
 - only ``evaluation.py`` samples: ``sample_token`` and ``example_rng``
   are called nowhere else, so every approach draws its answer the same
-  way.
+  way;
+- only ``models.py`` names a position table (a ``"pos"`` or ``"*.pos"``
+  string) or calls a mask builder, so every transformer stack adds its
+  positions and builds its masks in ``models._stack_forward``.
 """
 
 import ast
@@ -88,7 +91,7 @@ def numpy_products(path: Path) -> list[str]:
     return sorted(found)
 
 
-def sampling_calls(path: Path) -> list[str]:
+def calls_to(path: Path, names: tuple[str, ...]) -> list[str]:
     tree, _ = _parse(path)
     found = []
     for node in ast.walk(tree):
@@ -97,8 +100,24 @@ def sampling_calls(path: Path) -> list[str]:
         fn = node.func
         name = (fn.id if isinstance(fn, ast.Name)
                 else fn.attr if isinstance(fn, ast.Attribute) else None)
-        if name in ("sample_token", "example_rng"):
+        if name in names:
             found.append(f"{path.name}:{node.lineno} {name}")
+    return sorted(found)
+
+
+def sampling_calls(path: Path) -> list[str]:
+    return calls_to(path, ("sample_token", "example_rng"))
+
+
+def stack_seam_sites(path: Path) -> list[str]:
+    """Position-table names and mask-builder calls."""
+    tree, _ = _parse(path)
+    found = calls_to(path, ("key_valid_mask", "causal_valid_mask",
+                            "causal_mask"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and (node.value == "pos" or node.value.endswith(".pos"))):
+            found.append(f"{path.name}:{node.lineno} {node.value!r}")
     return sorted(found)
 
 
@@ -123,6 +142,12 @@ def test_products_go_through_tensor_matmul(path):
     ids=lambda p: p.name)
 def test_only_evaluation_samples(path):
     assert sampling_calls(path) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "models.py"], ids=lambda p: p.name)
+def test_only_models_adds_positions_and_builds_masks(path):
+    assert stack_seam_sites(path) == []
 
 
 def test_tensor_has_one_product_kernel():
@@ -159,3 +184,13 @@ def test_checks_catch_what_they_name(tmp_path):
     assert sampling_calls(samp) == [
         "samp.py:2 example_rng", "samp.py:2 sample_token",
         "samp.py:3 sample_token"]
+    seam = tmp_path / "seam.py"
+    seam.write_text(
+        "x = T.add(x, T.embedding(store['bridge1.pos'], np.arange(n)))\n"
+        "m = causal_valid_mask(lengths, n) & nn.causal_mask(n)\n"
+        "k = key_valid_mask(lengths, n, n)\n"
+        "p = store[f'{prefix}.pos'] or store['pos'] or store['pos_ids']\n")
+    assert stack_seam_sites(seam) == [
+        "seam.py:1 'bridge1.pos'", "seam.py:2 causal_mask",
+        "seam.py:2 causal_valid_mask", "seam.py:3 key_valid_mask",
+        "seam.py:4 '.pos'", "seam.py:4 'pos'"]

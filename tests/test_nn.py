@@ -20,6 +20,8 @@ from tall.nn import (
 from tall.optim import AdamW
 from tall.tensor import ContractError, ShapeError, Tape, Tensor
 
+from conftest import finite_diff_grad, max_relative_error
+
 
 def zero_params(store, prefix=""):
     for name, t in store.items():
@@ -65,9 +67,9 @@ class TestAdapter:
             out = adapter_forward(Tensor(x), spec, store, "a")
             loss = T.mean_all(T.mul(out, out))
         tape.backward(loss)
-        fd = T.finite_diff_grad(forward, params, eps=1e-5)
+        fd = finite_diff_grad(forward, params, eps=1e-5)
         for p, g in zip(params, fd):
-            assert T.max_relative_error(p.grad, g) < 1e-4
+            assert max_relative_error(p.grad, g) < 1e-4
 
     def test_shape_mismatch(self):
         spec = AdapterSpec(4, 8, 4)
@@ -125,7 +127,7 @@ class TestAttention:
     def test_causal_perturbation(self):
         d, n = 8, 6
         store = ParamStore()
-        cfg = AttentionConfig(d_model=d, n_heads=2, causal=True)
+        cfg = AttentionConfig(d_model=d, n_heads=2)
         rng = np.random.default_rng(2)
         init_attention(store, "attn", cfg, rng)
         x = rng.standard_normal((n, d))
@@ -228,9 +230,9 @@ class TestTransformerLayer:
         with Tape() as tape:
             loss = compute()
         tape.backward(loss)
-        fd = T.finite_diff_grad(lambda: compute().item(), params, eps=1e-5)
+        fd = finite_diff_grad(lambda: compute().item(), params, eps=1e-5)
         worst = max(
-            T.max_relative_error(p.grad, g) for p, g in zip(params, fd)
+            max_relative_error(p.grad, g) for p, g in zip(params, fd)
         )
         assert worst < 1e-4
 

@@ -17,11 +17,11 @@ from tall.pipeline import (
     train_tall,
 )
 from tall.pretrain import TrainConfig
-from tall.tensor import Tape
+from tall.tensor import ShapeError, Tape
 from tall.world import ToyGrammar, World, generate_corpus
 
 
-def tiny_setup(vocab=16, seed=0, d_enc=12, d_lm=18, d_dec=12):
+def tiny_setup(vocab=16, seed=0, d_enc=12, d_lm=18, d_dec=12, lm_max_len=24):
     grammar = ToyGrammar(hr_vocab_size=vocab, min_len=4, max_len=7, seed=seed)
     world = World(hr_vocab_size=vocab, seed=seed)
     s2s = Seq2SeqConfig(world.vocab_lr, world.vocab_hr, d_model=d_enc,
@@ -31,7 +31,7 @@ def tiny_setup(vocab=16, seed=0, d_enc=12, d_lm=18, d_dec=12):
                             n_heads=2, d_ff=24, enc_layers=1, dec_layers=1,
                             max_len=16)
     lm = CausalLMConfig(world.vocab_lm, d_model=d_lm, n_heads=2, d_ff=24,
-                        n_layers=1, max_len=24)
+                        n_layers=1, max_len=lm_max_len)
     cfg = TallConfig(encoder_cfg=s2s, llm_cfg=lm, decoder_cfg=s2s_rev,
                      bridge1=BridgeConfig(1, 2, 24),
                      bridge2=BridgeConfig(1, 2, 24))
@@ -358,3 +358,11 @@ class TestPrediction:
         model, _, _ = tiny_setup(seed=13)
         with pytest.raises(ValueError):
             model.final_logits([[]])
+
+    def test_translation_past_the_bridge1_table_is_refused(self):
+        model, corpus, _ = tiny_setup(seed=12, lm_max_len=8)
+        prefix = list(corpus[0].lr_tokens[:-1])
+        assert len(model.translate_prefixes([prefix])[0]) > 8
+        with pytest.raises(ShapeError, match=r"sequence length \d+ exceeds "
+                           r"bridge1\.pos table \(8 positions\)"):
+            model.final_logits([prefix])
