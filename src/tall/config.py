@@ -210,6 +210,7 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
         node[parts[-1]] = value
     cfg = _from_dict(RunConfig, data, "")
     _check_heads(cfg)
+    _check_sizes(cfg)
     _check_lengths(cfg)
     _check_builders(cfg)
     return cfg
@@ -228,6 +229,19 @@ def _check_heads(cfg: RunConfig) -> None:
         if n_heads < 1 or d_model % n_heads:
             raise ConfigError(f"{key}.n_heads: {n_heads} does not divide "
                               f"d_model {d_model}")
+
+
+def _check_sizes(cfg: RunConfig) -> None:
+    """Every feed-forward width and layer count of a stack is positive."""
+    m = cfg.models
+    for key, section in (("models.translator", m.translator),
+                         ("models.llm", m.llm),
+                         ("models.tall.bridge1", m.tall.bridge1),
+                         ("models.tall.bridge2", m.tall.bridge2)):
+        for f in dataclasses.fields(section):
+            value = getattr(section, f.name)
+            if (f.name == "d_ff" or f.name.endswith("layers")) and value < 1:
+                raise ConfigError(f"{key}.{f.name}: must be positive, got {value}")
 
 
 def _check_lengths(cfg: RunConfig) -> None:
@@ -252,6 +266,7 @@ def _check_lengths(cfg: RunConfig) -> None:
 def _check_builders(cfg: RunConfig) -> None:
     """Build every derived config once, so a bad value fails at load time."""
     builds = [("world", partial(build_world, cfg)),
+              ("world", partial(build_grammar, cfg)),
               ("models", partial(tall_config, cfg)),
               ("sampler", partial(cfg.sampler.to_sampler, 0))]
     builds += [(f"train.{f.name}",

@@ -11,6 +11,9 @@ its matching ``init_*`` function created.  Conventions:
 * incremental decoding passes a :class:`LayerCache` per layer: attention
   then keeps its projected keys and values between calls, so each call
   needs to project only its new query positions.
+* every projection is one :func:`tensor.linear` node and every attention
+  core (scores, mask, softmax, context) one :func:`tensor.attention`
+  node, so the tape keeps one record per composite.
 * the dimension-alignment adapter is Linear -> LayerNorm -> GELU ->
   Linear -> LayerNorm; this is the stack whose parameter count matches
   the published per-module figures (see adapter_param_count).
@@ -39,10 +42,6 @@ class AttentionConfig:
             raise ShapeError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
 
     @property
     def kv_dim(self) -> int:
@@ -75,7 +74,7 @@ class LayerConfig:
 
 @dataclass
 class KVCache:
-    """Projected keys and values [B, h, L, hd] one attention block keeps
+    """Projected keys and values [B, L, d] one attention block keeps
     between incremental decode calls.
 
     With ``grow`` (self-attention) every call appends its keys and values
@@ -90,7 +89,7 @@ class KVCache:
 
     @property
     def length(self) -> int:
-        return 0 if self.k is None else self.k.shape[2]
+        return 0 if self.k is None else self.k.shape[1]
 
 
 @dataclass
@@ -244,7 +243,7 @@ def init_transformer_layer(store: ParamStore, prefix: str, cfg: LayerConfig,
 
 
 def linear(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    return T.add(T.matmul(x, store[f"{prefix}.weight"]), store[f"{prefix}.bias"])
+    return T.linear(x, store[f"{prefix}.weight"], store[f"{prefix}.bias"])
 
 
 def layer_norm(x: Tensor, store: ParamStore, prefix: str, eps: float = 1e-5) -> Tensor:
@@ -281,7 +280,7 @@ def causal_mask(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n), dtype=bool))
 
 
-def _mask_bias(mask: np.ndarray, n_heads: int, dtype) -> np.ndarray:
+def _mask_bias(mask: np.ndarray, dtype) -> np.ndarray:
     """Additive logits bias: 0 where allowed, MASKED_LOGIT where not."""
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim == 2:
@@ -298,46 +297,31 @@ def _mask_bias(mask: np.ndarray, n_heads: int, dtype) -> np.ndarray:
 def multi_head_attention(q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
                          cfg: AttentionConfig, store: ParamStore,
                          prefix: str, cache: KVCache | None = None) -> Tensor:
-    """Scaled dot-product attention, batched as [B, L, d] or plain [L, d].
+    """Scaled dot-product attention over [B, L, d] inputs.
 
-    With ``cache`` (batched input only) the keys and values come from, and
-    go to, the cache, so ``mask`` spans every cached key: [B, Lq, Lcache].
+    With ``cache`` the keys and values come from, and go to, the cache, so
+    ``mask`` spans every cached key: [B, Lq, Lcache].
     """
-    squeeze = q_in.ndim == 2
-    if squeeze:
-        q_in = T.reshape(q_in, (1,) + q_in.shape)
-        kv_in = T.reshape(kv_in, (1,) + kv_in.shape)
-    if q_in.shape[-1] != cfg.d_model or kv_in.shape[-1] != cfg.kv_dim:
+    if (q_in.ndim != 3 or kv_in.ndim != 3 or q_in.shape[-1] != cfg.d_model
+            or kv_in.shape[-1] != cfg.kv_dim):
         raise ShapeError(
-            f"attention {prefix!r} expects q last dim {cfg.d_model} and kv last "
-            f"dim {cfg.kv_dim}, got {q_in.shape} and {kv_in.shape}"
+            f"attention {prefix!r} expects [B, L, d] inputs with q last dim "
+            f"{cfg.d_model} and kv last dim {cfg.kv_dim}, got {q_in.shape} "
+            f"and {kv_in.shape}"
         )
-    b, lq, _ = q_in.shape
-    lkv = kv_in.shape[1]
-    h, hd = cfg.n_heads, cfg.head_dim
-
-    def split_heads(x: Tensor, length: int) -> Tensor:
-        return T.swapaxes(T.reshape(x, (b, length, h, hd)), 1, 2)
-
-    q = split_heads(linear(q_in, store, f"{prefix}.q"), lq)
+    q = linear(q_in, store, f"{prefix}.q")
     if cache is not None and not cache.grow and cache.k is not None:
         k, v = cache.k, cache.v
     else:
-        k = split_heads(linear(kv_in, store, f"{prefix}.k"), lkv)
-        v = split_heads(linear(kv_in, store, f"{prefix}.v"), lkv)
+        k = linear(kv_in, store, f"{prefix}.k")
+        v = linear(kv_in, store, f"{prefix}.v")
         if cache is not None:
             if cache.k is not None:
-                k = T.concat([cache.k, k], axis=2)
-                v = T.concat([cache.v, v], axis=2)
+                k = T.concat([cache.k, k], axis=1)
+                v = T.concat([cache.v, v], axis=1)
             cache.k, cache.v = k, v
-
-    scores = T.scale(T.matmul(q, T.swapaxes(k, 2, 3)), hd ** -0.5)
-    scores = T.add(scores, _mask_bias(mask, h, scores.dtype))
-    weights = T.softmax(scores, axis=-1)
-    ctx = T.matmul(weights, v)                       # [B, h, Lq, hd]
-    merged = T.reshape(T.swapaxes(ctx, 1, 2), (b, lq, cfg.d_model))
-    out = linear(merged, store, f"{prefix}.out")
-    return T.reshape(out, out.shape[1:]) if squeeze else out
+    ctx = T.attention(q, k, v, _mask_bias(mask, q.dtype), cfg.n_heads)
+    return linear(ctx, store, f"{prefix}.out")
 
 
 def ffn_forward(x: Tensor, store: ParamStore, prefix: str) -> Tensor:

@@ -16,6 +16,15 @@ Design constraints, in order of priority:
 * simplicity: define-by-run tape, no graph rewriting, 64-bit floats by
   default.  float32 is supported but excluded from gradient-check
   tolerances.
+* memory: what the tape keeps alive sets a training run's peak.  The two
+  composites every transformer layer repeats are single nodes with a
+  hand-written backward: :func:`linear` (product plus bias) and
+  :func:`attention` (head split, scores, mask, softmax, context and head
+  merge), which keeps only its softmax probabilities and rebuilds the
+  head views of its inputs in backward.  Both replay exactly the array
+  operations of the primitive composition they replace, so their bytes
+  match it.  :meth:`Tape.backward` drops each intermediate gradient once
+  its node has run, so after backward only leaves hold ``grad``.
 
 Recording happens only while a :class:`Tape` is active, so inference
 code that never opens a tape pays no autodiff overhead.
@@ -49,8 +58,11 @@ class Tensor:
     """Dense n-dimensional value with optional gradient tracking.
 
     ``data`` is always a C-contiguous float array.  ``grad`` is either
-    ``None`` or an array of identical shape; it is populated only by
-    :meth:`Tape.backward` and only for tensors with ``requires_grad``.
+    ``None`` or an array of identical shape.  :meth:`Tape.backward` sets
+    it on leaves only: tensors with ``requires_grad`` that no recorded
+    operation produced (parameters, and tensors created with
+    ``requires_grad=True``).  An operation's output holds its gradient
+    only while backward runs, as in PyTorch's non-leaf rule.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -126,11 +138,13 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` on every reachable requires_grad tensor.
+        """Populate ``grad`` on every reachable requires_grad leaf.
 
         Gradients accumulate (+=) into pre-existing ``grad`` arrays, so
         calling backward for several losses between optimizer steps sums
-        their gradients; frozen tensors never receive grad storage.
+        their gradients; frozen tensors never receive grad storage.  A
+        node's output gradient is dropped as soon as the node has run,
+        so spent gradients do not pile up beside the tape.
         """
         if loss.data.ndim != 0:
             raise ContractError(
@@ -141,6 +155,7 @@ class Tape:
             if out.grad is None:
                 continue
             grads = backward_fn(out.grad)
+            out.grad = None
             for inp, g in zip(inputs, grads):
                 if g is None or not _needs_grad(inp):
                     continue
@@ -321,6 +336,102 @@ def matmul(a, b) -> Tensor:
     return _register(out, (a, b), bwd)
 
 
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` as one node: ``x`` [..., k], ``w`` [k, n], ``b`` [n].
+
+    The forward is one :func:`_product` on the collapsed rows of ``x``
+    with the bias added in place; backward computes only the gradients
+    whose operand needs one.  The bytes are those of ``add(matmul(x, w),
+    b)``.
+    """
+    x_d, w_d, b_d = _data(x), _data(w), _data(b)
+    if w_d.ndim != 2 or x_d.ndim < 1 or x_d.shape[-1] != w_d.shape[0]:
+        raise ShapeError(f"linear needs x [..., k] and w [k, n], got "
+                         f"{x_d.shape} and {w_d.shape}")
+    k, n = w_d.shape
+    if b_d.shape != (n,):
+        raise ShapeError(f"linear bias must have shape ({n},), got {b_d.shape}")
+    out_d = _product(x_d.reshape(-1, k), w_d)
+    out_d += b_d
+    out = Tensor(out_d.reshape(x_d.shape[:-1] + (n,)))
+
+    def bwd(g):
+        rows = g.reshape(-1, n)
+        gx = _product(rows, w_d.T).reshape(x_d.shape) if _needs_grad(x) else None
+        gw = _product(x_d.reshape(-1, k).T, rows) if _needs_grad(w) else None
+        gb = _unbroadcast(g, b_d.shape) if _needs_grad(b) else None
+        return gx, gw, gb
+
+    return _register(out, (x, w, b), bwd)
+
+
+def attention(q, k, v, bias: np.ndarray, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q`` [B, Lq, d], ``k`` and ``v`` [B, Lkv, d] are projected inputs;
+    ``bias`` is an additive logits bias that broadcasts to [B, h, Lq,
+    Lkv].  Returns the merged heads' context [B, Lq, d].  The head split
+    and merge are array copies inside the node, and the node keeps only
+    the softmax probabilities P: backward rebuilds the head views from
+    the inputs and uses dS = P * (dP - rowsum(dP * P)) * scale, the
+    softmax backward of FlashAttention (Dao et al. 2022).  Every array
+    operation is the one the primitive composition (reshape, swapaxes,
+    matmul, scale, add, softmax) performs, so the bytes match it.
+    """
+    q_d, k_d, v_d = _data(q), _data(k), _data(v)
+    if (q_d.ndim != 3 or k_d.ndim != 3 or v_d.shape != k_d.shape
+            or q_d.shape[0] != k_d.shape[0] or q_d.shape[2] != k_d.shape[2]):
+        raise ShapeError(f"attention needs q [B, Lq, d] and k, v [B, Lkv, d], "
+                         f"got {q_d.shape}, {k_d.shape} and {v_d.shape}")
+    b, lq, d = q_d.shape
+    lkv = k_d.shape[1]
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"attention width {d} not divisible by {n_heads} heads")
+    hd = d // n_heads
+    c = hd ** -0.5
+
+    def heads(x: np.ndarray, length: int) -> np.ndarray:
+        """[B, L, d] -> contiguous [B, h, L, hd]."""
+        return np.ascontiguousarray(
+            np.swapaxes(x.reshape(b, length, n_heads, hd), 1, 2))
+
+    def merge(x: np.ndarray, length: int) -> np.ndarray:
+        """[B, h, L, hd] -> [B, L, d]."""
+        return np.ascontiguousarray(np.swapaxes(x, 1, 2)).reshape(b, length, d)
+
+    def keys_t() -> np.ndarray:
+        """Contiguous [B, h, hd, Lkv]."""
+        return np.ascontiguousarray(np.swapaxes(heads(k_d, lkv), 2, 3))
+
+    p = _product(heads(q_d, lq), keys_t())
+    p *= c
+    p += bias
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = Tensor(merge(_product(p, heads(v_d, lkv)), lq))
+
+    def bwd(g):
+        g_ctx = heads(g, lq)
+        gq = gk = gv = None
+        if _needs_grad(v):
+            gv = merge(_product(np.swapaxes(p, -1, -2), g_ctx), lkv)
+        if _needs_grad(q) or _needs_grad(k):
+            ds = _product(g_ctx, np.swapaxes(heads(v_d, lkv), -1, -2))
+            dot = (ds * p).sum(axis=-1, keepdims=True)
+            ds -= dot
+            ds *= p
+            ds *= c
+            if _needs_grad(q):
+                gq = merge(_product(ds, np.swapaxes(keys_t(), -1, -2)), lq)
+            if _needs_grad(k):
+                gk_t = _product(np.swapaxes(heads(q_d, lq), -1, -2), ds)
+                gk = merge(np.ascontiguousarray(np.swapaxes(gk_t, 2, 3)), lkv)
+        return gq, gk, gv
+
+    return _register(out, (q, k, v), bwd)
+
+
 # ---------------------------------------------------------------------------
 # neural-net primitives
 
@@ -349,9 +460,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     if eps < 0:
         raise ContractError(f"layer_norm eps must be >= 0, got {eps}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / d is np.mean's own arithmetic, without its Python overhead
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xh = xc * inv
     g_d, b_d = _data(gamma), _data(beta)
@@ -366,8 +478,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             dxh = g * g_d
             dx = inv * (
                 dxh
-                - dxh.mean(axis=-1, keepdims=True)
-                - xh * (dxh * xh).mean(axis=-1, keepdims=True)
+                - dxh.sum(axis=-1, keepdims=True) / d
+                - xh * ((dxh * xh).sum(axis=-1, keepdims=True) / d)
             )
         return dx, d_gamma, d_beta
 

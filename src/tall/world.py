@@ -67,6 +67,11 @@ class ToyGrammar:
     def __post_init__(self):
         if not 2 <= self.min_len <= self.max_len:
             raise ValueError(f"bad length bounds [{self.min_len}, {self.max_len}]")
+        if not 1 <= self.branching <= len(self._WEIGHTS):
+            raise ValueError(f"branching must lie in [1, {len(self._WEIGHTS)}], "
+                             f"got {self.branching}")
+        if self.n_classes < 1:
+            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
         v, s = self.hr_vocab_size, self.hr_vocab_size + 1
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0x6772]))
         weights = self._WEIGHTS[: self.branching]

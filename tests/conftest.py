@@ -1,4 +1,5 @@
-"""Shared oracles: the einsum reference kernel and the finite-difference
+"""Shared oracles: the einsum reference kernel, the primitive
+compositions the fused tape nodes replace, and the finite-difference
 gradient check.
 
 ``tensor.matmul`` computes every product with one private kernel,
@@ -20,6 +21,29 @@ from tall import tensor
 def reference_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``[..., m, k] @ [..., k, n]``, accumulated over k in order."""
     return np.einsum("...ik,...kj->...ij", a, b)
+
+
+def composed_linear(x, w, b):
+    """``tensor.linear`` as the primitives it fuses: matmul, then add."""
+    return tensor.add(tensor.matmul(x, w), b)
+
+
+def composed_attention(q, k, v, bias, n_heads: int):
+    """``tensor.attention`` as the primitives it fuses: head split,
+    scaled scores, bias, softmax, context and head merge, one node each."""
+    b, lq, d = q.shape
+    lkv = k.shape[1]
+    hd = d // n_heads
+
+    def split(x, length):
+        return tensor.swapaxes(tensor.reshape(x, (b, length, n_heads, hd)), 1, 2)
+
+    scores = tensor.scale(
+        tensor.matmul(split(q, lq), tensor.swapaxes(split(k, lkv), 2, 3)),
+        hd ** -0.5)
+    weights = tensor.softmax(tensor.add(scores, bias), axis=-1)
+    ctx = tensor.matmul(weights, split(v, lkv))
+    return tensor.reshape(tensor.swapaxes(ctx, 1, 2), (b, lq, d))
 
 
 def finite_diff_grad(f, params: list, eps: float = 1e-5) -> list[np.ndarray]:

@@ -62,6 +62,9 @@ def test_float_field_takes_the_string_yaml_reads_for_an_exponent():
 @pytest.mark.parametrize("override, section", [
     ("models.tall.adapter1_hidden=0", "models"),
     ("world.cipher=rot13", "world"),
+    ("world.min_len=20", "world"),
+    ("world.branching=0", "world"),
+    ("world.n_classes=0", "world"),
     ("train.tall.epochs=0", "train.tall"),
     ("train.soft_prompt.eval_fraction=1.5", "train.soft_prompt"),
     ("sampler.top_p=0", "sampler"),
@@ -91,3 +94,15 @@ def test_position_tables_must_hold_their_longest_sequence(overrides, message):
 def test_position_tables_exactly_at_their_limits_load():
     load_config(None, ["models.llm.max_len=42", "train.soft_prompt.n_prompt=30",
                        "models.translator.max_len=13"])
+
+
+@pytest.mark.parametrize("override", [
+    "models.tall.bridge1.d_ff=-3", "models.tall.bridge2.n_layers=0",
+    "models.llm.d_ff=0", "models.llm.n_layers=-1",
+    "models.translator.d_ff=0", "models.translator.enc_layers=0",
+    "models.translator.dec_layers=0"])
+def test_feed_forward_widths_and_layer_counts_must_be_positive(override):
+    key, value = override.split("=")
+    with pytest.raises(ConfigError,
+                       match=rf"^{re.escape(key)}: must be positive, got {value}$"):
+        load_config(None, [override])

@@ -6,9 +6,10 @@ Five rules for every module under ``src/tall``:
   line carries ``# noqa: F401`` (an import kept on purpose);
 - no function imports from the package itself: a relative import inside
   a function hides a dependency, or an import cycle, from the reader;
-- every matrix product goes through ``tensor.matmul``: ``np.einsum``,
-  ``np.matmul``, ``np.dot`` and the ``@`` operator appear only in
-  ``tensor.py``, which calls ``np.matmul`` once, in its private kernel;
+- every matrix product goes through tensor's one product kernel:
+  ``np.einsum``, ``np.matmul``, ``np.dot`` and the ``@`` operator appear
+  only in ``tensor.py``, which calls ``np.matmul`` once, in its private
+  kernel ``_product``;
 - only ``evaluation.py`` samples: ``sample_token`` and ``example_rng``
   are called nowhere else, so every approach draws its answer the same
   way;

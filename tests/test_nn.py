@@ -117,11 +117,12 @@ class TestAttention:
         d = 3
         store, cfg = identity_attention(d)
         rng = np.random.default_rng(1)
-        q = Tensor(rng.standard_normal((4, d)))
-        kv = Tensor(rng.standard_normal((1, d)))
+        q = Tensor(rng.standard_normal((1, 4, d)))
+        kv = Tensor(rng.standard_normal((1, 1, d)))
         out = multi_head_attention(q, kv, np.ones((4, 1), dtype=bool), cfg,
                                    store, "attn")
-        np.testing.assert_allclose(out.data, np.broadcast_to(kv.data, (4, d)),
+        np.testing.assert_allclose(out.data,
+                                   np.broadcast_to(kv.data, (1, 4, d)),
                                    atol=1e-12)
 
     def test_causal_perturbation(self):
@@ -130,15 +131,15 @@ class TestAttention:
         cfg = AttentionConfig(d_model=d, n_heads=2)
         rng = np.random.default_rng(2)
         init_attention(store, "attn", cfg, rng)
-        x = rng.standard_normal((n, d))
+        x = rng.standard_normal((1, n, d))
         mask = causal_mask(n)
         base = multi_head_attention(Tensor(x), Tensor(x), mask, cfg, store,
-                                    "attn").data
+                                    "attn").data[0]
         j = 3
         x2 = x.copy()
-        x2[j] += 10.0
+        x2[0, j] += 10.0
         pert = multi_head_attention(Tensor(x2), Tensor(x2), mask, cfg, store,
-                                    "attn").data
+                                    "attn").data[0]
         np.testing.assert_array_equal(base[:j], pert[:j])
         assert np.any(base[j:] != pert[j:])
 
@@ -148,12 +149,12 @@ class TestAttention:
         store["attn.q.weight"].data[:] = 0.0
         store["attn.k.weight"].data[:] = 0.0
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((n, d))
+        x = rng.standard_normal((1, n, d))
         mask = causal_mask(n)
         out = multi_head_attention(Tensor(x), Tensor(x), mask, cfg, store,
                                    "attn").data
         for i in range(n):
-            np.testing.assert_allclose(out[i], x[: i + 1].mean(axis=0),
+            np.testing.assert_allclose(out[0, i], x[0, : i + 1].mean(axis=0),
                                        atol=1e-12)
 
     def test_fully_masked_row_rejected(self):
@@ -161,8 +162,16 @@ class TestAttention:
         store, cfg = identity_attention(d)
         mask = np.array([[True, True], [False, False]])
         with pytest.raises(ContractError):
-            multi_head_attention(Tensor(np.zeros((2, d))),
-                                 Tensor(np.zeros((2, d))), mask, cfg, store,
+            multi_head_attention(Tensor(np.zeros((1, 2, d))),
+                                 Tensor(np.zeros((1, 2, d))), mask, cfg, store,
+                                 "attn")
+
+    def test_unbatched_input_rejected(self):
+        store, cfg = identity_attention(2)
+        with pytest.raises(ShapeError, match=r"\[B, L, d\]"):
+            multi_head_attention(Tensor(np.zeros((2, 2))),
+                                 Tensor(np.zeros((2, 2))),
+                                 np.ones((2, 2), dtype=bool), cfg, store,
                                  "attn")
 
 
@@ -190,8 +199,8 @@ class TestTransformerLayer:
         zero_params(store, "layer.self_attn.out")
         zero_params(store, "layer.cross_attn.out")
         zero_params(store, "layer.ffn.down")
-        x = rng.standard_normal((3, 8))
-        kv = Tensor(rng.standard_normal((4, 8)))
+        x = rng.standard_normal((1, 3, 8))
+        kv = Tensor(rng.standard_normal((1, 4, 8)))
         out = transformer_layer_forward(
             Tensor(x), kv, cfg, store, "layer",
             self_mask=causal_mask(3), cross_mask=np.ones((3, 4), dtype=bool))
@@ -203,11 +212,11 @@ class TestTransformerLayer:
         rng = np.random.default_rng(7)
         init_transformer_layer(store, "layer", cfg, rng)
         for length in (1, 4, 9):
-            x = Tensor(rng.standard_normal((length, 6)))
+            x = Tensor(rng.standard_normal((1, length, 6)))
             out = transformer_layer_forward(
                 x, None, cfg, store, "layer",
                 self_mask=np.ones((length, length), dtype=bool))
-            assert out.shape == (length, 6)
+            assert out.shape == (1, length, 6)
 
     def test_two_layer_stack_gradcheck(self):
         cfg = LayerConfig(d_model=6, n_heads=2, d_ff=8, causal=True)
@@ -215,8 +224,8 @@ class TestTransformerLayer:
         rng = np.random.default_rng(8)
         init_transformer_layer(store, "l0", cfg, rng, cross_kv_dim=4)
         init_transformer_layer(store, "l1", cfg, rng)
-        x = rng.standard_normal((3, 6))
-        kv = rng.standard_normal((2, 4))
+        x = rng.standard_normal((1, 3, 6))
+        kv = rng.standard_normal((1, 2, 4))
         self_mask = causal_mask(3)
         cross_mask = np.ones((3, 2), dtype=bool)
 

@@ -26,7 +26,12 @@ from tall.tensor import (
     swapaxes,
 )
 
-from conftest import finite_diff_grad, max_relative_error
+from conftest import (
+    composed_attention,
+    composed_linear,
+    finite_diff_grad,
+    max_relative_error,
+)
 
 
 def naive_matmul(a, b):
@@ -138,6 +143,158 @@ class TestShippedKernel:
             a_o, b_o, g_o = (at_offset(x, offset) for x in (a, b, g))
             runs.append([x.tobytes() for x in _product_and_grads(a_o, b_o, g_o)])
         assert all(run == runs[0] for run in runs[1:])
+
+
+def _attention_operands(seed, b=2, lq=3, lkv=5, d=8, causal=False):
+    """Projected q, k, v, an upstream gradient and a logits bias whose
+    every query row keeps at least one key."""
+    rng = np.random.default_rng(seed)
+    q, g = rng.standard_normal((2, b, lq, d))
+    k, v = rng.standard_normal((2, b, lkv, d))
+    if causal:
+        mask = np.tril(np.ones((lq, lkv), dtype=bool))[None, None]
+    else:
+        mask = rng.random((b, 1, lq, lkv)) < 0.7
+        mask[..., 0] = True
+    return [q, k, v], g, np.where(mask, 0.0, -1e9)
+
+
+def _linear_operands(seed, x_shape):
+    rng = np.random.default_rng(seed)
+    k, n = x_shape[-1], 3
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal((k, n))
+    b = rng.standard_normal(n)
+    return [x, w, b], rng.standard_normal(x_shape[:-1] + (n,))
+
+
+def _output_and_grads(op, arrays, g, trainable=None):
+    """``op``'s output and each operand's gradient for upstream ``g``."""
+    trainable = trainable or [True] * len(arrays)
+    leaves = [Tensor(a.copy(), requires_grad=t) for a, t in zip(arrays, trainable)]
+    with Tape() as tape:
+        out = op(*leaves)
+        loss = sum_all(mul(out, Tensor(g)))
+    tape.backward(loss)
+    return [out.data] + [t.grad for t in leaves]
+
+
+LINEAR_SHAPES = {"rows": (5, 4), "batched": (2, 3, 4)}
+ATTENTION_CASES = {"cross_padded": {}, "causal_self": {"lkv": 3, "causal": True}}
+
+
+class TestFusedOps:
+    """``linear`` and ``attention`` against the primitive compositions."""
+
+    @pytest.mark.parametrize("kernel", ["blas", "reference"])
+    @pytest.mark.parametrize("x_shape", LINEAR_SHAPES.values(),
+                             ids=LINEAR_SHAPES.keys())
+    def test_linear_matches_composition(self, x_shape, kernel, monkeypatch,
+                                        einsum_reference):
+        if kernel == "reference":
+            monkeypatch.setattr(T, "_product", einsum_reference)
+        arrays, g = _linear_operands(21, x_shape)
+        fused = _output_and_grads(T.linear, arrays, g)
+        composed = _output_and_grads(composed_linear, arrays, g)
+        for got, want in zip(fused, composed):
+            assert got.shape == want.shape
+            if kernel == "reference":
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kernel", ["blas", "reference"])
+    @pytest.mark.parametrize("case", ATTENTION_CASES.values(),
+                             ids=ATTENTION_CASES.keys())
+    def test_attention_matches_composition(self, case, kernel, monkeypatch,
+                                           einsum_reference):
+        if kernel == "reference":
+            monkeypatch.setattr(T, "_product", einsum_reference)
+        arrays, g, bias = _attention_operands(22, **case)
+
+        def fused(q, k, v):
+            return T.attention(q, k, v, bias, 2)
+
+        def composed(q, k, v):
+            return composed_attention(q, k, v, bias, 2)
+
+        for got, want in zip(_output_and_grads(fused, arrays, g),
+                             _output_and_grads(composed, arrays, g)):
+            assert got.shape == want.shape
+            if kernel == "reference":
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_linear_against_finite_differences(self):
+        arrays, g = _linear_operands(23, (2, 3, 4))
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+
+        def loss():
+            return sum_all(mul(T.linear(*leaves), Tensor(g)))
+
+        with Tape() as tape:
+            value = loss()
+        tape.backward(value)
+        fd = finite_diff_grad(lambda: loss().item(), leaves)
+        for leaf, want in zip(leaves, fd):
+            assert max_relative_error(leaf.grad, want) < 1e-6
+
+    @pytest.mark.parametrize("case", ATTENTION_CASES.values(),
+                             ids=ATTENTION_CASES.keys())
+    def test_attention_against_finite_differences(self, case):
+        arrays, g, bias = _attention_operands(24, **case)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+
+        def loss():
+            return sum_all(mul(T.attention(*leaves, bias, 2), Tensor(g)))
+
+        with Tape() as tape:
+            value = loss()
+        tape.backward(value)
+        fd = finite_diff_grad(lambda: loss().item(), leaves)
+        for leaf, want in zip(leaves, fd):
+            assert max_relative_error(leaf.grad, want) < 1e-6
+
+    def test_frozen_weight_and_bias_get_no_gradient(self):
+        arrays, g = _linear_operands(25, (2, 3, 4))
+        x, w, b = (Tensor(a, requires_grad=t)
+                   for a, t in zip(arrays, (True, False, False)))
+        with Tape() as tape:
+            out = T.linear(x, w, b)
+        [(node_out, inputs, backward_fn)] = tape._nodes
+        assert node_out is out and inputs == (x, w, b)
+        gx, gw, gb = backward_fn(g)
+        assert gw is None and gb is None
+        np.testing.assert_array_equal(
+            gx, _output_and_grads(composed_linear, arrays, g,
+                                  [True, False, False])[1])
+
+    def test_frozen_keys_and_values_get_no_gradient(self):
+        arrays, g, bias = _attention_operands(26)
+        q, k, v = (Tensor(a, requires_grad=t)
+                   for a, t in zip(arrays, (True, False, False)))
+        with Tape() as tape:
+            out = T.attention(q, k, v, bias, 2)
+        [(node_out, inputs, backward_fn)] = tape._nodes
+        assert node_out is out and inputs == (q, k, v)
+        gq, gk, gv = backward_fn(g)
+        assert gk is None and gv is None
+        assert gq.shape == q.shape
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))),
+                     Tensor(np.zeros(5)))
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))),
+                     Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError):
+            T.attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))),
+                        Tensor(np.zeros((3, 4))), np.zeros((1, 1, 3, 3)), 2)
+        with pytest.raises(ShapeError):
+            T.attention(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((1, 3, 4))),
+                        Tensor(np.zeros((1, 3, 4))), np.zeros((1, 1, 3, 3)), 3)
 
 
 class TestSoftmax:
@@ -321,6 +478,40 @@ class TestBackward:
             loss2 = sum_all(mul(x, x))
         tape2.backward(loss2)
         np.testing.assert_array_equal(x.grad, 2 * first)
+
+    def test_only_leaves_keep_grad(self):
+        rng = np.random.default_rng(27)
+        x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        with Tape() as tape:
+            h = T.linear(x, w, b)
+            y = gelu(h)
+            loss = mean_all(mul(y, y))
+        tape.backward(loss)
+        assert all(t.grad is not None for t in (x, w, b))
+        assert all(out.grad is None for out, _, _ in tape._nodes)
+        assert h.grad is None and y.grad is None and loss.grad is None
+
+    def test_leaf_accumulates_across_two_tapes_of_fused_nodes(self):
+        rng = np.random.default_rng(28)
+        arrays, g, bias = _attention_operands(29)
+        w = Tensor(rng.standard_normal((8, 8)), requires_grad=True)
+        b = Tensor(np.zeros(8), requires_grad=True)
+
+        def loss():
+            q = T.linear(Tensor(arrays[0]), w, b)
+            return sum_all(mul(T.attention(q, *arrays[1:], bias, 2), Tensor(g)))
+
+        with Tape() as tape:
+            first_loss = loss()
+        tape.backward(first_loss)
+        first = w.grad.copy(), b.grad.copy()
+        with Tape() as tape2:
+            second_loss = loss()
+        tape2.backward(second_loss)
+        np.testing.assert_array_equal(w.grad, 2 * first[0])
+        np.testing.assert_array_equal(b.grad, 2 * first[1])
 
     def test_reused_tensor_accumulates(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
