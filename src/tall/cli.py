@@ -1,9 +1,10 @@
 """Operator command line: pretraining, pipeline training, eval, reports.
 
 Exit codes: 0 success, 2 configuration problem, 3 checkpoint problem
-(including a checkpoint/config mismatch between pipeline stages),
-4 numerical failure during training, 5 any other shape the models cannot
-take (such as a sequence longer than a position table).
+(unreadable, built for another config, or not holding exactly the
+entries the model expects), 4 numerical failure during training, 5 a
+shape the models cannot take (such as a sequence longer than a position
+table).
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from pathlib import Path
 
 from . import runner
 from .checkpoint import CheckpointError, save_checkpoint
-from .config import ConfigError, config_hash, load_config, tall_config
+from .config import ConfigError, config_hash, load_config
 from .params_report import check_report, format_report, param_report
-from .pipeline import StageDimensionError, evaluate_tall, train_tall
+from .pipeline import evaluate_tall, train_tall
 from .pretrain import split_train_eval
 from .tensor import NumericalError, ShapeError
 
@@ -214,8 +215,8 @@ def cmd_param_report(args) -> int:
     if preset not in ("bloomz", "qwen", "toy"):
         raise ConfigError(f"unknown preset {preset!r}")
     if preset == "toy":
-        cfg, _ = _load(args)
-        report = param_report("toy", tall_config(cfg))
+        cfg, seed = _load(args)
+        report = param_report("toy", runner.untrained_tall(cfg, seed).store)
     else:
         report = param_report(preset)
     print(format_report(report))
@@ -247,9 +248,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (CheckpointError, OSError) as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
-    except StageDimensionError as exc:
-        print(f"checkpoint/config mismatch: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
     except ShapeError as exc:
         print(f"shape error: {exc}", file=sys.stderr)

@@ -22,8 +22,7 @@ import yaml
 
 from .evaluation import SamplerConfig
 from .models import CausalLMConfig, Seq2SeqConfig
-from .nn import AdapterSpec
-from .pipeline import BridgeConfig, TallConfig
+from .pipeline import TallConfig
 from .pretrain import TrainConfig
 from .world import ToyGrammar, World
 
@@ -69,18 +68,10 @@ class LlmSection:
 
 
 @dataclass
-class TallSection:
-    adapter1_hidden: int = 192
-    adapter2_hidden: int = 128
-    bridge1: BridgeConfig = field(default_factory=BridgeConfig)
-    bridge2: BridgeConfig = field(default_factory=BridgeConfig)
-
-
-@dataclass
 class ModelsSection:
     translator: TranslatorSection = field(default_factory=TranslatorSection)
     llm: LlmSection = field(default_factory=LlmSection)
-    tall: TallSection = field(default_factory=TallSection)
+    tall: TallConfig = field(default_factory=TallConfig)
 
 
 @dataclass
@@ -209,6 +200,10 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
                 raise ConfigError(f"override path {key!r} crosses a scalar")
         node[parts[-1]] = value
     cfg = _from_dict(RunConfig, data, "")
+    alpha = cfg.world.eval_shift_alpha
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(
+            f"world.eval_shift_alpha: must be in [0, 1], got {alpha}")
     _check_heads(cfg)
     _check_sizes(cfg)
     _check_lengths(cfg)
@@ -232,15 +227,18 @@ def _check_heads(cfg: RunConfig) -> None:
 
 
 def _check_sizes(cfg: RunConfig) -> None:
-    """Every feed-forward width and layer count of a stack is positive."""
+    """Every feed-forward width, adapter hidden width and layer count is
+    positive."""
     m = cfg.models
     for key, section in (("models.translator", m.translator),
                          ("models.llm", m.llm),
+                         ("models.tall", m.tall),
                          ("models.tall.bridge1", m.tall.bridge1),
                          ("models.tall.bridge2", m.tall.bridge2)):
         for f in dataclasses.fields(section):
             value = getattr(section, f.name)
-            if (f.name == "d_ff" or f.name.endswith("layers")) and value < 1:
+            if ((f.name == "d_ff" or f.name.endswith(("layers", "hidden")))
+                    and value < 1):
                 raise ConfigError(f"{key}.{f.name}: must be positive, got {value}")
 
 
@@ -267,7 +265,6 @@ def _check_builders(cfg: RunConfig) -> None:
     """Build every derived config once, so a bad value fails at load time."""
     builds = [("world", partial(build_world, cfg)),
               ("world", partial(build_grammar, cfg)),
-              ("models", partial(tall_config, cfg)),
               ("sampler", partial(cfg.sampler.to_sampler, 0))]
     builds += [(f"train.{f.name}",
                 partial(getattr(cfg.train, f.name).to_train_config, 0))
@@ -342,15 +339,7 @@ def llm_config(cfg: RunConfig) -> CausalLMConfig:
 
 
 def tall_config(cfg: RunConfig) -> TallConfig:
-    t = cfg.models.tall
-    enc = translator_config(cfg, "lr2hr")
-    dec = translator_config(cfg, "hr2lr")
-    lm = llm_config(cfg)
-    return TallConfig(
-        encoder_cfg=enc, llm_cfg=lm, decoder_cfg=dec,
-        adapter1=AdapterSpec(enc.d_model, t.adapter1_hidden, lm.d_model),
-        adapter2=AdapterSpec(lm.d_model, t.adapter2_hidden, dec.d_model),
-        bridge1=t.bridge1, bridge2=t.bridge2)
+    return cfg.models.tall
 
 
 def benchmark_config(seed: int = 0) -> RunConfig:

@@ -8,8 +8,9 @@ not derivable from the published shapes alone).  The tied LM head is
 listed but excluded from the grand total, which is how the published
 totals add up.
 
-The "toy" preset is computed from this package's own module shapes and
-is cross-checked against live parameter-store enumeration in the tests.
+The "toy" preset counts the entries of an assembled pipeline's parameter
+store by name prefix, so it follows whatever shapes the backbones and
+the trainable parts were built with.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .models import CausalLMConfig, Seq2SeqConfig
-from .nn import AdapterSpec, adapter_param_count
+from .nn import AdapterSpec, ParamStore, adapter_param_count
 
 
 @dataclass(frozen=True)
@@ -109,85 +109,33 @@ def _qwen_rows() -> list[ModuleRow]:
     ]
 
 
-# -- closed-form counts for the toy module shapes ---------------------------
+def toy_rows(store: ParamStore) -> list[ModuleRow]:
+    """Module rows of an assembled toy pipeline, counted from its store."""
 
+    def row(name: str, prefix: str, note: str, exclude: str = "",
+            tied: bool = False) -> ModuleRow:
+        entries = [(n, t) for n, t in store.items()
+                   if n.startswith(prefix) and n != exclude]
+        return ModuleRow(name, sum(t.size for _, t in entries),
+                         sum(t.size for n, t in entries
+                             if not store.is_frozen(n)), note, tied)
 
-def _linear_count(d_in: int, d_out: int) -> int:
-    return d_in * d_out + d_out
+    def mlp(part: str) -> str:
+        d_in, d_hidden = store[f"{part}.linear1.weight"].shape
+        d_out = store[f"{part}.linear2.weight"].shape[1]
+        return f"Two-layer MLP ({d_in} -> {d_hidden}, {d_hidden} -> {d_out})"
 
-
-def _attention_count(d: int, d_kv: int) -> int:
-    return (_linear_count(d, d) + _linear_count(d_kv, d)
-            + _linear_count(d_kv, d) + _linear_count(d, d))
-
-
-def _layer_count(d: int, d_ff: int, cross_kv: int | None = None) -> int:
-    n = 2 * d + _attention_count(d, d)                  # ln_self + self_attn
-    if cross_kv is not None:
-        n += 2 * d + _attention_count(d, cross_kv)      # ln_cross + cross_attn
-    n += 2 * d + _linear_count(d, d_ff) + _linear_count(d_ff, d)
-    return n
-
-
-def _encoder_count(cfg: Seq2SeqConfig) -> int:
-    return (cfg.vocab_src * cfg.d_model + cfg.max_len * cfg.d_model
-            + cfg.enc_layers * _layer_count(cfg.d_model, cfg.d_ff)
-            + 2 * cfg.d_model)
-
-
-def _decoder_count(cfg: Seq2SeqConfig) -> int:
-    """Decoder stack including the (tied) target embedding table."""
-    return (cfg.vocab_tgt * cfg.d_model + cfg.max_len * cfg.d_model
-            + cfg.dec_layers * _layer_count(cfg.d_model, cfg.d_ff,
-                                            cross_kv=cfg.d_model)
-            + 2 * cfg.d_model)
-
-
-def _llm_embed_count(cfg: CausalLMConfig) -> int:
-    return cfg.vocab_size * cfg.d_model
-
-
-def _llm_main_count(cfg: CausalLMConfig) -> int:
-    return (cfg.max_len * cfg.d_model
-            + cfg.n_layers * _layer_count(cfg.d_model, cfg.d_ff)
-            + 2 * cfg.d_model)
-
-
-def _bridge_count(d: int, n_layers: int, d_ff: int, max_len: int,
-                  cross: bool) -> int:
-    return (max_len * d
-            + n_layers * _layer_count(d, d_ff, cross_kv=d if cross else None)
-            + 2 * d)
-
-
-def toy_rows(tall_cfg) -> list[ModuleRow]:
-    """Module rows for an assembled toy pipeline, from shape arithmetic."""
-    enc, lm, dec = tall_cfg.encoder_cfg, tall_cfg.llm_cfg, tall_cfg.decoder_cfg
-    a1 = adapter_param_count(tall_cfg.adapter1)
-    a2 = adapter_param_count(tall_cfg.adapter2)
-    b1 = _bridge_count(lm.d_model, tall_cfg.bridge1.n_layers,
-                       tall_cfg.bridge1.d_ff, lm.max_len, cross=True)
-    b2 = _bridge_count(dec.d_model, tall_cfg.bridge2.n_layers,
-                       tall_cfg.bridge2.d_ff, lm.max_len, cross=False)
     return [
-        ModuleRow("LR-HR Encoder", _encoder_count(enc), 0, "Frozen encoder"),
-        ModuleRow("LM Embeddings", _llm_embed_count(lm), 0,
-                  "Frozen embedding layer"),
-        ModuleRow("Adapter 1", a1, a1,
-                  f"Two-layer MLP ({tall_cfg.adapter1.d_in} -> "
-                  f"{tall_cfg.adapter1.d_hidden}, {tall_cfg.adapter1.d_hidden} "
-                  f"-> {tall_cfg.adapter1.d_out})"),
-        ModuleRow("Bridge Decoder 1", b1, b1, "Trainable decoder module"),
-        ModuleRow("Main LM", _llm_main_count(lm), 0, "Frozen main LM"),
-        ModuleRow("Adapter 2", a2, a2,
-                  f"Two-layer MLP ({tall_cfg.adapter2.d_in} -> "
-                  f"{tall_cfg.adapter2.d_hidden}, {tall_cfg.adapter2.d_hidden} "
-                  f"-> {tall_cfg.adapter2.d_out})"),
-        ModuleRow("Bridge Encoder 2", b2, b2, "Trainable encoder module"),
-        ModuleRow("HR-LR Decoder", _decoder_count(dec), 0,
-                  "Frozen decoder module"),
-        ModuleRow("LM Head", dec.vocab_tgt * dec.d_model, 0,
-                  "Final linear mapping (tied)", tied=True),
+        row("LR-HR Encoder", "encoder.", "Frozen encoder"),
+        row("LM Embeddings", "llm.tok_embed", "Frozen embedding layer"),
+        row("Adapter 1", "adapter1.", mlp("adapter1")),
+        row("Bridge Decoder 1", "bridge1.", "Trainable decoder module"),
+        row("Main LM", "llm.", "Frozen main LM", exclude="llm.tok_embed"),
+        row("Adapter 2", "adapter2.", mlp("adapter2")),
+        row("Bridge Encoder 2", "bridge2.", "Trainable encoder module"),
+        row("HR-LR Decoder", "decoder.", "Frozen decoder module"),
+        row("LM Head", "decoder.tgt_embed", "Final linear mapping (tied)",
+            tied=True),
     ]
 
 
@@ -198,15 +146,15 @@ _LLM_ONLY_ROWS = {
 }
 
 
-def param_report(preset: str, tall_cfg=None) -> ParamReport:
+def param_report(preset: str, store: ParamStore | None = None) -> ParamReport:
     if preset == "bloomz":
         rows = _bloomz_rows()
     elif preset == "qwen":
         rows = _qwen_rows()
     elif preset == "toy":
-        if tall_cfg is None:
-            raise ValueError("toy preset needs the pipeline config")
-        rows = toy_rows(tall_cfg)
+        if store is None:
+            raise ValueError("toy preset needs an assembled pipeline's store")
+        rows = toy_rows(store)
     else:
         raise ValueError(f"unknown preset {preset!r}")
     return _finish(preset, rows, _LLM_ONLY_ROWS[preset])

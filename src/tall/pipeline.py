@@ -1,6 +1,6 @@
 """The seven-stage pipeline: frozen backbones stitched by trainable parts.
 
-Stages (numbers used in dimension-mismatch errors):
+Stages:
 
 1. frozen source-language encoder over the LR prefix
 2. trainable alignment adapter, encoder width -> LM width
@@ -14,9 +14,13 @@ Stages (numbers used in dimension-mismatch errors):
    with cross-attention to stage 6, then the frozen tied head
 
 Only {adapter1, bridge1, adapter2, bridge2} ever receive gradients;
-training uses the final-token loss exclusively.  At inference the
-pipeline returns the final-position logits (``TallModel.final_logits``)
-and does no sampling; :mod:`tall.evaluation` draws the answer.
+training uses the final-token loss exclusively.  Bridge 1 runs at the LM
+width and bridge 2 at the decoder width; the backbones fix every width
+the trainable parts connect to, so :class:`TallConfig` holds only the
+free choices and a stage width mismatch cannot be configured.  At
+inference the pipeline returns the final-position logits
+(``TallModel.final_logits``) and does no sampling; :mod:`tall.evaluation`
+draws the answer.
 """
 
 from __future__ import annotations
@@ -51,14 +55,6 @@ TRAINABLE_PARTS = ("adapter1", "bridge1", "adapter2", "bridge2")
 FROZEN_PARTS = ("encoder", "llm", "decoder")
 
 
-class StageDimensionError(T.ShapeError):
-    """Dimension mismatch between pipeline stages, named by stage number."""
-
-    def __init__(self, stage: int, detail: str):
-        super().__init__(f"stage {stage}: {detail}")
-        self.stage = stage
-
-
 @dataclass(frozen=True)
 class BridgeConfig:
     n_layers: int = 2
@@ -68,42 +64,13 @@ class BridgeConfig:
 
 @dataclass
 class TallConfig:
-    encoder_cfg: Seq2SeqConfig
-    llm_cfg: CausalLMConfig
-    decoder_cfg: Seq2SeqConfig
-    adapter1: AdapterSpec = None
-    adapter2: AdapterSpec = None
+    """The trainable parts' free choices; the widths they connect come
+    from the backbones at assembly."""
+
+    adapter1_hidden: int = 192
+    adapter2_hidden: int = 128
     bridge1: BridgeConfig = field(default_factory=BridgeConfig)
     bridge2: BridgeConfig = field(default_factory=BridgeConfig)
-
-    def __post_init__(self):
-        d_enc = self.encoder_cfg.d_model
-        d_lm = self.llm_cfg.d_model
-        d_dec = self.decoder_cfg.d_model
-        if self.adapter1 is None:
-            self.adapter1 = AdapterSpec(d_enc, 2 * d_lm, d_lm)
-        if self.adapter2 is None:
-            self.adapter2 = AdapterSpec(d_lm, 2 * d_dec, d_dec)
-        if self.adapter1.d_in != d_enc:
-            raise StageDimensionError(
-                2, f"adapter1.d_in {self.adapter1.d_in} != encoder width {d_enc}")
-        if self.adapter1.d_out != d_lm:
-            raise StageDimensionError(
-                3, f"adapter1.d_out {self.adapter1.d_out} != LM width {d_lm}")
-        if self.adapter2.d_in != d_lm:
-            raise StageDimensionError(
-                5, f"adapter2.d_in {self.adapter2.d_in} != LM width {d_lm}")
-        if self.adapter2.d_out != d_dec:
-            raise StageDimensionError(
-                6, f"adapter2.d_out {self.adapter2.d_out} != decoder width {d_dec}")
-
-    def bridge1_layer(self) -> LayerConfig:
-        return LayerConfig(self.llm_cfg.d_model, self.bridge1.n_heads,
-                           self.bridge1.d_ff, causal=True)
-
-    def bridge2_layer(self) -> LayerConfig:
-        return LayerConfig(self.decoder_cfg.d_model, self.bridge2.n_heads,
-                           self.bridge2.d_ff, causal=False)
 
 
 @dataclass
@@ -123,41 +90,41 @@ class TallModel:
     """Assembled pipeline: one store, frozen backbones, trainable parts."""
 
     def __init__(self, cfg: TallConfig, store: ParamStore, world: World,
-                 lr2hr: Translator):
+                 lr2hr: Translator, llm_cfg: CausalLMConfig,
+                 decoder_cfg: Seq2SeqConfig):
         self.cfg = cfg
         self.store = store
         self.world = world
         self.lr2hr = lr2hr
+        self.encoder_cfg = lr2hr.cfg
+        self.llm_cfg = llm_cfg
+        self.decoder_cfg = decoder_cfg
+        d_enc, d_lm, d_dec = lr2hr.cfg.d_model, llm_cfg.d_model, decoder_cfg.d_model
+        self.adapter1 = AdapterSpec(d_enc, cfg.adapter1_hidden, d_lm)
+        self.adapter2 = AdapterSpec(d_lm, cfg.adapter2_hidden, d_dec)
+        self.bridge1_layer = LayerConfig(d_lm, cfg.bridge1.n_heads,
+                                         cfg.bridge1.d_ff, causal=True)
+        self.bridge2_layer = LayerConfig(d_dec, cfg.bridge2.n_heads,
+                                         cfg.bridge2.d_ff, causal=False)
 
     @classmethod
     def assemble(cls, cfg: TallConfig, world: World, lr2hr: Translator,
                  hr2lr: Translator, llm: CausalLM, seed: int) -> "TallModel":
-        if lr2hr.cfg.d_model != cfg.encoder_cfg.d_model:
-            raise StageDimensionError(
-                1, f"loaded encoder width {lr2hr.cfg.d_model} != config "
-                   f"{cfg.encoder_cfg.d_model}")
-        if llm.cfg.d_model != cfg.llm_cfg.d_model:
-            raise StageDimensionError(
-                4, f"loaded LM width {llm.cfg.d_model} != config "
-                   f"{cfg.llm_cfg.d_model}")
-        if hr2lr.cfg.d_model != cfg.decoder_cfg.d_model:
-            raise StageDimensionError(
-                7, f"loaded decoder width {hr2lr.cfg.d_model} != config "
-                   f"{cfg.decoder_cfg.d_model}")
-        store = ParamStore()
+        model = cls(cfg, ParamStore(), world, lr2hr, llm.cfg, hr2lr.cfg)
+        store = model.store
         store.adopt("encoder", lr2hr.store.subset("encoder"))
         store.adopt("llm", llm.store)
         store.adopt("decoder", hr2lr.store.subset("decoder"))
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A11]))
-        nn.init_adapter(store, "adapter1", cfg.adapter1, rng)
-        init_stack(store, "bridge1", cfg.llm_cfg.max_len, cfg.bridge1.n_layers,
-                   cfg.bridge1_layer(), rng, cross_kv_dim=cfg.llm_cfg.d_model)
-        nn.init_adapter(store, "adapter2", cfg.adapter2, rng)
-        init_stack(store, "bridge2", cfg.llm_cfg.max_len, cfg.bridge2.n_layers,
-                   cfg.bridge2_layer(), rng)
+        nn.init_adapter(store, "adapter1", model.adapter1, rng)
+        init_stack(store, "bridge1", llm.cfg.max_len, cfg.bridge1.n_layers,
+                   model.bridge1_layer, rng, cross_kv_dim=llm.cfg.d_model)
+        nn.init_adapter(store, "adapter2", model.adapter2, rng)
+        init_stack(store, "bridge2", llm.cfg.max_len, cfg.bridge2.n_layers,
+                   model.bridge2_layer, rng)
         for part in FROZEN_PARTS:
             store.freeze(part)
-        return cls(cfg, store, world, lr2hr)
+        return model
 
     def check_frozen(self) -> None:
         bad = [n for n, t in self.store.items()
@@ -174,53 +141,32 @@ class TallModel:
 
     def encode_lr(self, enc_ids: np.ndarray, enc_lengths: np.ndarray) -> Tensor:
         """Stage 1: frozen encoder over the LR prefix."""
-        h = encoder_forward(self.store, "encoder", self.cfg.encoder_cfg,
-                            enc_ids, enc_lengths)
-        if h.shape[-1] != self.cfg.adapter1.d_in:
-            raise StageDimensionError(
-                2, f"encoder output width {h.shape[-1]} != adapter1.d_in "
-                   f"{self.cfg.adapter1.d_in}")
-        return h
+        return encoder_forward(self.store, "encoder", self.encoder_cfg,
+                               enc_ids, enc_lengths)
 
     def bridge1_forward(self, hr_ids: np.ndarray, hr_lengths: np.ndarray,
                         h_a1: Tensor, a1_lengths: np.ndarray) -> Tensor:
         """Stage 3: causal bridge over LM token embeddings + cross-attn."""
-        if h_a1.shape[-1] != self.cfg.llm_cfg.d_model:
-            raise StageDimensionError(
-                3, f"cross-attention memory width {h_a1.shape[-1]} != LM "
-                   f"width {self.cfg.llm_cfg.d_model}")
         x = T.embedding(self.store["llm.tok_embed"], hr_ids)
         return _stack_forward(x, self.store, "bridge1", self.cfg.bridge1.n_layers,
-                              self.cfg.bridge1_layer(), hr_lengths,
+                              self.bridge1_layer, hr_lengths,
                               cross_kv=h_a1, cross_lengths=a1_lengths)
 
     def llm_blocks(self, h_b1: Tensor, hr_lengths: np.ndarray) -> Tensor:
         """Stage 4: frozen LM blocks on injected embeddings, positions re-added."""
-        if h_b1.shape[-1] != self.cfg.llm_cfg.d_model:
-            raise StageDimensionError(
-                4, f"injected embedding width {h_b1.shape[-1]} != LM width "
-                   f"{self.cfg.llm_cfg.d_model}")
-        return _stack_forward(h_b1, self.store, "llm", self.cfg.llm_cfg.n_layers,
-                              self.cfg.llm_cfg.layer(), hr_lengths)
+        return _stack_forward(h_b1, self.store, "llm", self.llm_cfg.n_layers,
+                              self.llm_cfg.layer(), hr_lengths)
 
     def bridge2_forward(self, h_a2: Tensor, lengths: np.ndarray) -> Tensor:
         """Stage 6: bidirectional bridge preparing the decoder memory."""
-        if h_a2.shape[-1] != self.cfg.decoder_cfg.d_model:
-            raise StageDimensionError(
-                6, f"bridge2 input width {h_a2.shape[-1]} != decoder width "
-                   f"{self.cfg.decoder_cfg.d_model}")
         return _stack_forward(h_a2, self.store, "bridge2",
-                              self.cfg.bridge2.n_layers,
-                              self.cfg.bridge2_layer(), lengths)
+                              self.cfg.bridge2.n_layers, self.bridge2_layer,
+                              lengths)
 
     def decode(self, dec_ids: np.ndarray, dec_lengths: np.ndarray,
                memory: Tensor, memory_lengths: np.ndarray) -> Tensor:
         """Stage 7: frozen decoder plus frozen tied head -> LR logits."""
-        if memory.shape[-1] != self.cfg.decoder_cfg.d_model:
-            raise StageDimensionError(
-                7, f"decoder memory width {memory.shape[-1]} != decoder "
-                   f"width {self.cfg.decoder_cfg.d_model}")
-        hidden = decoder_forward(self.store, "decoder", self.cfg.decoder_cfg,
+        hidden = decoder_forward(self.store, "decoder", self.decoder_cfg,
                                  dec_ids, dec_lengths, memory, memory_lengths)
         return tied_logits(hidden, self.store["decoder.tgt_embed"])
 
@@ -228,13 +174,11 @@ class TallModel:
         """All seven stages; logits [B, Lt, V_lr], position t predicts
         teacher token t."""
         h_enc = self.encode_lr(batch.enc_ids, batch.enc_lengths)
-        h_a1 = nn.adapter_forward(h_enc, self.cfg.adapter1, self.store,
-                                  "adapter1")
+        h_a1 = nn.adapter_forward(h_enc, self.adapter1, self.store, "adapter1")
         h_b1 = self.bridge1_forward(batch.hr_ids, batch.hr_lengths, h_a1,
                                     batch.enc_lengths)
         h_llm = self.llm_blocks(h_b1, batch.hr_lengths)
-        h_a2 = nn.adapter_forward(h_llm, self.cfg.adapter2, self.store,
-                                  "adapter2")
+        h_a2 = nn.adapter_forward(h_llm, self.adapter2, self.store, "adapter2")
         h_b2 = self.bridge2_forward(h_a2, batch.hr_lengths)
         return self.decode(batch.dec_ids, batch.dec_lengths, h_b2,
                            batch.hr_lengths)

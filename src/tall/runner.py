@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from . import evaluation as ev
-from .checkpoint import load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint
 from .config import (
     RunConfig,
     build_eval_grammar,
@@ -88,6 +88,14 @@ def assemble_tall(cfg: RunConfig, lr2hr: Translator, hr2lr: Translator,
                               hr2lr, llm, seed)
 
 
+def untrained_tall(cfg: RunConfig, seed: int) -> TallModel:
+    """The pipeline on randomly initialised backbones, for shape-only uses."""
+    return assemble_tall(
+        cfg, Translator.init(translator_config(cfg, "lr2hr"), seed),
+        Translator.init(translator_config(cfg, "hr2lr"), seed),
+        CausalLM.init(llm_config(cfg), seed), seed)
+
+
 def tall_trainable_store(model: TallModel) -> ParamStore:
     out = ParamStore()
     for name, t in model.store.trainable_items():
@@ -96,12 +104,19 @@ def tall_trainable_store(model: TallModel) -> ParamStore:
 
 
 def load_tall_trainables(model: TallModel, path, cfg: RunConfig) -> dict:
+    """Load a checkpoint that holds exactly the pipeline's trainable parts,
+    each at its shape; anything else is a :class:`CheckpointError`."""
     store, meta = load_checkpoint(path,
                                   expect_meta={"compat_hash": compat_hash(cfg)})
+    want = {n: t.shape for n, t in model.store.trainable_items()}
+    got = {n: t.shape for n, t in store.items()}
+    if got != want:
+        name = next(n for n in [*got, *want] if got.get(n) != want.get(n))
+        problem = ("is missing" if name not in got
+                   else "is not a trainable pipeline part" if name not in want
+                   else f"has shape {got[name]}, the pipeline needs {want[name]}")
+        raise CheckpointError(f"{path}: entry {name!r} {problem}")
     for name, t in store.items():
-        if name not in model.store or model.store.is_frozen(name):
-            raise ValueError(
-                f"checkpoint entry {name!r} is not a trainable pipeline part")
         model.store[name].data[:] = t.data
     return meta
 

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from tall import cli
-from tall.pipeline import StageDimensionError
+from tall.checkpoint import load_checkpoint, save_checkpoint
+from tall.nn import ParamStore
 from tall.tensor import ShapeError
 
 
@@ -17,15 +18,6 @@ def _raise(exc):
 
 
 class TestExitCodes:
-    def test_stage_mismatch_is_a_checkpoint_error_naming_the_stage(
-            self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "cmd_param_report", _raise(
-            StageDimensionError(4, "loaded LM width 48 != config 96")))
-        assert cli.main(["param-report", "--preset", "toy"]) == cli.EXIT_CHECKPOINT
-        err = capsys.readouterr().err
-        assert "checkpoint/config mismatch" in err
-        assert "stage 4" in err
-
     def test_other_shape_error_has_its_own_code_and_message(
             self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "cmd_param_report", _raise(ShapeError(
@@ -50,14 +42,18 @@ class TestExitCodes:
          "train.soft_prompt.n_prompt + world.max_len = 37"),
         (["param-report", "--preset", "toy",
           "--set", "models.tall.adapter1_hidden=0"],
-         "models: adapter dims must be positive"),
+         "models.tall.adapter1_hidden: must be positive, got 0"),
+        (["eval", "--approach", "direct", "--llm", "llm.npz",
+          "--set", "world.eval_shift_alpha=2"],
+         "world.eval_shift_alpha: must be in [0, 1], got 2"),
         (["pretrain", "llm", "--out", "llm.npz",
           "--set", "train.tall.epochs=0"],
          "train.tall: TrainConfig fields must be positive"),
         (["pretrain", "llm", "--out", "llm.npz",
           "--set", "models.llm.n_heads=abc"],
          "models.llm.n_heads: expected int, got 'abc'"),
-    ], ids=["n_prompt", "adapter1_hidden", "epochs", "n_heads"])
+    ], ids=["n_prompt", "adapter1_hidden", "eval_shift_alpha", "epochs",
+            "n_heads"])
     def test_bad_config_value_exits_before_any_work(
             self, tmp_path, monkeypatch, capsys, argv, message):
         (tmp_path / "run.yaml").write_text(TINY_RUN)
@@ -95,10 +91,13 @@ train:
 """
 
 
-def test_eval_all_runs_every_approach(tmp_path, capsys):
-    config = tmp_path / "run.yaml"
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """Backbone and pipeline checkpoints of one tiny run, made in-process."""
+    tmp = tmp_path_factory.mktemp("tiny_run")
+    config = tmp / "run.yaml"
     config.write_text(TINY_RUN)
-    ckpt = {name: str(tmp_path / f"{name}.npz")
+    ckpt = {name: str(tmp / f"{name}.npz")
             for name in ("lr2hr", "hr2lr", "llm", "tall")}
     common = ["--config", str(config)]
     for component, name in (("translator-lr2hr", "lr2hr"),
@@ -109,10 +108,15 @@ def test_eval_all_runs_every_approach(tmp_path, capsys):
                  "--llm", ckpt["llm"]]
     assert cli.main(["train-tall", *common, *backbones,
                      "--out", ckpt["tall"]]) == cli.EXIT_OK
+    return common + backbones, ckpt
+
+
+def test_eval_all_runs_every_approach(tiny_run, tmp_path, capsys):
+    args, ckpt = tiny_run
     capsys.readouterr()
     results = tmp_path / "results.json"
-    assert cli.main(["eval", "--all", *common, *backbones,
-                     "--tall", ckpt["tall"], "--json", str(results)]) == cli.EXIT_OK
+    assert cli.main(["eval", "--all", *args, "--tall", ckpt["tall"],
+                     "--json", str(results)]) == cli.EXIT_OK
     table = capsys.readouterr().out.splitlines()
     assert len(table) == 2 + 6
     doc = json.loads(results.read_text())
@@ -120,3 +124,44 @@ def test_eval_all_runs_every_approach(tmp_path, capsys):
     assert sorted(r["approach"] for r in doc["rows"]) == sorted(
         cli.CLI_APPROACHES.values())
     assert all(0.0 <= r["accuracy_percent"] <= 100.0 for r in doc["rows"])
+
+
+def test_resume_continues_from_a_pipeline_checkpoint(tiny_run, capsys):
+    args, ckpt = tiny_run
+    capsys.readouterr()
+    assert cli.main(["train-tall", *args, "--resume", ckpt["tall"]]) == cli.EXIT_OK
+    resumed, written = map(json.loads, capsys.readouterr().out.splitlines())
+    start = load_checkpoint(ckpt["tall"])[1]["step"]
+    assert resumed["resumed_at"] == start > 0
+    assert written["step"] > start
+
+
+def _adapter1_only(ckpt, tmp_path):
+    store, meta = load_checkpoint(ckpt["tall"])
+    part = ParamStore()
+    for name, t in store.items():
+        if name.startswith("adapter1."):
+            part.add(name, t.data)
+    path = tmp_path / "adapter1.npz"
+    save_checkpoint(part, meta, path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+@pytest.mark.parametrize("checkpoint, message", [
+    ("adapter1_only", "entry 'bridge1.pos' is missing"),
+    ("llm", "entry 'tok_embed' is not a trainable pipeline part"),
+], ids=["adapter1_only", "llm"])
+def test_tall_checkpoint_must_hold_exactly_the_trainable_parts(
+        tiny_run, tmp_path, capsys, command, checkpoint, message):
+    args, ckpt = tiny_run
+    path = (_adapter1_only(ckpt, tmp_path) if checkpoint == "adapter1_only"
+            else ckpt["llm"])
+    argv = (["eval", "--approach", "tall", *args, "--tall", str(path)]
+            if command == "eval"
+            else ["train-tall", *args, "--resume", str(path)])
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_CHECKPOINT
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""

@@ -60,7 +60,6 @@ def test_float_field_takes_the_string_yaml_reads_for_an_exponent():
 
 
 @pytest.mark.parametrize("override, section", [
-    ("models.tall.adapter1_hidden=0", "models"),
     ("world.cipher=rot13", "world"),
     ("world.min_len=20", "world"),
     ("world.branching=0", "world"),
@@ -97,6 +96,7 @@ def test_position_tables_exactly_at_their_limits_load():
 
 
 @pytest.mark.parametrize("override", [
+    "models.tall.adapter1_hidden=0", "models.tall.adapter2_hidden=-2",
     "models.tall.bridge1.d_ff=-3", "models.tall.bridge2.n_layers=0",
     "models.llm.d_ff=0", "models.llm.n_layers=-1",
     "models.translator.d_ff=0", "models.translator.enc_layers=0",
@@ -106,3 +106,10 @@ def test_feed_forward_widths_and_layer_counts_must_be_positive(override):
     with pytest.raises(ConfigError,
                        match=rf"^{re.escape(key)}: must be positive, got {value}$"):
         load_config(None, [override])
+
+
+@pytest.mark.parametrize("value", ["2", "-0.5"])
+def test_eval_shift_alpha_must_be_a_fraction(value):
+    message = f"world.eval_shift_alpha: must be in [0, 1], got {value}"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        load_config(None, [f"world.eval_shift_alpha={value}"])

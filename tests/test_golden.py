@@ -113,7 +113,7 @@ def golden_run(reference_kernel_module):
     out["llm.metrics"] = _json_hash([meta, metrics])
 
     # TALL: held-out split, so the best snapshot is restored at the end
-    cfg = TallConfig(encoder_cfg=enc_cfg, llm_cfg=lm_cfg, decoder_cfg=dec_cfg,
+    cfg = TallConfig(adapter1_hidden=36, adapter2_hidden=24,
                      bridge1=BridgeConfig(1, 2, 24),
                      bridge2=BridgeConfig(1, 2, 24))
     model = TallModel.assemble(cfg, world, lr2hr, hr2lr, llm, seed=5)

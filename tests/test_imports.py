@@ -1,6 +1,6 @@
 """Import hygiene and the product seam, checked with the stdlib ``ast``.
 
-Five rules for every module under ``src/tall``:
+Six rules for every module under ``src/tall``:
 
 - a module-level import binds a name the module references, unless its
   line carries ``# noqa: F401`` (an import kept on purpose);
@@ -15,7 +15,10 @@ Five rules for every module under ``src/tall``:
   way;
 - only ``models.py`` names a position table (a ``"pos"`` or ``"*.pos"``
   string) or calls a mask builder, so every transformer stack adds its
-  positions and builds its masks in ``models._stack_forward``.
+  positions and builds its masks in ``models._stack_forward``;
+- only ``pipeline.py`` (from the backbones' widths) and
+  ``params_report.py`` (for the published presets) call ``AdapterSpec``,
+  so the adapters' geometry is not stated a second time.
 """
 
 import ast
@@ -122,6 +125,10 @@ def stack_seam_sites(path: Path) -> list[str]:
     return sorted(found)
 
 
+def adapter_spec_calls(path: Path) -> list[str]:
+    return calls_to(path, ("AdapterSpec",))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
@@ -149,6 +156,14 @@ def test_only_evaluation_samples(path):
     "path", [p for p in MODULES if p.name != "models.py"], ids=lambda p: p.name)
 def test_only_models_adds_positions_and_builds_masks(path):
     assert stack_seam_sites(path) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES
+             if p.name not in ("pipeline.py", "params_report.py")],
+    ids=lambda p: p.name)
+def test_only_pipeline_and_presets_build_adapter_specs(path):
+    assert adapter_spec_calls(path) == []
 
 
 def test_tensor_has_one_product_kernel():
@@ -195,3 +210,10 @@ def test_checks_catch_what_they_name(tmp_path):
         "seam.py:1 'bridge1.pos'", "seam.py:2 causal_mask",
         "seam.py:2 causal_valid_mask", "seam.py:3 key_valid_mask",
         "seam.py:4 '.pos'", "seam.py:4 'pos'"]
+    spec = tmp_path / "spec.py"
+    spec.write_text(
+        "a1 = AdapterSpec(enc.d_model, t.adapter1_hidden, lm.d_model)\n"
+        "a2 = nn.AdapterSpec(96, 128, 64)\n"
+        "n = AdapterSpecs(a1) or adapter_param_count(a2)\n")
+    assert adapter_spec_calls(spec) == ["spec.py:1 AdapterSpec",
+                                        "spec.py:2 AdapterSpec"]

@@ -10,7 +10,6 @@ from tall.pipeline import (
     FROZEN_PARTS,
     TRAINABLE_PARTS,
     BridgeConfig,
-    StageDimensionError,
     TallConfig,
     TallModel,
     evaluate_tall,
@@ -32,7 +31,7 @@ def tiny_setup(vocab=16, seed=0, d_enc=12, d_lm=18, d_dec=12, lm_max_len=24):
                             max_len=16)
     lm = CausalLMConfig(world.vocab_lm, d_model=d_lm, n_heads=2, d_ff=24,
                         n_layers=1, max_len=lm_max_len)
-    cfg = TallConfig(encoder_cfg=s2s, llm_cfg=lm, decoder_cfg=s2s_rev,
+    cfg = TallConfig(adapter1_hidden=2 * d_lm, adapter2_hidden=2 * d_dec,
                      bridge1=BridgeConfig(1, 2, 24),
                      bridge2=BridgeConfig(1, 2, 24))
     model = TallModel.assemble(
@@ -95,27 +94,6 @@ class TestSampler:
         assert not np.array_equal(a, example_rng(5, 18).random(3))
 
 
-class TestConfigValidation:
-    def test_adapter_widths_must_bridge_the_stages(self):
-        s2s = Seq2SeqConfig(20, 20, d_model=12, n_heads=2, d_ff=24,
-                            enc_layers=1, dec_layers=1)
-        lm = CausalLMConfig(40, d_model=18, n_heads=2, d_ff=24, n_layers=1)
-        with pytest.raises(StageDimensionError, match="stage 3"):
-            TallConfig(encoder_cfg=s2s, llm_cfg=lm, decoder_cfg=s2s,
-                       adapter1=AdapterSpec(12, 24, 17))
-        with pytest.raises(StageDimensionError, match="stage 5"):
-            TallConfig(encoder_cfg=s2s, llm_cfg=lm, decoder_cfg=s2s,
-                       adapter2=AdapterSpec(17, 24, 12))
-
-    def test_default_adapters_derived_from_widths(self):
-        s2s = Seq2SeqConfig(20, 20, d_model=12, n_heads=2, d_ff=24,
-                            enc_layers=1, dec_layers=1)
-        lm = CausalLMConfig(40, d_model=18, n_heads=2, d_ff=24, n_layers=1)
-        cfg = TallConfig(encoder_cfg=s2s, llm_cfg=lm, decoder_cfg=s2s)
-        assert cfg.adapter1 == AdapterSpec(12, 36, 18)
-        assert cfg.adapter2 == AdapterSpec(18, 24, 12)
-
-
 class TestAssembly:
     def test_trainable_set_identity(self):
         model, _, _ = tiny_setup()
@@ -133,17 +111,26 @@ class TestAssembly:
             teachers, model.translate_prefixes([t[:-1] for t in teachers]))
         logits = model.forward(batch)
         assert logits.shape == (5, batch.dec_ids.shape[1],
-                                model.cfg.decoder_cfg.vocab_tgt)
+                                model.decoder_cfg.vocab_tgt)
         assert np.all(np.isfinite(logits.data))
 
-    def test_mismatched_backbone_raises_stage_error(self):
-        model, _, world = tiny_setup()
-        wrong = Translator.init(
-            Seq2SeqConfig(world.vocab_lr, world.vocab_hr, d_model=8,
-                          n_heads=2, d_ff=16, enc_layers=1, dec_layers=1), 0)
-        with pytest.raises(StageDimensionError, match="stage 1"):
-            TallModel.assemble(model.cfg, world, wrong, wrong,
-                               CausalLM.init(model.cfg.llm_cfg, 0), 0)
+    def test_adapters_follow_the_backbone_widths(self):
+        model, corpus, world = tiny_setup(d_enc=12, d_lm=18, d_dec=10)
+        assert model.adapter1 == AdapterSpec(12, 36, 18)
+        assert model.adapter2 == AdapterSpec(18, 20, 10)
+        shapes = {n: t.shape for n, t in model.store.items()}
+        assert shapes["adapter1.linear1.weight"] == (12, 36)
+        assert shapes["adapter1.linear2.weight"] == (36, 18)
+        assert shapes["bridge1.layers.0.cross_attn.k.weight"] == (18, 18)
+        assert shapes["adapter2.linear1.weight"] == (18, 20)
+        assert shapes["adapter2.linear2.weight"] == (20, 10)
+        assert shapes["bridge2.layers.0.ffn.up.weight"] == (10, 24)
+        teachers = [list(p.lr_tokens) for p in corpus[:3]]
+        batch = model.make_batch(
+            teachers, model.translate_prefixes([t[:-1] for t in teachers]))
+        logits = model.forward(batch)
+        assert logits.shape == (3, batch.dec_ids.shape[1], world.vocab_lr)
+        assert np.all(np.isfinite(logits.data))
 
 
 class TestGradientFlow:
@@ -235,7 +222,7 @@ class TestCausalityAndIsolation:
         hr_ids = rng.integers(4, world.vocab_lm, size=(1, l_hr))
         hr_lengths = np.array([l_hr])
         h_a1 = T.Tensor(rng.standard_normal((1, l_lr,
-                                             model.cfg.llm_cfg.d_model)))
+                                             model.llm_cfg.d_model)))
         a1_lengths = np.array([l_lr])
         base = model.bridge1_forward(hr_ids, hr_lengths, h_a1, a1_lengths).data
         j = 3
