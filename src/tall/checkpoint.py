@@ -57,7 +57,7 @@ def _canonical_meta(meta: dict) -> bytes:
     return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def save_checkpoint(store: ParamStore, meta: dict, path) -> None:
+def save_checkpoint(store: ParamStore | dict, meta: dict, path) -> None:
     parts = [MAGIC, struct.pack("<I", VERSION)]
     meta_bytes = _canonical_meta(meta)
     parts.append(struct.pack("<I", len(meta_bytes)))

@@ -1,10 +1,11 @@
 """Operator command line: pretraining, pipeline training, eval, reports.
 
-Exit codes: 0 success, 2 configuration problem, 3 checkpoint problem
-(unreadable, built for another config, or not holding exactly the
-entries the model expects), 4 numerical failure during training, 5 a
-shape the models cannot take (such as a sequence longer than a position
-table).
+Exit codes: 0 success, 2 configuration problem (also a missing
+checkpoint flag or an output directory that does not exist), 3
+checkpoint problem (unreadable, built for another config, not holding
+exactly the entries the model expects, or of another kind), 4 numerical
+failure during training, 5 a shape the models cannot take (such as a
+sequence longer than a position table).
 """
 
 from __future__ import annotations
@@ -36,6 +37,20 @@ CLI_APPROACHES = {
     "scratch": "from_scratch",
     "tall": "tall",
 }
+
+# checkpoint flag -> the meta kind its file must carry, the stage it fills
+CHECKPOINTS = {
+    "lr2hr": ("translator-lr2hr", "stage 1 encoder backbone"),
+    "hr2lr": ("translator-hr2lr", "stage 7 decoder backbone"),
+    "llm": ("causal-lm", "stage 4 language-model backbone"),
+    "tall": ("tall", "trainable stages 2, 3, 5 and 6"),
+}
+
+# approach -> the checkpoint flags it needs
+APPROACH_CHECKPOINTS = {"direct": ("llm",), "soft_prompt": ("llm",),
+                        "finetuned": ("llm",), "from_scratch": ("llm",),
+                        "naive": ("lr2hr", "hr2lr", "llm"),
+                        "tall": ("lr2hr", "hr2lr", "llm", "tall")}
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -74,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--llm", required=True, help="language model checkpoint")
     p.add_argument("--out", help="best-checkpoint output path")
     p.add_argument("--metrics", help="metrics JSONL output path")
-    p.add_argument("--resume", help="trainable-parts checkpoint to resume from")
+    p.add_argument("--resume", dest="tall",
+                   help="trainable-parts checkpoint to resume from")
     p.add_argument("--dry-run", action="store_true",
                    help="validate shapes across all seven stages and exit")
 
@@ -115,31 +131,35 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _assemble_from_args(cfg, seed, args):
-    try:
-        lr2hr, _ = runner.load_translator(cfg, "lr2hr", args.lr2hr)
-    except (CheckpointError, OSError) as exc:
-        raise CheckpointError(f"stage 1 encoder backbone: {exc}")
-    try:
-        hr2lr, _ = runner.load_translator(cfg, "hr2lr", args.hr2lr)
-    except (CheckpointError, OSError) as exc:
-        raise CheckpointError(f"stage 7 decoder backbone: {exc}")
-    try:
-        llm, _ = runner.load_llm(cfg, args.llm)
-    except (CheckpointError, OSError) as exc:
-        raise CheckpointError(f"stage 4 language-model backbone: {exc}")
-    return runner.assemble_tall(cfg, lr2hr, hr2lr, llm, seed)
+def _load_models(cfg, seed, args, flags) -> tuple[dict, dict]:
+    """The models the checkpoint ``flags`` name, keyed by flag, each filled
+    from its flag's file when one is given (``tall`` is the pipeline on
+    the filled backbones), and each loaded file's metadata."""
+    models = {f: m for f, m in runner.backbones(cfg, seed).items()
+              if f in flags}
+    metas = {}
+    for flag, (kind, stage) in CHECKPOINTS.items():
+        if flag == "tall" and flag in flags:  # on the filled backbones
+            models["tall"] = runner.assemble_tall(cfg, models, seed)
+        if flag not in flags or getattr(args, flag) is None:
+            continue  # not needed, or train-tall without --resume
+        # every entry of a fresh backbone; the pipeline's trainable parts
+        params = dict(models[flag].store.trainable_items())
+        try:
+            metas[flag] = runner.load_into(params, getattr(args, flag), cfg,
+                                           kind)
+        except (CheckpointError, OSError) as exc:
+            raise CheckpointError(f"{stage}: {exc}")
+    return models, metas
 
 
 def cmd_train_tall(args) -> int:
     cfg, seed = _load(args)
-    model = _assemble_from_args(cfg, seed, args)
+    models, metas = _load_models(cfg, seed, args, tuple(CHECKPOINTS))
+    model = models["tall"]
     corpus = runner.train_corpus(cfg)
     if args.dry_run:
-        teachers = [list(corpus[i].lr_tokens) for i in range(min(4, len(corpus)))]
-        batch = model.make_batch(
-            teachers, model.translate_prefixes([t[:-1] for t in teachers]))
-        logits = model.forward(batch)
+        logits = model.final_logits([list(p.lr_tokens)[:-1] for p in corpus[:4]])
         print(json.dumps({
             "dry_run": True,
             "logit_shape": list(logits.shape),
@@ -148,10 +168,13 @@ def cmd_train_tall(args) -> int:
         }))
         return EXIT_OK
     start_step = 0
-    if args.resume:
-        meta = runner.load_tall_trainables(model, args.resume, cfg)
-        start_step = int(meta.get("step", 0))
-        stats = evaluate_tall(model, _resume_heldout(model, corpus, cfg, seed))
+    if "tall" in metas:
+        start_step = int(metas["tall"].get("step", 0))
+        teachers = [list(p.lr_tokens) for p in corpus]
+        hr_lm = model.translate_prefixes([t[:-1] for t in teachers])
+        _, heldout = split_train_eval(list(zip(teachers, hr_lm)),
+                                      cfg.train.tall.eval_fraction, seed)
+        stats = evaluate_tall(model, heldout)
         print(json.dumps({"resumed_at": start_step, "eval": stats},
                          sort_keys=True))
     meta, metrics = train_tall(model, corpus,
@@ -159,20 +182,12 @@ def cmd_train_tall(args) -> int:
     meta = runner.stamp_meta(cfg, meta)
     meta["step"] += start_step
     if args.out:
-        save_checkpoint(runner.tall_trainable_store(model), meta, args.out)
+        save_checkpoint(dict(model.store.trainable_items()), meta, args.out)
     if args.metrics:
         runner.write_metrics(metrics, args.metrics)
     summary = {k: v for k, v in meta.items() if k != "config"}
     print(json.dumps({"written": args.out, **summary}, sort_keys=True))
     return EXIT_OK
-
-
-def _resume_heldout(model, corpus, cfg, seed):
-    teachers = [list(p.lr_tokens) for p in corpus]
-    hr_lm = model.translate_prefixes([t[:-1] for t in teachers])
-    _, heldout = split_train_eval(list(zip(teachers, hr_lm)),
-                                  cfg.train.tall.eval_fraction, seed)
-    return heldout
 
 
 def cmd_eval(args) -> int:
@@ -181,27 +196,15 @@ def cmd_eval(args) -> int:
         wanted = sorted(CLI_APPROACHES.values())
     else:
         wanted = [CLI_APPROACHES[args.approach]]
-    needs_translators = bool({"naive", "tall"} & set(wanted))
-    needs_tall = "tall" in wanted
-    if args.llm is None:
-        raise ConfigError("eval requires --llm")
-    if needs_translators and (args.lr2hr is None or args.hr2lr is None):
-        raise ConfigError(
-            f"approaches {wanted} require --lr2hr and --hr2lr checkpoints")
-    if needs_tall and args.tall is None:
-        raise ConfigError("the tall approach requires a --tall checkpoint")
-    llm, _ = runner.load_llm(cfg, args.llm)
-    lr2hr = hr2lr = tall_model = None
-    if needs_translators:
-        lr2hr, _ = runner.load_translator(cfg, "lr2hr", args.lr2hr)
-        hr2lr, _ = runner.load_translator(cfg, "hr2lr", args.hr2lr)
-    if needs_tall:
-        tall_model = runner.assemble_tall(cfg, lr2hr, hr2lr, llm, seed)
-        runner.load_tall_trainables(tall_model, args.tall, cfg)
+    flags = {f for approach in wanted for f in APPROACH_CHECKPOINTS[approach]}
+    missing = [f"--{f}" for f in sorted(flags) if getattr(args, f) is None]
+    if missing:
+        raise ConfigError(f"approaches {wanted} need {', '.join(missing)}")
+    models, _ = _load_models(cfg, seed, args, flags)
     examples, dataset_hash = runner.eval_dataset(cfg, args.eval_seed)
     rows, details = runner.run_approaches(
-        cfg, wanted, lr2hr, hr2lr, llm, tall_model, examples, dataset_hash,
-        sampler_seed=seed)
+        cfg, wanted, models.get("lr2hr"), models.get("hr2lr"), models["llm"],
+        models.get("tall"), examples, dataset_hash, sampler_seed=seed)
     print(runner.format_results_table(rows, details["header"]))
     if args.json:
         Path(args.json).write_text(json.dumps(
@@ -242,6 +245,10 @@ def main(argv=None) -> int:
         "param-report": cmd_param_report,
     }
     try:
+        for flag in ("out", "metrics", "json"):
+            parent = Path(getattr(args, flag, None) or ".").parent
+            if not parent.is_dir():
+                raise ConfigError(f"--{flag}: directory {parent} does not exist")
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

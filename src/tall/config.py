@@ -75,7 +75,7 @@ class ModelsSection:
 
 
 @dataclass
-class TrainSection:
+class ScheduleSection:
     learning_rate: float = 1e-3
     weight_decay: float = 0.01
     epochs: int = 3
@@ -83,20 +83,22 @@ class TrainSection:
     grad_clip_norm: float = 1.0
     grad_accum_steps: int = 1
     warmup_steps: int = 0
-    eval_fraction: float = 0.02
 
     def to_train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate, weight_decay=self.weight_decay,
-            epochs=self.epochs, batch_size=self.batch_size,
-            grad_clip_norm=self.grad_clip_norm,
-            grad_accum_steps=self.grad_accum_steps,
-            warmup_steps=self.warmup_steps, seed=seed,
-            eval_fraction=self.eval_fraction)
+        # a field the section lacks keeps TrainConfig's default: the soft
+        # prompt holds nothing out, so its eval_fraction is never read
+        names = {f.name for f in dataclasses.fields(TrainConfig)}
+        return TrainConfig(seed=seed, **{k: v for k, v in vars(self).items()
+                                         if k in names})
 
 
 @dataclass
-class SoftPromptSection(TrainSection):
+class TrainSection(ScheduleSection):
+    eval_fraction: float = 0.02
+
+
+@dataclass
+class SoftPromptSection(ScheduleSection):
     # values follow the published soft-prompt recipe
     learning_rate: float = 5e-4
     warmup_steps: int = 100

@@ -344,12 +344,9 @@ def clone_llm(llm: CausalLM) -> CausalLM:
 def finetune_llm(llm: CausalLM, world: World, corpus_lr: list,
                  train_cfg: TrainConfig) -> tuple[CausalLM, dict, list[dict]]:
     """Continue next-token training of every LM weight on LR data."""
-    tuned = clone_llm(llm)
-    if train_cfg.epochs == 0:
-        return tuned, {"kind": "finetuned", "step": 0}, []
     sequences = _lm_ids(world, corpus_lr)
     model, meta, metrics = train_llm(llm.cfg, sequences, train_cfg,
-                                     init_model=tuned)
+                                     init_model=clone_llm(llm))
     meta["kind"] = "finetuned"
     return model, meta, metrics
 

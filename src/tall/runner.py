@@ -26,7 +26,6 @@ from .config import (
     translator_config,
 )
 from .models import CausalLM, Translator
-from .nn import ParamStore
 from .pipeline import TallModel
 from .pretrain import train_llm, train_translator
 from .world import generate_corpus
@@ -70,54 +69,47 @@ def pretrain_llm(cfg: RunConfig, seed: int
     return model, stamp_meta(cfg, meta), metrics
 
 
-def load_translator(cfg: RunConfig, direction: str, path) -> tuple[Translator, dict]:
-    store, meta = load_checkpoint(path,
-                                  expect_meta={"compat_hash": compat_hash(cfg)})
-    return Translator(translator_config(cfg, direction), store), meta
+def backbones(cfg: RunConfig, seed: int) -> dict:
+    """The three backbones, randomly initialised, keyed by checkpoint flag."""
+    return {"lr2hr": Translator.init(translator_config(cfg, "lr2hr"), seed),
+            "hr2lr": Translator.init(translator_config(cfg, "hr2lr"), seed),
+            "llm": CausalLM.init(llm_config(cfg), seed)}
 
 
-def load_llm(cfg: RunConfig, path) -> tuple[CausalLM, dict]:
-    store, meta = load_checkpoint(path,
-                                  expect_meta={"compat_hash": compat_hash(cfg)})
-    return CausalLM(llm_config(cfg), store), meta
-
-
-def assemble_tall(cfg: RunConfig, lr2hr: Translator, hr2lr: Translator,
-                  llm: CausalLM, seed: int) -> TallModel:
-    return TallModel.assemble(tall_config(cfg), build_world(cfg), lr2hr,
-                              hr2lr, llm, seed)
+def assemble_tall(cfg: RunConfig, backbones: dict, seed: int) -> TallModel:
+    return TallModel.assemble(tall_config(cfg), build_world(cfg),
+                              backbones["lr2hr"], backbones["hr2lr"],
+                              backbones["llm"], seed)
 
 
 def untrained_tall(cfg: RunConfig, seed: int) -> TallModel:
     """The pipeline on randomly initialised backbones, for shape-only uses."""
-    return assemble_tall(
-        cfg, Translator.init(translator_config(cfg, "lr2hr"), seed),
-        Translator.init(translator_config(cfg, "hr2lr"), seed),
-        CausalLM.init(llm_config(cfg), seed), seed)
+    return assemble_tall(cfg, backbones(cfg, seed), seed)
 
 
-def tall_trainable_store(model: TallModel) -> ParamStore:
-    out = ParamStore()
-    for name, t in model.store.trainable_items():
-        out.add(name, t.data.copy())
-    return out
-
-
-def load_tall_trainables(model: TallModel, path, cfg: RunConfig) -> dict:
-    """Load a checkpoint that holds exactly the pipeline's trainable parts,
-    each at its shape; anything else is a :class:`CheckpointError`."""
+def load_into(params: dict, path, cfg: RunConfig, kind: str) -> dict:
+    """Overwrite ``params`` (name -> tensor of a built model) from the
+    checkpoint at ``path`` and return its metadata.  The file must be
+    written for ``cfg``'s architecture, hold exactly those entries at
+    their shapes and carry the meta ``kind`` its trainer writes
+    (``translator-lr2hr``, ``translator-hr2lr``, ``causal-lm`` or
+    ``tall``); anything else is a :class:`CheckpointError`."""
     store, meta = load_checkpoint(path,
                                   expect_meta={"compat_hash": compat_hash(cfg)})
-    want = {n: t.shape for n, t in model.store.trainable_items()}
+    want = {n: t.shape for n, t in params.items()}
     got = {n: t.shape for n, t in store.items()}
     if got != want:
         name = next(n for n in [*got, *want] if got.get(n) != want.get(n))
+        part = "trainable pipeline" if kind == "tall" else kind
         problem = ("is missing" if name not in got
-                   else "is not a trainable pipeline part" if name not in want
-                   else f"has shape {got[name]}, the pipeline needs {want[name]}")
+                   else f"is not a {part} part" if name not in want
+                   else f"has shape {got[name]}, expected {want[name]}")
         raise CheckpointError(f"{path}: entry {name!r} {problem}")
+    if meta.get("kind") != kind:
+        raise CheckpointError(f"{path}: checkpoint kind is "
+                              f"{meta.get('kind')!r}, expected {kind!r}")
     for name, t in store.items():
-        model.store[name].data[:] = t.data
+        params[name].data[:] = t.data
     return meta
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from tall import cli
 from tall.checkpoint import load_checkpoint, save_checkpoint
+from tall.config import build_world, load_config
 from tall.nn import ParamStore
 from tall.tensor import ShapeError
 
@@ -164,4 +165,65 @@ def test_tall_checkpoint_must_hold_exactly_the_trainable_parts(
     assert cli.main(argv) == cli.EXIT_CHECKPOINT
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+
+
+def test_dry_run_checks_every_stage(tiny_run, capsys):
+    args, _ = tiny_run
+    capsys.readouterr()
+    assert cli.main(["train-tall", *args, "--dry-run"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    vocab_lr = build_world(load_config(args[1])).vocab_lr
+    assert report["logit_shape"] == [4, vocab_lr]
+
+
+@pytest.mark.parametrize("command, swap, message", [
+    ("eval", {"lr2hr": "hr2lr", "hr2lr": "lr2hr"},
+     "stage 1 encoder backbone: {hr2lr}: checkpoint kind is "
+     "'translator-hr2lr', expected 'translator-lr2hr'"),
+    ("eval", {"lr2hr": "llm"},
+     "stage 1 encoder backbone: {llm}: entry 'tok_embed' is not a "
+     "translator-lr2hr part"),
+    ("dry-run", {"lr2hr": "llm"},
+     "stage 1 encoder backbone: {llm}: entry 'tok_embed' is not a "
+     "translator-lr2hr part"),
+    ("eval", {"llm": "lr2hr"},
+     "stage 4 language-model backbone: {lr2hr}: entry 'encoder.src_embed' "
+     "is not a causal-lm part"),
+], ids=["swapped_translators", "llm_as_lr2hr", "llm_as_lr2hr_dry_run",
+        "translator_as_llm"])
+def test_backbone_checkpoint_must_be_of_its_stage_kind(
+        tiny_run, capsys, command, swap, message):
+    args, ckpt = tiny_run
+    config = args[:2]  # --config <file>, then the backbone flags
+    backbones = [arg for flag in ("lr2hr", "hr2lr", "llm")
+                 for arg in (f"--{flag}", ckpt[swap.get(flag, flag)])]
+    argv = (["eval", "--approach", "naive", *config, *backbones]
+            if command == "eval"
+            else ["train-tall", *config, *backbones, "--dry-run"])
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_CHECKPOINT
+    captured = capsys.readouterr()
+    assert f"checkpoint error: {message.format(**ckpt)}" in captured.err
+    assert captured.out == ""
+
+
+def test_output_directory_must_exist_before_training(tmp_path, capsys):
+    (tmp_path / "run.yaml").write_text(TINY_RUN)
+    code = cli.main(["pretrain", "llm", "--config", str(tmp_path / "run.yaml"),
+                     "--out", str(tmp_path / "llm.npz"),
+                     "--metrics", str(tmp_path / "missing" / "m.jsonl")])
+    assert code == cli.EXIT_CONFIG
+    assert "config error: --metrics: directory" in capsys.readouterr().err
+    assert not (tmp_path / "llm.npz").exists()
+
+
+def test_output_directory_must_exist_before_eval(tiny_run, tmp_path, capsys):
+    args, _ = tiny_run
+    capsys.readouterr()
+    code = cli.main(["eval", "--approach", "direct", *args,
+                     "--json", str(tmp_path / "missing" / "r.json")])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: --json: directory" in captured.err
     assert captured.out == ""

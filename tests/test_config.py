@@ -23,6 +23,8 @@ def test_unknown_override_names_its_path():
 @pytest.mark.parametrize("text, where", [
     ("paths:\n  out_dir: runs\n", "paths"),
     ("sampler:\n  seed: 3\n", "sampler.seed"),
+    ("train:\n  soft_prompt:\n    eval_fraction: 0.1\n",
+     "train.soft_prompt.eval_fraction"),
 ])
 def test_removed_unread_keys_are_rejected(tmp_path, text, where):
     path = tmp_path / "run.yaml"
@@ -65,7 +67,7 @@ def test_float_field_takes_the_string_yaml_reads_for_an_exponent():
     ("world.branching=0", "world"),
     ("world.n_classes=0", "world"),
     ("train.tall.epochs=0", "train.tall"),
-    ("train.soft_prompt.eval_fraction=1.5", "train.soft_prompt"),
+    ("train.soft_prompt.batch_size=0", "train.soft_prompt"),
     ("sampler.top_p=0", "sampler"),
 ])
 def test_derived_configs_are_built_at_load_time(override, section):

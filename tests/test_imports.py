@@ -1,6 +1,6 @@
 """Import hygiene and the product seam, checked with the stdlib ``ast``.
 
-Six rules for every module under ``src/tall``:
+Seven rules for every module under ``src/tall``:
 
 - a module-level import binds a name the module references, unless its
   line carries ``# noqa: F401`` (an import kept on purpose);
@@ -18,7 +18,10 @@ Six rules for every module under ``src/tall``:
   positions and builds its masks in ``models._stack_forward``;
 - only ``pipeline.py`` (from the backbones' widths) and
   ``params_report.py`` (for the published presets) call ``AdapterSpec``,
-  so the adapters' geometry is not stated a second time.
+  so the adapters' geometry is not stated a second time;
+- only ``runner.load_into`` calls ``load_checkpoint``, so every
+  checkpoint a command reads is checked for its architecture, entries
+  and kind the same way.
 """
 
 import ast
@@ -164,6 +167,16 @@ def test_only_models_adds_positions_and_builds_masks(path):
     ids=lambda p: p.name)
 def test_only_pipeline_and_presets_build_adapter_specs(path):
     assert adapter_spec_calls(path) == []
+
+
+def test_checkpoints_are_read_by_one_loader():
+    sites = [s for p in MODULES for s in calls_to(p, ("load_checkpoint",))]
+    tree, _ = _parse(SRC / "runner.py")
+    [loader] = [f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name == "load_into"]
+    [call] = [n for n in ast.walk(loader) if isinstance(n, ast.Call)
+              and getattr(n.func, "id", None) == "load_checkpoint"]
+    assert sites == [f"runner.py:{call.lineno} load_checkpoint"]
 
 
 def test_tensor_has_one_product_kernel():
