@@ -139,22 +139,25 @@ class RunConfig:
     sampler: SamplerSection = field(default_factory=SamplerSection)
 
 
-def _from_dict(cls, data, path: str):
+def _from_dict(default, data, path: str):
+    """``default``, a section instance, with the keys ``data`` names
+    replaced; a named nested section starts from ``default``'s own value
+    of it, so every default is written once, in the section tree."""
     if data is None:
-        return cls()
+        return default
     if not isinstance(data, dict):
         raise ConfigError(f"config section {path or '<root>'} must be a mapping")
-    types = typing.get_type_hints(cls)
+    types = typing.get_type_hints(type(default))
     kwargs = {}
     for name, value in data.items():
         where = f"{path}.{name}" if path else name
         if name not in types:
             raise ConfigError(f"unknown config key: {where}")
         kind = types[name]
-        kwargs[name] = (_from_dict(kind, value, where)
+        kwargs[name] = (_from_dict(getattr(default, name), value, where)
                         if dataclasses.is_dataclass(kind)
                         else _scalar(kind, value, where))
-    return cls(**kwargs)
+    return dataclasses.replace(default, **kwargs)
 
 
 def _scalar(kind: type, value, where: str):
@@ -201,7 +204,7 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
             if not isinstance(node, dict):
                 raise ConfigError(f"override path {key!r} crosses a scalar")
         node[parts[-1]] = value
-    cfg = _from_dict(RunConfig, data, "")
+    cfg = _from_dict(RunConfig(), data, "")
     alpha = cfg.world.eval_shift_alpha
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(

@@ -274,8 +274,9 @@ class SoftPromptParams:
 
 
 def _soft_prompt_logits(llm: CausalLM, prompt: Tensor, lm_prefixes: list
-                        ) -> tuple[Tensor, np.ndarray]:
-    """Final-position logits with the prompt block prepended to each row."""
+                        ) -> Tensor:
+    """Final-position logits [B, V] with the prompt block prepended to
+    each row."""
     ids, lengths = pad_batch([[BOS] + list(p) for p in lm_prefixes])
     b = len(lm_prefixes)
     n_prompt = prompt.shape[0]
@@ -284,8 +285,8 @@ def _soft_prompt_logits(llm: CausalLM, prompt: Tensor, lm_prefixes: list
                            (b,) + prompt.shape)
     x = T.concat([block, tok], axis=1)
     full_lengths = lengths + n_prompt
-    hidden = llm.hidden_from_embeddings(x, full_lengths)
-    return tied_logits(hidden, llm.store["tok_embed"]), full_lengths
+    hidden = llm.hidden_from_embeddings(x, full_lengths, read=full_lengths - 1)
+    return tied_logits(hidden, llm.store["tok_embed"])
 
 
 def train_soft_prompt(llm: CausalLM, world: World, corpus_lr: list,
@@ -310,10 +311,9 @@ def train_soft_prompt(llm: CausalLM, world: World, corpus_lr: list,
         lm_prefix = _lm_ids(world, [s[:-1] for s in batch])
         targets = np.array(
             [world.lr_to_lm(np.array([s[-1]]))[0] for s in batch])
-        logits, lengths = _soft_prompt_logits(llm, params.embeddings,
-                                              lm_prefix)
+        logits = _soft_prompt_logits(llm, params.embeddings, lm_prefix)
         # weight 1: an update averages micro-batch means (see ``pretrain``)
-        return T.cross_entropy_last_token(logits, targets, lengths), 1
+        return T.cross_entropy_last_token(logits, targets), 1
 
     return params, fit(store, train_cfg, len(corpus_lr), loss_fn)
 
@@ -322,9 +322,8 @@ def eval_soft_prompt(llm: CausalLM, params: SoftPromptParams, world: World,
                      examples: list[EvalExample], sampler: SamplerConfig
                      ) -> list[EvalRecord]:
     def next_logits(prefixes):
-        logits, lengths = _soft_prompt_logits(llm, params.embeddings,
-                                              _lm_ids(world, prefixes))
-        return logits.data[np.arange(len(prefixes)), lengths - 1]
+        return _soft_prompt_logits(llm, params.embeddings,
+                                   _lm_ids(world, prefixes)).data
 
     return _predict("soft_prompt", examples, sampler, next_logits,
                     _lm_to_lr(world))

@@ -3,13 +3,18 @@
 Both are pre-LN transformers over the blocks in :mod:`tall.nn`, with the
 output projection weight-tied to the target-side token embedding.  Every
 transformer stack, here and in :mod:`tall.pipeline`, runs through
-``_stack_forward``, which owns three decisions: it adds the stack's
+``_stack_forward``, which owns four decisions: it adds the stack's
 learned ``<prefix>.pos`` table to the token embeddings its caller passes
 (and rejects a sequence longer than that table), builds the self mask
 from the sequence lengths, causal exactly when the stack's
-:class:`~tall.nn.LayerConfig` says so, and builds the cross mask from
-the memory lengths.  Greedy decoding is incremental: ``decoder_forward``
-with a per-layer :class:`~tall.nn.LayerCache` list embeds only the
+:class:`~tall.nn.LayerConfig` says so, builds the cross mask from the
+memory lengths, and, when its caller passes ``read`` (one position per
+row, as Hugging Face's ``logits_to_keep`` does), runs the last layer's
+queries, feed-forward and the final norm on those positions alone.  The
+callers that read one next-token row pass ``read``: ``next_token_logits``,
+the soft prompt and stage 7 of the pipeline; teacher-forced training
+reads every position and passes none.  Greedy decoding is incremental:
+``decoder_forward`` with a per-layer :class:`~tall.nn.LayerCache` list embeds only the
 newest token, at the position after the cached ones, appends its
 self-attention keys and values to the cache and projects the encoder
 memory into cross-attention keys and values once, on the first step.
@@ -32,7 +37,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .nn import LayerConfig, ParamStore
-from .tensor import ShapeError, Tensor
+from .tensor import ContractError, ShapeError, Tensor
 from .world import BOS, EOS, PAD
 
 
@@ -91,15 +96,26 @@ def tied_logits(hidden: Tensor, embed: Tensor) -> Tensor:
 
 def _stack_forward(x: Tensor, store: ParamStore, prefix: str, n_layers: int,
                    cfg: LayerConfig, lengths: np.ndarray, cross_kv=None,
-                   cross_lengths=None, cache: list | None = None) -> Tensor:
+                   cross_lengths=None, cache: list | None = None,
+                   read: np.ndarray | None = None) -> Tensor:
     """One transformer stack over token embeddings ``x`` [B, L, d].
 
     Adds ``<prefix>.pos`` at positions ``start .. start + L - 1``, where
     ``start`` counts the tokens already in ``cache``, and masks keys at or
     past ``lengths`` (which count cached tokens too), causally iff
     ``cfg.causal``; cross-attention to ``cross_kv`` masks keys at or past
-    ``cross_lengths``.
+    ``cross_lengths``.  Returns [B, L, d], or with ``read`` [B] the hidden
+    state [B, d] of position ``read[i]`` of each row: the last layer then
+    runs its queries, feed-forward and the final norm on those rows alone.
     """
+    if read is not None:
+        if cache is not None:
+            raise ContractError("read selects positions of a whole sequence; "
+                                "a cached call runs only its new ones")
+        if n_layers < 1 or np.shape(read) != (x.shape[0],):
+            raise ShapeError(f"read must hold one position per row, got "
+                             f"{np.shape(read)} for {x.shape} over "
+                             f"{n_layers} layers")
     start = 0 if cache is None else cache[0].self_attn.length
     end = start + x.shape[1]
     pos_table = store[_p(prefix, "pos")]
@@ -115,9 +131,16 @@ def _stack_forward(x: Tensor, store: ParamStore, prefix: str, n_layers: int,
     cross_mask = None if cross_kv is None else key_valid_mask(
         cross_lengths, x.shape[1], cross_kv.shape[1])
     for i in range(n_layers):
+        rows = read if i == n_layers - 1 else None
+        if rows is not None:
+            # the last layer's masks: the query row of each read position
+            pick = (np.arange(len(rows)), rows)
+            self_mask = self_mask[pick][:, None]
+            if cross_mask is not None:
+                cross_mask = cross_mask[pick][:, None]
         x = nn.transformer_layer_forward(
             x, cross_kv, cfg, store, _p(prefix, f"layers.{i}"), self_mask,
-            cross_mask, None if cache is None else cache[i])
+            cross_mask, None if cache is None else cache[i], rows)
     return nn.layer_norm(x, store, _p(prefix, "final_ln"))
 
 
@@ -156,8 +179,9 @@ def encoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
 def decoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
                     ids: np.ndarray, lengths: np.ndarray, memory: Tensor,
                     memory_lengths: np.ndarray,
-                    cache: list[nn.LayerCache] | None = None) -> Tensor:
-    """Decoder hidden states for ``ids`` [B, L].
+                    cache: list[nn.LayerCache] | None = None,
+                    read: np.ndarray | None = None) -> Tensor:
+    """Decoder hidden states for ``ids`` [B, L], or [B, d] at ``read``.
 
     With ``cache`` (one :class:`~tall.nn.LayerCache` per layer) ``ids``
     continue the tokens already cached, and ``lengths`` count the cached
@@ -167,7 +191,8 @@ def decoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
     x = T.embedding(store[f"{prefix}.tgt_embed"], ids)
     return _stack_forward(x, store, prefix, cfg.dec_layers,
                           cfg.layer(causal=True), lengths, cross_kv=memory,
-                          cross_lengths=memory_lengths, cache=cache)
+                          cross_lengths=memory_lengths, cache=cache,
+                          read=read)
 
 
 class Translator:
@@ -248,14 +273,17 @@ class CausalLM:
         init_stack(store, "", cfg.max_len, cfg.n_layers, cfg.layer(), rng)
         return cls(cfg, store)
 
-    def hidden_from_ids(self, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
+    def hidden_from_ids(self, ids: np.ndarray, lengths: np.ndarray,
+                        read: np.ndarray | None = None) -> Tensor:
         x = T.embedding(self.store["tok_embed"], ids)
-        return self.hidden_from_embeddings(x, lengths)
+        return self.hidden_from_embeddings(x, lengths, read)
 
-    def hidden_from_embeddings(self, x: Tensor, lengths: np.ndarray) -> Tensor:
-        """Run the blocks, positions included, on input embeddings."""
+    def hidden_from_embeddings(self, x: Tensor, lengths: np.ndarray,
+                               read: np.ndarray | None = None) -> Tensor:
+        """Run the blocks, positions included, on input embeddings: [B, L,
+        d], or [B, d] at positions ``read`` (see ``_stack_forward``)."""
         return _stack_forward(x, self.store, "", self.cfg.n_layers,
-                              self.cfg.layer(), lengths)
+                              self.cfg.layer(), lengths, read=read)
 
     def logits_for(self, seqs: list) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """Teacher-forced LM logits plus (labels, mask) for training."""
@@ -269,6 +297,5 @@ class CausalLM:
     def next_token_logits(self, prefixes: list) -> np.ndarray:
         """Logits over the vocabulary for the token after each prefix."""
         ids, lengths = pad_batch([[BOS] + list(p) for p in prefixes])
-        hidden = self.hidden_from_ids(ids, lengths)
-        logits = tied_logits(hidden, self.store["tok_embed"]).data
-        return logits[np.arange(len(prefixes)), lengths - 1]
+        hidden = self.hidden_from_ids(ids, lengths, read=lengths - 1)
+        return tied_logits(hidden, self.store["tok_embed"]).data

@@ -14,6 +14,9 @@ its matching ``init_*`` function created.  Conventions:
 * every projection is one :func:`tensor.linear` node and every attention
   core (scores, mask, softmax, context) one :func:`tensor.attention`
   node, so the tape keeps one record per composite.
+* a layer given ``read`` (one position per row) runs everything after
+  its self-attention keys and values on those rows alone: this module is
+  the one caller of :func:`tensor.take_rows`.
 * the dimension-alignment adapter is Linear -> LayerNorm -> GELU ->
   Linear -> LayerNorm; this is the stack whose parameter count matches
   the published per-module figures (see adapter_param_count).
@@ -297,17 +300,19 @@ def _mask_bias(mask: np.ndarray, dtype) -> np.ndarray:
 def multi_head_attention(q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
                          cfg: AttentionConfig, store: ParamStore,
                          prefix: str, cache: KVCache | None = None) -> Tensor:
-    """Scaled dot-product attention over [B, L, d] inputs.
+    """Scaled dot-product attention of ``q_in`` [B, Lq, d], or [B, d] for
+    one query per row, over ``kv_in`` [B, Lkv, d_kv].
 
-    With ``cache`` the keys and values come from, and go to, the cache, so
-    ``mask`` spans every cached key: [B, Lq, Lcache].
+    ``mask`` is [Lq, Lkv] or [B, Lq, Lkv], with Lq = 1 for one query per
+    row.  With ``cache`` the keys and values come from, and go to, the
+    cache, so ``mask`` spans every cached key: [B, Lq, Lcache].
     """
-    if (q_in.ndim != 3 or kv_in.ndim != 3 or q_in.shape[-1] != cfg.d_model
-            or kv_in.shape[-1] != cfg.kv_dim):
+    if (q_in.ndim not in (2, 3) or kv_in.ndim != 3
+            or q_in.shape[-1] != cfg.d_model or kv_in.shape[-1] != cfg.kv_dim):
         raise ShapeError(
-            f"attention {prefix!r} expects [B, L, d] inputs with q last dim "
-            f"{cfg.d_model} and kv last dim {cfg.kv_dim}, got {q_in.shape} "
-            f"and {kv_in.shape}"
+            f"attention {prefix!r} expects [B, L, d] inputs ([B, d] queries "
+            f"allowed) with q last dim {cfg.d_model} and kv last dim "
+            f"{cfg.kv_dim}, got {q_in.shape} and {kv_in.shape}"
         )
     q = linear(q_in, store, f"{prefix}.q")
     if cache is not None and not cache.grow and cache.k is not None:
@@ -332,11 +337,23 @@ def transformer_layer_forward(x: Tensor, cross_kv: Tensor | None,
                               cfg: LayerConfig, store: ParamStore, prefix: str,
                               self_mask: np.ndarray,
                               cross_mask: np.ndarray | None = None,
-                              cache: LayerCache | None = None) -> Tensor:
-    """One pre-LN layer; with ``cache`` the masks span the cached keys."""
+                              cache: LayerCache | None = None,
+                              read: np.ndarray | None = None) -> Tensor:
+    """One pre-LN layer; with ``cache`` the masks span the cached keys.
+
+    With ``read`` [B] the self-attention keys and values still span every
+    position of ``x`` [B, L, d], but the queries, the residual stream,
+    cross-attention and the feed-forward run on row ``read[i]`` of each
+    ``x[i]`` alone; the masks then hold one query row each, [B, 1, Lkv],
+    and the layer returns [B, d].
+    """
     normed = layer_norm(x, store, f"{prefix}.ln_self")
+    queries = normed
+    if read is not None:
+        x = T.take_rows(x, read)
+        queries = T.take_rows(normed, read)
     h = T.add(x, multi_head_attention(
-        normed, normed, self_mask, cfg.attn(), store, f"{prefix}.self_attn",
+        queries, normed, self_mask, cfg.attn(), store, f"{prefix}.self_attn",
         None if cache is None else cache.self_attn))
     if cross_kv is not None:
         if cross_mask is None:

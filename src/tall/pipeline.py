@@ -11,16 +11,18 @@ Stages:
 5. trainable alignment adapter, LM width -> decoder width
 6. trainable bridge transformer (bidirectional self-attention)
 7. frozen target-language decoder over teacher-forced target tokens
-   with cross-attention to stage 6, then the frozen tied head
+   with cross-attention to stage 6, then the frozen tied head; only the
+   final position of each row is read, so the decoder's last layer and
+   the head run on that position alone
 
 Only {adapter1, bridge1, adapter2, bridge2} ever receive gradients;
 training uses the final-token loss exclusively.  Bridge 1 runs at the LM
 width and bridge 2 at the decoder width; the backbones fix every width
 the trainable parts connect to, so :class:`TallConfig` holds only the
-free choices and a stage width mismatch cannot be configured.  At
-inference the pipeline returns the final-position logits
-(``TallModel.final_logits``) and does no sampling; :mod:`tall.evaluation`
-draws the answer.
+free choices and a stage width mismatch cannot be configured.  The
+forward pass returns the final-position logits [B, V_lr], for training
+and inference alike (``TallModel.final_logits``), and does no sampling;
+:mod:`tall.evaluation` draws the answer.
 """
 
 from __future__ import annotations
@@ -165,14 +167,16 @@ class TallModel:
 
     def decode(self, dec_ids: np.ndarray, dec_lengths: np.ndarray,
                memory: Tensor, memory_lengths: np.ndarray) -> Tensor:
-        """Stage 7: frozen decoder plus frozen tied head -> LR logits."""
+        """Stage 7: frozen decoder plus frozen tied head -> the LR logits
+        [B, V_lr] of each row's final position, ``dec_lengths - 1``."""
         hidden = decoder_forward(self.store, "decoder", self.decoder_cfg,
-                                 dec_ids, dec_lengths, memory, memory_lengths)
+                                 dec_ids, dec_lengths, memory, memory_lengths,
+                                 read=dec_lengths - 1)
         return tied_logits(hidden, self.store["decoder.tgt_embed"])
 
     def forward(self, batch: TallBatch) -> Tensor:
-        """All seven stages; logits [B, Lt, V_lr], position t predicts
-        teacher token t."""
+        """All seven stages; logits [B, V_lr] for each example's final
+        teacher token."""
         h_enc = self.encode_lr(batch.enc_ids, batch.enc_lengths)
         h_a1 = nn.adapter_forward(h_enc, self.adapter1, self.store, "adapter1")
         h_b1 = self.bridge1_forward(batch.hr_ids, batch.hr_lengths, h_a1,
@@ -209,10 +213,8 @@ class TallModel:
                          dec_lengths, targets)
 
     def loss(self, batch: TallBatch) -> Tensor:
-        """Mean final-token cross entropy (all other positions zero-grad)."""
-        logits = self.forward(batch)
-        return T.cross_entropy_last_token(logits, batch.targets,
-                                          batch.dec_lengths)
+        """Mean final-token cross entropy."""
+        return T.cross_entropy_last_token(self.forward(batch), batch.targets)
 
     # -- inference ------------------------------------------------------------
 
@@ -228,8 +230,7 @@ class TallModel:
         # placeholder after each prefix makes the whole prefix the input
         batch = self.make_batch([list(p) + [PAD] for p in prefixes],
                                 self.translate_prefixes(prefixes))
-        logits = self.forward(batch).data
-        return logits[np.arange(len(prefixes)), batch.dec_lengths - 1]
+        return self.forward(batch).data
 
 
 def train_tall(model: TallModel, corpus: list[BilingualPair],
@@ -288,11 +289,9 @@ def evaluate_tall(model: TallModel, examples: list, batch_size: int = 64
         chunk = examples[start : start + batch_size]
         batch = model.make_batch([t for t, _ in chunk], [h for _, h in chunk])
         logits = model.forward(batch)
-        loss = T.cross_entropy_last_token(logits, batch.targets,
-                                          batch.dec_lengths)
+        loss = T.cross_entropy_last_token(logits, batch.targets)
         total_loss += loss.item() * len(chunk)
-        last = logits.data[np.arange(len(chunk)), batch.dec_lengths - 1]
-        hits += int((last.argmax(axis=1) == batch.targets).sum())
+        hits += int((logits.data.argmax(axis=1) == batch.targets).sum())
         count += len(chunk)
     mean_loss = total_loss / count
     return {"loss": mean_loss, "accuracy": hits / count,

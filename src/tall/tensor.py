@@ -24,7 +24,14 @@ Design constraints, in order of priority:
   head views of its inputs in backward.  Both replay exactly the array
   operations of the primitive composition they replace, so their bytes
   match it.  :meth:`Tape.backward` drops each intermediate gradient once
-  its node has run, so after backward only leaves hold ``grad``.
+  its node has run, so after backward only leaves hold ``grad``.  Layer
+  norm and GELU compute forward and backward in place on their own
+  buffers, in the arithmetic order of the formulas, so they keep no
+  temporaries beyond what backward reads.  A stack's last layer runs on
+  the rows its caller reads (:func:`take_rows`), so the tape holds
+  [B, d] rather than [B, L, d] for that layer, the final norm and the
+  head, and :func:`cross_entropy_last_token` takes those [B, V] logits
+  without a [B, L, V] gradient.
 
 Recording happens only while a :class:`Tape` is active, so inference
 code that never opens a tape pays no autodiff overhead.
@@ -266,6 +273,29 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     return _register(out, (a,), bwd)
 
 
+def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """Row ``rows[i]`` of each ``a[i]``: ``a`` [B, L, ...] -> [B, ...].
+
+    One node; backward scatters the gradient into zeros of ``a``'s
+    shape, so every row not taken gets an exact zero.
+    """
+    rows = np.asarray(rows)
+    if a.ndim < 2 or rows.shape != (a.shape[0],):
+        raise ShapeError(f"take_rows needs a [B, L, ...] operand and rows "
+                         f"[B], got {a.shape} and {rows.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= a.shape[1]):
+        raise IndexError(f"take_rows rows out of range [0, {a.shape[1]})")
+    batch = np.arange(a.shape[0])
+    out = Tensor(a.data[batch, rows])
+
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        ga[batch, rows] = g
+        return (ga,)
+
+    return _register(out, (a,), bwd)
+
+
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
 
@@ -370,15 +400,19 @@ def attention(q, k, v, bias: np.ndarray, n_heads: int) -> Tensor:
 
     ``q`` [B, Lq, d], ``k`` and ``v`` [B, Lkv, d] are projected inputs;
     ``bias`` is an additive logits bias that broadcasts to [B, h, Lq,
-    Lkv].  Returns the merged heads' context [B, Lq, d].  The head split
-    and merge are array copies inside the node, and the node keeps only
-    the softmax probabilities P: backward rebuilds the head views from
+    Lkv].  Returns the merged heads' context [B, Lq, d]; a ``q`` of
+    [B, d] is one query per row (Lq = 1) and gives a [B, d] context.  The
+    head split and merge are array copies inside the node, and the node
+    keeps only the softmax probabilities P: backward rebuilds the head views from
     the inputs and uses dS = P * (dP - rowsum(dP * P)) * scale, the
     softmax backward of FlashAttention (Dao et al. 2022).  Every array
     operation is the one the primitive composition (reshape, swapaxes,
     matmul, scale, add, softmax) performs, so the bytes match it.
     """
     q_d, k_d, v_d = _data(q), _data(k), _data(v)
+    q_shape = q_d.shape
+    if q_d.ndim == 2:
+        q_d = q_d[:, None]
     if (q_d.ndim != 3 or k_d.ndim != 3 or v_d.shape != k_d.shape
             or q_d.shape[0] != k_d.shape[0] or q_d.shape[2] != k_d.shape[2]):
         raise ShapeError(f"attention needs q [B, Lq, d] and k, v [B, Lkv, d], "
@@ -409,10 +443,10 @@ def attention(q, k, v, bias: np.ndarray, n_heads: int) -> Tensor:
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor(merge(_product(p, heads(v_d, lkv)), lq))
+    out = Tensor(merge(_product(p, heads(v_d, lkv)), lq).reshape(q_shape))
 
     def bwd(g):
-        g_ctx = heads(g, lq)
+        g_ctx = heads(g.reshape(b, lq, d), lq)
         gq = gk = gv = None
         if _needs_grad(v):
             gv = merge(_product(np.swapaxes(p, -1, -2), g_ctx), lkv)
@@ -423,7 +457,8 @@ def attention(q, k, v, bias: np.ndarray, n_heads: int) -> Tensor:
             ds *= p
             ds *= c
             if _needs_grad(q):
-                gq = merge(_product(ds, np.swapaxes(keys_t(), -1, -2)), lq)
+                gq = merge(_product(ds, np.swapaxes(keys_t(), -1, -2)),
+                           lq).reshape(q_shape)
             if _needs_grad(k):
                 gk_t = _product(np.swapaxes(heads(q_d, lq), -1, -2), ds)
                 gk = merge(np.ascontiguousarray(np.swapaxes(gk_t, 2, 3)), lkv)
@@ -452,6 +487,8 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Layer norm over the last axis, forward and backward in place on
+    their own buffers, in the arithmetic order of the textbook formulas."""
     d = x.shape[-1]
     if _data(gamma).shape != (d,) or _data(beta).shape != (d,):
         raise ShapeError(
@@ -461,26 +498,38 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if eps < 0:
         raise ContractError(f"layer_norm eps must be >= 0, got {eps}")
     # sum / d is np.mean's own arithmetic, without its Python overhead
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xh = xc * inv
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu /= d
+    xh = x.data - mu
+    inv = (xh * xh).sum(axis=-1, keepdims=True)
+    inv /= d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xh *= inv
     g_d, b_d = _data(gamma), _data(beta)
-    out = Tensor(xh * g_d + b_d)
+    out_d = xh * g_d
+    out_d += b_d
+    out = Tensor(out_d)
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
-        d_gamma = (g * xh).sum(axis=lead) if _needs_grad(gamma) else None
+        buf = g * xh
+        d_gamma = buf.sum(axis=lead) if _needs_grad(gamma) else None
         d_beta = g.sum(axis=lead) if _needs_grad(beta) else None
         dx = None
         if _needs_grad(x):
-            dxh = g * g_d
-            dx = inv * (
-                dxh
-                - dxh.sum(axis=-1, keepdims=True) / d
-                - xh * ((dxh * xh).sum(axis=-1, keepdims=True) / d)
-            )
+            # dx = inv * (dxh - mean(dxh) - xh * mean(dxh * xh))
+            dx = g * g_d
+            s1 = dx.sum(axis=-1, keepdims=True)
+            s1 /= d
+            np.multiply(dx, xh, out=buf)
+            s2 = buf.sum(axis=-1, keepdims=True)
+            s2 /= d
+            np.multiply(xh, s2, out=buf)
+            dx -= s1
+            dx -= buf
+            dx *= inv
         return dx, d_gamma, d_beta
 
     return _register(out, (x, gamma, beta), bwd)
@@ -491,13 +540,26 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf formulation x * Phi(x), not the tanh approximation."""
-    phi_cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    """Exact erf formulation x * Phi(x), not the tanh approximation.
+
+    Forward and backward work in place on their own buffers, in the
+    arithmetic order of ``x * 0.5 * (1 + erf(x / sqrt 2))``."""
+    phi_cdf = x.data * _INV_SQRT2
+    erf(phi_cdf, out=phi_cdf)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
     out = Tensor(x.data * phi_cdf)
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return (g * (phi_cdf + x.data * pdf),)
+        # g * (Phi(x) + x * exp(-x^2 / 2) / sqrt(2 pi))
+        dx = x.data * -0.5
+        dx *= x.data
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT_2PI
+        dx *= x.data
+        dx += phi_cdf
+        dx *= g
+        return (dx,)
 
     return _register(out, (x,), bwd)
 
@@ -526,36 +588,29 @@ def _log_softmax_rows(rows: np.ndarray) -> np.ndarray:
     return shifted - lse
 
 
-def cross_entropy_last_token(
-    logits: Tensor, targets: np.ndarray, lengths: np.ndarray
-) -> Tensor:
-    """Mean negative log-likelihood of the final valid position only.
+def cross_entropy_last_token(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of each example's final position.
 
-    ``logits`` is [batch, seq, vocab]; for example i the scored position
-    is ``lengths[i] - 1`` with class ``targets[i]``.  Every other
-    position contributes nothing: its logit gradient is exactly zero.
+    ``logits`` [batch, vocab] are the final-position logits, which the
+    model computes alone (see ``models._stack_forward``'s ``read``);
+    example i has class ``targets[i]``.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    b, seq, vocab = logits.shape
-    if targets.shape != (b,) or lengths.shape != (b,):
-        raise ShapeError(
-            f"targets/lengths must be ({b},), got {targets.shape} and {lengths.shape}"
-        )
-    if lengths.min() < 1 or lengths.max() > seq:
-        raise ContractError(f"lengths must lie in [1, {seq}]")
+    if logits.ndim != 2:
+        raise ShapeError(f"logits must be [batch, vocab], got {logits.shape}")
+    b, vocab = logits.shape
+    if targets.shape != (b,):
+        raise ShapeError(f"targets must be ({b},), got {targets.shape}")
     if targets.min() < 0 or targets.max() >= vocab:
         raise IndexError(f"target id out of range [0, {vocab})")
-    rows = logits.data[np.arange(b), lengths - 1]
-    logp = _log_softmax_rows(rows)
+    logp = _log_softmax_rows(logits.data)
     out = Tensor(-logp[np.arange(b), targets].sum() / b)
 
     def bwd(g):
-        dl = np.zeros_like(logits.data)
         p = np.exp(logp)
         p[np.arange(b), targets] -= 1.0
-        dl[np.arange(b), lengths - 1] = p * (float(g) / b)
-        return (dl,)
+        p *= float(g) / b
+        return (p,)
 
     return _register(out, (logits,), bwd)
 

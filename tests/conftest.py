@@ -1,6 +1,6 @@
 """Shared oracles: the einsum reference kernel, the primitive
-compositions the fused tape nodes replace, and the finite-difference
-gradient check.
+compositions the fused tape nodes replace, the all-positions stack that
+``read`` replaces, and the finite-difference gradient check.
 
 ``tensor.matmul`` computes every product with one private kernel,
 ``tensor._product`` (BLAS).  BLAS results are deterministic for fixed
@@ -11,11 +11,12 @@ with the reference swapped in for that kernel.
 """
 
 import contextlib
+import inspect
 
 import numpy as np
 import pytest
 
-from tall import tensor
+from tall import models, pipeline, pretrain, tensor
 
 
 def reference_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -44,6 +45,57 @@ def composed_attention(q, k, v, bias, n_heads: int):
     weights = tensor.softmax(tensor.add(scores, bias), axis=-1)
     ctx = tensor.matmul(weights, split(v, lkv))
     return tensor.reshape(tensor.swapaxes(ctx, 1, 2), (b, lq, d))
+
+
+@contextlib.contextmanager
+def all_positions():
+    """The path ``read`` replaces: every transformer stack runs all its
+    positions, and a stack asked for rows returns the final valid row of
+    each sequence, ``lengths - 1``, whatever ``read`` says (every caller
+    that passes ``read`` reads the final position)."""
+    stack = models._stack_forward
+    signature = inspect.signature(stack)
+
+    def run(*args, read=None, **kwargs):
+        hidden = stack(*args, **kwargs)
+        if read is None:
+            return hidden
+        lengths = signature.bind(*args, **kwargs).arguments["lengths"]
+        return tensor.take_rows(hidden, lengths - 1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_stack_forward", run)
+        mp.setattr(pipeline, "_stack_forward", run)
+        yield
+
+
+@contextlib.contextmanager
+def update_gradients():
+    """Collect, for each update ``pretrain.fit`` makes, copies of the
+    trainable gradients it is about to clip."""
+    grads = []
+    clip = pretrain.clip_grad_norm
+
+    def record(params, max_norm):
+        grads.append([p.grad.copy() for p in params])
+        return clip(params, max_norm)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pretrain, "clip_grad_norm", record)
+        yield grads
+
+
+def assert_parity(got, want, kernel: str) -> None:
+    """Byte-equal on the reference kernel; on BLAS, whose row bytes
+    depend on the shape of the whole product, within 1e-12 of the
+    largest magnitude in ``want`` (a mathematically zero entry, such as
+    an attention key bias's gradient, carries only rounding noise)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    if kernel == "reference":
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def finite_diff_grad(f, params: list, eps: float = 1e-5) -> list[np.ndarray]:
@@ -91,6 +143,16 @@ def _reference_product_swapped_in():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "_product", reference_product)
         yield
+
+
+@pytest.fixture(params=["blas", "reference"])
+def kernel(request):
+    """Run one test on each matmul kernel; the value names it."""
+    if request.param == "blas":
+        yield request.param
+    else:
+        with _reference_product_swapped_in():
+            yield request.param
 
 
 @pytest.fixture

@@ -1,11 +1,12 @@
 """Strict configuration loading: unknown keys and bad values name their
 dotted path."""
 
+import dataclasses
 import re
 
 import pytest
 
-from tall.config import ConfigError, load_config
+from tall.config import ConfigError, compat_hash, config_hash, load_config
 
 
 def test_removed_models_dtype_key_is_rejected(tmp_path):
@@ -115,3 +116,35 @@ def test_eval_shift_alpha_must_be_a_fraction(value):
     message = f"world.eval_shift_alpha: must be in [0, 1], got {value}"
     with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
         load_config(None, [f"world.eval_shift_alpha={value}"])
+
+
+def _train_overrides() -> list[str]:
+    """``train.<section>.<key>=<default>`` for every training key."""
+    train = load_config(None, []).train
+    return [f"train.{s.name}.{f.name}={getattr(getattr(train, s.name), f.name)}"
+            for s in dataclasses.fields(train)
+            for f in dataclasses.fields(getattr(train, s.name))]
+
+
+@pytest.mark.parametrize("override", _train_overrides())
+def test_naming_a_training_key_at_its_default_changes_nothing(override):
+    assert load_config(None, [override]) == load_config(None, [])
+
+
+def test_a_named_section_keeps_its_other_defaults(tmp_path):
+    cfg = load_config(None, ["train.finetune.epochs=2"])
+    assert (cfg.train.finetune.learning_rate, cfg.train.finetune.batch_size,
+            cfg.train.finetune.epochs) == (2e-5, 16, 2)
+    path = tmp_path / "run.yaml"
+    path.write_text("train:\n  llm: {epochs: 1}\nmodels:\n  tall:\n"
+                    "    bridge1: {n_layers: 3}\n")
+    cfg = load_config(path)
+    assert (cfg.train.llm.batch_size, cfg.train.llm.grad_accum_steps) == (8, 8)
+    assert cfg.models.tall.bridge1.n_layers == 3
+    assert cfg.models.tall.bridge1.d_ff == 128
+
+
+def test_default_config_hashes_are_pinned():
+    cfg = load_config(None, [])
+    assert (config_hash(cfg), compat_hash(cfg)) == ("5d0ffd3dce153916",
+                                                    "eb631ed1b1b74610")

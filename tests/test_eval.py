@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from tall.evaluation import (
     EvalRecord,
     SamplerConfig,
     SoftPromptParams,
+    _soft_prompt_logits,
     accuracy,
     clone_llm,
     eval_direct,
@@ -19,8 +22,10 @@ from tall.evaluation import (
 from tall.models import CausalLM, CausalLMConfig, Seq2SeqConfig, Translator
 from tall.nn import ParamStore
 from tall.pretrain import TrainConfig, train_translator
-from tall.tensor import NumericalError, ShapeError
+from tall.tensor import NumericalError, ShapeError, Tensor
 from tall.world import N_SPECIALS, ToyGrammar, World, generate_corpus
+
+from conftest import all_positions, assert_parity, update_gradients
 
 
 class TestAccuracy:
@@ -336,6 +341,40 @@ class TestSoftPrompt:
         with pytest.raises(ValueError, match="evaluation dataset is empty"):
             eval_soft_prompt(llm, SoftPromptParams(store, 2), world, [],
                              SamplerConfig())
+
+    def test_logits_are_the_final_rows_of_every_position(self, tiny_world,
+                                                          kernel):
+        _, world, corpus, _, _ = tiny_world
+        llm = CausalLM.init(CausalLMConfig(world.vocab_lm, d_model=24,
+                                           n_heads=2, d_ff=48, n_layers=2,
+                                           max_len=48), seed=2)
+        prompt = np.random.default_rng(2).normal(0.0, 0.1, size=(3, 24))
+        prefixes = [world.lr_to_lm(np.array(p.lr_tokens[:-1])).tolist()
+                    for p in corpus[:7]]
+        assert len({len(p) for p in prefixes}) > 1
+        got = _soft_prompt_logits(llm, Tensor(prompt), prefixes).data
+        with all_positions():
+            want = _soft_prompt_logits(llm, Tensor(prompt), prefixes).data
+        assert_parity(got, want, kernel)
+
+    def test_one_update_leaves_the_same_gradients(self, tiny_world, kernel):
+        _, world, corpus, _, _ = tiny_world
+        corpus_lr = [list(p.lr_tokens) for p in corpus[:16]]
+        tc = TrainConfig(learning_rate=5e-4, epochs=1, batch_size=16, seed=3)
+        runs = []
+        for oracle in (contextlib.nullcontext, all_positions):
+            llm = CausalLM.init(CausalLMConfig(
+                world.vocab_lm, d_model=24, n_heads=2, d_ff=48, n_layers=2,
+                max_len=48), seed=2)
+            with oracle(), update_gradients() as grads:
+                _, metrics = train_soft_prompt(llm, world, corpus_lr, tc,
+                                               n_prompt=4)
+            runs.append((grads, metrics[0]["loss"]))
+        (got, got_loss), (want, want_loss) = runs
+        assert len(got) == len(want) == 1
+        assert_parity(got_loss, want_loss, kernel)
+        [g], [w] = got[0], want[0]
+        assert_parity(g, w, kernel)
 
     def test_published_prompt_size_arithmetic(self):
         assert 30 * 96 == 2880

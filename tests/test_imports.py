@@ -1,6 +1,6 @@
 """Import hygiene and the product seam, checked with the stdlib ``ast``.
 
-Seven rules for every module under ``src/tall``:
+Eight rules for every module under ``src/tall``:
 
 - a module-level import binds a name the module references, unless its
   line carries ``# noqa: F401`` (an import kept on purpose);
@@ -21,7 +21,10 @@ Seven rules for every module under ``src/tall``:
   so the adapters' geometry is not stated a second time;
 - only ``runner.load_into`` calls ``load_checkpoint``, so every
   checkpoint a command reads is checked for its architecture, entries
-  and kind the same way.
+  and kind the same way;
+- only ``nn.py`` calls ``take_rows``, and no module picks final positions
+  out of a whole sequence with ``[np.arange(...), ... - 1]``: a caller
+  passes ``read`` to the stack, which chooses the rows in one place.
 """
 
 import ast
@@ -132,6 +135,27 @@ def adapter_spec_calls(path: Path) -> list[str]:
     return calls_to(path, ("AdapterSpec",))
 
 
+def read_row_sites(path: Path) -> list[str]:
+    """``take_rows`` calls and ``[np.arange(...), ... - 1]`` subscripts."""
+    tree, _ = _parse(path)
+    found = calls_to(path, ("take_rows",))
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Subscript)
+                and isinstance(node.slice, ast.Tuple)
+                and len(node.slice.elts) >= 2):
+            continue
+        first, second = node.slice.elts[:2]
+        if (isinstance(first, ast.Call)
+                and getattr(first.func, "attr", getattr(first.func, "id", None))
+                == "arange"
+                and isinstance(second, ast.BinOp)
+                and isinstance(second.op, ast.Sub)
+                and isinstance(second.right, ast.Constant)
+                and second.right.value == 1):
+            found.append(f"{path.name}:{node.lineno} [arange, ... - 1]")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
@@ -167,6 +191,12 @@ def test_only_models_adds_positions_and_builds_masks(path):
     ids=lambda p: p.name)
 def test_only_pipeline_and_presets_build_adapter_specs(path):
     assert adapter_spec_calls(path) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "nn.py"], ids=lambda p: p.name)
+def test_only_nn_takes_the_rows_a_caller_reads(path):
+    assert read_row_sites(path) == []
 
 
 def test_checkpoints_are_read_by_one_loader():
@@ -230,3 +260,11 @@ def test_checks_catch_what_they_name(tmp_path):
         "n = AdapterSpecs(a1) or adapter_param_count(a2)\n")
     assert adapter_spec_calls(spec) == ["spec.py:1 AdapterSpec",
                                         "spec.py:2 AdapterSpec"]
+    rows = tmp_path / "rows.py"
+    rows.write_text(
+        "a = logits[np.arange(b), lengths - 1]\n"
+        "c = T.take_rows(x, read) + logits[arange(n), ends - 1, :]\n"
+        "d = logits[np.arange(b), targets] + logits[:, -1] + x[i - 1]\n")
+    assert read_row_sites(rows) == [
+        "rows.py:1 [arange, ... - 1]", "rows.py:2 [arange, ... - 1]",
+        "rows.py:2 take_rows"]

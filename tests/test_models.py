@@ -1,4 +1,5 @@
-"""Cached greedy decoding against a full-recompute oracle.
+"""Cached greedy decoding against a full-recompute oracle, and the
+stacks' ``read`` rows against every position.
 
 ``Translator.greedy_translate`` runs the decoder one token per step with
 per-layer key/value caches.  The oracle below is the plain loop: at every
@@ -12,10 +13,13 @@ import numpy as np
 import pytest
 
 from tall import models
-from tall.models import (Seq2SeqConfig, Translator, decoder_forward,
-                         pad_batch, tied_logits)
-from tall.tensor import ShapeError
+from tall.models import (CausalLM, CausalLMConfig, Seq2SeqConfig, Translator,
+                         decoder_forward, pad_batch, tied_logits)
+from tall.nn import LayerCache
+from tall.tensor import ContractError, ShapeError
 from tall.world import BOS, EOS, N_SPECIALS, PAD
+
+from conftest import assert_parity
 
 CFG = Seq2SeqConfig(vocab_src=20, vocab_tgt=18, d_model=16, n_heads=2,
                     d_ff=32, enc_layers=2, dec_layers=2, max_len=12)
@@ -116,3 +120,39 @@ def test_cap_past_the_position_table_is_refused():
     tr = Translator.init(CFG, 0)
     with pytest.raises(ShapeError, match="decoder.pos"):
         tr.greedy_translate([[N_SPECIALS]], cap=CFG.max_len + 1)
+
+
+# ---------------------------------------------------------------------------
+# read: the last layer and the head run on the positions a caller reads
+
+LM_CFG = CausalLMConfig(vocab_size=30, d_model=16, n_heads=2, d_ff=32,
+                        n_layers=2, max_len=16)
+
+
+def test_next_token_logits_are_the_final_rows_of_every_position(kernel):
+    lm = CausalLM.init(LM_CFG, 3)
+    rng = np.random.default_rng(3)
+    prefixes = [rng.integers(N_SPECIALS, LM_CFG.vocab_size, size=n).tolist()
+                for n in (1, 4, 9, 2, 14)]
+    ids, lengths = pad_batch([[BOS] + p for p in prefixes])
+    full = tied_logits(lm.hidden_from_ids(ids, lengths),
+                       lm.store["tok_embed"]).data
+    assert_parity(lm.next_token_logits(prefixes),
+                  full[np.arange(len(prefixes)), lengths - 1], kernel)
+
+
+def test_read_with_a_cache_is_refused():
+    tr = Translator.init(CFG, 0)
+    memory, mem_lengths = tr.encode([[N_SPECIALS]])
+    cache = [LayerCache() for _ in range(CFG.dec_layers)]
+    with pytest.raises(ContractError, match="cached call"):
+        decoder_forward(tr.store, "decoder", CFG, np.array([[BOS]]),
+                        np.array([1]), memory, mem_lengths, cache,
+                        read=np.array([0]))
+
+
+def test_read_needs_one_position_per_row():
+    lm = CausalLM.init(LM_CFG, 0)
+    ids, lengths = pad_batch([[BOS, 5], [BOS, 6, 7]])
+    with pytest.raises(ShapeError, match="one position per row"):
+        lm.hidden_from_ids(ids, lengths, read=np.array([1]))

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -19,18 +21,23 @@ from tall.pretrain import TrainConfig
 from tall.tensor import ShapeError, Tape
 from tall.world import ToyGrammar, World, generate_corpus
 
+from conftest import all_positions, assert_parity, update_gradients
 
-def tiny_setup(vocab=16, seed=0, d_enc=12, d_lm=18, d_dec=12, lm_max_len=24):
+
+def tiny_setup(vocab=16, seed=0, d_enc=12, d_lm=18, d_dec=12, lm_max_len=24,
+               layers=1):
+    """``layers`` backbone layers of each kind: with two, the last layer
+    of the LM and of the decoder is not their first."""
     grammar = ToyGrammar(hr_vocab_size=vocab, min_len=4, max_len=7, seed=seed)
     world = World(hr_vocab_size=vocab, seed=seed)
     s2s = Seq2SeqConfig(world.vocab_lr, world.vocab_hr, d_model=d_enc,
-                        n_heads=2, d_ff=24, enc_layers=1, dec_layers=1,
-                        max_len=16)
+                        n_heads=2, d_ff=24, enc_layers=layers,
+                        dec_layers=layers, max_len=16)
     s2s_rev = Seq2SeqConfig(world.vocab_hr, world.vocab_lr, d_model=d_dec,
-                            n_heads=2, d_ff=24, enc_layers=1, dec_layers=1,
-                            max_len=16)
+                            n_heads=2, d_ff=24, enc_layers=layers,
+                            dec_layers=layers, max_len=16)
     lm = CausalLMConfig(world.vocab_lm, d_model=d_lm, n_heads=2, d_ff=24,
-                        n_layers=1, max_len=lm_max_len)
+                        n_layers=layers, max_len=lm_max_len)
     cfg = TallConfig(adapter1_hidden=2 * d_lm, adapter2_hidden=2 * d_dec,
                      bridge1=BridgeConfig(1, 2, 24),
                      bridge2=BridgeConfig(1, 2, 24))
@@ -110,8 +117,7 @@ class TestAssembly:
         batch = model.make_batch(
             teachers, model.translate_prefixes([t[:-1] for t in teachers]))
         logits = model.forward(batch)
-        assert logits.shape == (5, batch.dec_ids.shape[1],
-                                model.decoder_cfg.vocab_tgt)
+        assert logits.shape == (5, model.decoder_cfg.vocab_tgt)
         assert np.all(np.isfinite(logits.data))
 
     def test_adapters_follow_the_backbone_widths(self):
@@ -129,7 +135,7 @@ class TestAssembly:
         batch = model.make_batch(
             teachers, model.translate_prefixes([t[:-1] for t in teachers]))
         logits = model.forward(batch)
-        assert logits.shape == (3, batch.dec_ids.shape[1], world.vocab_lr)
+        assert logits.shape == (3, world.vocab_lr)
         assert np.all(np.isfinite(logits.data))
 
 
@@ -188,29 +194,39 @@ class TestGradientFlow:
             model.loss(batch)
         assert len(tape) == 74
 
-    def test_final_token_loss_masks_all_other_positions(self):
-        model, corpus, _ = tiny_setup(seed=4)
+
+
+class TestReadRows:
+    """The decoder's last layer and the tied head run on each example's
+    final position alone; every position of the stacks gives the same
+    rows and the same trainable gradients."""
+
+    def test_forward_is_the_final_row_of_every_position(self, kernel):
+        model, corpus, _ = tiny_setup(seed=4, layers=2)
         # heterogeneous lengths by construction of the corpus
         teachers = [list(p.lr_tokens) for p in corpus[:6]]
-        lengths = {len(t) for t in teachers}
-        assert len(lengths) > 1
+        assert len({len(t) for t in teachers}) > 1
         batch = model.make_batch(
             teachers, model.translate_prefixes([t[:-1] for t in teachers]))
-        # backward keeps grad on leaves only, so the loss is taken on a
-        # leaf copy of the logits under a second tape
-        with Tape():
-            logits = model.forward(batch)
-        leaf = T.Tensor(logits.data, requires_grad=True)
-        with Tape() as tape:
-            loss = T.cross_entropy_last_token(leaf, batch.targets,
-                                              batch.dec_lengths)
-        tape.backward(loss)
-        g = leaf.grad
-        for i, t in enumerate(teachers):
-            final = len(t) - 1
-            others = np.delete(g[i], final, axis=0)
-            assert np.all(others == 0.0)
-            assert np.any(g[i, final] != 0.0)
+        got = model.forward(batch).data
+        with all_positions():
+            want = model.forward(batch).data
+        assert_parity(got, want, kernel)
+
+    def test_one_update_leaves_the_same_gradients(self, kernel):
+        tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=24, seed=2,
+                         eval_fraction=0.0)
+        runs = []
+        for oracle in (contextlib.nullcontext, all_positions):
+            model, corpus, _ = tiny_setup(seed=15, layers=2)
+            with oracle(), update_gradients() as grads:
+                _, metrics = train_tall(model, corpus, tc)
+            runs.append((grads, metrics[0]["loss"]))
+        (got, got_loss), (want, want_loss) = runs
+        assert len(got) == len(want) == 1
+        assert_parity(got_loss, want_loss, kernel)
+        assert_parity(np.concatenate([g.ravel() for g in got[0]]),
+                      np.concatenate([w.ravel() for w in want[0]]), kernel)
 
 
 class TestCausalityAndIsolation:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from tall import tensor as T
 from tall.tensor import (
@@ -24,6 +25,7 @@ from tall.tensor import (
     softmax,
     sum_all,
     swapaxes,
+    take_rows,
 )
 
 from conftest import (
@@ -226,6 +228,19 @@ class TestFusedOps:
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    def test_one_query_per_row_is_a_length_one_query(self):
+        arrays, g, bias = _attention_operands(27, lq=1)
+
+        def attend(q, k, v):
+            return T.attention(q, k, v, bias, 2)
+
+        rows = [arrays[0][:, 0]] + arrays[1:]
+        one = _output_and_grads(attend, rows, g[:, 0])
+        full = _output_and_grads(attend, arrays, g)
+        assert one[0].shape == (2, 8) and one[1].shape == (2, 8)
+        for got, want in zip(one, full):
+            np.testing.assert_array_equal(got, want.reshape(got.shape))
+
     def test_linear_against_finite_differences(self):
         arrays, g = _linear_operands(23, (2, 3, 4))
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
@@ -361,6 +376,31 @@ class TestLayerNorm:
         popvar = (out * out).mean(axis=-1)
         assert np.max(np.abs(popvar - 1.0)) < 10 * eps
 
+    def test_bytes_match_the_textbook_formula(self):
+        """The in-place kernel keeps the arithmetic order of the formulas."""
+        rng = np.random.default_rng(9)
+        x_d = rng.standard_normal((3, 4, 7)) * 2 + 0.5
+        g_d, b_d = rng.standard_normal((2, 7))
+        up = rng.standard_normal((3, 4, 7))
+        x, gamma, beta = (Tensor(a, requires_grad=True) for a in (x_d, g_d, b_d))
+        with Tape() as tape:
+            loss = sum_all(mul(layer_norm(x, gamma, beta), Tensor(up)))
+        tape.backward(loss)
+        d, eps = 7, 1e-5
+        mu = x_d.sum(axis=-1, keepdims=True) / d
+        xc = x_d - mu
+        var = (xc * xc).sum(axis=-1, keepdims=True) / d
+        inv = 1.0 / np.sqrt(var + eps)
+        xh = xc * inv
+        dxh = up * g_d
+        dx = inv * (dxh - dxh.sum(axis=-1, keepdims=True) / d
+                    - xh * ((dxh * xh).sum(axis=-1, keepdims=True) / d))
+        out = layer_norm(Tensor(x_d), Tensor(g_d), Tensor(b_d))
+        assert out.data.tobytes() == (xh * g_d + b_d).tobytes()
+        assert x.grad.tobytes() == dx.tobytes()
+        assert gamma.grad.tobytes() == (up * xh).sum(axis=(0, 1)).tobytes()
+        assert beta.grad.tobytes() == up.sum(axis=(0, 1)).tobytes()
+
 
 class TestGelu:
     def test_zero(self):
@@ -374,41 +414,59 @@ class TestGelu:
         np.testing.assert_allclose(gelu(Tensor([1.0])).data[0], expected, atol=1e-12)
         np.testing.assert_allclose(gelu(Tensor([1.0])).data[0], 0.8413447, atol=1e-7)
 
+    def test_bytes_match_the_textbook_formula(self):
+        rng = np.random.default_rng(10)
+        x_d = rng.standard_normal((4, 9)) * 3
+        up = rng.standard_normal((4, 9))
+        x = Tensor(x_d, requires_grad=True)
+        with Tape() as tape:
+            out = gelu(x)
+            loss = sum_all(mul(out, Tensor(up)))
+        tape.backward(loss)
+        phi = 0.5 * (1.0 + erf(x_d * (1.0 / math.sqrt(2.0))))
+        pdf = np.exp(-0.5 * x_d * x_d) * (1.0 / math.sqrt(2.0 * math.pi))
+        assert out.data.tobytes() == (x_d * phi).tobytes()
+        assert x.grad.tobytes() == (up * (phi + x_d * pdf)).tobytes()
+
 
 class TestCrossEntropyLastToken:
+    """The loss on final-position logits [B, V]; with ``take_rows`` in
+    front it reads one position of [B, L, V] logits, as the last layer of
+    a stack given ``read`` does."""
+
     def test_uniform_logits(self):
-        logits = Tensor(np.zeros((2, 3, 4)))
-        loss = cross_entropy_last_token(
-            logits, targets=np.array([1, 3]), lengths=np.array([2, 3])
-        )
+        logits = Tensor(np.zeros((2, 4)))
+        loss = cross_entropy_last_token(logits, targets=np.array([1, 3]))
         np.testing.assert_allclose(loss.item(), math.log(4.0), atol=1e-12)
 
     def test_saturated(self):
-        logits = np.zeros((1, 2, 5))
-        logits[0, 1, 2] = 1000.0
-        loss = cross_entropy_last_token(
-            Tensor(logits), targets=np.array([2]), lengths=np.array([2])
-        )
+        logits = np.zeros((1, 5))
+        logits[0, 2] = 1000.0
+        loss = cross_entropy_last_token(Tensor(logits), targets=np.array([2]))
         assert loss.item() < 1e-12
 
     def test_non_final_positions_ignored_bitwise(self):
         rng = np.random.default_rng(4)
         base = rng.standard_normal((2, 5, 6))
         targets = np.array([1, 4])
-        lengths = np.array([3, 5])
-        ref = cross_entropy_last_token(Tensor(base), targets, lengths).item()
+        final = np.array([3, 5]) - 1
+
+        def loss(logits):
+            return cross_entropy_last_token(
+                take_rows(Tensor(logits), final), targets).item()
+
         perturbed = base.copy()
         perturbed[0, 0, :] += 100.0
         perturbed[1, 2, 3] = -17.0
-        got = cross_entropy_last_token(Tensor(perturbed), targets, lengths).item()
-        assert got == ref
+        assert loss(perturbed) == loss(base)
 
     def test_gradient_zero_at_non_final_positions(self):
         rng = np.random.default_rng(5)
         logits = Tensor(rng.standard_normal((3, 6, 5)), requires_grad=True)
         lengths = np.array([2, 6, 4])
         with Tape() as tape:
-            loss = cross_entropy_last_token(logits, np.array([0, 2, 4]), lengths)
+            loss = cross_entropy_last_token(take_rows(logits, lengths - 1),
+                                            np.array([0, 2, 4]))
         tape.backward(loss)
         g = logits.grad
         for i, n in enumerate(lengths):
@@ -416,11 +474,68 @@ class TestCrossEntropyLastToken:
             assert np.all(rest == 0.0)
             assert np.any(g[i, n - 1] != 0.0)
 
+    def test_gradient_is_softmax_minus_one_hot_over_batch(self):
+        rng = np.random.default_rng(7)
+        data = rng.standard_normal((3, 5))
+        targets = np.array([4, 0, 2])
+        logits = Tensor(data, requires_grad=True)
+        with Tape() as tape:
+            loss = cross_entropy_last_token(logits, targets)
+        tape.backward(loss)
+        p = np.exp(data - data.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(3), targets] -= 1.0
+        np.testing.assert_allclose(logits.grad, p / 3, rtol=1e-12, atol=1e-15)
+        fd = finite_diff_grad(
+            lambda: cross_entropy_last_token(logits, targets).item(), [logits])
+        assert max_relative_error(logits.grad, fd[0]) < 1e-6
+
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            cross_entropy_last_token(
-                Tensor(np.zeros((1, 2, 3))), np.array([3]), np.array([2])
-            )
+            cross_entropy_last_token(Tensor(np.zeros((1, 3))), np.array([3]))
+
+    def test_logits_of_every_position_are_refused(self):
+        with pytest.raises(ShapeError, match=r"\[batch, vocab\]"):
+            cross_entropy_last_token(Tensor(np.zeros((2, 3, 4))),
+                                     np.array([0, 1]))
+
+
+class TestTakeRows:
+    def test_forward_picks_one_row_per_batch_element(self):
+        data = np.arange(24.0).reshape(2, 3, 4)
+        out = take_rows(Tensor(data), np.array([2, 0]))
+        np.testing.assert_array_equal(out.data, [data[0, 2], data[1, 0]])
+
+    def test_against_finite_differences(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2)))
+        rows = np.array([1, 3, 1])
+
+        def loss():
+            return sum_all(mul(gelu(take_rows(x, rows)), w))
+
+        with Tape() as tape:
+            value = loss()
+        tape.backward(value)
+        fd = finite_diff_grad(lambda: loss().item(), [x])
+        assert max_relative_error(x.grad, fd[0]) < 1e-6
+        assert np.all(np.delete(x.grad, 1, axis=1)[[0, 2]] == 0.0)
+
+    def test_frozen_operand_records_nothing(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        with Tape() as tape:
+            out = take_rows(x, np.array([0, 2]))
+        assert len(tape) == 0 and not out.requires_grad
+
+    def test_bad_rows_are_refused(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            take_rows(x, np.array([0, 1, 2]))
+        with pytest.raises(IndexError):
+            take_rows(x, np.array([0, 3]))
+        with pytest.raises(IndexError):
+            take_rows(x, np.array([-1, 0]))
 
 
 class TestBackward:
