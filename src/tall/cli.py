@@ -1,5 +1,9 @@
 """Operator command line: pretraining, pipeline training, eval, reports.
 
+``tall eval`` takes its approaches from ``runner.APPROACHES``: the
+``--approach`` choices, what ``--all`` runs and the checkpoint flags
+each approach needs all come from that one table.
+
 Exit codes: 0 success, 2 configuration problem (also a missing
 checkpoint flag or an output directory that does not exist), 3
 checkpoint problem (unreadable, built for another config, not holding
@@ -29,15 +33,6 @@ EXIT_CHECKPOINT = 3
 EXIT_NUMERICAL = 4
 EXIT_SHAPE = 5
 
-CLI_APPROACHES = {
-    "direct": "direct",
-    "naive": "naive",
-    "soft-prompt": "soft_prompt",
-    "finetune": "finetuned",
-    "scratch": "from_scratch",
-    "tall": "tall",
-}
-
 # checkpoint flag -> the meta kind its file must carry, the stage it fills
 CHECKPOINTS = {
     "lr2hr": ("translator-lr2hr", "stage 1 encoder backbone"),
@@ -45,12 +40,6 @@ CHECKPOINTS = {
     "llm": ("causal-lm", "stage 4 language-model backbone"),
     "tall": ("tall", "trainable stages 2, 3, 5 and 6"),
 }
-
-# approach -> the checkpoint flags it needs
-APPROACH_CHECKPOINTS = {"direct": ("llm",), "soft_prompt": ("llm",),
-                        "finetuned": ("llm",), "from_scratch": ("llm",),
-                        "naive": ("lr2hr", "hr2lr", "llm"),
-                        "tall": ("lr2hr", "hr2lr", "llm", "tall")}
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -97,7 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate approaches on the shared task")
     _add_config_args(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--approach", choices=sorted(CLI_APPROACHES))
+    group.add_argument(
+        "--approach",
+        choices=sorted(a.cli_name for a in runner.APPROACHES.values()),
+        help="the approach to run; each needs these checkpoint flags: "
+             + "; ".join(f"{a.cli_name} "
+                         + " ".join(f"--{f}" for f in a.checkpoints)
+                         for a in runner.APPROACHES.values()))
     group.add_argument("--all", action="store_true",
                        help="run every approach on the shared dataset")
     p.add_argument("--lr2hr")
@@ -139,10 +134,12 @@ def _load_models(cfg, seed, args, flags) -> tuple[dict, dict]:
               if f in flags}
     metas = {}
     for flag, (kind, stage) in CHECKPOINTS.items():
-        if flag == "tall" and flag in flags:  # on the filled backbones
-            models["tall"] = runner.assemble_tall(cfg, models, seed)
-        if flag not in flags or getattr(args, flag) is None:
-            continue  # not needed, or train-tall without --resume
+        if flag not in flags:
+            continue
+        if flag not in models:  # the pipeline, on the backbones filled above
+            models[flag] = runner.assemble_tall(cfg, models, seed)
+        if getattr(args, flag) is None:
+            continue  # train-tall without --resume
         # every entry of a fresh backbone; the pipeline's trainable parts
         params = dict(models[flag].store.trainable_items())
         try:
@@ -170,11 +167,12 @@ def cmd_train_tall(args) -> int:
     start_step = 0
     if "tall" in metas:
         start_step = int(metas["tall"].get("step", 0))
-        teachers = [list(p.lr_tokens) for p in corpus]
-        hr_lm = model.translate_prefixes([t[:-1] for t in teachers])
-        _, heldout = split_train_eval(list(zip(teachers, hr_lm)),
+        # the split depends only on the corpus size and the seed, so only
+        # the held-out prefixes need translating
+        _, heldout = split_train_eval([list(p.lr_tokens) for p in corpus],
                                       cfg.train.tall.eval_fraction, seed)
-        stats = evaluate_tall(model, heldout)
+        hr_lm = model.translate_prefixes([t[:-1] for t in heldout])
+        stats = evaluate_tall(model, list(zip(heldout, hr_lm)))
         print(json.dumps({"resumed_at": start_step, "eval": stats},
                          sort_keys=True))
     meta, metrics = train_tall(model, corpus,
@@ -192,19 +190,16 @@ def cmd_train_tall(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, seed = _load(args)
-    if args.all:
-        wanted = sorted(CLI_APPROACHES.values())
-    else:
-        wanted = [CLI_APPROACHES[args.approach]]
-    flags = {f for approach in wanted for f in APPROACH_CHECKPOINTS[approach]}
+    wanted = [name for name, a in sorted(runner.APPROACHES.items())
+              if args.all or a.cli_name == args.approach]
+    flags = {f for name in wanted for f in runner.APPROACHES[name].checkpoints}
     missing = [f"--{f}" for f in sorted(flags) if getattr(args, f) is None]
     if missing:
         raise ConfigError(f"approaches {wanted} need {', '.join(missing)}")
     models, _ = _load_models(cfg, seed, args, flags)
     examples, dataset_hash = runner.eval_dataset(cfg, args.eval_seed)
-    rows, details = runner.run_approaches(
-        cfg, wanted, models.get("lr2hr"), models.get("hr2lr"), models["llm"],
-        models.get("tall"), examples, dataset_hash, sampler_seed=seed)
+    rows, details = runner.run_approaches(cfg, wanted, models, examples,
+                                          dataset_hash, sampler_seed=seed)
     print(runner.format_results_table(rows, details["header"]))
     if args.json:
         Path(args.json).write_text(json.dumps(

@@ -179,13 +179,6 @@ class ParamStore:
         }
 
 
-def trainable_param_count(store: ParamStore) -> tuple[int, int]:
-    """(total, trainable) element counts, exact integers."""
-    total = sum(t.size for t in store._entries.values())
-    trainable = sum(t.size for _, t in store.trainable_items())
-    return total, trainable
-
-
 # ---------------------------------------------------------------------------
 # initialization
 

@@ -2,12 +2,17 @@
 
 Everything here is a deterministic function of a RunConfig and a seed.
 Checkpoints stamp the resolved config, its hash, and a narrower
-architecture-compatibility hash that loading verifies.
+architecture-compatibility hash that loading verifies.  The
+benchmark's approaches are declared once, in :data:`APPROACHES`, which
+the command line reads for its choices and checkpoint flags.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -100,7 +105,7 @@ def load_into(params: dict, path, cfg: RunConfig, kind: str) -> dict:
     got = {n: t.shape for n, t in store.items()}
     if got != want:
         name = next(n for n in [*got, *want] if got.get(n) != want.get(n))
-        part = "trainable pipeline" if kind == "tall" else kind
+        part = {"tall": "trainable pipeline"}.get(kind, kind)
         problem = ("is missing" if name not in got
                    else f"is not a {part} part" if name not in want
                    else f"has shape {got[name]}, expected {want[name]}")
@@ -123,67 +128,94 @@ def write_metrics(metrics: list[dict], path) -> None:
 # benchmark
 
 
-def run_approaches(cfg: RunConfig, approaches, lr2hr: Translator,
-                   hr2lr: Translator, llm: CausalLM,
-                   tall_model: TallModel | None, examples, dataset_hash: str,
-                   sampler_seed: int) -> tuple[list[dict], dict]:
-    """Evaluate the requested approaches on one shared dataset.
+def _direct(cfg, models, world, corpus_lr, examples, sampler):
+    return ev.eval_direct(models["llm"], world, examples, sampler)
 
-    The fine-tuned, from-scratch, and soft-prompt baselines train here,
-    on the shared training corpus, because they are per-approach
-    trainings rather than reusable backbones.
+
+def _finetuned(cfg, models, world, corpus_lr, examples, sampler):
+    tuned, _, _ = ev.finetune_llm(
+        models["llm"], world, corpus_lr(),
+        cfg.train.finetune.to_train_config(sampler.seed))
+    return ev.eval_direct(tuned, world, examples, sampler, approach="finetuned")
+
+
+def _from_scratch(cfg, models, world, corpus_lr, examples, sampler):
+    scratch, _, _ = ev.from_scratch_llm(
+        world, corpus_lr(), llm_config(cfg),
+        cfg.train.from_scratch.to_train_config(sampler.seed))
+    return ev.eval_direct(scratch, world, examples, sampler,
+                          approach="from_scratch")
+
+
+def _naive(cfg, models, world, corpus_lr, examples, sampler):
+    return ev.eval_naive(models["lr2hr"], models["llm"], models["hr2lr"],
+                         world, examples, sampler)
+
+
+def _soft_prompt(cfg, models, world, corpus_lr, examples, sampler):
+    sp_cfg = cfg.train.soft_prompt
+    params, _ = ev.train_soft_prompt(
+        models["llm"], world, corpus_lr(),
+        sp_cfg.to_train_config(sampler.seed), n_prompt=sp_cfg.n_prompt)
+    return ev.eval_soft_prompt(models["llm"], params, world, examples, sampler)
+
+
+def _tall(cfg, models, world, corpus_lr, examples, sampler):
+    return ev.eval_tall(models["tall"], examples, sampler)
+
+
+@dataclass(frozen=True)
+class Approach:
+    """One approach of the benchmark.
+
+    ``cli_name`` is its ``tall eval --approach`` name, ``checkpoints``
+    the checkpoint flags (keys of ``cli.CHECKPOINTS``) whose models it
+    reads, and ``run(cfg, models, world, corpus_lr, examples, sampler)``
+    trains whatever the approach trains, on ``corpus_lr()`` (the LR
+    sentences of the training corpus), then returns its eval records.
+    """
+
+    cli_name: str
+    checkpoints: tuple[str, ...]
+    run: Callable[..., list]
+
+
+# record name (``EvalRecord.approach``) -> the approach
+APPROACHES = {
+    "direct": Approach("direct", ("llm",), _direct),
+    "finetuned": Approach("finetune", ("llm",), _finetuned),
+    "from_scratch": Approach("scratch", ("llm",), _from_scratch),
+    "naive": Approach("naive", ("lr2hr", "hr2lr", "llm"), _naive),
+    "soft_prompt": Approach("soft-prompt", ("llm",), _soft_prompt),
+    "tall": Approach("tall", ("lr2hr", "hr2lr", "llm", "tall"), _tall),
+}
+
+
+def run_approaches(cfg: RunConfig, approaches, models: dict, examples,
+                   dataset_hash: str, sampler_seed: int
+                   ) -> tuple[list[dict], dict]:
+    """Run ``approaches`` (keys of :data:`APPROACHES`, in the order given)
+    on one shared dataset.
+
+    ``models`` maps checkpoint flags to models and holds every flag the
+    approaches declare.  The fine-tuned, from-scratch and soft-prompt
+    baselines train here, because they are per-approach trainings rather
+    than reusable backbones; the training corpus they share is generated
+    at most once, and only if one of them runs.  Returns the results rows
+    and ``{"header": ..., "records": {approach: records}}``.
     """
     world = build_world(cfg)
     sampler = cfg.sampler.to_sampler(sampler_seed)
-    rows = []
-    all_records = {}
-    corpus_lr = None
-
-    def need_corpus_lr():
-        nonlocal corpus_lr
-        if corpus_lr is None:
-            corpus_lr = [list(p.lr_tokens) for p in train_corpus(cfg)]
-        return corpus_lr
-
-    for approach in approaches:
-        if approach == "direct":
-            records = ev.eval_direct(llm, world, examples, sampler)
-        elif approach == "naive":
-            records = ev.eval_naive(lr2hr, llm, hr2lr, world, examples,
-                                    sampler)
-        elif approach == "soft_prompt":
-            sp_cfg = cfg.train.soft_prompt
-            params, _ = ev.train_soft_prompt(
-                llm, world, need_corpus_lr(),
-                sp_cfg.to_train_config(sampler.seed),
-                n_prompt=sp_cfg.n_prompt)
-            records = ev.eval_soft_prompt(llm, params, world, examples,
-                                          sampler)
-        elif approach == "finetuned":
-            tuned, _, _ = ev.finetune_llm(
-                llm, world, need_corpus_lr(),
-                cfg.train.finetune.to_train_config(sampler.seed))
-            records = ev.eval_direct(tuned, world, examples, sampler,
-                                     approach="finetuned")
-        elif approach == "from_scratch":
-            scratch, _, _ = ev.from_scratch_llm(
-                world, need_corpus_lr(), llm_config(cfg),
-                cfg.train.from_scratch.to_train_config(sampler.seed))
-            records = ev.eval_direct(scratch, world, examples, sampler,
-                                     approach="from_scratch")
-        elif approach == "tall":
-            if tall_model is None:
-                raise ValueError("tall approach requires a trained pipeline")
-            records = ev.eval_tall(tall_model, examples, sampler)
-        else:
-            raise ValueError(f"unknown approach {approach!r}")
-        all_records[approach] = records
-        rows.append({
-            "dataset": f"toy-shifted-{cfg.world.eval_seed}",
-            "approach": approach,
-            "model": "toy-lm",
-            "accuracy_percent": round(100.0 * ev.accuracy(records), 2),
-        })
+    corpus_lr = functools.cache(
+        lambda: [list(p.lr_tokens) for p in train_corpus(cfg)])
+    all_records = {a: APPROACHES[a].run(cfg, models, world, corpus_lr,
+                                        examples, sampler)
+                   for a in approaches}
+    rows = [{"dataset": f"toy-shifted-{cfg.world.eval_seed}",
+             "approach": approach,
+             "model": "toy-lm",
+             "accuracy_percent": round(100.0 * ev.accuracy(records), 2)}
+            for approach, records in all_records.items()]
     header = {
         "config_hash": config_hash(cfg),
         "dataset_hash": dataset_hash,

@@ -209,18 +209,6 @@ def add(a, b) -> Tensor:
     return _register(out, (a, b), bwd)
 
 
-def mul(a, b) -> Tensor:
-    a_d, b_d = _data(a), _data(b)
-    out = Tensor(a_d * b_d)
-
-    def bwd(g):
-        ga = _unbroadcast(g * b_d, a_d.shape) if _needs_grad(a) else None
-        gb = _unbroadcast(g * a_d, b_d.shape) if _needs_grad(b) else None
-        return ga, gb
-
-    return _register(out, (a, b), bwd)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c)
 
@@ -294,19 +282,6 @@ def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
         return (ga,)
 
     return _register(out, (a,), bwd)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum())
-
-    def bwd(g):
-        return (np.full_like(a.data, float(g)),)
-
-    return _register(out, (a,), bwd)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.size)
 
 
 # ---------------------------------------------------------------------------

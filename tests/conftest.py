@@ -1,6 +1,8 @@
 """Shared oracles: the einsum reference kernel, the primitive
 compositions the fused tape nodes replace, the all-positions stack that
-``read`` replaces, and the finite-difference gradient check.
+``read`` replaces, the finite-difference gradient check, and the tape
+ops and parameter count that only tests use (``mul``, ``sum_all``,
+``mean_all``, ``trainable_param_count``).
 
 ``tensor.matmul`` computes every product with one private kernel,
 ``tensor._product`` (BLAS).  BLAS results are deterministic for fixed
@@ -22,6 +24,42 @@ from tall import models, pipeline, pretrain, tensor
 def reference_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``[..., m, k] @ [..., k, n]``, accumulated over k in order."""
     return np.einsum("...ik,...kj->...ij", a, b)
+
+
+def mul(a, b):
+    """Elementwise product with broadcasting, one tape node."""
+    a_d, b_d = tensor._data(a), tensor._data(b)
+    out = tensor.Tensor(a_d * b_d)
+
+    def bwd(g):
+        ga = (tensor._unbroadcast(g * b_d, a_d.shape)
+              if tensor._needs_grad(a) else None)
+        gb = (tensor._unbroadcast(g * a_d, b_d.shape)
+              if tensor._needs_grad(b) else None)
+        return ga, gb
+
+    return tensor._register(out, (a, b), bwd)
+
+
+def sum_all(a):
+    """The sum of every entry, as a scalar tensor."""
+    out = tensor.Tensor(a.data.sum())
+
+    def bwd(g):
+        return (np.full_like(a.data, float(g)),)
+
+    return tensor._register(out, (a,), bwd)
+
+
+def mean_all(a):
+    return tensor.scale(sum_all(a), 1.0 / a.size)
+
+
+def trainable_param_count(store) -> tuple[int, int]:
+    """(total, trainable) element counts of a ``ParamStore``."""
+    total = sum(t.size for _, t in store.items())
+    trainable = sum(t.size for _, t in store.trainable_items())
+    return total, trainable
 
 
 def composed_linear(x, w, b):

@@ -5,10 +5,13 @@ import json
 
 import pytest
 
-from tall import cli
+from tall import cli, runner
+from tall import evaluation as ev
 from tall.checkpoint import load_checkpoint, save_checkpoint
-from tall.config import build_world, load_config
+from tall.config import build_world, llm_config, load_config
 from tall.nn import ParamStore
+from tall.pipeline import TallModel, evaluate_tall
+from tall.pretrain import split_train_eval
 from tall.tensor import ShapeError
 
 
@@ -122,8 +125,7 @@ def test_eval_all_runs_every_approach(tiny_run, tmp_path, capsys):
     assert len(table) == 2 + 6
     doc = json.loads(results.read_text())
     assert doc["header"]["n_examples"] == 20
-    assert sorted(r["approach"] for r in doc["rows"]) == sorted(
-        cli.CLI_APPROACHES.values())
+    assert [r["approach"] for r in doc["rows"]] == sorted(runner.APPROACHES)
     assert all(0.0 <= r["accuracy_percent"] <= 100.0 for r in doc["rows"])
 
 
@@ -135,6 +137,115 @@ def test_resume_continues_from_a_pipeline_checkpoint(tiny_run, capsys):
     start = load_checkpoint(ckpt["tall"])[1]["step"]
     assert resumed["resumed_at"] == start > 0
     assert written["step"] > start
+
+
+def test_resume_translates_only_the_held_out_prefixes(
+        tiny_run, monkeypatch, capsys, reference_kernel):
+    args, ckpt = tiny_run
+    argv = ["train-tall", *args, "--resume", ckpt["tall"]]
+    # the held-out stats as computed from every prefix's translation
+    cfg = load_config(args[1])
+    seed = cfg.world.seed
+    parsed = cli.build_parser().parse_args(argv)
+    model = cli._load_models(cfg, seed, parsed,
+                             tuple(cli.CHECKPOINTS))[0]["tall"]
+    teachers = [list(p.lr_tokens) for p in runner.train_corpus(cfg)]
+    hr_lm = model.translate_prefixes([t[:-1] for t in teachers])
+    _, heldout = split_train_eval(list(zip(teachers, hr_lm)),
+                                  cfg.train.tall.eval_fraction, seed)
+    want = evaluate_tall(model, heldout)
+
+    rows = []
+    translate = TallModel.translate_prefixes
+
+    def counted(self, prefixes, *rest, **kwargs):
+        rows.append(len(prefixes))
+        return translate(self, prefixes, *rest, **kwargs)
+
+    monkeypatch.setattr(TallModel, "translate_prefixes", counted)
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_OK
+    resumed = capsys.readouterr().out.splitlines()[0]
+    assert rows == [len(heldout), len(teachers)] == [2, 60]
+    assert resumed == json.dumps(
+        {"resumed_at": load_checkpoint(ckpt["tall"])[1]["step"],
+         "eval": want}, sort_keys=True)
+
+
+def test_run_approaches_matches_the_eval_calls(tmp_path, monkeypatch,
+                                               reference_kernel):
+    (tmp_path / "run.yaml").write_text(TINY_RUN)
+    cfg = load_config(str(tmp_path / "run.yaml"))
+    examples, dataset_hash = runner.eval_dataset(cfg)
+
+    def tiny_models():
+        models = runner.backbones(cfg, 0)
+        models["tall"] = runner.assemble_tall(cfg, models, 0)
+        return models
+
+    corpora = []
+    train_corpus = runner.train_corpus
+
+    def counted_corpus(cfg):
+        corpora.append(cfg)
+        return train_corpus(cfg)
+
+    monkeypatch.setattr(runner, "train_corpus", counted_corpus)
+    runner.run_approaches(cfg, ["direct", "naive", "tall"], tiny_models(),
+                          examples, dataset_hash, 0)
+    assert len(corpora) == 0  # no approach trains
+    _, details = runner.run_approaches(cfg, sorted(runner.APPROACHES),
+                                       tiny_models(), examples, dataset_hash,
+                                       0)
+    assert len(corpora) == 1  # built once for the three that train
+
+    m = tiny_models()
+    world = build_world(cfg)
+    sampler = cfg.sampler.to_sampler(0)
+    corpus_lr = [list(p.lr_tokens) for p in train_corpus(cfg)]
+    tuned, _, _ = ev.finetune_llm(m["llm"], world, corpus_lr,
+                                  cfg.train.finetune.to_train_config(0))
+    scratch, _, _ = ev.from_scratch_llm(
+        world, corpus_lr, llm_config(cfg),
+        cfg.train.from_scratch.to_train_config(0))
+    sp_cfg = cfg.train.soft_prompt
+    prompt, _ = ev.train_soft_prompt(m["llm"], world, corpus_lr,
+                                     sp_cfg.to_train_config(0),
+                                     n_prompt=sp_cfg.n_prompt)
+    assert details["records"] == {
+        "direct": ev.eval_direct(m["llm"], world, examples, sampler),
+        "finetuned": ev.eval_direct(tuned, world, examples, sampler,
+                                    approach="finetuned"),
+        "from_scratch": ev.eval_direct(scratch, world, examples, sampler,
+                                       approach="from_scratch"),
+        "naive": ev.eval_naive(m["lr2hr"], m["llm"], m["hr2lr"], world,
+                               examples, sampler),
+        "soft_prompt": ev.eval_soft_prompt(m["llm"], prompt, world, examples,
+                                           sampler),
+        "tall": ev.eval_tall(m["tall"], examples, sampler),
+    }
+
+
+def test_missing_checkpoint_flags_are_named_before_any_work(tmp_path,
+                                                            capsys):
+    (tmp_path / "run.yaml").write_text(TINY_RUN)
+    code = cli.main(["eval", "--approach", "naive",
+                     "--config", str(tmp_path / "run.yaml"),
+                     "--llm", str(tmp_path / "llm.npz")])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: approaches ['naive'] need "
+                            "--hr2lr, --lr2hr\n")
+    assert captured.out == ""
+
+
+def test_eval_help_lists_each_approach_and_its_checkpoint_flags(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["eval", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for approach in runner.APPROACHES.values():
+        flags = " ".join(f"--{f}" for f in approach.checkpoints)
+        assert f"{approach.cli_name} {flags}" in text
 
 
 def _adapter1_only(ckpt, tmp_path):

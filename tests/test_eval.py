@@ -25,7 +25,8 @@ from tall.pretrain import TrainConfig, train_translator
 from tall.tensor import NumericalError, ShapeError, Tensor
 from tall.world import N_SPECIALS, ToyGrammar, World, generate_corpus
 
-from conftest import all_positions, assert_parity, update_gradients
+from conftest import (all_positions, assert_parity, trainable_param_count,
+                      update_gradients)
 
 
 class TestAccuracy:
@@ -295,8 +296,6 @@ class TestSoftPrompt:
         params, metrics = train_soft_prompt(llm, world, corpus_lr, tc,
                                             n_prompt=30)
         assert params.embeddings.shape == (30, llm.cfg.d_model)
-        from tall.nn import trainable_param_count
-
         total, trainable = trainable_param_count(params.store)
         assert total == trainable == 30 * llm.cfg.d_model
         assert {n: t.data.tobytes() for n, t in llm.store.items()} == before

@@ -1,6 +1,6 @@
 """Import hygiene and the product seam, checked with the stdlib ``ast``.
 
-Eight rules for every module under ``src/tall``:
+Nine rules for every module under ``src/tall``:
 
 - a module-level import binds a name the module references, unless its
   line carries ``# noqa: F401`` (an import kept on purpose);
@@ -24,13 +24,22 @@ Eight rules for every module under ``src/tall``:
   and kind the same way;
 - only ``nn.py`` calls ``take_rows``, and no module picks final positions
   out of a whole sequence with ``[np.arange(...), ... - 1]``: a caller
-  passes ``read`` to the stack, which chooses the rows in one place.
+  passes ``read`` to the stack, which chooses the rows in one place;
+- no module compares a value against an approach name written as a
+  string literal (``approach == "naive"``): ``runner.APPROACHES`` is the
+  one place an approach is declared and dispatched.
+
+And one for ``tensor.py`` and ``nn.py``: every public function has a
+caller in ``src/tall`` outside its own body, so what only tests use
+lives in ``tests/conftest.py``.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from tall.runner import APPROACHES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tall"
 MODULES = sorted(SRC.glob("*.py"))
@@ -156,6 +165,74 @@ def read_row_sites(path: Path) -> list[str]:
     return sorted(found)
 
 
+# each approach's record name and its ``--approach`` name
+APPROACH_NAMES = frozenset(n for name, a in APPROACHES.items()
+                           for n in (name, a.cli_name))
+
+
+def approach_name_comparisons(path: Path) -> list[str]:
+    """Comparisons of a value against an approach name written as a string
+    literal: ``x == "naive"``, ``"tall" != x`` or ``x in ("tall", ...)``.
+    A key lookup such as ``"tall" in models`` compares nothing against
+    the name and is not reported."""
+    tree, _ = _parse(path)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        left = node.left
+        for op, right in zip(node.ops, node.comparators):
+            if isinstance(op, (ast.In, ast.NotIn)):
+                items = (right.elts
+                         if isinstance(right, (ast.Tuple, ast.List, ast.Set))
+                         else [])
+            else:
+                items = [left, right]
+            found += [f"{path.name}:{node.lineno} {item.value!r}"
+                      for item in items if isinstance(item, ast.Constant)
+                      and item.value in APPROACH_NAMES]
+            left = right
+    return sorted(found)
+
+
+def uncalled_functions(target: Path, modules: list[Path]) -> list[str]:
+    """Public top-level functions of ``target`` that no module in
+    ``modules`` calls outside the function's own body.  A call counts
+    through a module alias (``from . import tensor as T``, then
+    ``T.f()``), through a name imported from ``target`` (``from .tensor
+    import f``) and, inside ``target``, through the bare name."""
+    tree, _ = _parse(target)
+    public = {f.name for f in tree.body
+              if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+    called = set()
+    for path in modules:
+        module, _ = _parse(path)
+        aliases = set()
+        local = {n: n for n in public} if path == target else {}
+        for node in module.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    aliases |= {a.asname or a.name for a in node.names
+                                if a.name == target.stem}
+                elif node.module == target.stem:
+                    local.update({a.asname or a.name: a.name
+                                  for a in node.names})
+        for stmt in module.body:
+            own = (stmt.name if path == target
+                   and isinstance(stmt, ast.FunctionDef) else None)
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                name = (local.get(fn.id) if isinstance(fn, ast.Name)
+                        else fn.attr if isinstance(fn, ast.Attribute)
+                        and isinstance(fn.value, ast.Name)
+                        and fn.value.id in aliases else None)
+                if name is not None and name != own:
+                    called.add(name)
+    return sorted(public - called)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
@@ -197,6 +274,22 @@ def test_only_pipeline_and_presets_build_adapter_specs(path):
     "path", [p for p in MODULES if p.name != "nn.py"], ids=lambda p: p.name)
 def test_only_nn_takes_the_rows_a_caller_reads(path):
     assert read_row_sites(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_approaches_are_dispatched_by_the_table(path):
+    assert approach_name_comparisons(path) == []
+
+
+# perfbench/spans.py TARGETS and BENCHMARK.json's per-layer metrics name
+# tensor.softmax, so it stays though no module in src/tall calls it
+KEPT_FOR_PERFBENCH = {"softmax"}
+
+
+@pytest.mark.parametrize("name", ["tensor.py", "nn.py"])
+def test_every_public_kernel_has_a_caller(name):
+    uncalled = uncalled_functions(SRC / name, MODULES)
+    assert [f for f in uncalled if f not in KEPT_FOR_PERFBENCH] == []
 
 
 def test_checkpoints_are_read_by_one_loader():
@@ -268,3 +361,31 @@ def test_checks_catch_what_they_name(tmp_path):
     assert read_row_sites(rows) == [
         "rows.py:1 [arange, ... - 1]", "rows.py:2 [arange, ... - 1]",
         "rows.py:2 take_rows"]
+    chain = tmp_path / "chain.py"
+    chain.write_text(
+        "if approach == 'naive':\n"
+        "    pass\n"
+        "elif 'soft-prompt' != name or kind in ('tall', 'llm'):\n"
+        "    pass\n"
+        "ok = 'tall' in models and preset == 'toy' and x in 'direct'\n")
+    assert approach_name_comparisons(chain) == [
+        "chain.py:1 'naive'", "chain.py:3 'soft-prompt'", "chain.py:3 'tall'"]
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "tensor.py").write_text(
+        "def used():\n"
+        "    return 1\n"
+        "def helper():\n"
+        "    return used()\n"
+        "def imported():\n"
+        "    pass\n"
+        "def only_itself(n):\n"
+        "    return only_itself(n - 1)\n"
+        "def _private():\n"
+        "    pass\n")
+    (pkg / "nn.py").write_text(
+        "from . import tensor as T\n"
+        "from .tensor import imported as renamed\n"
+        "T.helper() + renamed() + other.only_itself(3)\n")
+    assert uncalled_functions(pkg / "tensor.py",
+                              sorted(pkg.glob("*.py"))) == ["only_itself"]

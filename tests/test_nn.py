@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from tall import tensor as T
 from tall.nn import (
     AdapterSpec,
     AttentionConfig,
@@ -14,13 +13,13 @@ from tall.nn import (
     init_attention,
     init_transformer_layer,
     multi_head_attention,
-    trainable_param_count,
     transformer_layer_forward,
 )
 from tall.optim import AdamW
 from tall.tensor import ContractError, ShapeError, Tape, Tensor
 
-from conftest import finite_diff_grad, max_relative_error
+from conftest import (finite_diff_grad, max_relative_error, mean_all, mul,
+                      trainable_param_count)
 
 
 def zero_params(store, prefix=""):
@@ -58,14 +57,14 @@ class TestAdapter:
         params = [t for _, t in store.trainable_items()]
 
         def forward():
-            return T.mean_all(
-                T.mul(adapter_forward(Tensor(x), spec, store, "a"),
-                      adapter_forward(Tensor(x), spec, store, "a"))
+            return mean_all(
+                mul(adapter_forward(Tensor(x), spec, store, "a"),
+                    adapter_forward(Tensor(x), spec, store, "a"))
             ).item()
 
         with Tape() as tape:
             out = adapter_forward(Tensor(x), spec, store, "a")
-            loss = T.mean_all(T.mul(out, out))
+            loss = mean_all(mul(out, out))
         tape.backward(loss)
         fd = finite_diff_grad(forward, params, eps=1e-5)
         for p, g in zip(params, fd):
@@ -233,7 +232,7 @@ class TestTransformerLayer:
             h = transformer_layer_forward(Tensor(x), Tensor(kv), cfg, store,
                                           "l0", self_mask, cross_mask)
             h = transformer_layer_forward(h, None, cfg, store, "l1", self_mask)
-            return T.mean_all(T.mul(h, h))
+            return mean_all(mul(h, h))
 
         params = [t for _, t in store.trainable_items()]
         with Tape() as tape:
@@ -277,7 +276,7 @@ class TestFreezing:
                 x = Tensor(rng.standard_normal((2, 3)))
                 out = adapter_forward(adapter_forward(x, spec, store, "frozen"),
                                       spec, store, "live")
-                loss = T.mean_all(T.mul(out, out))
+                loss = mean_all(mul(out, out))
             tape.backward(loss)
             opt.step()
             opt.zero_grad()

@@ -2,8 +2,9 @@
 
 from tall import runner
 from tall.config import RunConfig
-from tall.nn import trainable_param_count
 from tall.params_report import param_report
+
+from conftest import trainable_param_count
 
 
 def test_toy_report_matches_the_assembled_default_pipeline():

@@ -18,12 +18,9 @@ from tall.tensor import (
     gelu,
     layer_norm,
     matmul,
-    mean_all,
-    mul,
     reshape,
     scale,
     softmax,
-    sum_all,
     swapaxes,
     take_rows,
 )
@@ -33,6 +30,9 @@ from conftest import (
     composed_linear,
     finite_diff_grad,
     max_relative_error,
+    mean_all,
+    mul,
+    sum_all,
 )
 
 
