@@ -325,22 +325,15 @@ def build_eval_grammar(cfg: RunConfig) -> ToyGrammar:
 
 
 def translator_config(cfg: RunConfig, direction: str) -> Seq2SeqConfig:
-    t = cfg.models.translator
     world = build_world(cfg)
     src, tgt = ((world.vocab_lr, world.vocab_hr) if direction == "lr2hr"
                 else (world.vocab_hr, world.vocab_lr))
-    return Seq2SeqConfig(vocab_src=src, vocab_tgt=tgt, d_model=t.d_model,
-                         n_heads=t.n_heads, d_ff=t.d_ff,
-                         enc_layers=t.enc_layers, dec_layers=t.dec_layers,
-                         max_len=t.max_len)
+    return Seq2SeqConfig(src, tgt, **dataclasses.asdict(cfg.models.translator))
 
 
 def llm_config(cfg: RunConfig) -> CausalLMConfig:
-    m = cfg.models.llm
-    world = build_world(cfg)
-    return CausalLMConfig(vocab_size=world.vocab_lm, d_model=m.d_model,
-                          n_heads=m.n_heads, d_ff=m.d_ff,
-                          n_layers=m.n_layers, max_len=m.max_len)
+    return CausalLMConfig(build_world(cfg).vocab_lm,
+                          **dataclasses.asdict(cfg.models.llm))
 
 
 def tall_config(cfg: RunConfig) -> TallConfig:
@@ -353,15 +346,6 @@ def benchmark_config(seed: int = 0) -> RunConfig:
     The world seed doubles as the benchmark seed so each benchmark seed
     gets its own language world, corpus, and initializations.
     """
-    cfg = RunConfig()
-    cfg.world.seed = seed
-    cfg.world.train_pairs = 6000
-    cfg.world.eval_size = 2000
-    cfg.world.eval_seed = 9000 + seed
-    cfg.train.translator = TrainSection(learning_rate=1.5e-3, epochs=3)
-    cfg.train.llm = TrainSection(learning_rate=1.2e-3, epochs=4,
-                                 batch_size=8, grad_accum_steps=8)
-    cfg.train.tall = TrainSection(learning_rate=1.5e-3, epochs=4,
-                                  eval_fraction=0.03)
-    cfg.train.soft_prompt = SoftPromptSection(epochs=2)
-    return cfg
+    return load_config(None, [f"world.seed={seed}", "world.train_pairs=6000",
+                              f"world.eval_seed={9000 + seed}",
+                              "train.translator.epochs=3"])

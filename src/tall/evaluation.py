@@ -294,12 +294,10 @@ def train_soft_prompt(llm: CausalLM, world: World, corpus_lr: list,
                       ) -> tuple[SoftPromptParams, list[dict]]:
     """Train only the prompt block on the shared final-token task.
 
-    ``corpus_lr`` holds full LR sentences (content ids).  The LM itself
-    must already be frozen; its bytes are untouched.
+    ``corpus_lr`` holds full LR sentences (content ids).  The LM is
+    frozen while the prompt trains; afterwards its bytes, its frozen
+    flags and its ``requires_grad`` are as the caller passed them.
     """
-    for name in llm.store.names():
-        if not llm.store.is_frozen(name):
-            llm.store.freeze(name)
     store = ParamStore()
     rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 0x50F7]))
     store.add("prompt", rng.normal(0.0, 0.1,
@@ -315,7 +313,8 @@ def train_soft_prompt(llm: CausalLM, world: World, corpus_lr: list,
         # weight 1: an update averages micro-batch means (see ``pretrain``)
         return T.cross_entropy_last_token(logits, targets), 1
 
-    return params, fit(store, train_cfg, len(corpus_lr), loss_fn)
+    with llm.store.frozen():
+        return params, fit(store, train_cfg, len(corpus_lr), loss_fn)
 
 
 def eval_soft_prompt(llm: CausalLM, params: SoftPromptParams, world: World,

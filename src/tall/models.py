@@ -45,12 +45,12 @@ from .world import BOS, EOS, PAD
 class Seq2SeqConfig:
     vocab_src: int
     vocab_tgt: int
-    d_model: int = 64
-    n_heads: int = 4
-    d_ff: int = 256
-    enc_layers: int = 2
-    dec_layers: int = 2
-    max_len: int = 32
+    d_model: int
+    n_heads: int
+    d_ff: int
+    enc_layers: int
+    dec_layers: int
+    max_len: int
 
     def layer(self, causal: bool) -> LayerConfig:
         return LayerConfig(self.d_model, self.n_heads, self.d_ff, causal)
@@ -59,11 +59,11 @@ class Seq2SeqConfig:
 @dataclass(frozen=True)
 class CausalLMConfig:
     vocab_size: int
-    d_model: int = 96
-    n_heads: int = 4
-    d_ff: int = 384
-    n_layers: int = 3
-    max_len: int = 64
+    d_model: int
+    n_heads: int
+    d_ff: int
+    n_layers: int
+    max_len: int
 
     def layer(self) -> LayerConfig:
         return LayerConfig(self.d_model, self.n_heads, self.d_ff, causal=True)

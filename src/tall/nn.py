@@ -24,6 +24,7 @@ its matching ``init_*`` function created.  Conventions:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,6 +153,20 @@ class ParamStore:
             self._entries[n].requires_grad = False
             self._entries[n].grad = None
         return len(hits)
+
+    @contextlib.contextmanager
+    def frozen(self):
+        """Every entry frozen inside the block; each entry's frozen flag
+        and ``requires_grad`` restored after it."""
+        flags = set(self._frozen)
+        wanted = [t.requires_grad for _, t in self.items()]
+        self.freeze("")
+        try:
+            yield
+        finally:
+            self._frozen = flags
+            for (_, t), flag in zip(self.items(), wanted):
+                t.requires_grad = flag
 
     def trainable_items(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self._entries.items() if n not in self._frozen]

@@ -3,7 +3,8 @@
 Two languages over disjoint surface vocabularies:
 
 * HR ("high-resource") sentences are walks of a seeded order-2 Markov
-  chain over ``hr_vocab_size`` symbols.
+  chain over ``hr_vocab_size`` symbols, stored as a few continuation
+  rows and a map from each symbol pair to its row.
 * The LR ("low-resource") translation of an HR sentence applies a
   seeded substitution cipher and then swaps each adjacent token pair
   (positions 2i and 2i+1; a trailing odd token stays put).  The map is
@@ -25,6 +26,8 @@ exact.
 
 from __future__ import annotations
 
+import bisect
+import copy
 import hashlib
 from dataclasses import dataclass, field
 
@@ -42,16 +45,17 @@ class VocabError(ValueError):
 class ToyGrammar:
     """Order-2 Markov source over HR surface symbols.
 
-    ``transition[a, b]`` is the distribution of the next symbol after
+    ``rows[row_of[a, b]]`` is the distribution of the next symbol after
     the symbol pair (a, b); index ``hr_vocab_size`` is the start state.
 
-    The table is structured rather than fully random: each symbol gets
+    The chain is structured rather than fully random: each symbol gets
     two seeded class labels (one as second-back context, one as
-    previous), and the class pair selects one of ``n_classes ** 2``
-    sparse continuation rows.  A fully random order-2 table over ~100
-    symbols has ~10k independent contexts, which no desk-scale corpus
-    covers; the class structure keeps the chain genuinely order-2 while
-    giving models something learnable.
+    previous), and the class pair selects one of the ``n_classes ** 2``
+    sparse continuation ``rows`` [R, V]; ``row_of`` [V+1, V+1] holds
+    that selection.  A fully random order-2 table over ~100 symbols has
+    ~10k independent contexts, which no desk-scale corpus covers; the
+    class structure keeps the chain genuinely order-2 while giving
+    models something learnable.
     """
 
     hr_vocab_size: int = 96
@@ -60,7 +64,8 @@ class ToyGrammar:
     seed: int = 0
     branching: int = 4
     n_classes: int = 4
-    transition: np.ndarray = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
+    row_of: np.ndarray = field(init=False, repr=False)
 
     _WEIGHTS = np.array([0.55, 0.25, 0.12, 0.08])
 
@@ -79,46 +84,42 @@ class ToyGrammar:
         c = self.n_classes
         class2 = rng.permutation(s) % c        # class of the second-back symbol
         class1 = rng.permutation(s) % c        # class of the previous symbol
-        bucket_rows = np.zeros((c * c, v))
+        rows = np.zeros((c * c, v))
         choices = np.argsort(rng.random((c * c, v)), axis=1)[:, : self.branching]
-        np.put_along_axis(bucket_rows, choices, weights[None, :], axis=1)
-        bucket = class2[:, None] * c + class1[None, :]
-        self.transition = bucket_rows[bucket]
-        self._refresh_cum()
+        np.put_along_axis(rows, choices, weights[None, :], axis=1)
+        self._set_rows(rows, class2[:, None] * c + class1[None, :])
 
-    def _refresh_cum(self) -> None:
-        self._cum = self.transition.cumsum(axis=2)
-
-    @property
-    def start_state(self) -> int:
-        return self.hr_vocab_size
+    def _set_rows(self, rows: np.ndarray, row_of: np.ndarray) -> None:
+        self.rows, self.row_of = rows, row_of
+        # bisect on a list makes np.searchsorted's comparisons, ~10x faster
+        self._cum = rows.cumsum(axis=1).tolist()
+        self._row_of = row_of.tolist()
 
     def sample_sentence(self, rng: np.random.Generator) -> np.ndarray:
         """One sentence of HR surface symbols (0 .. hr_vocab_size-1)."""
         length = int(rng.integers(self.min_len, self.max_len + 1))
-        prev2 = prev1 = self.start_state
+        prev2 = prev1 = self.hr_vocab_size     # the start state
         out = np.empty(length, dtype=np.int64)
-        draws = rng.random(length)
-        for i in range(length):
-            cum = self._cum[prev2, prev1]
-            nxt = min(int(np.searchsorted(cum, draws[i], side="right")),
+        cum, row_of = self._cum, self._row_of
+        for i, draw in enumerate(rng.random(length).tolist()):
+            nxt = min(bisect.bisect_right(cum[row_of[prev2][prev1]], draw),
                       self.hr_vocab_size - 1)
             out[i] = nxt
             prev2, prev1 = prev1, nxt
         return out
 
     def perturbed(self, noise_seed: int, alpha: float) -> "ToyGrammar":
-        """Domain-shifted copy: rows mixed with an independent table."""
+        """Domain-shifted copy: rows mixed with an independent grammar's."""
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"shift alpha must be in [0, 1], got {alpha}")
         noise = ToyGrammar(self.hr_vocab_size, self.min_len, self.max_len,
-                           seed=noise_seed, branching=self.branching)
-        shifted = ToyGrammar(self.hr_vocab_size, self.min_len, self.max_len,
-                             seed=self.seed, branching=self.branching)
-        shifted.transition = (
-            (1.0 - alpha) * self.transition + alpha * noise.transition
-        )
-        shifted._refresh_cum()
+                           seed=noise_seed, branching=self.branching,
+                           n_classes=self.n_classes)
+        # mixed row i * R' + j is own row i mixed with noise row j
+        mixed = (1.0 - alpha) * self.rows[:, None] + alpha * noise.rows[None]
+        shifted = copy.copy(self)
+        shifted._set_rows(mixed.reshape(-1, self.hr_vocab_size),
+                          self.row_of * len(noise.rows) + noise.row_of)
         return shifted
 
 

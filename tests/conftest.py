@@ -2,7 +2,9 @@
 compositions the fused tape nodes replace, the all-positions stack that
 ``read`` replaces, the finite-difference gradient check, and the tape
 ops and parameter count that only tests use (``mul``, ``sum_all``,
-``mean_all``, ``trainable_param_count``).
+``mean_all``, ``trainable_param_count``), the grammar as a materialized
+[V+1, V+1, V] transition table with its ``np.searchsorted`` sampler, and
+the benchmark configuration built by hand, field by field.
 
 ``tensor.matmul`` computes every product with one private kernel,
 ``tensor._product`` (BLAS).  BLAS results are deterministic for fixed
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from tall import models, pipeline, pretrain, tensor
+from tall.config import RunConfig, SoftPromptSection, TrainSection
 
 
 def reference_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -60,6 +63,63 @@ def trainable_param_count(store) -> tuple[int, int]:
     total = sum(t.size for _, t in store.items())
     trainable = sum(t.size for _, t in store.trainable_items())
     return total, trainable
+
+
+def reference_transition(hr_vocab_size=96, seed=0, branching=4,
+                         n_classes=4, shift=None) -> np.ndarray:
+    """The grammar's cumulative transition table [V+1, V+1, V], built by
+    materializing one continuation row per symbol pair; ``shift`` =
+    (noise_seed, alpha) first mixes in, entry by entry, the table of a
+    grammar of the same shape seeded with noise_seed."""
+    def table(seed):
+        v, s, c = hr_vocab_size, hr_vocab_size + 1, n_classes
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6772]))
+        weights = np.array([0.55, 0.25, 0.12, 0.08])[:branching]
+        weights = weights / weights.sum()
+        class2 = rng.permutation(s) % c
+        class1 = rng.permutation(s) % c
+        bucket_rows = np.zeros((c * c, v))
+        choices = np.argsort(rng.random((c * c, v)), axis=1)[:, :branching]
+        np.put_along_axis(bucket_rows, choices, weights[None, :], axis=1)
+        return bucket_rows[class2[:, None] * c + class1[None, :]]
+
+    transition = table(seed)
+    if shift is not None:
+        noise_seed, alpha = shift
+        transition = (1.0 - alpha) * transition + alpha * table(noise_seed)
+    return transition.cumsum(axis=2)
+
+
+def reference_sentence(cum: np.ndarray, min_len: int, max_len: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """One sentence drawn from the cumulative table ``cum`` [V+1, V+1, V]."""
+    v = cum.shape[-1]
+    length = int(rng.integers(min_len, max_len + 1))
+    prev2 = prev1 = v
+    out = np.empty(length, dtype=np.int64)
+    draws = rng.random(length)
+    for i in range(length):
+        nxt = min(int(np.searchsorted(cum[prev2, prev1], draws[i],
+                                      side="right")), v - 1)
+        out[i] = nxt
+        prev2, prev1 = prev1, nxt
+    return out
+
+
+def reference_benchmark_config(seed: int) -> RunConfig:
+    """The benchmark scale, built by assigning each field it sets."""
+    cfg = RunConfig()
+    cfg.world.seed = seed
+    cfg.world.train_pairs = 6000
+    cfg.world.eval_size = 2000
+    cfg.world.eval_seed = 9000 + seed
+    cfg.train.translator = TrainSection(learning_rate=1.5e-3, epochs=3)
+    cfg.train.llm = TrainSection(learning_rate=1.2e-3, epochs=4,
+                                 batch_size=8, grad_accum_steps=8)
+    cfg.train.tall = TrainSection(learning_rate=1.5e-3, epochs=4,
+                                  eval_fraction=0.03)
+    cfg.train.soft_prompt = SoftPromptSection(epochs=2)
+    return cfg
 
 
 def composed_linear(x, w, b):

@@ -5,8 +5,11 @@ import dataclasses
 import re
 
 import pytest
+from conftest import reference_benchmark_config
 
-from tall.config import ConfigError, compat_hash, config_hash, load_config
+from tall import config
+from tall.config import (ConfigError, benchmark_config, compat_hash,
+                         config_hash, load_config)
 
 
 def test_removed_models_dtype_key_is_rejected(tmp_path):
@@ -148,3 +151,20 @@ def test_default_config_hashes_are_pinned():
     cfg = load_config(None, [])
     assert (config_hash(cfg), compat_hash(cfg)) == ("5d0ffd3dce153916",
                                                     "eb631ed1b1b74610")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_benchmark_config_equals_the_hand_built_one(seed):
+    assert benchmark_config(seed) == reference_benchmark_config(seed)
+
+
+def test_benchmark_config_hashes_are_pinned():
+    assert [config_hash(benchmark_config(s)) for s in (0, 3)] == [
+        "d52aa9b36bf43985", "232250fb74f5f868"]
+
+
+def test_benchmark_config_passes_the_load_time_checks(monkeypatch):
+    checked = []
+    monkeypatch.setattr(config, "_check_builders", checked.append)
+    cfg = benchmark_config(4)
+    assert checked == [cfg]

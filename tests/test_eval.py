@@ -120,7 +120,8 @@ def exact_translator(world: World, direction: str):
 
     class Exact:
         cfg = Seq2SeqConfig(world.vocab_lr, world.vocab_hr, d_model=8,
-                            n_heads=2, d_ff=8, enc_layers=1, dec_layers=1)
+                            n_heads=2, d_ff=8, enc_layers=1, dec_layers=1,
+                            max_len=32)
 
         def greedy_translate(self, seqs, cap=None):
             longest = max((len(s) + 1 for s in seqs), default=0)
@@ -332,6 +333,27 @@ class TestSoftPrompt:
         tc = TrainConfig(epochs=1, batch_size=4, seed=3)
         with pytest.raises(NumericalError, match="not finite"):
             train_soft_prompt(llm, world, corpus_lr, tc, n_prompt=2)
+
+    def test_the_lm_keeps_its_flags_after_training_or_a_failure(
+            self, tiny_world):
+        _, world, corpus, _, llm = tiny_world
+        llm = clone_llm(llm)  # trainable, as the benchmark passes it
+        llm.store.freeze("tok_embed")
+
+        def flags():
+            return {n: (llm.store.is_frozen(n), t.requires_grad)
+                    for n, t in llm.store.items()}
+
+        before = flags()
+        assert list(before.values()).count((True, False)) == 1
+        corpus_lr = [list(p.lr_tokens) for p in corpus[:8]]
+        tc = TrainConfig(epochs=1, batch_size=4, seed=3)
+        train_soft_prompt(llm, world, corpus_lr, tc, n_prompt=2)
+        assert flags() == before
+        llm.store["tok_embed"].data[0, 0] = np.nan
+        with pytest.raises(NumericalError, match="not finite"):
+            train_soft_prompt(llm, world, corpus_lr, tc, n_prompt=2)
+        assert flags() == before
 
     def test_empty_dataset_rejected(self, tiny_world):
         _, world, _, _, llm = tiny_world

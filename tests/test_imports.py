@@ -1,6 +1,6 @@
 """Import hygiene and the product seam, checked with the stdlib ``ast``.
 
-Nine rules for every module under ``src/tall``:
+Ten rules for every module under ``src/tall``:
 
 - a module-level import binds a name the module references, unless its
   line carries ``# noqa: F401`` (an import kept on purpose);
@@ -27,7 +27,10 @@ Nine rules for every module under ``src/tall``:
   passes ``read`` to the stack, which chooses the rows in one place;
 - no module compares a value against an approach name written as a
   string literal (``approach == "naive"``): ``runner.APPROACHES`` is the
-  one place an approach is declared and dispatched.
+  one place an approach is declared and dispatched;
+- only ``config.load_config`` calls ``RunConfig``, so every run
+  configuration, the benchmark scale included, passes the load-time
+  checks.
 
 And one for ``tensor.py`` and ``nn.py``: every public function has a
 caller in ``src/tall`` outside its own body, so what only tests use
@@ -195,6 +198,19 @@ def approach_name_comparisons(path: Path) -> list[str]:
     return sorted(found)
 
 
+def run_config_builds(path: Path) -> list[str]:
+    """``RunConfig(...)`` calls outside the body of ``load_config``."""
+    tree, _ = _parse(path)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "load_config"
+              for node in ast.walk(fn)}
+    return sorted(f"{path.name}:{node.lineno} RunConfig"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and "RunConfig" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None)))
+
+
 def uncalled_functions(target: Path, modules: list[Path]) -> list[str]:
     """Public top-level functions of ``target`` that no module in
     ``modules`` calls outside the function's own body.  A call counts
@@ -302,6 +318,11 @@ def test_checkpoints_are_read_by_one_loader():
     assert sites == [f"runner.py:{call.lineno} load_checkpoint"]
 
 
+def test_run_configs_are_built_by_load_config_alone():
+    assert [s for p in MODULES for s in run_config_builds(p)] == []
+    [_] = calls_to(SRC / "config.py", ("RunConfig",))
+
+
 def test_tensor_has_one_product_kernel():
     [site] = numpy_products(SRC / "tensor.py")
     assert site.endswith(" np.matmul")
@@ -370,6 +391,16 @@ def test_checks_catch_what_they_name(tmp_path):
         "ok = 'tall' in models and preset == 'toy' and x in 'direct'\n")
     assert approach_name_comparisons(chain) == [
         "chain.py:1 'naive'", "chain.py:3 'soft-prompt'", "chain.py:3 'tall'"]
+    cfg = tmp_path / "cfg.py"
+    cfg.write_text(
+        "def load_config(path=None):\n"
+        "    return _from_dict(RunConfig(), {}, '')\n"
+        "def benchmark_config(seed):\n"
+        "    cfg = RunConfig()\n"
+        "    return config.RunConfig(world=cfg.world)\n"
+        "kind = RunConfig\n")
+    assert run_config_builds(cfg) == ["cfg.py:4 RunConfig",
+                                      "cfg.py:5 RunConfig"]
     pkg = tmp_path / "pkg"
     pkg.mkdir()
     (pkg / "tensor.py").write_text(

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from conftest import reference_sentence, reference_transition
 
 from tall.world import (
     BOS,
@@ -28,8 +31,11 @@ def world():
 
 class TestGrammar:
     def test_rows_are_distributions(self, grammar):
-        sums = grammar.transition.sum(axis=2)
+        sums = grammar.rows.sum(axis=1)
+        assert grammar.rows.shape == (16, 96)
         assert np.max(np.abs(sums - 1.0)) < 1e-9
+        assert grammar.row_of.shape == (97, 97)
+        assert set(np.unique(grammar.row_of)) == set(range(16))
 
     def test_sampling_deterministic(self, grammar):
         a = grammar.sample_sentence(np.random.default_rng(3))
@@ -38,13 +44,48 @@ class TestGrammar:
 
     def test_perturbed_still_distribution(self, grammar):
         shifted = grammar.perturbed(noise_seed=99, alpha=0.25)
-        sums = shifted.transition.sum(axis=2)
+        sums = shifted.rows.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < 1e-9
-        assert np.any(shifted.transition != grammar.transition)
+        assert np.any(shifted.rows[shifted.row_of]
+                      != grammar.rows[grammar.row_of])
+        # one mixed row per (own row, noise row) pair, nothing per symbol pair
+        assert shifted.rows.shape == (16 * 16, 96)
+        assert all(np.ndim(x) < 3 for x in vars(shifted).values())
+
+    def test_full_shift_of_a_two_class_grammar_is_its_noise_grammar(self):
+        two = ToyGrammar(seed=5, n_classes=2)
+        shifted = two.perturbed(77, 1.0)
+        noise = ToyGrammar(seed=77, n_classes=2)
+        for i in range(200):
+            np.testing.assert_array_equal(
+                shifted.sample_sentence(np.random.default_rng(i)),
+                noise.sample_sentence(np.random.default_rng(i)))
 
     def test_bad_alpha(self, grammar):
         with pytest.raises(ValueError):
             grammar.perturbed(1, alpha=1.5)
+
+
+@pytest.mark.parametrize("seed, n_classes, branching, alpha", list(
+    itertools.product((0, 3, 7), (1, 2, 4), (1, 4), (None, 0.25, 0.6, 1.0))))
+def test_grammar_matches_the_materialized_table(seed, n_classes, branching,
+                                                alpha):
+    """Rows and row map reproduce every entry of the [V+1, V+1, V] table,
+    shifted by ``alpha`` toward noise seed 901, and sample the same
+    sentences as its ``np.searchsorted`` walk."""
+    grammar = ToyGrammar(seed=seed, n_classes=n_classes, branching=branching)
+    shift = None if alpha is None else (901, alpha)
+    if shift is not None:
+        grammar = grammar.perturbed(*shift)
+    cum = reference_transition(96, seed, branching, n_classes, shift)
+    assert np.cumsum(grammar.rows, axis=1)[grammar.row_of].tobytes() \
+        == cum.tobytes()
+    for i in range(100):
+        rng = np.random.SeedSequence([seed, i])
+        np.testing.assert_array_equal(
+            grammar.sample_sentence(np.random.default_rng(rng)),
+            reference_sentence(cum, grammar.min_len, grammar.max_len,
+                               np.random.default_rng(rng)))
 
 
 class TestCipher:
