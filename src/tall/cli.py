@@ -168,11 +168,13 @@ def cmd_train_tall(args) -> int:
     if "tall" in metas:
         start_step = int(metas["tall"].get("step", 0))
         # the split depends only on the corpus size and the seed, so only
-        # the held-out prefixes need translating
+        # the held-out prefixes need translating; train_tall skips an
+        # empty held-out set, and so does this report
         _, heldout = split_train_eval([list(p.lr_tokens) for p in corpus],
                                       cfg.train.tall.eval_fraction, seed)
         hr_lm = model.translate_prefixes([t[:-1] for t in heldout])
-        stats = evaluate_tall(model, list(zip(heldout, hr_lm)))
+        stats = (evaluate_tall(model, list(zip(heldout, hr_lm)))
+                 if heldout else None)
         print(json.dumps({"resumed_at": start_step, "eval": stats},
                          sort_keys=True))
     meta, metrics = train_tall(model, corpus,

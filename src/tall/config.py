@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import typing
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -84,17 +83,22 @@ class ScheduleSection:
     grad_accum_steps: int = 1
     warmup_steps: int = 0
 
-    def to_train_config(self, seed: int) -> TrainConfig:
-        # a field the section lacks keeps TrainConfig's default: the soft
-        # prompt holds nothing out, so its eval_fraction is never read
-        names = {f.name for f in dataclasses.fields(TrainConfig)}
-        return TrainConfig(seed=seed, **{k: v for k, v in vars(self).items()
-                                         if k in names})
+    def _train_config(self, seed: int, eval_fraction: float) -> TrainConfig:
+        return TrainConfig(
+            learning_rate=self.learning_rate, weight_decay=self.weight_decay,
+            epochs=self.epochs, batch_size=self.batch_size,
+            grad_clip_norm=self.grad_clip_norm,
+            grad_accum_steps=self.grad_accum_steps,
+            warmup_steps=self.warmup_steps, seed=seed,
+            eval_fraction=eval_fraction)
 
 
 @dataclass
 class TrainSection(ScheduleSection):
     eval_fraction: float = 0.02
+
+    def to_train_config(self, seed: int) -> TrainConfig:
+        return self._train_config(seed, self.eval_fraction)
 
 
 @dataclass
@@ -104,6 +108,10 @@ class SoftPromptSection(ScheduleSection):
     warmup_steps: int = 100
     epochs: int = 2
     n_prompt: int = 30
+
+    def to_train_config(self, seed: int) -> TrainConfig:
+        # the soft prompt holds nothing out: it trains on every sentence
+        return self._train_config(seed, eval_fraction=0.0)
 
 
 @dataclass
@@ -142,21 +150,23 @@ class RunConfig:
 def _from_dict(default, data, path: str):
     """``default``, a section instance, with the keys ``data`` names
     replaced; a named nested section starts from ``default``'s own value
-    of it, so every default is written once, in the section tree."""
+    of it, so every default is written once, in the section tree.  The
+    keys are ``default``'s fields, and a key's kind is the type of its
+    default value (every scalar default has its annotated type)."""
     if data is None:
         return default
     if not isinstance(data, dict):
         raise ConfigError(f"config section {path or '<root>'} must be a mapping")
-    types = typing.get_type_hints(type(default))
+    names = {f.name for f in dataclasses.fields(default)}
     kwargs = {}
     for name, value in data.items():
         where = f"{path}.{name}" if path else name
-        if name not in types:
+        if name not in names:
             raise ConfigError(f"unknown config key: {where}")
-        kind = types[name]
-        kwargs[name] = (_from_dict(getattr(default, name), value, where)
-                        if dataclasses.is_dataclass(kind)
-                        else _scalar(kind, value, where))
+        current = getattr(default, name)
+        kwargs[name] = (_from_dict(current, value, where)
+                        if dataclasses.is_dataclass(current)
+                        else _scalar(type(current), value, where))
     return dataclasses.replace(default, **kwargs)
 
 

@@ -44,10 +44,10 @@ CHUNK = 128
 
 @dataclass
 class SamplerConfig:
-    temperature: float = 0.7
-    top_k: int = 50
-    top_p: float = 0.95
-    seed: int = 0
+    temperature: float
+    top_k: int
+    top_p: float
+    seed: int
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -290,7 +290,7 @@ def _soft_prompt_logits(llm: CausalLM, prompt: Tensor, lm_prefixes: list
 
 
 def train_soft_prompt(llm: CausalLM, world: World, corpus_lr: list,
-                      train_cfg: TrainConfig, n_prompt: int = 30
+                      train_cfg: TrainConfig, n_prompt: int
                       ) -> tuple[SoftPromptParams, list[dict]]:
     """Train only the prompt block on the shared final-token task.
 

@@ -105,15 +105,14 @@ class LayerCache:
 
 
 class ParamStore:
-    """Insertion-ordered map of dotted names to tensors with frozen flags.
+    """Insertion-ordered map of dotted names to tensors.
 
-    Frozen entries keep ``requires_grad`` False so backward never stores
-    gradients for them, and optimizers skip them entirely.
+    An entry is frozen when its ``requires_grad`` is False, the one flag:
+    backward never stores gradients for it, and optimizers skip it.
     """
 
     def __init__(self):
         self._entries: dict[str, Tensor] = {}
-        self._frozen: set[str] = set()
 
     def add(self, name: str, value, trainable: bool = True) -> Tensor:
         if name in self._entries:
@@ -121,8 +120,6 @@ class ParamStore:
         t = value if isinstance(value, Tensor) else Tensor(value)
         t.requires_grad = trainable
         self._entries[name] = t
-        if not trainable:
-            self._frozen.add(name)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -141,7 +138,7 @@ class ParamStore:
         return self._entries.items()
 
     def is_frozen(self, name: str) -> bool:
-        return name in self._frozen
+        return not self._entries[name].requires_grad
 
     def freeze(self, prefix: str) -> int:
         """Freeze every entry whose name starts with ``prefix``."""
@@ -149,27 +146,24 @@ class ParamStore:
         if not hits:
             raise KeyError(f"freeze: no parameter matches prefix {prefix!r}")
         for n in hits:
-            self._frozen.add(n)
             self._entries[n].requires_grad = False
             self._entries[n].grad = None
         return len(hits)
 
     @contextlib.contextmanager
     def frozen(self):
-        """Every entry frozen inside the block; each entry's frozen flag
-        and ``requires_grad`` restored after it."""
-        flags = set(self._frozen)
+        """Every entry frozen inside the block; each entry's flag
+        restored after it."""
         wanted = [t.requires_grad for _, t in self.items()]
         self.freeze("")
         try:
             yield
         finally:
-            self._frozen = flags
             for (_, t), flag in zip(self.items(), wanted):
                 t.requires_grad = flag
 
     def trainable_items(self) -> list[tuple[str, Tensor]]:
-        return [(n, t) for n, t in self._entries.items() if n not in self._frozen]
+        return [(n, t) for n, t in self._entries.items() if t.requires_grad]
 
     def adopt(self, prefix: str, other: "ParamStore", trainable: bool = False) -> None:
         """Copy every entry of ``other`` in under ``prefix`` (fresh arrays)."""

@@ -284,6 +284,8 @@ def train_tall(model: TallModel, corpus: list[BilingualPair],
 def evaluate_tall(model: TallModel, examples: list, batch_size: int = 64
                   ) -> dict:
     """Held-out final-token loss, greedy accuracy, and perplexity."""
+    if not examples:
+        raise ValueError("held-out set is empty")
     total_loss, hits, count = 0.0, 0, 0
     for start in range(0, len(examples), batch_size):
         chunk = examples[start : start + batch_size]

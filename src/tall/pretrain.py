@@ -37,15 +37,15 @@ from .world import BilingualPair
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.01
-    epochs: int = 3
-    batch_size: int = 32
-    grad_clip_norm: float = 1.0
-    grad_accum_steps: int = 1
-    warmup_steps: int = 0
-    seed: int = 0
-    eval_fraction: float = 0.02
+    learning_rate: float
+    weight_decay: float
+    epochs: int
+    batch_size: int
+    grad_clip_norm: float
+    grad_accum_steps: int
+    warmup_steps: int
+    seed: int
+    eval_fraction: float
 
     def __post_init__(self):
         if min(self.learning_rate, self.epochs, self.batch_size,

@@ -294,48 +294,26 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product ``[..., m, k] @ [..., k, n]``.
+    """Product ``[..., m, k] @ [k, n]`` of an activation and a weight.
 
-    The leading dimensions either match exactly or one operand is a
-    plain matrix (the usual weight case).  Forward and backward are all
-    computed by :func:`_product` (BLAS): deterministic for fixed shapes
-    on one machine and BLAS build, but not bit-identical to a triple
-    loop.  Against a 2-D weight the activation's leading dimensions are
-    collapsed, so each product is a single GEMM.
+    The activation's leading dimensions are collapsed, so forward and
+    each gradient is a single GEMM computed by :func:`_product` (BLAS):
+    deterministic for fixed shapes on one machine and BLAS build, but
+    not bit-identical to a triple loop.
     """
     a_d, b_d = _data(a), _data(b)
-    if a_d.ndim < 2 or b_d.ndim < 2:
-        raise ShapeError(
-            f"matmul needs rank >= 2 operands, got {a_d.shape} and {b_d.shape}"
-        )
-    if a_d.shape[-1] != b_d.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a_d.shape} x {b_d.shape}"
-        )
-    if a_d.ndim > 2 and b_d.ndim > 2 and a_d.shape[:-2] != b_d.shape[:-2]:
-        raise ShapeError(
-            f"matmul leading dimensions disagree: {a_d.shape} x {b_d.shape}"
-        )
-    k, n = b_d.shape[-2:]
-    weight = b_d.ndim == 2
-    if weight:
-        out_d = _product(a_d.reshape(-1, k), b_d).reshape(a_d.shape[:-1] + (n,))
-    else:
-        out_d = _product(a_d, b_d)
-    out = Tensor(out_d)
+    if a_d.ndim < 2 or b_d.ndim != 2 or a_d.shape[-1] != b_d.shape[0]:
+        raise ShapeError(f"matmul needs a [..., m, k] and w [k, n], got "
+                         f"{a_d.shape} and {b_d.shape}")
+    k, n = b_d.shape
+    out = Tensor(_product(a_d.reshape(-1, k), b_d).reshape(
+        a_d.shape[:-1] + (n,)))
 
     def bwd(g):
-        ga = gb = None
-        if _needs_grad(a):
-            if weight:
-                ga = _product(g.reshape(-1, n), b_d.T).reshape(a_d.shape)
-            else:
-                ga = _unbroadcast(_product(g, np.swapaxes(b_d, -1, -2)), a_d.shape)
-        if _needs_grad(b):
-            if weight:
-                gb = _product(a_d.reshape(-1, k).T, g.reshape(-1, n))
-            else:
-                gb = _unbroadcast(_product(np.swapaxes(a_d, -1, -2), g), b_d.shape)
+        ga = (_product(g.reshape(-1, n), b_d.T).reshape(a_d.shape)
+              if _needs_grad(a) else None)
+        gb = (_product(a_d.reshape(-1, k).T, g.reshape(-1, n))
+              if _needs_grad(b) else None)
         return ga, gb
 
     return _register(out, (a, b), bwd)

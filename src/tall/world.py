@@ -58,12 +58,12 @@ class ToyGrammar:
     models something learnable.
     """
 
-    hr_vocab_size: int = 96
-    min_len: int = 5
-    max_len: int = 12
-    seed: int = 0
-    branching: int = 4
-    n_classes: int = 4
+    hr_vocab_size: int
+    min_len: int
+    max_len: int
+    seed: int
+    branching: int
+    n_classes: int
     rows: np.ndarray = field(init=False, repr=False)
     row_of: np.ndarray = field(init=False, repr=False)
 
@@ -134,8 +134,8 @@ class BilingualPair:
 class World:
     """Vocabularies, the cipher, and every fixed id remap."""
 
-    def __init__(self, hr_vocab_size: int = 96, seed: int = 0,
-                 cipher: str = "seeded", pair_swap: bool = True):
+    def __init__(self, hr_vocab_size: int, seed: int, cipher: str,
+                 pair_swap: bool):
         if cipher not in ("seeded", "identity"):
             raise ValueError(f"unknown cipher mode {cipher!r}")
         self.hr_vocab_size = hr_vocab_size

@@ -1,27 +1,65 @@
-"""Shared oracles: the einsum reference kernel, the primitive
-compositions the fused tape nodes replace, the all-positions stack that
+"""Shared test helpers and oracles.
+
+Helpers: ``train_config``, ``sampler_config``, ``toy_world`` and
+``toy_grammar`` build ``TrainConfig``, ``SamplerConfig``, ``World`` and
+``ToyGrammar``, which have no defaults of their own, from the defaults
+of their ``config`` sections with the keywords a test names replaced;
+so a test's bare config is the shipped one.
+
+Oracles: the einsum reference kernel, the primitive compositions the
+fused tape nodes replace (with ``batched_matmul``, the batched product
+only ``composed_attention`` needs), the all-positions stack that
 ``read`` replaces, the finite-difference gradient check, and the tape
 ops and parameter count that only tests use (``mul``, ``sum_all``,
 ``mean_all``, ``trainable_param_count``), the grammar as a materialized
 [V+1, V+1, V] transition table with its ``np.searchsorted`` sampler, and
 the benchmark configuration built by hand, field by field.
 
-``tensor.matmul`` computes every product with one private kernel,
-``tensor._product`` (BLAS).  BLAS results are deterministic for fixed
-shapes but not bit-identical to a sequential triple loop, and a row's
-bytes depend on the shape of the whole product.  Tests that pin exact
-bytes (the golden hashes, the triple-loop and per-slice checks) run
-with the reference swapped in for that kernel.
+``tensor.matmul`` and ``batched_matmul`` compute every product with one
+private kernel, ``tensor._product`` (BLAS).  BLAS results are
+deterministic for fixed shapes but not bit-identical to a sequential
+triple loop, and a row's bytes depend on the shape of the whole product.
+Tests that pin exact bytes (the golden hashes, the triple-loop and
+per-slice checks) run with the reference swapped in for that kernel.
 """
 
 import contextlib
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
-from tall import models, pipeline, pretrain, tensor
-from tall.config import RunConfig, SoftPromptSection, TrainSection
+from tall import config, models, pipeline, pretrain, tensor
+from tall.config import (RunConfig, SamplerSection, SoftPromptSection,
+                         TrainSection, WorldSection)
+from tall.evaluation import SamplerConfig
+from tall.pretrain import TrainConfig
+from tall.world import ToyGrammar, World
+
+
+def train_config(**kw) -> TrainConfig:
+    """``TrainSection()``'s schedule at seed 0, with ``kw`` replaced."""
+    return dataclasses.replace(TrainSection().to_train_config(0), **kw)
+
+
+def sampler_config(**kw) -> SamplerConfig:
+    """``SamplerSection()``'s sampler at seed 0, with ``kw`` replaced."""
+    return dataclasses.replace(SamplerSection().to_sampler(0), **kw)
+
+
+def _with_world(kw) -> RunConfig:
+    return RunConfig(world=dataclasses.replace(WorldSection(), **kw))
+
+
+def toy_world(**kw) -> World:
+    """The world ``WorldSection()`` builds, with ``kw`` replaced."""
+    return config.build_world(_with_world(kw))
+
+
+def toy_grammar(**kw) -> ToyGrammar:
+    """The grammar ``WorldSection()`` builds, with ``kw`` replaced."""
+    return config.build_grammar(_with_world(kw))
 
 
 def reference_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,6 +165,25 @@ def composed_linear(x, w, b):
     return tensor.add(tensor.matmul(x, w), b)
 
 
+def batched_matmul(a, b):
+    """``[..., m, k] @ [..., k, n]`` with equal leading dimensions, one
+    tape node on ``tensor._product`` (so the reference kernel swaps it)."""
+    a_d, b_d = tensor._data(a), tensor._data(b)
+    if a_d.shape[:-2] != b_d.shape[:-2] or a_d.shape[-1] != b_d.shape[-2]:
+        raise tensor.ShapeError(f"batched_matmul shapes disagree: "
+                                f"{a_d.shape} x {b_d.shape}")
+    out = tensor.Tensor(tensor._product(a_d, b_d))
+
+    def bwd(g):
+        ga = (tensor._product(g, np.swapaxes(b_d, -1, -2))
+              if tensor._needs_grad(a) else None)
+        gb = (tensor._product(np.swapaxes(a_d, -1, -2), g)
+              if tensor._needs_grad(b) else None)
+        return ga, gb
+
+    return tensor._register(out, (a, b), bwd)
+
+
 def composed_attention(q, k, v, bias, n_heads: int):
     """``tensor.attention`` as the primitives it fuses: head split,
     scaled scores, bias, softmax, context and head merge, one node each."""
@@ -138,10 +195,10 @@ def composed_attention(q, k, v, bias, n_heads: int):
         return tensor.swapaxes(tensor.reshape(x, (b, length, n_heads, hd)), 1, 2)
 
     scores = tensor.scale(
-        tensor.matmul(split(q, lq), tensor.swapaxes(split(k, lkv), 2, 3)),
+        batched_matmul(split(q, lq), tensor.swapaxes(split(k, lkv), 2, 3)),
         hd ** -0.5)
     weights = tensor.softmax(tensor.add(scores, bias), axis=-1)
-    ctx = tensor.matmul(weights, split(v, lkv))
+    ctx = batched_matmul(weights, split(v, lkv))
     return tensor.reshape(tensor.swapaxes(ctx, 1, 2), (b, lq, d))
 
 

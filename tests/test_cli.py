@@ -139,6 +139,17 @@ def test_resume_continues_from_a_pipeline_checkpoint(tiny_run, capsys):
     assert written["step"] > start
 
 
+def test_resume_with_nothing_held_out_reports_no_eval(tiny_run, capsys):
+    args, ckpt = tiny_run
+    capsys.readouterr()
+    assert cli.main(["train-tall", *args, "--resume", ckpt["tall"],
+                     "--set", "train.tall.eval_fraction=0"]) == cli.EXIT_OK
+    resumed, written = map(json.loads, capsys.readouterr().out.splitlines())
+    assert resumed == {"eval": None,
+                       "resumed_at": load_checkpoint(ckpt["tall"])[1]["step"]}
+    assert written["best_eval_loss"] is None
+
+
 def test_resume_translates_only_the_held_out_prefixes(
         tiny_run, monkeypatch, capsys, reference_kernel):
     args, ckpt = tiny_run

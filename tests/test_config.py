@@ -3,6 +3,7 @@ dotted path."""
 
 import dataclasses
 import re
+import typing
 
 import pytest
 from conftest import reference_benchmark_config
@@ -132,6 +133,36 @@ def _train_overrides() -> list[str]:
 @pytest.mark.parametrize("override", _train_overrides())
 def test_naming_a_training_key_at_its_default_changes_nothing(override):
     assert load_config(None, [override]) == load_config(None, [])
+
+
+def _sections(node, path: str = ""):
+    """Every section of the tree under ``node``, with its dotted path."""
+    yield path, node
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _sections(value, f"{path}.{f.name}".lstrip("."))
+
+
+def test_every_default_has_its_annotated_type():
+    # the loader checks a key's value against the type of its default
+    wrong = [f"{path}.{f.name}".lstrip(".")
+             for path, section in _sections(load_config(None, []))
+             for f in dataclasses.fields(section)
+             if type(getattr(section, f.name))
+             is not typing.get_type_hints(type(section))[f.name]]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("name", [
+    f.name for f in dataclasses.fields(load_config(None, []).train)])
+def test_a_train_section_passes_its_whole_schedule(name):
+    section = getattr(load_config(None, []).train, name)
+    want = {k: v for k, v in dataclasses.asdict(section).items()
+            if k != "n_prompt"}
+    # the soft prompt holds nothing out, and has no eval_fraction key
+    want = {"eval_fraction": 0.0, **want, "seed": 7}
+    assert dataclasses.asdict(section.to_train_config(7)) == want
 
 
 def test_a_named_section_keeps_its_other_defaults(tmp_path):

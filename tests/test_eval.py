@@ -6,7 +6,6 @@ import pytest
 from tall.evaluation import (
     EvalExample,
     EvalRecord,
-    SamplerConfig,
     SoftPromptParams,
     _soft_prompt_logits,
     accuracy,
@@ -21,12 +20,13 @@ from tall.evaluation import (
 )
 from tall.models import CausalLM, CausalLMConfig, Seq2SeqConfig, Translator
 from tall.nn import ParamStore
-from tall.pretrain import TrainConfig, train_translator
+from tall.pretrain import train_translator
 from tall.tensor import NumericalError, ShapeError, Tensor
-from tall.world import N_SPECIALS, ToyGrammar, World, generate_corpus
+from tall.world import N_SPECIALS, World, generate_corpus
 
-from conftest import (all_positions, assert_parity, trainable_param_count,
-                      update_gradients)
+from conftest import (all_positions, assert_parity, sampler_config,
+                      toy_grammar, toy_world, train_config,
+                      trainable_param_count, update_gradients)
 
 
 class TestAccuracy:
@@ -63,8 +63,8 @@ class TestAccuracy:
 
 @pytest.fixture(scope="module")
 def tiny_world():
-    grammar = ToyGrammar(hr_vocab_size=20, min_len=4, max_len=7, seed=5)
-    world = World(hr_vocab_size=20, seed=5)
+    grammar = toy_grammar(hr_vocab_size=20, min_len=4, max_len=7, seed=5)
+    world = toy_world(hr_vocab_size=20, seed=5)
     corpus = generate_corpus(5, 200, grammar, world)
     examples, ds_hash = make_eval_dataset(world, grammar, seed=77, n=120)
     llm = CausalLM.init(
@@ -76,7 +76,7 @@ def tiny_world():
 class TestDirect:
     def test_untrained_lm_is_chance_level(self, tiny_world):
         _, world, _, examples, llm = tiny_world
-        records = eval_direct(llm, world, examples, SamplerConfig(seed=3))
+        records = eval_direct(llm, world, examples, sampler_config(seed=3))
         # random logits over the union vocabulary rarely land on the gold
         assert accuracy(records) <= 2.0 / world.vocab_lr + 0.05
 
@@ -96,19 +96,19 @@ class TestDirect:
 
         golds = [ex.gold for ex in examples[:10]]
         records = eval_direct(Oracle(), world, examples[:10],
-                              SamplerConfig(seed=0))
+                              sampler_config(seed=0))
         assert accuracy(records) == 1.0
 
     def test_deterministic_given_seed(self, tiny_world):
         _, world, _, examples, llm = tiny_world
-        a = eval_direct(llm, world, examples, SamplerConfig(seed=9))
-        b = eval_direct(llm, world, examples, SamplerConfig(seed=9))
+        a = eval_direct(llm, world, examples, sampler_config(seed=9))
+        b = eval_direct(llm, world, examples, sampler_config(seed=9))
         assert a == b
 
     def test_empty_dataset_rejected(self, tiny_world):
         _, world, _, _, llm = tiny_world
         with pytest.raises(ValueError):
-            eval_direct(llm, world, [], SamplerConfig())
+            eval_direct(llm, world, [], sampler_config())
 
 
 def exact_translator(world: World, direction: str):
@@ -161,7 +161,7 @@ def oracle_lm(world: World, examples: list[EvalExample], max_len: int = 64):
 
 class TestScoredId:
     def test_only_lr_content_ids_are_kept(self):
-        world = World(hr_vocab_size=12, seed=3)
+        world = toy_world(hr_vocab_size=12, seed=3)
         for special in range(N_SPECIALS):
             assert scored_id(world.lm_to_lr(special)) == -1
         for hr_id in range(N_SPECIALS, world.vocab_hr):
@@ -179,15 +179,15 @@ class TestNaive:
         always emits the true continuation, naive is perfect; with real
         trained translators its accuracy is at least the fraction of
         examples whose round trip is exact."""
-        grammar = ToyGrammar(hr_vocab_size=16, min_len=4, max_len=6, seed=8)
-        world = World(hr_vocab_size=16, seed=8, pair_swap=False)
+        grammar = toy_grammar(hr_vocab_size=16, min_len=4, max_len=6, seed=8)
+        world = toy_world(hr_vocab_size=16, seed=8, pair_swap=False)
         corpus = generate_corpus(8, 400, grammar, world)
         examples, _ = make_eval_dataset(world, grammar, seed=31, n=80)
         lr2hr_exact = exact_translator(world, "lr2hr")
         hr2lr_exact = exact_translator(world, "hr2lr")
         records = eval_naive(lr2hr_exact, oracle_lm(world, examples),
                              hr2lr_exact, world, examples,
-                             SamplerConfig(seed=2))
+                             sampler_config(seed=2))
         assert accuracy(records) == 1.0
 
         cfg = Seq2SeqConfig(world.vocab_lr, world.vocab_hr, d_model=32,
@@ -199,8 +199,8 @@ class TestNaive:
         # 3 epochs at 2e-3 (39 updates) left both translators at exact
         # match 0.0; this budget gives fidelity 0.70-0.86 over training
         # seeds 0-6 (0.825 at seed 6).
-        tc = TrainConfig(learning_rate=5e-3, epochs=20, batch_size=32, seed=6,
-                         eval_fraction=0.02)
+        tc = train_config(learning_rate=5e-3, epochs=20, batch_size=32, seed=6,
+                          eval_fraction=0.02)
         lr2hr, _, _ = train_translator("lr2hr", cfg, corpus, tc)
         hr2lr, _, _ = train_translator("hr2lr", cfg_rev, corpus, tc)
         fidelity = 0
@@ -213,7 +213,7 @@ class TestNaive:
             fidelity += prefix_ok and back_ok
         fidelity /= len(examples)
         records = eval_naive(lr2hr, oracle_lm(world, examples), hr2lr, world,
-                             examples, SamplerConfig(seed=2))
+                             examples, sampler_config(seed=2))
         assert accuracy(records) >= fidelity > 0.3
 
     @pytest.mark.parametrize("limit", ["hr2lr", "llm"])
@@ -245,7 +245,7 @@ class TestNaive:
                 out[long_row] = [N_SPECIALS] * long_len
                 return out
 
-        sampler, log = SamplerConfig(seed=3), []
+        sampler, log = sampler_config(seed=3), []
         records = eval_naive(Overlong(), lm, hr2lr, world, examples, sampler,
                              log=log)
         exact_records = eval_naive(exact, lm, hr2lr, world, examples, sampler)
@@ -260,9 +260,9 @@ class TestNaive:
         """Degenerate world (identity cipher, no swap): routing through
         exact translators is the identity, so naive and direct coincide
         once both feed the LM through the same tokenizer remap."""
-        grammar = ToyGrammar(hr_vocab_size=16, min_len=4, max_len=6, seed=9)
-        world = World(hr_vocab_size=16, seed=9, cipher="identity",
-                      pair_swap=False)
+        grammar = toy_grammar(hr_vocab_size=16, min_len=4, max_len=6, seed=9)
+        world = toy_world(hr_vocab_size=16, seed=9, cipher="identity",
+                          pair_swap=False)
         examples, _ = make_eval_dataset(world, grammar, seed=41, n=60)
         llm = CausalLM.init(
             CausalLMConfig(world.vocab_lm, d_model=24, n_heads=2, d_ff=48,
@@ -271,8 +271,8 @@ class TestNaive:
         world.lm_to_lr = world.lm_to_hr
         naive = eval_naive(exact_translator(world, "lr2hr"), llm,
                            exact_translator(world, "hr2lr"), world, examples,
-                           SamplerConfig(seed=4))
-        direct = eval_direct(llm, world, examples, SamplerConfig(seed=4))
+                           sampler_config(seed=4))
+        direct = eval_direct(llm, world, examples, sampler_config(seed=4))
         assert [r.predicted for r in naive] == [r.predicted for r in direct]
 
     def test_deterministic(self, tiny_world):
@@ -280,9 +280,9 @@ class TestNaive:
         lr2hr = exact_translator(world, "lr2hr")
         hr2lr = exact_translator(world, "hr2lr")
         a = eval_naive(lr2hr, llm, hr2lr, world, examples[:30],
-                       SamplerConfig(seed=5))
+                       sampler_config(seed=5))
         b = eval_naive(lr2hr, llm, hr2lr, world, examples[:30],
-                       SamplerConfig(seed=5))
+                       sampler_config(seed=5))
         assert a == b
 
 
@@ -292,8 +292,8 @@ class TestSoftPrompt:
         llm = clone_llm(llm)
         before = {n: t.data.tobytes() for n, t in llm.store.items()}
         corpus_lr = [list(p.lr_tokens) for p in corpus[:64]]
-        tc = TrainConfig(learning_rate=5e-4, epochs=1, batch_size=16, seed=3,
-                         warmup_steps=100)
+        tc = train_config(learning_rate=5e-4, epochs=1, batch_size=16, seed=3,
+                          warmup_steps=100)
         params, metrics = train_soft_prompt(llm, world, corpus_lr, tc,
                                             n_prompt=30)
         assert params.embeddings.shape == (30, llm.cfg.d_model)
@@ -301,14 +301,14 @@ class TestSoftPrompt:
         assert total == trainable == 30 * llm.cfg.d_model
         assert {n: t.data.tobytes() for n, t in llm.store.items()} == before
         records = eval_soft_prompt(llm, params, world, examples[:20],
-                                   SamplerConfig(seed=1))
+                                   sampler_config(seed=1))
         assert len(records) == 20
 
     def test_grad_accumulation_sets_the_update_count(self, tiny_world):
         _, world, corpus, _, llm = tiny_world
         corpus_lr = [list(p.lr_tokens) for p in corpus[:40]]
-        tc = TrainConfig(learning_rate=5e-4, epochs=2, batch_size=4,
-                         grad_accum_steps=4, seed=3)
+        tc = train_config(learning_rate=5e-4, epochs=2, batch_size=4,
+                          grad_accum_steps=4, seed=3)
         params, metrics = train_soft_prompt(clone_llm(llm), world, corpus_lr,
                                             tc, n_prompt=2)
         # ceil(40 / (4 * 4)) = 3 updates per epoch
@@ -319,7 +319,7 @@ class TestSoftPrompt:
     def test_prompt_past_the_position_table_is_refused(self, tiny_world):
         _, world, corpus, _, llm = tiny_world
         corpus_lr = [list(p.lr_tokens) for p in corpus[:4]]
-        tc = TrainConfig(epochs=1, batch_size=4, seed=3)
+        tc = train_config(epochs=1, batch_size=4, seed=3)
         with pytest.raises(ShapeError, match=r"sequence length \d+ exceeds "
                            r"pos table \(48 positions\)"):
             train_soft_prompt(clone_llm(llm), world, corpus_lr, tc,
@@ -330,7 +330,7 @@ class TestSoftPrompt:
         llm = clone_llm(llm)
         llm.store["tok_embed"].data[0, 0] = np.nan
         corpus_lr = [list(p.lr_tokens) for p in corpus[:8]]
-        tc = TrainConfig(epochs=1, batch_size=4, seed=3)
+        tc = train_config(epochs=1, batch_size=4, seed=3)
         with pytest.raises(NumericalError, match="not finite"):
             train_soft_prompt(llm, world, corpus_lr, tc, n_prompt=2)
 
@@ -347,7 +347,7 @@ class TestSoftPrompt:
         before = flags()
         assert list(before.values()).count((True, False)) == 1
         corpus_lr = [list(p.lr_tokens) for p in corpus[:8]]
-        tc = TrainConfig(epochs=1, batch_size=4, seed=3)
+        tc = train_config(epochs=1, batch_size=4, seed=3)
         train_soft_prompt(llm, world, corpus_lr, tc, n_prompt=2)
         assert flags() == before
         llm.store["tok_embed"].data[0, 0] = np.nan
@@ -361,7 +361,7 @@ class TestSoftPrompt:
         store.add("prompt", np.zeros((2, llm.cfg.d_model)))
         with pytest.raises(ValueError, match="evaluation dataset is empty"):
             eval_soft_prompt(llm, SoftPromptParams(store, 2), world, [],
-                             SamplerConfig())
+                             sampler_config())
 
     def test_logits_are_the_final_rows_of_every_position(self, tiny_world,
                                                           kernel):
@@ -381,7 +381,7 @@ class TestSoftPrompt:
     def test_one_update_leaves_the_same_gradients(self, tiny_world, kernel):
         _, world, corpus, _, _ = tiny_world
         corpus_lr = [list(p.lr_tokens) for p in corpus[:16]]
-        tc = TrainConfig(learning_rate=5e-4, epochs=1, batch_size=16, seed=3)
+        tc = train_config(learning_rate=5e-4, epochs=1, batch_size=16, seed=3)
         runs = []
         for oracle in (contextlib.nullcontext, all_positions):
             llm = CausalLM.init(CausalLMConfig(
@@ -405,13 +405,12 @@ class TestFinetune:
     def test_zero_epochs_equals_direct_exactly(self, tiny_world):
         _, world, corpus, examples, llm = tiny_world
         corpus_lr = [list(p.lr_tokens) for p in corpus[:32]]
-        tc = TrainConfig.__new__(TrainConfig)
-        tc.__dict__.update(TrainConfig().__dict__)
-        tc.epochs = 0
+        tc = train_config()
+        tc.epochs = 0  # set past TrainConfig's check, which refuses it
         tuned, meta, _ = finetune_llm(llm, world, corpus_lr, tc)
         assert meta["step"] == 0
-        direct = eval_direct(llm, world, examples, SamplerConfig(seed=6))
-        via_tuned = eval_direct(tuned, world, examples, SamplerConfig(seed=6),
+        direct = eval_direct(llm, world, examples, sampler_config(seed=6))
+        via_tuned = eval_direct(tuned, world, examples, sampler_config(seed=6),
                                 approach="finetuned")
         assert [r.predicted for r in direct] == [r.predicted for r in via_tuned]
 
@@ -420,7 +419,7 @@ class TestFinetune:
         base = clone_llm(llm)
         before = {n: t.data.tobytes() for n, t in base.store.items()}
         corpus_lr = [list(p.lr_tokens) for p in corpus[:32]]
-        tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=16, seed=7)
+        tc = train_config(learning_rate=1e-3, epochs=1, batch_size=16, seed=7)
         tuned, _, _ = finetune_llm(base, world, corpus_lr, tc)
         assert {n: t.data.tobytes() for n, t in base.store.items()} == before
         assert any(tuned.store[n].data.tobytes() != before[n]
@@ -438,7 +437,8 @@ class TestDatasetPlumbing:
 
     def test_records_score_in_lr_space(self, tiny_world):
         _, world, _, examples, llm = tiny_world
-        records = eval_direct(llm, world, examples[:40], SamplerConfig(seed=8))
+        records = eval_direct(llm, world, examples[:40],
+                              sampler_config(seed=8))
         for r in records:
             assert r.correct == (r.gold == r.predicted)
             assert 4 <= r.gold < world.vocab_lr

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from tall.evaluation import (
-    SamplerConfig,
     eval_direct,
     eval_naive,
     eval_soft_prompt,
@@ -32,8 +31,10 @@ from tall.pipeline import (
     TallModel,
     train_tall,
 )
-from tall.pretrain import TrainConfig, train_llm, train_translator
-from tall.world import ToyGrammar, World, generate_corpus
+from tall.pretrain import train_llm, train_translator
+from tall.world import generate_corpus
+
+from conftest import sampler_config, toy_grammar, toy_world, train_config
 
 GOLDEN = {
     "direct.eval":
@@ -77,8 +78,8 @@ def _json_hash(obj) -> str:
 
 @pytest.fixture(scope="module")
 def golden_run(reference_kernel_module):
-    grammar = ToyGrammar(hr_vocab_size=16, min_len=4, max_len=7, seed=4)
-    world = World(hr_vocab_size=16, seed=4)
+    grammar = toy_grammar(hr_vocab_size=16, min_len=4, max_len=7, seed=4)
+    world = toy_world(hr_vocab_size=16, seed=4)
     corpus = generate_corpus(4, 40, grammar, world)
     examples, _ = make_eval_dataset(world, grammar, seed=44, n=12)
     s2s = dict(d_model=12, n_heads=2, d_ff=24, enc_layers=1, dec_layers=1,
@@ -92,22 +93,22 @@ def golden_run(reference_kernel_module):
     # translators: held-out split, so the eval record is written too
     lr2hr, meta, metrics = train_translator(
         "lr2hr", enc_cfg, corpus,
-        TrainConfig(learning_rate=2e-3, epochs=2, batch_size=8, seed=1,
-                    eval_fraction=0.1))
+        train_config(learning_rate=2e-3, epochs=2, batch_size=8, seed=1,
+                     eval_fraction=0.1))
     out["lr2hr.store"] = _store_hash(lr2hr.store)
     out["lr2hr.metrics"] = _json_hash([meta, metrics])
     hr2lr, _, _ = train_translator(
         "hr2lr", dec_cfg, corpus,
-        TrainConfig(learning_rate=2e-3, epochs=1, batch_size=8, seed=2,
-                    eval_fraction=0.0))
+        train_config(learning_rate=2e-3, epochs=1, batch_size=8, seed=2,
+                     eval_fraction=0.0))
 
     # LM: 36 train sequences in micro-batches of 5 make 8 micro-batches
     # per epoch, so accumulation 3 leaves a short last group of 2
     seqs = [world.hr_to_lm(np.array(p.hr_tokens)).tolist() for p in corpus]
     llm, meta, metrics = train_llm(
         lm_cfg, seqs,
-        TrainConfig(learning_rate=2e-3, epochs=2, batch_size=5,
-                    grad_accum_steps=3, seed=3, eval_fraction=0.1))
+        train_config(learning_rate=2e-3, epochs=2, batch_size=5,
+                     grad_accum_steps=3, seed=3, eval_fraction=0.1))
     assert meta["step"] == 6
     out["llm.store"] = _store_hash(llm.store)
     out["llm.metrics"] = _json_hash([meta, metrics])
@@ -119,11 +120,11 @@ def golden_run(reference_kernel_module):
     model = TallModel.assemble(cfg, world, lr2hr, hr2lr, llm, seed=5)
     meta, metrics = train_tall(
         model, corpus,
-        TrainConfig(learning_rate=3e-3, epochs=3, batch_size=8, seed=6,
-                    eval_fraction=0.2))
+        train_config(learning_rate=3e-3, epochs=3, batch_size=8, seed=6,
+                     eval_fraction=0.2))
     out["tall.store"] = _store_hash(model.store)
     out["tall.metrics"] = _json_hash([meta, metrics])
-    sampler = SamplerConfig(temperature=0.7, top_k=5, top_p=0.9, seed=8)
+    sampler = sampler_config(temperature=0.7, top_k=5, top_p=0.9, seed=8)
     out["tall.eval"] = _json_hash(
         [dataclasses.asdict(r) for r in eval_tall(model, examples, sampler)])
 
@@ -140,8 +141,8 @@ def golden_run(reference_kernel_module):
     corpus_lr = [list(p.lr_tokens) for p in corpus[:20]]
     params, metrics = train_soft_prompt(
         llm, world, corpus_lr,
-        TrainConfig(learning_rate=5e-3, epochs=2, batch_size=8, seed=7,
-                    warmup_steps=2),
+        train_config(learning_rate=5e-3, epochs=2, batch_size=8, seed=7,
+                     warmup_steps=2),
         n_prompt=3)
     out["soft_prompt.store"] = _store_hash(params.store)
     out["soft_prompt.metrics"] = _json_hash(metrics)

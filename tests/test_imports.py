@@ -34,10 +34,14 @@ Ten rules for every module under ``src/tall``:
 
 And one for ``tensor.py`` and ``nn.py``: every public function has a
 caller in ``src/tall`` outside its own body, so what only tests use
-lives in ``tests/conftest.py``.
+lives in ``tests/conftest.py``.  And one for ``config.py``: a class it
+imports from another module and calls takes no defaulted parameter, so
+every default is written once, in the section tree.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -211,6 +215,27 @@ def run_config_builds(path: Path) -> list[str]:
                                       getattr(node.func, "attr", None)))
 
 
+def imported_calls(path: Path) -> list[tuple[str, str]]:
+    """(module, name) of each name ``path`` imports from a sibling module
+    (``from .world import World``) and calls by that name."""
+    tree, _ = _parse(path)
+    imported = {a.asname or a.name: (node.module, a.name)
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module for a in node.names}
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)}
+    return sorted(imported[name] for name in called & imported.keys())
+
+
+def defaulted_parameters(fn) -> list[str]:
+    """``fn``'s parameters that have a default, as ``Name.param``."""
+    return [f"{fn.__name__}.{p.name}"
+            for p in inspect.signature(fn).parameters.values()
+            if p.default is not p.empty]
+
+
 def uncalled_functions(target: Path, modules: list[Path]) -> list[str]:
     """Public top-level functions of ``target`` that no module in
     ``modules`` calls outside the function's own body.  A call counts
@@ -323,6 +348,15 @@ def test_run_configs_are_built_by_load_config_alone():
     [_] = calls_to(SRC / "config.py", ("RunConfig",))
 
 
+def test_classes_config_builds_take_no_defaults():
+    built = [getattr(importlib.import_module(f"tall.{module}"), name)
+             for module, name in imported_calls(SRC / "config.py")]
+    classes = [c for c in built if inspect.isclass(c)]
+    assert {"TrainConfig", "SamplerConfig", "World", "ToyGrammar",
+            "Seq2SeqConfig", "CausalLMConfig"} <= {c.__name__ for c in classes}
+    assert [p for c in classes for p in defaulted_parameters(c)] == []
+
+
 def test_tensor_has_one_product_kernel():
     [site] = numpy_products(SRC / "tensor.py")
     assert site.endswith(" np.matmul")
@@ -401,6 +435,21 @@ def test_checks_catch_what_they_name(tmp_path):
         "kind = RunConfig\n")
     assert run_config_builds(cfg) == ["cfg.py:4 RunConfig",
                                       "cfg.py:5 RunConfig"]
+    built = tmp_path / "built.py"
+    built.write_text(
+        "from . import world\n"
+        "from .world import World as W, ToyGrammar, generate_corpus\n"
+        "from numpy import array\n"
+        "w = W(96, 0, 'seeded', True)\n"
+        "c = generate_corpus(0, 1, world.ToyGrammar(), w) + array(3)\n")
+    assert imported_calls(built) == [("world", "World"),
+                                     ("world", "generate_corpus")]
+
+    def planted(width, heads=4, *, dropout=0.1):
+        pass
+
+    assert defaulted_parameters(planted) == ["planted.heads",
+                                             "planted.dropout"]
     pkg = tmp_path / "pkg"
     pkg.mkdir()
     (pkg / "tensor.py").write_text(

@@ -283,6 +283,19 @@ class TestFreezing:
         assert store.snapshot_bytes("frozen") == frozen_before
         assert store.snapshot_bytes("live") != live_before
 
+    def test_frozen_is_the_requires_grad_flag(self):
+        store = ParamStore()
+        store.add("a", np.zeros(2))
+        store.add("b.w", np.zeros(2), trainable=False)
+        store["a"].requires_grad = False
+        store["b.w"].requires_grad = True
+        assert [store.is_frozen(n) for n in ("a", "b.w")] == [True, False]
+        assert [n for n, _ in store.trainable_items()] == ["b.w"]
+        assert not store.subset("b").is_frozen("w")
+        with store.frozen():
+            assert store.trainable_items() == []
+        assert [n for n, _ in store.trainable_items()] == ["b.w"]
+
     def test_duplicate_name_rejected(self):
         store = ParamStore()
         store.add("w", np.zeros(2))

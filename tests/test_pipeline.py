@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tall import tensor as T
-from tall.evaluation import SamplerConfig, example_rng, sample_token
+from tall.evaluation import example_rng, sample_token
 from tall.models import CausalLM, CausalLMConfig, Seq2SeqConfig, Translator
 from tall.nn import AdapterSpec
 from tall.optim import cosine_lr
@@ -17,19 +17,20 @@ from tall.pipeline import (
     evaluate_tall,
     train_tall,
 )
-from tall.pretrain import TrainConfig
 from tall.tensor import ShapeError, Tape
-from tall.world import ToyGrammar, World, generate_corpus
+from tall.world import generate_corpus
 
-from conftest import all_positions, assert_parity, update_gradients
+from conftest import (all_positions, assert_parity, sampler_config,
+                      toy_grammar, toy_world, train_config,
+                      update_gradients)
 
 
 def tiny_setup(vocab=16, seed=0, d_enc=12, d_lm=18, d_dec=12, lm_max_len=24,
                layers=1):
     """``layers`` backbone layers of each kind: with two, the last layer
     of the LM and of the decoder is not their first."""
-    grammar = ToyGrammar(hr_vocab_size=vocab, min_len=4, max_len=7, seed=seed)
-    world = World(hr_vocab_size=vocab, seed=seed)
+    grammar = toy_grammar(hr_vocab_size=vocab, min_len=4, max_len=7, seed=seed)
+    world = toy_world(hr_vocab_size=vocab, seed=seed)
     s2s = Seq2SeqConfig(world.vocab_lr, world.vocab_hr, d_model=d_enc,
                         n_heads=2, d_ff=24, enc_layers=layers,
                         dec_layers=layers, max_len=16)
@@ -52,25 +53,25 @@ def tiny_setup(vocab=16, seed=0, d_enc=12, d_lm=18, d_dec=12, lm_max_len=24,
 class TestSampler:
     def test_temperature_zero_is_argmax(self):
         logits = np.array([0.1, 3.0, -1.0, 2.9])
-        s = SamplerConfig(temperature=0.0, top_k=50, top_p=0.95, seed=1)
+        s = sampler_config(temperature=0.0, top_k=50, top_p=0.95, seed=1)
         rng = np.random.default_rng(0)
         assert all(sample_token(logits, s, rng) == 1 for _ in range(5))
 
     def test_temperature_zero_tie_lowest_index(self):
         logits = np.array([2.0, 5.0, 5.0])
-        s = SamplerConfig(temperature=0.0)
+        s = sampler_config(temperature=0.0)
         assert sample_token(logits, s, np.random.default_rng(0)) == 1
 
     def test_top_k_one_is_argmax(self):
         logits = np.array([0.5, 0.1, 2.0, 1.9])
-        s = SamplerConfig(temperature=1.3, top_k=1, top_p=1.0, seed=0)
+        s = sampler_config(temperature=1.3, top_k=1, top_p=1.0, seed=0)
         rng = np.random.default_rng(0)
         assert all(sample_token(logits, s, rng) == 2 for _ in range(20))
 
     def test_nucleus_support_and_frequencies(self):
         probs = np.array([0.7, 0.2, 0.1])
         logits = np.log(probs)
-        s = SamplerConfig(temperature=1.0, top_k=3, top_p=0.75, seed=0)
+        s = sampler_config(temperature=1.0, top_k=3, top_p=0.75, seed=0)
         rng = np.random.default_rng(123)
         n = 100_000
         draws = np.array([sample_token(logits, s, rng) for _ in range(n)])
@@ -81,18 +82,18 @@ class TestSampler:
 
     def test_top_p_exact_boundary_keeps_smallest_prefix(self):
         probs = np.array([0.7, 0.2, 0.1])
-        s = SamplerConfig(temperature=1.0, top_k=3, top_p=0.7, seed=0)
+        s = sampler_config(temperature=1.0, top_k=3, top_p=0.7, seed=0)
         rng = np.random.default_rng(7)
         draws = {sample_token(np.log(probs), s, rng) for _ in range(500)}
         assert draws == {0}
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SamplerConfig(temperature=-0.1)
+            sampler_config(temperature=-0.1)
         with pytest.raises(ValueError):
-            SamplerConfig(top_k=0)
+            sampler_config(top_k=0)
         with pytest.raises(ValueError):
-            SamplerConfig(top_p=0.0)
+            sampler_config(top_p=0.0)
 
     def test_example_rng_reproducible(self):
         a = example_rng(5, 17).random(3)
@@ -161,6 +162,8 @@ class TestGradientFlow:
         runs = []
         for unfreeze in (False, True):
             model, corpus, _ = tiny_setup(seed=5)
+            # the pipeline's trainable parts, named before any unfreezing
+            trainable = model.store.trainable_items()
             if unfreeze:
                 for _, t in model.store.items():
                     t.requires_grad = True
@@ -170,8 +173,7 @@ class TestGradientFlow:
             with Tape() as tape:
                 loss = model.loss(batch)
             tape.backward(loss)
-            grads = {n: t.grad.tobytes()
-                     for n, t in model.store.trainable_items()}
+            grads = {n: t.grad.tobytes() for n, t in trainable}
             frozen_grads = [model.store[n].grad for n in model.store.names()
                             if n.split(".", 1)[0] in FROZEN_PARTS]
             runs.append((loss.data.tobytes(), grads, len(tape), frozen_grads))
@@ -214,8 +216,8 @@ class TestReadRows:
         assert_parity(got, want, kernel)
 
     def test_one_update_leaves_the_same_gradients(self, kernel):
-        tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=24, seed=2,
-                         eval_fraction=0.0)
+        tc = train_config(learning_rate=1e-3, epochs=1, batch_size=24, seed=2,
+                          eval_fraction=0.0)
         runs = []
         for oracle in (contextlib.nullcontext, all_positions):
             model, corpus, _ = tiny_setup(seed=15, layers=2)
@@ -284,8 +286,8 @@ class TestCausalityAndIsolation:
 class TestTraining:
     def test_cosine_schedule_trace(self):
         model, corpus, _ = tiny_setup(seed=7)
-        tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=8, seed=2,
-                         eval_fraction=0.0)
+        tc = train_config(learning_rate=1e-3, epochs=2, batch_size=8, seed=2,
+                          eval_fraction=0.0)
         _, metrics = train_tall(model, corpus, tc)
         train = [m for m in metrics if m["split"] == "train"]
         total = len(train)
@@ -304,8 +306,8 @@ class TestTraining:
         before = {
             part: model.store.snapshot_bytes(part) for part in FROZEN_PARTS
         }
-        tc = TrainConfig(learning_rate=2e-3, epochs=1, batch_size=8, seed=3,
-                         eval_fraction=0.0)
+        tc = train_config(learning_rate=2e-3, epochs=1, batch_size=8, seed=3,
+                          eval_fraction=0.0)
         train_tall(model, corpus, tc)
         for part in FROZEN_PARTS:
             assert model.store.snapshot_bytes(part) == before[part]
@@ -314,8 +316,8 @@ class TestTraining:
         runs = []
         for _ in range(2):
             model, corpus, _ = tiny_setup(seed=9)
-            tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=8,
-                             seed=4, eval_fraction=0.1)
+            tc = train_config(learning_rate=1e-3, epochs=1, batch_size=8,
+                              seed=4, eval_fraction=0.1)
             meta, metrics = train_tall(model, corpus, tc)
             runs.append((
                 [m["loss"] for m in metrics if m["split"] == "train"],
@@ -328,8 +330,8 @@ class TestTraining:
 
     def test_best_checkpoint_restored(self):
         model, corpus, _ = tiny_setup(seed=10)
-        tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=8, seed=5,
-                         eval_fraction=0.2)
+        tc = train_config(learning_rate=1e-3, epochs=2, batch_size=8, seed=5,
+                          eval_fraction=0.2)
         meta, metrics = train_tall(model, corpus, tc)
         evals = [m for m in metrics if m["split"] == "eval"]
         assert meta["best_eval_loss"] == min(e["loss"] for e in evals)
@@ -346,8 +348,8 @@ class TestTraining:
         # 24 pairs in batches of 8 are 3 micro-batches per epoch; at
         # accumulation 2 each epoch makes a full and a short update
         model, corpus, _ = tiny_setup(seed=14)
-        tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=8,
-                         grad_accum_steps=2, seed=6, eval_fraction=0.0)
+        tc = train_config(learning_rate=1e-3, epochs=2, batch_size=8,
+                          grad_accum_steps=2, seed=6, eval_fraction=0.0)
         meta, metrics = train_tall(model, corpus, tc)
         train = [m for m in metrics if m["split"] == "train"]
         assert meta["step"] == len(train) == 4
@@ -359,7 +361,12 @@ class TestTraining:
         model, corpus, _ = tiny_setup(seed=11)
         model.store["llm.tok_embed"].requires_grad = True
         with pytest.raises(RuntimeError, match="not frozen"):
-            train_tall(model, corpus, TrainConfig())
+            train_tall(model, corpus, train_config())
+
+    def test_evaluate_tall_refuses_an_empty_held_out_set(self):
+        model, _, _ = tiny_setup(seed=11)
+        with pytest.raises(ValueError, match="held-out set is empty"):
+            evaluate_tall(model, [])
 
 
 class TestPrediction:

@@ -7,7 +7,6 @@ from tall.models import CausalLM, CausalLMConfig, Seq2SeqConfig
 from tall.nn import ParamStore
 from tall.optim import clip_grad_norm, cosine_lr
 from tall.pretrain import (
-    TrainConfig,
     _epoch_batches,
     fit,
     llm_perplexity,
@@ -17,13 +16,15 @@ from tall.pretrain import (
     translator_exact_match,
 )
 from tall.tensor import NumericalError, Tape
-from tall.world import ToyGrammar, World, generate_corpus
+from tall.world import generate_corpus
+
+from conftest import toy_grammar, toy_world, train_config
 
 
 @pytest.fixture(scope="module")
 def small_world():
-    grammar = ToyGrammar(hr_vocab_size=24, min_len=4, max_len=7, seed=2)
-    world = World(hr_vocab_size=24, seed=2)
+    grammar = toy_grammar(hr_vocab_size=24, min_len=4, max_len=7, seed=2)
+    world = toy_world(hr_vocab_size=24, seed=2)
     corpus = generate_corpus(2, 256, grammar, world)
     return grammar, world, corpus
 
@@ -38,8 +39,8 @@ class TestTranslatorTraining:
         _, world, corpus = small_world
         cfg = Seq2SeqConfig(world.vocab_lr, world.vocab_hr, **SMALL_S2S)
         # single repeating batch isolates pure descent on that batch
-        tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=32, seed=1,
-                         eval_fraction=0.0)
+        tc = train_config(learning_rate=1e-3, epochs=2, batch_size=32, seed=1,
+                          eval_fraction=0.0)
         _, _, metrics = train_translator("lr2hr", cfg, corpus[:32], tc)
         train = [m for m in metrics if m["split"] == "train"]
         assert train[1]["loss"] < train[0]["loss"]
@@ -47,7 +48,7 @@ class TestTranslatorTraining:
     def test_same_seed_bit_identical_checkpoints(self, small_world, tmp_path):
         _, world, corpus = small_world
         cfg = Seq2SeqConfig(world.vocab_lr, world.vocab_hr, **SMALL_S2S)
-        tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=32, seed=5)
+        tc = train_config(learning_rate=1e-3, epochs=1, batch_size=32, seed=5)
         paths = []
         for name in ("a", "b"):
             model, meta, _ = train_translator("lr2hr", cfg, corpus, tc)
@@ -59,7 +60,7 @@ class TestTranslatorTraining:
     def test_direction_swaps_vocabularies(self, small_world):
         _, world, corpus = small_world
         cfg = Seq2SeqConfig(world.vocab_hr, world.vocab_lr, **SMALL_S2S)
-        tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=64, seed=1)
+        tc = train_config(learning_rate=1e-3, epochs=1, batch_size=64, seed=1)
         model, meta, _ = train_translator("hr2lr", cfg, corpus, tc)
         assert meta["kind"] == "translator-hr2lr"
         out = model.greedy_translate([list(corpus[0].hr_tokens)])
@@ -69,25 +70,25 @@ class TestTranslatorTraining:
         _, world, _ = small_world
         cfg = Seq2SeqConfig(world.vocab_lr, world.vocab_hr, **SMALL_S2S)
         with pytest.raises(ValueError):
-            train_translator("lr2hr", cfg, [], TrainConfig())
+            train_translator("lr2hr", cfg, [], train_config())
 
     def test_rejects_unknown_direction(self, small_world):
         _, world, corpus = small_world
         cfg = Seq2SeqConfig(world.vocab_lr, world.vocab_hr, **SMALL_S2S)
         with pytest.raises(ValueError):
-            train_translator("sideways", cfg, corpus, TrainConfig())
+            train_translator("sideways", cfg, corpus, train_config())
 
 
 @pytest.mark.slow
 def test_translator_learns_the_cipher_at_full_scale():
     """Default-scale run: 20k pairs, 5 epochs, held-out exact match >= 95%."""
-    grammar = ToyGrammar(hr_vocab_size=96, seed=11)
-    world = World(hr_vocab_size=96, seed=11)
+    grammar = toy_grammar(hr_vocab_size=96, seed=11)
+    world = toy_world(hr_vocab_size=96, seed=11)
     corpus = generate_corpus(11, 20000, grammar, world)
     cfg = Seq2SeqConfig(world.vocab_lr, world.vocab_hr, d_model=64, n_heads=4,
                         d_ff=128, enc_layers=2, dec_layers=2, max_len=32)
-    tc = TrainConfig(learning_rate=1.5e-3, epochs=5, batch_size=64, seed=11,
-                     eval_fraction=0.02)
+    tc = train_config(learning_rate=1.5e-3, epochs=5, batch_size=64, seed=11,
+                      eval_fraction=0.02)
     model, meta, _ = train_translator("lr2hr", cfg, corpus, tc)
     assert meta["heldout_exact_match"] >= 0.95
 
@@ -97,8 +98,8 @@ class TestLlmTraining:
         _, world, corpus = small_world
         seqs = [world.hr_to_lm(np.array(p.hr_tokens)).tolist() for p in corpus]
         cfg = CausalLMConfig(world.vocab_lm, **SMALL_LM)
-        tc = TrainConfig(learning_rate=1.5e-3, epochs=2, batch_size=16,
-                         grad_accum_steps=2, seed=4, eval_fraction=0.05)
+        tc = train_config(learning_rate=1.5e-3, epochs=2, batch_size=16,
+                          grad_accum_steps=2, seed=4, eval_fraction=0.05)
         _, meta, _ = train_llm(cfg, seqs, tc)
         assert meta["heldout_perplexity"] < world.vocab_lm
 
@@ -107,8 +108,8 @@ class TestLlmTraining:
         seqs = [world.hr_to_lm(np.array(p.hr_tokens)).tolist()
                 for p in corpus[:64]]
         cfg = CausalLMConfig(world.vocab_lm, **SMALL_LM)
-        tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=8,
-                         grad_accum_steps=2, seed=9)
+        tc = train_config(learning_rate=1e-3, epochs=1, batch_size=8,
+                          grad_accum_steps=2, seed=9)
         blobs = []
         for _ in range(2):
             model, _, _ = train_llm(cfg, seqs, tc)
@@ -125,7 +126,7 @@ class TestLlmTraining:
             return T.Tensor(np.array(np.nan)), len(batch_idx)
 
         with pytest.raises(NumericalError, match="not finite at update 0"):
-            fit(store, TrainConfig(), 10, nan_loss)
+            fit(store, train_config(), 10, nan_loss)
         assert store["w"].data.tolist() == [1.0, 1.0, 1.0]
 
 
@@ -182,8 +183,8 @@ class TestGradAccumulation:
         seqs = [world.hr_to_lm(np.array(p.hr_tokens)).tolist()
                 for p in corpus[:64]]
         cfg = CausalLMConfig(world.vocab_lm, **SMALL_LM)
-        tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4,
-                         grad_accum_steps=8, seed=21, eval_fraction=0.0)
+        tc = train_config(learning_rate=1e-3, epochs=1, batch_size=4,
+                          grad_accum_steps=8, seed=21, eval_fraction=0.0)
         # 64 sequences = exactly 2 updates of 8 micro-batches of 4
         trained, meta, _ = train_llm(cfg, seqs, tc)
         assert meta["step"] == 2

@@ -26,6 +26,7 @@ from tall.tensor import (
 )
 
 from conftest import (
+    batched_matmul,
     composed_attention,
     composed_linear,
     finite_diff_grad,
@@ -81,28 +82,34 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
+    def test_the_right_operand_is_a_weight(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(2, 4, 5\)"):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 5))))
+
     @pytest.mark.usefixtures("reference_kernel")
     def test_batched_matches_per_slice(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 3, 5))
         b = rng.standard_normal((4, 5, 2))
-        out = matmul(Tensor(a), Tensor(b)).data
+        out = batched_matmul(Tensor(a), Tensor(b)).data
         for i in range(4):
             np.testing.assert_array_equal(out[i], naive_matmul(a[i], b[i]))
 
 
+# each case's product op and operand shapes; the batched product of
+# attention is the oracle op ``composed_attention`` runs on
 MATMUL_SHAPES = {
-    "2d_at_2d": ((5, 7), (7, 3)),
-    "3d_at_weight": ((4, 6, 7), (7, 3)),
-    "4d_attention": ((2, 3, 5, 4), (2, 3, 4, 6)),
+    "2d_at_2d": (matmul, ((5, 7), (7, 3))),
+    "3d_at_weight": (matmul, ((4, 6, 7), (7, 3))),
+    "4d_attention": (batched_matmul, ((2, 3, 5, 4), (2, 3, 4, 6))),
 }
 
 
-def _product_and_grads(a, b, g):
-    """matmul's output and both operand gradients for upstream ``g``."""
+def _product_and_grads(op, a, b, g):
+    """``op``'s output and both operand gradients for upstream ``g``."""
     ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
     with Tape() as tape:
-        out = matmul(ta, tb)
+        out = op(ta, tb)
         loss = sum_all(mul(out, Tensor(g)))
     tape.backward(loss)
     return out.data, ta.grad, tb.grad
@@ -118,21 +125,21 @@ def _operands(shapes, seed):
 class TestShippedKernel:
     """The BLAS kernel against the einsum reference, and its determinism."""
 
-    @pytest.mark.parametrize("shapes", MATMUL_SHAPES.values(),
+    @pytest.mark.parametrize("op, shapes", MATMUL_SHAPES.values(),
                              ids=MATMUL_SHAPES.keys())
     def test_forward_and_backward_match_reference(
-            self, shapes, monkeypatch, einsum_reference):
+            self, op, shapes, monkeypatch, einsum_reference):
         a, b, g = _operands(shapes, seed=11)
-        shipped = _product_and_grads(a, b, g)
+        shipped = _product_and_grads(op, a, b, g)
         monkeypatch.setattr(T, "_product", einsum_reference)
-        reference = _product_and_grads(a, b, g)
+        reference = _product_and_grads(op, a, b, g)
         for got, want in zip(shipped, reference):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("shapes", MATMUL_SHAPES.values(),
+    @pytest.mark.parametrize("op, shapes", MATMUL_SHAPES.values(),
                              ids=MATMUL_SHAPES.keys())
-    def test_bytes_do_not_depend_on_buffer_offset(self, shapes):
+    def test_bytes_do_not_depend_on_buffer_offset(self, op, shapes):
         def at_offset(x, offset):
             buf = np.zeros(x.nbytes + 32, dtype=np.uint8)
             view = buf[offset:offset + x.nbytes].view(np.float64).reshape(x.shape)
@@ -143,7 +150,8 @@ class TestShippedKernel:
         runs = []
         for offset in (0, 8, 16, 24):
             a_o, b_o, g_o = (at_offset(x, offset) for x in (a, b, g))
-            runs.append([x.tobytes() for x in _product_and_grads(a_o, b_o, g_o)])
+            runs.append([x.tobytes()
+                         for x in _product_and_grads(op, a_o, b_o, g_o)])
         assert all(run == runs[0] for run in runs[1:])
 
 

@@ -2,7 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import reference_sentence, reference_transition
+from conftest import (reference_sentence, reference_transition, toy_grammar,
+                      toy_world)
 
 from tall.world import (
     BOS,
@@ -11,9 +12,7 @@ from tall.world import (
     PAD,
     UNK,
     BilingualPair,
-    ToyGrammar,
     VocabError,
-    World,
     corpus_hash,
     generate_corpus,
 )
@@ -21,12 +20,12 @@ from tall.world import (
 
 @pytest.fixture(scope="module")
 def grammar():
-    return ToyGrammar(hr_vocab_size=96, seed=11)
+    return toy_grammar(hr_vocab_size=96, seed=11)
 
 
 @pytest.fixture(scope="module")
 def world():
-    return World(hr_vocab_size=96, seed=11)
+    return toy_world(hr_vocab_size=96, seed=11)
 
 
 class TestGrammar:
@@ -53,9 +52,9 @@ class TestGrammar:
         assert all(np.ndim(x) < 3 for x in vars(shifted).values())
 
     def test_full_shift_of_a_two_class_grammar_is_its_noise_grammar(self):
-        two = ToyGrammar(seed=5, n_classes=2)
+        two = toy_grammar(seed=5, n_classes=2)
         shifted = two.perturbed(77, 1.0)
-        noise = ToyGrammar(seed=77, n_classes=2)
+        noise = toy_grammar(seed=77, n_classes=2)
         for i in range(200):
             np.testing.assert_array_equal(
                 shifted.sample_sentence(np.random.default_rng(i)),
@@ -73,7 +72,7 @@ def test_grammar_matches_the_materialized_table(seed, n_classes, branching,
     """Rows and row map reproduce every entry of the [V+1, V+1, V] table,
     shifted by ``alpha`` toward noise seed 901, and sample the same
     sentences as its ``np.searchsorted`` walk."""
-    grammar = ToyGrammar(seed=seed, n_classes=n_classes, branching=branching)
+    grammar = toy_grammar(seed=seed, n_classes=n_classes, branching=branching)
     shift = None if alpha is None else (901, alpha)
     if shift is not None:
         grammar = grammar.perturbed(*shift)
@@ -118,7 +117,8 @@ class TestCipher:
             world.lr_of_hr(np.array([PAD]))
 
     def test_identity_cipher_no_swap(self):
-        w = World(hr_vocab_size=8, seed=0, cipher="identity", pair_swap=False)
+        w = toy_world(hr_vocab_size=8, seed=0, cipher="identity",
+                      pair_swap=False)
         hr = np.array([4, 9, 6])
         np.testing.assert_array_equal(w.lr_of_hr(hr), hr)
 
@@ -178,10 +178,10 @@ class TestCorpus:
             )
 
     def test_retry_budget_error(self, world):
-        tiny = ToyGrammar(hr_vocab_size=4, min_len=2, max_len=2, seed=0,
-                          branching=1)
+        tiny = toy_grammar(hr_vocab_size=4, min_len=2, max_len=2, seed=0,
+                           branching=1)
         with pytest.raises(RuntimeError, match="unique"):
-            generate_corpus(0, 40, tiny, World(hr_vocab_size=4, seed=0))
+            generate_corpus(0, 40, tiny, toy_world(hr_vocab_size=4, seed=0))
 
     def test_corpus_hash_stable(self, grammar, world):
         pairs = generate_corpus(1, 10, grammar, world)
