@@ -30,7 +30,7 @@ import numpy as np
 
 from . import tensor as T
 from .models import CausalLM, Translator, pad_batch, tied_logits
-from .nn import ParamStore
+from .nn import LayerCache, ParamStore
 from .pipeline import TallModel
 from .pretrain import TrainConfig, fit, train_llm
 from .tensor import Tensor
@@ -275,17 +275,20 @@ class SoftPromptParams:
 
 def _soft_prompt_logits(llm: CausalLM, prompt: Tensor, lm_prefixes: list
                         ) -> Tensor:
-    """Final-position logits [B, V] with the prompt block prepended to
-    each row."""
+    """Final-position logits [B, V] of each LM prefix after the prompt
+    block [P, d].  The LM is causal, so the prompt's keys and values are
+    the same in every row: it runs once, as a batch of one, into the
+    caches that the B token rows then share."""
     ids, lengths = pad_batch([[BOS] + list(p) for p in lm_prefixes])
-    b = len(lm_prefixes)
     n_prompt = prompt.shape[0]
+    cache = [LayerCache() for _ in range(llm.cfg.n_layers)]
+    # only the caches are read, so the last layer runs one prompt row
+    llm.hidden_from_embeddings(T.reshape(prompt, (1,) + prompt.shape),
+                               np.array([n_prompt]),
+                               read=np.array([n_prompt - 1]), cache=cache)
     tok = T.embedding(llm.store["tok_embed"], ids)
-    block = T.broadcast_to(T.reshape(prompt, (1,) + prompt.shape),
-                           (b,) + prompt.shape)
-    x = T.concat([block, tok], axis=1)
-    full_lengths = lengths + n_prompt
-    hidden = llm.hidden_from_embeddings(x, full_lengths, read=full_lengths - 1)
+    hidden = llm.hidden_from_embeddings(tok, lengths + n_prompt,
+                                        read=lengths - 1, cache=cache)
     return tied_logits(hidden, llm.store["tok_embed"])
 
 
@@ -303,15 +306,14 @@ def train_soft_prompt(llm: CausalLM, world: World, corpus_lr: list,
     store.add("prompt", rng.normal(0.0, 0.1,
                                    size=(n_prompt, llm.cfg.d_model)))
     params = SoftPromptParams(store, n_prompt)
+    prefixes = _lm_ids(world, [s[:-1] for s in corpus_lr])
+    targets = world.lr_to_lm(np.array([s[-1] for s in corpus_lr]))
 
     def loss_fn(batch_idx):
-        batch = [corpus_lr[i] for i in batch_idx]
-        lm_prefix = _lm_ids(world, [s[:-1] for s in batch])
-        targets = np.array(
-            [world.lr_to_lm(np.array([s[-1]]))[0] for s in batch])
-        logits = _soft_prompt_logits(llm, params.embeddings, lm_prefix)
+        logits = _soft_prompt_logits(llm, params.embeddings,
+                                     [prefixes[i] for i in batch_idx])
         # weight 1: an update averages micro-batch means (see ``pretrain``)
-        return T.cross_entropy_last_token(logits, targets), 1
+        return T.cross_entropy_last_token(logits, targets[batch_idx]), 1
 
     with llm.store.frozen():
         return params, fit(store, train_cfg, len(corpus_lr), loss_fn)

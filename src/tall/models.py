@@ -37,7 +37,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .nn import LayerConfig, ParamStore
-from .tensor import ContractError, ShapeError, Tensor
+from .tensor import ShapeError, Tensor
 from .world import BOS, EOS, PAD
 
 
@@ -107,15 +107,13 @@ def _stack_forward(x: Tensor, store: ParamStore, prefix: str, n_layers: int,
     ``cross_lengths``.  Returns [B, L, d], or with ``read`` [B] the hidden
     state [B, d] of position ``read[i]`` of each row: the last layer then
     runs its queries, feed-forward and the final norm on those rows alone.
+    With ``cache``, ``read`` indexes the call's new positions, so
+    ``read[i]`` is position ``start + read[i]`` of the whole sequence.
     """
-    if read is not None:
-        if cache is not None:
-            raise ContractError("read selects positions of a whole sequence; "
-                                "a cached call runs only its new ones")
-        if n_layers < 1 or np.shape(read) != (x.shape[0],):
-            raise ShapeError(f"read must hold one position per row, got "
-                             f"{np.shape(read)} for {x.shape} over "
-                             f"{n_layers} layers")
+    if read is not None and (n_layers < 1 or np.shape(read) != (x.shape[0],)):
+        raise ShapeError(f"read must hold one position per row, got "
+                         f"{np.shape(read)} for {x.shape} over "
+                         f"{n_layers} layers")
     start = 0 if cache is None else cache[0].self_attn.length
     end = start + x.shape[1]
     pos_table = store[_p(prefix, "pos")]
@@ -279,11 +277,15 @@ class CausalLM:
         return self.hidden_from_embeddings(x, lengths, read)
 
     def hidden_from_embeddings(self, x: Tensor, lengths: np.ndarray,
-                               read: np.ndarray | None = None) -> Tensor:
+                               read: np.ndarray | None = None,
+                               cache: list[nn.LayerCache] | None = None
+                               ) -> Tensor:
         """Run the blocks, positions included, on input embeddings: [B, L,
-        d], or [B, d] at positions ``read`` (see ``_stack_forward``)."""
+        d], or [B, d] at positions ``read``; with ``cache`` ``x``
+        continues the cached embeddings (see ``_stack_forward``)."""
         return _stack_forward(x, self.store, "", self.cfg.n_layers,
-                              self.cfg.layer(), lengths, read=read)
+                              self.cfg.layer(), lengths, cache=cache,
+                              read=read)
 
     def logits_for(self, seqs: list) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """Teacher-forced LM logits plus (labels, mask) for training."""

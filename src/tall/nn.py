@@ -10,7 +10,8 @@ its matching ``init_*`` function created.  Conventions:
   sees NaN.
 * incremental decoding passes a :class:`LayerCache` per layer: attention
   then keeps its projected keys and values between calls, so each call
-  needs to project only its new query positions.
+  needs to project only its new query positions.  A cache may hold a
+  one-row prefix that every row of the next call shares.
 * every projection is one :func:`tensor.linear` node and every attention
   core (scores, mask, softmax, context) one :func:`tensor.attention`
   node, so the tape keeps one record per composite.
@@ -82,9 +83,11 @@ class KVCache:
     between incremental decode calls.
 
     With ``grow`` (self-attention) every call appends its keys and values
-    and attends over all of them.  Without it (cross-attention) the first
-    call projects its key/value input and later calls reuse the result,
-    ignoring their key/value input.
+    and attends over all of them; one row is a prefix that a call of B
+    rows broadcasts to every row (backward sums the rows' gradients).
+    Without it (cross-attention) the first call projects its key/value
+    input and later calls reuse the result, ignoring their key/value
+    input.
     """
 
     grow: bool
@@ -316,6 +319,13 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
             f"allowed) with q last dim {cfg.d_model} and kv last dim "
             f"{cfg.kv_dim}, got {q_in.shape} and {kv_in.shape}"
         )
+    b = q_in.shape[0]
+    if cache is not None and cache.k is not None and cache.k.shape[0] != b:
+        if not cache.grow or cache.k.shape[0] != 1:
+            raise ShapeError(f"attention {prefix!r} got {b} rows against a "
+                             f"cache of {cache.k.shape[0]}")
+        cache.k, cache.v = (T.broadcast_to(t, (b,) + t.shape[1:])
+                            for t in (cache.k, cache.v))
     q = linear(q_in, store, f"{prefix}.q")
     if cache is not None and not cache.grow and cache.k is not None:
         k, v = cache.k, cache.v

@@ -15,7 +15,7 @@ from .nn import ParamStore
 
 
 def cosine_lr(step: int, total_steps: int, peak_lr: float,
-              warmup_steps: int = 0) -> float:
+              warmup_steps: int) -> float:
     """Learning rate at ``step``: linear warmup, then half-cosine decay.
 
     After warmup the value is peak * 0.5 * (1 + cos(pi * step / total)),
@@ -42,12 +42,11 @@ def clip_grad_norm(params: list, max_norm: float) -> float:
 
 
 class AdamW:
-    def __init__(self, store: ParamStore, lr: float = 1e-3,
+    def __init__(self, store: ParamStore,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
         self.names = [n for n, _ in store.trainable_items()]
         self.params = [store[n] for n in self.names]
-        self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -55,8 +54,7 @@ class AdamW:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t

@@ -83,8 +83,7 @@ def fit(store, train_cfg: TrainConfig, n_train: int, loss_fn,
     recorded with ``split="eval"``.
     """
     accum = train_cfg.grad_accum_steps
-    opt = AdamW(store, lr=train_cfg.learning_rate,
-                weight_decay=train_cfg.weight_decay)
+    opt = AdamW(store, weight_decay=train_cfg.weight_decay)
     total_updates = max(1, -(-n_train // (train_cfg.batch_size * accum))
                         * train_cfg.epochs)
     metrics: list[dict] = []

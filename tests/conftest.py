@@ -9,7 +9,8 @@ so a test's bare config is the shipped one.
 Oracles: the einsum reference kernel, the primitive compositions the
 fused tape nodes replace (with ``batched_matmul``, the batched product
 only ``composed_attention`` needs), the all-positions stack that
-``read`` replaces, the finite-difference gradient check, and the tape
+``read`` replaces, the per-row soft prompt that the shared prompt cache
+replaces, the finite-difference gradient check, and the tape
 ops and parameter count that only tests use (``mul``, ``sum_all``,
 ``mean_all``, ``trainable_param_count``), the grammar as a materialized
 [V+1, V+1, V] transition table with its ``np.searchsorted`` sampler, and
@@ -30,12 +31,12 @@ import inspect
 import numpy as np
 import pytest
 
-from tall import config, models, pipeline, pretrain, tensor
+from tall import config, evaluation, models, pipeline, pretrain, tensor
 from tall.config import (RunConfig, SamplerSection, SoftPromptSection,
                          TrainSection, WorldSection)
 from tall.evaluation import SamplerConfig
 from tall.pretrain import TrainConfig
-from tall.world import ToyGrammar, World
+from tall.world import BOS, ToyGrammar, World
 
 
 def train_config(**kw) -> TrainConfig:
@@ -207,20 +208,47 @@ def all_positions():
     """The path ``read`` replaces: every transformer stack runs all its
     positions, and a stack asked for rows returns the final valid row of
     each sequence, ``lengths - 1``, whatever ``read`` says (every caller
-    that passes ``read`` reads the final position)."""
+    that passes ``read`` reads the final position).  A cached call's rows
+    index its new positions, so they are offset by the cache length the
+    call starts from, taken before the call grows the cache."""
     stack = models._stack_forward
     signature = inspect.signature(stack)
 
     def run(*args, read=None, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        cache = bound.get("cache")
+        start = 0 if cache is None else cache[0].self_attn.length
         hidden = stack(*args, **kwargs)
         if read is None:
             return hidden
-        lengths = signature.bind(*args, **kwargs).arguments["lengths"]
-        return tensor.take_rows(hidden, lengths - 1)
+        return tensor.take_rows(hidden, bound["lengths"] - 1 - start)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "_stack_forward", run)
         mp.setattr(pipeline, "_stack_forward", run)
+        yield
+
+
+def per_row_soft_prompt_logits(llm, prompt, lm_prefixes):
+    """``evaluation._soft_prompt_logits`` as it ran before the prompt got
+    its shared cache: the prompt block copied into every row, and the
+    whole LM run over [B, P + L] positions."""
+    ids, lengths = models.pad_batch([[BOS] + list(p) for p in lm_prefixes])
+    tok = tensor.embedding(llm.store["tok_embed"], ids)
+    block = tensor.broadcast_to(tensor.reshape(prompt, (1,) + prompt.shape),
+                                (len(lm_prefixes),) + prompt.shape)
+    full_lengths = lengths + prompt.shape[0]
+    hidden = llm.hidden_from_embeddings(tensor.concat([block, tok], axis=1),
+                                        full_lengths, read=full_lengths - 1)
+    return models.tied_logits(hidden, llm.store["tok_embed"])
+
+
+@contextlib.contextmanager
+def prompt_in_every_row():
+    """Soft-prompt training and eval on ``per_row_soft_prompt_logits``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_soft_prompt_logits",
+                   per_row_soft_prompt_logits)
         yield
 
 
@@ -240,17 +268,23 @@ def update_gradients():
         yield grads
 
 
-def assert_parity(got, want, kernel: str) -> None:
-    """Byte-equal on the reference kernel; on BLAS, whose row bytes
-    depend on the shape of the whole product, within 1e-12 of the
-    largest magnitude in ``want`` (a mathematically zero entry, such as
-    an attention key bias's gradient, carries only rounding noise)."""
+def assert_close(got, want) -> None:
+    """Within 1e-12 of the largest magnitude in ``want`` (a
+    mathematically zero entry, such as an attention key bias's gradient,
+    carries only rounding noise)."""
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def assert_parity(got, want, kernel: str) -> None:
+    """Byte-equal on the reference kernel; on BLAS, whose row bytes
+    depend on the shape of the whole product, ``assert_close``."""
     if kernel == "reference":
-        assert got.tobytes() == want.tobytes()
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     else:
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert_close(got, want)
 
 
 def finite_diff_grad(f, params: list, eps: float = 1e-5) -> list[np.ndarray]:

@@ -3,6 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from tall import nn
 from tall.evaluation import (
     EvalExample,
     EvalRecord,
@@ -19,12 +20,14 @@ from tall.evaluation import (
     train_soft_prompt,
 )
 from tall.models import CausalLM, CausalLMConfig, Seq2SeqConfig, Translator
-from tall.nn import ParamStore
+from tall.nn import ParamStore, linear
 from tall.pretrain import train_translator
 from tall.tensor import NumericalError, ShapeError, Tensor
 from tall.world import N_SPECIALS, World, generate_corpus
 
-from conftest import (all_positions, assert_parity, sampler_config,
+from conftest import (all_positions, assert_close, assert_parity,
+                      per_row_soft_prompt_logits, prompt_in_every_row,
+                      sampler_config,
                       toy_grammar, toy_world, train_config,
                       trainable_param_count, update_gradients)
 
@@ -286,6 +289,12 @@ class TestNaive:
         assert a == b
 
 
+def two_layer_lm(world: World) -> CausalLM:
+    return CausalLM.init(CausalLMConfig(world.vocab_lm, d_model=24, n_heads=2,
+                                        d_ff=48, n_layers=2, max_len=48),
+                         seed=2)
+
+
 class TestSoftPrompt:
     def test_trainable_count_and_frozen_lm(self, tiny_world):
         _, world, corpus, examples, llm = tiny_world
@@ -366,9 +375,7 @@ class TestSoftPrompt:
     def test_logits_are_the_final_rows_of_every_position(self, tiny_world,
                                                           kernel):
         _, world, corpus, _, _ = tiny_world
-        llm = CausalLM.init(CausalLMConfig(world.vocab_lm, d_model=24,
-                                           n_heads=2, d_ff=48, n_layers=2,
-                                           max_len=48), seed=2)
+        llm = two_layer_lm(world)
         prompt = np.random.default_rng(2).normal(0.0, 0.1, size=(3, 24))
         prefixes = [world.lr_to_lm(np.array(p.lr_tokens[:-1])).tolist()
                     for p in corpus[:7]]
@@ -377,25 +384,47 @@ class TestSoftPrompt:
         with all_positions():
             want = _soft_prompt_logits(llm, Tensor(prompt), prefixes).data
         assert_parity(got, want, kernel)
+        # the prompt in every row sums in another order: close, not equal
+        assert_close(got, per_row_soft_prompt_logits(llm, Tensor(prompt),
+                                                     prefixes).data)
 
     def test_one_update_leaves_the_same_gradients(self, tiny_world, kernel):
         _, world, corpus, _, _ = tiny_world
         corpus_lr = [list(p.lr_tokens) for p in corpus[:16]]
         tc = train_config(learning_rate=5e-4, epochs=1, batch_size=16, seed=3)
         runs = []
-        for oracle in (contextlib.nullcontext, all_positions):
-            llm = CausalLM.init(CausalLMConfig(
-                world.vocab_lm, d_model=24, n_heads=2, d_ff=48, n_layers=2,
-                max_len=48), seed=2)
+        for oracle in (contextlib.nullcontext, all_positions,
+                       prompt_in_every_row):
+            llm = two_layer_lm(world)
             with oracle(), update_gradients() as grads:
                 _, metrics = train_soft_prompt(llm, world, corpus_lr, tc,
                                                n_prompt=4)
             runs.append((grads, metrics[0]["loss"]))
-        (got, got_loss), (want, want_loss) = runs
-        assert len(got) == len(want) == 1
+        (got, got_loss), (want, want_loss), (rows, rows_loss) = runs
+        assert len(got) == len(want) == len(rows) == 1
         assert_parity(got_loss, want_loss, kernel)
-        [g], [w] = got[0], want[0]
+        [g], [w], [r] = got[0], want[0], rows[0]
         assert_parity(g, w, kernel)
+        assert_close(got_loss, rows_loss)
+        assert_close(g, r)
+
+    def test_the_prompt_runs_once_per_call(self, tiny_world, monkeypatch):
+        _, world, corpus, _, _ = tiny_world
+        llm = two_layer_lm(world)
+        prefixes = [world.lr_to_lm(np.array(p.lr_tokens[:-1])).tolist()
+                    for p in corpus[:5]]
+        rows = []
+
+        def counting(x, store, prefix):
+            if prefix == "layers.0.self_attn.q":
+                rows.append(int(np.prod(x.shape[:-1])))
+            return linear(x, store, prefix)
+
+        monkeypatch.setattr(nn, "linear", counting)
+        prompt = Tensor(np.zeros((6, llm.cfg.d_model)))
+        _soft_prompt_logits(llm, prompt, prefixes)
+        padded = 1 + max(len(p) for p in prefixes)  # BOS + tokens
+        assert rows == [6, 5 * padded]
 
     def test_published_prompt_size_arithmetic(self):
         assert 30 * 96 == 2880

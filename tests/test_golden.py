@@ -56,9 +56,9 @@ GOLDEN = {
     "tall.eval":
         "2783ee9f335c28624f61f0335e27da52e4fdde488362f4700d4c500b5b508f93",
     "soft_prompt.store":
-        "4466b9e415cbc7656896c4531c6018f9779536f80d5a6387d59d4bd9396fd200",
+        "cd309ad94f329e9dff526d44dcef9552f8961bb50b9e37ec3a627a81974d2ad7",
     "soft_prompt.metrics":
-        "20a60670dac76950c9d10a7c1d67b16bdbc325301b6458788d6950f6ed851483",
+        "f4ca1f47760a41e795f080fa2e4b05ebec1daee90c48623ff7d1e0b4b28de18a",
     "soft_prompt.eval":
         "54feaa06e73730c447ff34fdb2e540ae81dea936f2d7373e04ad2fd5eb88a6e4",
 }

@@ -1,5 +1,6 @@
-"""Cached greedy decoding against a full-recompute oracle, and the
-stacks' ``read`` rows against every position.
+"""Cached greedy decoding against a full-recompute oracle, the stacks'
+``read`` rows against every position, and a one-row cache shared by
+every row of a call against the same cache tiled.
 
 ``Translator.greedy_translate`` runs the decoder one token per step with
 per-layer key/value caches.  The oracle below is the plain loop: at every
@@ -13,13 +14,14 @@ import numpy as np
 import pytest
 
 from tall import models
+from tall import tensor as T
 from tall.models import (CausalLM, CausalLMConfig, Seq2SeqConfig, Translator,
                          decoder_forward, pad_batch, tied_logits)
 from tall.nn import LayerCache
-from tall.tensor import ContractError, ShapeError
+from tall.tensor import ShapeError, Tape, Tensor
 from tall.world import BOS, EOS, N_SPECIALS, PAD
 
-from conftest import assert_parity
+from conftest import assert_close, assert_parity, mul, sum_all
 
 CFG = Seq2SeqConfig(vocab_src=20, vocab_tgt=18, d_model=16, n_heads=2,
                     d_ff=32, enc_layers=2, dec_layers=2, max_len=12)
@@ -141,14 +143,94 @@ def test_next_token_logits_are_the_final_rows_of_every_position(kernel):
                   full[np.arange(len(prefixes)), lengths - 1], kernel)
 
 
-def test_read_with_a_cache_is_refused():
-    tr = Translator.init(CFG, 0)
-    memory, mem_lengths = tr.encode([[N_SPECIALS]])
-    cache = [LayerCache() for _ in range(CFG.dec_layers)]
-    with pytest.raises(ContractError, match="cached call"):
-        decoder_forward(tr.store, "decoder", CFG, np.array([[BOS]]),
-                        np.array([1]), memory, mem_lengths, cache,
-                        read=np.array([0]))
+def lm_tokens(seed: int, lengths) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return pad_batch([rng.integers(N_SPECIALS, LM_CFG.vocab_size,
+                                   size=n).tolist() for n in lengths])
+
+
+def test_read_with_a_cache_takes_the_rows_of_the_same_call(reference_kernel):
+    lm = CausalLM.init(LM_CFG, 4)
+    first, first_lengths = lm_tokens(4, (4, 4, 4))
+    ids, lengths = lm_tokens(5, (1, 5, 3))
+
+    def continued(read):
+        cache = [LayerCache() for _ in range(LM_CFG.n_layers)]
+        embed = lm.store["tok_embed"]
+        lm.hidden_from_embeddings(T.embedding(embed, first), first_lengths,
+                                  cache=cache)
+        return lm.hidden_from_embeddings(T.embedding(embed, ids),
+                                         first_lengths + lengths, read,
+                                         cache)
+
+    got = continued(lengths - 1)
+    want = T.take_rows(continued(None), lengths - 1)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a one-row cache: a prefix every row of the next call shares
+
+N_SHARED = 3
+
+
+def prefix_then_rows(lm: CausalLM, prefix: np.ndarray,
+                     tiled: bool) -> tuple[np.ndarray, dict]:
+    """(hidden states, gradients) of four token rows run against a cache
+    filled by ``prefix`` [P, d], as one row or tiled to the four."""
+    ids, lengths = lm_tokens(6, (2, 6, 1, 4))
+    rows = len(lengths)
+    weights = np.random.default_rng(7).normal(
+        size=ids.shape + (LM_CFG.d_model,))
+    p = Tensor(prefix, requires_grad=True)
+    with Tape() as tape:
+        block = T.reshape(p, (1,) + prefix.shape)
+        if tiled:
+            block = T.broadcast_to(block, (rows,) + prefix.shape)
+        cache = [LayerCache() for _ in range(LM_CFG.n_layers)]
+        lm.hidden_from_embeddings(block, np.full(block.shape[0], N_SHARED),
+                                  cache=cache)
+        hidden = lm.hidden_from_embeddings(
+            T.embedding(lm.store["tok_embed"], ids), lengths + N_SHARED,
+            cache=cache)
+        loss = sum_all(mul(hidden, weights))
+    tape.backward(loss)
+    grads = {"prefix": p.grad}
+    for name, t in lm.store.items():
+        grads[name], t.grad = t.grad, None
+    return hidden.data, grads
+
+
+def test_a_one_row_cache_is_the_same_cache_tiled(kernel):
+    lm = CausalLM.init(LM_CFG, 8)
+    prefix = np.random.default_rng(8).normal(
+        0.0, 0.1, size=(N_SHARED, LM_CFG.d_model))
+    got, got_grads = prefix_then_rows(lm, prefix, tiled=False)
+    want, want_grads = prefix_then_rows(lm, prefix, tiled=True)
+    assert_parity(got, want, kernel)
+    assert got_grads.keys() == want_grads.keys()
+    largest = max(np.max(np.abs(g)) for g in want_grads.values())
+    for name, g in got_grads.items():
+        if name.endswith(".k.bias"):
+            # a key bias shifts each query's scores by one constant, so
+            # its true gradient is zero and both hold rounding noise
+            assert np.max(np.abs(g - want_grads[name])) <= 1e-12 * largest
+        else:
+            assert_close(g, want_grads[name])
+
+
+def test_a_cache_of_neither_one_row_nor_every_row_is_refused():
+    lm = CausalLM.init(LM_CFG, 0)
+    embed = lm.store["tok_embed"]
+    first, first_lengths = lm_tokens(0, (2, 2))
+    ids, lengths = lm_tokens(1, (1, 3, 2))
+    cache = [LayerCache() for _ in range(LM_CFG.n_layers)]
+    lm.hidden_from_embeddings(T.embedding(embed, first), first_lengths,
+                              cache=cache)
+    with pytest.raises(ShapeError, match="attention 'layers.0.self_attn' "
+                                         "got 3 rows against a cache of 2"):
+        lm.hidden_from_embeddings(T.embedding(embed, ids), lengths + 2,
+                                  cache=cache)
 
 
 def test_read_needs_one_position_per_row():

@@ -270,7 +270,7 @@ class TestFreezing:
         store.freeze("frozen")
         frozen_before = store.snapshot_bytes("frozen")
         live_before = store.snapshot_bytes("live")
-        opt = AdamW(store, lr=0.1)
+        opt = AdamW(store)
         for _ in range(5):
             with Tape() as tape:
                 x = Tensor(rng.standard_normal((2, 3)))
@@ -278,7 +278,7 @@ class TestFreezing:
                                       spec, store, "live")
                 loss = mean_all(mul(out, out))
             tape.backward(loss)
-            opt.step()
+            opt.step(0.1)
             opt.zero_grad()
         assert store.snapshot_bytes("frozen") == frozen_before
         assert store.snapshot_bytes("live") != live_before

@@ -354,7 +354,7 @@ class TestTraining:
         train = [m for m in metrics if m["split"] == "train"]
         assert meta["step"] == len(train) == 4
         assert [m["step"] for m in train] == [0, 1, 2, 3]
-        assert train[-1]["lr"] == cosine_lr(3, 4, 1e-3)
+        assert train[-1]["lr"] == cosine_lr(3, 4, 1e-3, 0)
         assert all(t.grad is None for _, t in model.store.trainable_items())
 
     def test_refuses_unfrozen_backbone(self):
