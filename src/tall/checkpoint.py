@@ -66,8 +66,6 @@ def save_checkpoint(store: ParamStore | dict, meta: dict, path) -> None:
     for name, t in store.items():
         name_bytes = name.encode("utf-8")
         arr = t.data
-        if arr.ndim > 0 and not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
         code = _DTYPE_CODES[np.dtype(arr.dtype.str.replace(">", "<"))]
         parts.append(struct.pack("<H", len(name_bytes)))
         parts.append(name_bytes)

@@ -42,33 +42,40 @@ def clip_grad_norm(params: list, max_norm: float) -> float:
 
 
 class AdamW:
-    def __init__(self, store: ParamStore,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        self.names = [n for n, _ in store.trainable_items()]
-        self.params = [store[n] for n in self.names]
+    """In-place AdamW; each step keeps the arithmetic order noted beside."""
+
+    def __init__(self, store: ParamStore, weight_decay: float,
+                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+        self.params = [t for _, t in store.trainable_items()]
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = np.empty(2 * max([p.size for p in self.params] + [0]))
 
     def step(self, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            if self.weight_decay:
-                p.data -= lr * self.weight_decay * p.data
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            num, den = self._scratch[:2 * p.size].reshape((2,) + p.shape)
+            if self.weight_decay:  # p -= lr * wd * p
+                p.data -= np.multiply(p.data, lr * self.weight_decay, out=num)
+            m *= self.beta1  # m = beta1 * m + (1 - beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=num)
+            v *= self.beta2  # v = beta2 * v + (1 - beta2) * (g * g)
+            v += np.multiply(np.multiply(g, g, out=num), 1.0 - self.beta2,
+                             out=num)
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.multiply(np.divide(m, bc1, out=num), lr, out=num)
+            np.sqrt(np.divide(v, bc2, out=den), out=den)
+            den += self.eps
+            p.data -= np.divide(num, den, out=num)
 
     def zero_grad(self) -> None:
         for p in self.params:

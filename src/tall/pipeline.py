@@ -244,14 +244,13 @@ def train_tall(model: TallModel, corpus: list[BilingualPair],
     and perplexity, and at the end it restores the best snapshot by
     held-out loss.
     """
-    if not corpus:
-        raise ValueError("corpus must be nonempty")
     model.check_frozen()
+    train_idx, heldout_idx = split_train_eval(
+        list(range(len(corpus))), train_cfg.eval_fraction, train_cfg.seed)
     teachers = [list(p.lr_tokens) for p in corpus]
     hr_lm = model.translate_prefixes([t[:-1] for t in teachers])
-    examples = list(zip(teachers, hr_lm))
-    train, heldout = split_train_eval(examples, train_cfg.eval_fraction,
-                                      train_cfg.seed)
+    train = [(teachers[i], hr_lm[i]) for i in train_idx]
+    heldout = [(teachers[i], hr_lm[i]) for i in heldout_idx]
     best = {"loss": np.inf, "step": -1, "params": None}
 
     def loss_fn(batch_idx):

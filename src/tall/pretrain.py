@@ -56,10 +56,13 @@ class TrainConfig:
 
 
 def split_train_eval(items: list, fraction: float, seed: int) -> tuple[list, list]:
-    """Deterministic shuffle-split; eval gets ceil(fraction * n) items."""
+    """Deterministic shuffle-split; eval gets ceil(fraction * n) < n items."""
+    n_eval = int(np.ceil(fraction * len(items))) if fraction > 0 else 0
+    if n_eval >= len(items):
+        raise ValueError(f"eval_fraction {fraction} holds out {n_eval} of "
+                         f"n={len(items)} examples, leaving none to train on")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5317]))
     order = rng.permutation(len(items))
-    n_eval = int(np.ceil(fraction * len(items))) if fraction > 0 else 0
     eval_idx = set(order[:n_eval].tolist())
     train = [items[i] for i in range(len(items)) if i not in eval_idx]
     heldout = [items[i] for i in sorted(eval_idx)]
@@ -83,7 +86,7 @@ def fit(store, train_cfg: TrainConfig, n_train: int, loss_fn,
     recorded with ``split="eval"``.
     """
     accum = train_cfg.grad_accum_steps
-    opt = AdamW(store, weight_decay=train_cfg.weight_decay)
+    opt = AdamW(store, train_cfg.weight_decay)
     total_updates = max(1, -(-n_train // (train_cfg.batch_size * accum))
                         * train_cfg.epochs)
     metrics: list[dict] = []
@@ -132,8 +135,6 @@ def train_translator(direction: str, model_cfg: Seq2SeqConfig,
     """
     if direction not in ("lr2hr", "hr2lr"):
         raise ValueError(f"unknown direction {direction!r}")
-    if not corpus:
-        raise ValueError("corpus must be nonempty")
     if direction == "lr2hr":
         examples = [(p.lr_tokens, p.hr_tokens) for p in corpus]
     else:
@@ -182,8 +183,6 @@ def train_llm(model_cfg: CausalLMConfig, sequences: list,
     Pass ``init_model`` to continue training existing weights (the
     fine-tuning baseline); otherwise weights start fresh from the seed.
     """
-    if not sequences:
-        raise ValueError("corpus must be nonempty")
     train, heldout = split_train_eval(sequences, train_cfg.eval_fraction,
                                       train_cfg.seed)
     model = init_model if init_model is not None else CausalLM.init(

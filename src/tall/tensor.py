@@ -9,21 +9,22 @@ Design constraints, in order of priority:
   a sequential triple loop bit for bit, and a row's bytes depend on the
   shape of the whole product (GEMV and GEMM differ), but for fixed
   shapes its bytes do not vary from run to run.  The einsum reference
-  ``np.einsum("...ik,...kj->...ij", a, b)``, which accumulates over the
-  inner axis in order, is kept in the tests as the oracle: swapped in
+  ``np.einsum("...ik,...kj->...ij", a, b)`` on C-order copies of its
+  operands, which accumulates over the inner axis in order whatever
+  views it is handed, is kept in the tests as the oracle: swapped in
   for the kernel, it gives the byte-exact results the golden and
   triple-loop tests pin.
 * simplicity: define-by-run tape, no graph rewriting, 64-bit floats by
   default.  float32 is supported but excluded from gradient-check
   tolerances.
-* memory: what the tape keeps alive sets a training run's peak.  The two
-  composites every transformer layer repeats are single nodes with a
-  hand-written backward: :func:`linear` (product plus bias) and
-  :func:`attention` (head split, scores, mask, softmax, context and head
-  merge), which keeps only its softmax probabilities and rebuilds the
-  head views of its inputs in backward.  Both replay exactly the array
-  operations of the primitive composition they replace, so their bytes
-  match it.  :meth:`Tape.backward` drops each intermediate gradient once
+* memory: what the tape keeps alive sets a training run's peak, and no
+  kernel copies an array to change its layout.  The two composites every
+  transformer layer repeats are single nodes with a hand-written
+  backward: :func:`linear` (product plus bias) and :func:`attention`
+  (head split, scores, mask, softmax, context and head merge), which
+  works on head views and keeps only its softmax probabilities.  Both
+  replay the array operations of the compositions they replace, so on
+  the reference kernel their bytes match them.  :meth:`Tape.backward` drops each intermediate gradient once
   its node has run, so after backward only leaves hold ``grad``.  Layer
   norm and GELU compute forward and backward in place on their own
   buffers, in the arithmetic order of the formulas, so they keep no
@@ -64,7 +65,8 @@ class NumericalError(RuntimeError):
 class Tensor:
     """Dense n-dimensional value with optional gradient tracking.
 
-    ``data`` is always a C-contiguous float array.  ``grad`` is either
+    ``data`` is a float array, possibly a read-only view; no kernel
+    writes into its operands' data.  ``grad`` is either
     ``None`` or an array of identical shape.  :meth:`Tape.backward` sets
     it on leaves only: tensors with ``requires_grad`` that no recorded
     operation produced (parameters, and tensors created with
@@ -80,8 +82,6 @@ class Tensor:
             arr = arr.astype(dtype, copy=False)
         elif arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
-        if arr.ndim > 0 and not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
@@ -231,7 +231,7 @@ def swapaxes(a: Tensor, i: int, j: int) -> Tensor:
     out = Tensor(np.swapaxes(a.data, i, j))
 
     def bwd(g):
-        return (np.ascontiguousarray(np.swapaxes(g, i, j)),)
+        return (np.swapaxes(g, i, j),)
 
     return _register(out, (a,), bwd)
 
@@ -244,16 +244,15 @@ def concat(parts: list, axis: int) -> Tensor:
 
     def bwd(g):
         pieces = np.split(g, splits, axis=axis)
-        return [
-            np.ascontiguousarray(piece) if _needs_grad(p) else None
-            for p, piece in zip(parts, pieces)
-        ]
+        return [piece if _needs_grad(p) else None
+                for p, piece in zip(parts, pieces)]
 
     return _register(out, tuple(parts), bwd)
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
-    out = Tensor(np.broadcast_to(a.data, shape).copy())
+    """A read-only view; backward sums the broadcast axes."""
+    out = Tensor(np.broadcast_to(a.data, shape))
 
     def bwd(g):
         return (_unbroadcast(g, a.data.shape),)
@@ -288,9 +287,10 @@ def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
 # matrix product
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``[..., m, k] @ [..., k, n]``: the one matrix-product kernel."""
-    return np.matmul(a, b)
+def _product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """``[..., m, k] @ [..., k, n]``, into ``out`` if given: the one
+    matrix-product kernel; operands and ``out`` may be strided views."""
+    return np.matmul(a, b, out=out)
 
 
 def matmul(a, b) -> Tensor:
@@ -354,13 +354,14 @@ def attention(q, k, v, bias: np.ndarray, n_heads: int) -> Tensor:
     ``q`` [B, Lq, d], ``k`` and ``v`` [B, Lkv, d] are projected inputs;
     ``bias`` is an additive logits bias that broadcasts to [B, h, Lq,
     Lkv].  Returns the merged heads' context [B, Lq, d]; a ``q`` of
-    [B, d] is one query per row (Lq = 1) and gives a [B, d] context.  The
-    head split and merge are array copies inside the node, and the node
-    keeps only the softmax probabilities P: backward rebuilds the head views from
-    the inputs and uses dS = P * (dP - rowsum(dP * P)) * scale, the
-    softmax backward of FlashAttention (Dao et al. 2022).  Every array
-    operation is the one the primitive composition (reshape, swapaxes,
-    matmul, scale, add, softmax) performs, so the bytes match it.
+    [B, d] is one query per row (Lq = 1) and gives a [B, d] context.
+    Products run on head views and write through the head view of a
+    fresh [B, L, d] result, so nothing is copied.  The node keeps only
+    the softmax probabilities P; backward uses dS = P * (dP - rowsum(dP *
+    P)) * scale, the softmax backward of FlashAttention (Dao et al.
+    2022).  Every array operation is the one the primitive composition
+    (reshape, swapaxes, matmul, scale, add, softmax) performs, so on the
+    reference kernel the bytes match it.
     """
     q_d, k_d, v_d = _data(q), _data(k), _data(v)
     q_shape = q_d.shape
@@ -378,31 +379,28 @@ def attention(q, k, v, bias: np.ndarray, n_heads: int) -> Tensor:
     c = hd ** -0.5
 
     def heads(x: np.ndarray, length: int) -> np.ndarray:
-        """[B, L, d] -> contiguous [B, h, L, hd]."""
-        return np.ascontiguousarray(
-            np.swapaxes(x.reshape(b, length, n_heads, hd), 1, 2))
+        """[B, L, d] -> its [B, h, L, hd] view."""
+        return np.swapaxes(x.reshape(b, length, n_heads, hd), 1, 2)
 
-    def merge(x: np.ndarray, length: int) -> np.ndarray:
-        """[B, h, L, hd] -> [B, L, d]."""
-        return np.ascontiguousarray(np.swapaxes(x, 1, 2)).reshape(b, length, d)
+    def merged_product(x, y, length: int) -> np.ndarray:
+        """[B, L, d] array whose head view holds ``x @ y``."""
+        merged = np.empty((b, length, d), dtype=p.dtype)
+        _product(x, y, out=heads(merged, length))
+        return merged
 
-    def keys_t() -> np.ndarray:
-        """Contiguous [B, h, hd, Lkv]."""
-        return np.ascontiguousarray(np.swapaxes(heads(k_d, lkv), 2, 3))
-
-    p = _product(heads(q_d, lq), keys_t())
+    p = _product(heads(q_d, lq), np.swapaxes(heads(k_d, lkv), 2, 3))
     p *= c
     p += bias
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor(merge(_product(p, heads(v_d, lkv)), lq).reshape(q_shape))
+    out = Tensor(merged_product(p, heads(v_d, lkv), lq).reshape(q_shape))
 
     def bwd(g):
         g_ctx = heads(g.reshape(b, lq, d), lq)
         gq = gk = gv = None
         if _needs_grad(v):
-            gv = merge(_product(np.swapaxes(p, -1, -2), g_ctx), lkv)
+            gv = merged_product(np.swapaxes(p, -1, -2), g_ctx, lkv)
         if _needs_grad(q) or _needs_grad(k):
             ds = _product(g_ctx, np.swapaxes(heads(v_d, lkv), -1, -2))
             dot = (ds * p).sum(axis=-1, keepdims=True)
@@ -410,11 +408,10 @@ def attention(q, k, v, bias: np.ndarray, n_heads: int) -> Tensor:
             ds *= p
             ds *= c
             if _needs_grad(q):
-                gq = merge(_product(ds, np.swapaxes(keys_t(), -1, -2)),
-                           lq).reshape(q_shape)
+                gq = merged_product(ds, heads(k_d, lkv), lq).reshape(q_shape)
             if _needs_grad(k):
-                gk_t = _product(np.swapaxes(heads(q_d, lq), -1, -2), ds)
-                gk = merge(np.ascontiguousarray(np.swapaxes(gk_t, 2, 3)), lkv)
+                gk = merged_product(np.swapaxes(ds, -1, -2), heads(q_d, lq),
+                                    lkv)
         return gq, gk, gv
 
     return _register(out, (q, k, v), bwd)

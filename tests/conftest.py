@@ -4,7 +4,9 @@ Helpers: ``train_config``, ``sampler_config``, ``toy_world`` and
 ``toy_grammar`` build ``TrainConfig``, ``SamplerConfig``, ``World`` and
 ``ToyGrammar``, which have no defaults of their own, from the defaults
 of their ``config`` sections with the keywords a test names replaced;
-so a test's bare config is the shipped one.
+so a test's bare config is the shipped one.  ``read_only_outputs`` makes
+every op's output read-only, to show that no kernel writes into its
+operands.
 
 Oracles: the einsum reference kernel, the primitive compositions the
 fused tape nodes replace (with ``batched_matmul``, the batched product
@@ -63,9 +65,20 @@ def toy_grammar(**kw) -> ToyGrammar:
     return config.build_grammar(_with_world(kw))
 
 
-def reference_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``[..., m, k] @ [..., k, n]``, accumulated over k in order."""
-    return np.einsum("...ik,...kj->...ij", a, b)
+def reference_product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """``[..., m, k] @ [..., k, n]``, accumulated over k in order.
+
+    ``np.einsum`` sums in another order on strided operands, so both are
+    first copied to C order: the bytes depend only on the operands'
+    values and shapes, not on the views the kernel hands in.  With
+    ``out`` the product is copied into it, as ``np.matmul`` writes it.
+    """
+    prod = np.einsum("...ik,...kj->...ij", np.ascontiguousarray(a),
+                     np.ascontiguousarray(b))
+    if out is None:
+        return prod
+    out[...] = prod
+    return out
 
 
 def mul(a, b):
@@ -249,6 +262,21 @@ def prompt_in_every_row():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "_soft_prompt_logits",
                    per_row_soft_prompt_logits)
+        yield
+
+
+@contextlib.contextmanager
+def read_only_outputs():
+    """Mark every op's output read-only as the op returns it, so a kernel
+    that writes into an activation it was handed raises."""
+    register = tensor._register
+
+    def run(out, inputs, backward_fn):
+        out.data.flags.writeable = False
+        return register(out, inputs, backward_fn)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_register", run)
         yield
 
 

@@ -22,12 +22,13 @@ from tall.evaluation import (
 from tall.models import CausalLM, CausalLMConfig, Seq2SeqConfig, Translator
 from tall.nn import ParamStore, linear
 from tall.pretrain import train_translator
-from tall.tensor import NumericalError, ShapeError, Tensor
+from tall.tensor import (NumericalError, ShapeError, Tape, Tensor,
+                         broadcast_to, cross_entropy_last_token)
 from tall.world import N_SPECIALS, World, generate_corpus
 
 from conftest import (all_positions, assert_close, assert_parity,
                       per_row_soft_prompt_logits, prompt_in_every_row,
-                      sampler_config,
+                      read_only_outputs, sampler_config,
                       toy_grammar, toy_world, train_config,
                       trainable_param_count, update_gradients)
 
@@ -407,6 +408,43 @@ class TestSoftPrompt:
         assert_parity(g, w, kernel)
         assert_close(got_loss, rows_loss)
         assert_close(g, r)
+
+    def test_read_only_operands_give_the_same_gradients(self, tiny_world,
+                                                        monkeypatch):
+        """No kernel writes into its operands: with the LM, the prompt,
+        the targets and every op output read-only, and each one-row cache
+        broadcast as a view, one step's loss and prompt gradient keep
+        their bytes."""
+        _, world, corpus, _, _ = tiny_world
+        prefixes = [world.lr_to_lm(np.array(p.lr_tokens[:-1])).tolist()
+                    for p in corpus[:6]]
+        targets = world.lr_to_lm(np.array([p.lr_tokens[-1]
+                                           for p in corpus[:6]]))
+        prompt = np.random.default_rng(4).normal(0.0, 0.1, size=(3, 24))
+        broadcasts = []
+
+        def spy(a, shape):
+            out = broadcast_to(a, shape)
+            broadcasts.append(np.shares_memory(out.data, a.data))
+            return out
+
+        monkeypatch.setattr(nn.T, "broadcast_to", spy)
+        runs = []
+        for writeable, outputs in ((True, contextlib.nullcontext),
+                                   (False, read_only_outputs)):
+            llm = two_layer_lm(world)
+            leaf = Tensor(prompt.copy(), requires_grad=True)
+            for arr in ([t.data for _, t in llm.store.items()]
+                        + [leaf.data, targets]):
+                arr.flags.writeable = writeable
+            with llm.store.frozen(), outputs(), Tape() as tape:
+                loss = cross_entropy_last_token(
+                    _soft_prompt_logits(llm, leaf, prefixes), targets)
+            tape.backward(loss)
+            runs.append((loss.data.tobytes(), leaf.grad.tobytes()))
+        assert runs[0] == runs[1]
+        # keys and values of both layers, in both runs
+        assert broadcasts == [True] * 8
 
     def test_the_prompt_runs_once_per_call(self, tiny_world, monkeypatch):
         _, world, corpus, _, _ = tiny_world

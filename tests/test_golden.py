@@ -42,23 +42,23 @@ GOLDEN = {
     "naive.eval":
         "1de5df508f552d95ae4e62b79b96c7738a8d30cd1832ffe6a853a6acf547227c",
     "lr2hr.store":
-        "74f978bc619561b01c6255b7d0aa2d2466277e596f339e3a6870b2cc35ef586e",
+        "507d6f26898d164de1a3e83eaf939ab95bf9f1450c230d1c1e3059d171d0b9a1",
     "lr2hr.metrics":
-        "b765537150b7bf1d75ef19d12d4a57d27a11a5ddd269f3abf7820f486463db86",
+        "8b9b724cb4d47b0ed933d4e7cbfdf6167681105bebfb138ab5e67a1fed69c2f5",
     "llm.store":
-        "0725c9dcc267ce5e887d257e1164747fa9d76c48f08778033cd44d801ecf2c13",
+        "f84fe27a263c0bb27a66be5ee681baf6bb337d81b534fa2d2953551249d5b727",
     "llm.metrics":
-        "44c66f18624897a129a11a7ec0148387a8dd75ef212683a49b5c18ee42738566",
+        "42f70d35ce25352835d9a4648069e829dbc1d79a9344224dfbf330a9267cb504",
     "tall.store":
-        "a710c1163bc5075073888c0193b474d2fc54e5c05c0b757cbebe0658cd72db40",
+        "6463bd51f2687739a8dd8aa590493192e0e76bd8e0288c82a93a0be0a3cc712d",
     "tall.metrics":
-        "744b5e7998baa749e914d1f1df596ab7c86c8d4d8176436322562d53e223a75b",
+        "3e2d0107c81ececb66ac16325041de2eee6a22673111a817019a3468f12afdc7",
     "tall.eval":
         "2783ee9f335c28624f61f0335e27da52e4fdde488362f4700d4c500b5b508f93",
     "soft_prompt.store":
-        "cd309ad94f329e9dff526d44dcef9552f8961bb50b9e37ec3a627a81974d2ad7",
+        "c9e9b79b0e137f9abef8c1c2b94f5e5f47957d8e2023171755eb6b414a605fc3",
     "soft_prompt.metrics":
-        "f4ca1f47760a41e795f080fa2e4b05ebec1daee90c48623ff7d1e0b4b28de18a",
+        "ed2c5a58dac2a3bab28e6e0cf22ac8a01c144c7467907dd5e71ca1e3fdaed603",
     "soft_prompt.eval":
         "54feaa06e73730c447ff34fdb2e540ae81dea936f2d7373e04ad2fd5eb88a6e4",
 }

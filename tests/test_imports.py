@@ -34,7 +34,9 @@ Ten rules for every module under ``src/tall``:
 
 And one for ``tensor.py`` and ``nn.py``: every public function has a
 caller in ``src/tall`` outside its own body, so what only tests use
-lives in ``tests/conftest.py``.  And one for ``config.py``: a class it
+lives in ``tests/conftest.py``.  And one for ``tensor.py``: it calls
+neither ``ascontiguousarray`` nor ``copy``, so its kernels take views
+and no layout copy creeps back.  And one for ``config.py``: a class it
 imports from another module and calls takes no defaulted parameter, so
 every default is written once, in the section tree.
 """
@@ -360,6 +362,10 @@ def test_classes_config_builds_take_no_defaults():
 def test_tensor_has_one_product_kernel():
     [site] = numpy_products(SRC / "tensor.py")
     assert site.endswith(" np.matmul")
+
+
+def test_tensor_makes_no_layout_copies():
+    assert calls_to(SRC / "tensor.py", ("ascontiguousarray", "copy")) == []
 
 
 def test_checks_catch_what_they_name(tmp_path):

@@ -270,7 +270,7 @@ class TestFreezing:
         store.freeze("frozen")
         frozen_before = store.snapshot_bytes("frozen")
         live_before = store.snapshot_bytes("live")
-        opt = AdamW(store)
+        opt = AdamW(store, weight_decay=0.0)
         for _ in range(5):
             with Tape() as tape:
                 x = Tensor(rng.standard_normal((2, 3)))
@@ -282,6 +282,32 @@ class TestFreezing:
             opt.zero_grad()
         assert store.snapshot_bytes("frozen") == frozen_before
         assert store.snapshot_bytes("live") != live_before
+
+    def test_adamw_update_keeps_the_bytes_of_the_textbook_expressions(self):
+        """The in-place update equals, byte for byte, the expressions it
+        replaced, also for a gradient held as a transposed view."""
+        rng = np.random.default_rng(12)
+        store = ParamStore()
+        store.add("w", rng.standard_normal((3, 4)))
+        store.add("b", rng.standard_normal(4))
+        want = {n: t.data.copy() for n, t in store.items()}
+        m = {n: np.zeros_like(a) for n, a in want.items()}
+        v = {n: np.zeros_like(a) for n, a in want.items()}
+        opt = AdamW(store, weight_decay=0.01)
+        for t in range(1, 4):
+            lr = 1e-2 / t
+            for n, p in store.items():
+                p.grad = rng.standard_normal(p.shape[::-1]).T
+                g = p.grad
+                want[n] -= lr * 0.01 * want[n]
+                m[n] = 0.9 * m[n] + (1.0 - 0.9) * g
+                v[n] = 0.999 * v[n] + (1.0 - 0.999) * (g * g)
+                m_hat = m[n] / (1.0 - 0.9 ** t)
+                v_hat = v[n] / (1.0 - 0.999 ** t)
+                want[n] -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            opt.step(lr)
+        for n, p in store.items():
+            assert p.data.tobytes() == want[n].tobytes(), n
 
     def test_frozen_is_the_requires_grad_flag(self):
         store = ParamStore()

@@ -20,8 +20,8 @@ from tall.pipeline import (
 from tall.tensor import ShapeError, Tape
 from tall.world import generate_corpus
 
-from conftest import (all_positions, assert_parity, sampler_config,
-                      toy_grammar, toy_world, train_config,
+from conftest import (all_positions, assert_parity, read_only_outputs,
+                      sampler_config, toy_grammar, toy_world, train_config,
                       update_gradients)
 
 
@@ -184,6 +184,28 @@ class TestGradientFlow:
         assert loss_f == loss_u
         assert grads_f == grads_u
         assert nodes_f < nodes_u
+
+    def test_read_only_operands_give_the_same_gradients(self):
+        """No kernel writes into its operands: with every parameter, batch
+        array and op output read-only, a loss and its backward give the
+        bytes of the writable run."""
+        runs = []
+        for writeable, outputs in ((True, contextlib.nullcontext),
+                                   (False, read_only_outputs)):
+            model, corpus, _ = tiny_setup(seed=6)
+            teachers = [list(p.lr_tokens) for p in corpus[:5]]
+            batch = model.make_batch(
+                teachers, model.translate_prefixes([t[:-1] for t in teachers]))
+            arrays = ([t.data for _, t in model.store.items()]
+                      + list(vars(batch).values()))
+            for arr in arrays:
+                arr.flags.writeable = writeable
+            with outputs(), Tape() as tape:
+                loss = model.loss(batch)
+            tape.backward(loss)
+            runs.append((loss.data.tobytes(), {
+                n: t.grad.tobytes() for n, t in model.store.trainable_items()}))
+        assert runs[0] == runs[1]
 
     def test_one_loss_records_a_pinned_number_of_nodes(self):
         """One node per projection and per attention core; the primitive
@@ -362,6 +384,17 @@ class TestTraining:
         model.store["llm.tok_embed"].requires_grad = True
         with pytest.raises(RuntimeError, match="not frozen"):
             train_tall(model, corpus, train_config())
+
+    def test_one_pair_with_a_held_out_split_raises_before_translating(
+            self, monkeypatch):
+        model, corpus, _ = tiny_setup(seed=11)
+
+        def translate(prefixes):
+            raise AssertionError("translated before the split was checked")
+
+        monkeypatch.setattr(model, "translate_prefixes", translate)
+        with pytest.raises(ValueError, match=r"0\.02 holds out 1 of n=1"):
+            train_tall(model, corpus[:1], train_config(eval_fraction=0.02))
 
     def test_evaluate_tall_refuses_an_empty_held_out_set(self):
         model, _, _ = tiny_setup(seed=11)

@@ -232,6 +232,14 @@ class TestSplitAndEval:
         assert set(a_train) | set(a_eval) == set(items)
         assert not set(a_train) & set(a_eval)
 
+    def test_translator_on_one_pair_with_a_held_out_split_raises(
+            self, small_world):
+        _, world, corpus = small_world
+        cfg = Seq2SeqConfig(world.vocab_lr, world.vocab_hr, **SMALL_S2S)
+        tc = train_config(epochs=1, eval_fraction=0.02)
+        with pytest.raises(ValueError, match=r"0\.02 holds out 1 of n=1"):
+            train_translator("lr2hr", cfg, corpus[:1], tc)
+
     def test_exact_match_counts(self, small_world):
         _, world, corpus = small_world
         cfg = Seq2SeqConfig(world.vocab_lr, world.vocab_hr, **SMALL_S2S)

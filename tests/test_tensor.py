@@ -11,6 +11,7 @@ from tall.tensor import (
     Tape,
     Tensor,
     add,
+    broadcast_to,
     concat,
     cross_entropy_last_token,
     cross_entropy_sum,
@@ -26,6 +27,7 @@ from tall.tensor import (
 )
 
 from conftest import (
+    assert_parity,
     batched_matmul,
     composed_attention,
     composed_linear,
@@ -235,6 +237,35 @@ class TestFusedOps:
                 np.testing.assert_array_equal(got, want)
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("op", ["linear", "attention"])
+    def test_strided_operands_match_contiguous_copies(self, op, kernel):
+        """Column slices of a wider array give the bytes of their copies
+        on the reference kernel, and agree to 1e-12 on BLAS."""
+        if op == "linear":
+            arrays, g = _linear_operands(28, (2, 3, 4))
+            fn, n_views = T.linear, 1
+        else:
+            arrays, g, bias = _attention_operands(28)
+            fn, n_views = (lambda q, k, v: T.attention(q, k, v, bias, 2)), 3
+        rng = np.random.default_rng(29)
+        views = []
+        for a in arrays[:n_views]:
+            wide = rng.standard_normal(a.shape[:-1] + (3 * a.shape[-1],))
+            view = wide[..., a.shape[-1]:2 * a.shape[-1]]
+            view[...] = a
+            assert not view.flags.c_contiguous
+            views.append(view)
+        runs = []
+        for operands in (views + arrays[n_views:], arrays):
+            leaves = [Tensor(a, requires_grad=True) for a in operands]
+            with Tape() as tape:
+                out = fn(*leaves)
+                loss = sum_all(mul(out, Tensor(g)))
+            tape.backward(loss)
+            runs.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*runs):
+            assert_parity(got, want, kernel)
 
     def test_one_query_per_row_is_a_length_one_query(self):
         arrays, g, bias = _attention_operands(27, lq=1)
@@ -581,8 +612,10 @@ class TestBackward:
         assert out is y and inputs == (x, w)
         gx, gw = backward_fn(np.ones(y.shape))
         assert gw is None
+        # the reference kernel sums over a C-order copy of w.T
         np.testing.assert_array_equal(
-            gx, np.einsum("bij,kj->bik", np.ones(y.shape), w.data))
+            gx, np.einsum("bij,jk->bik", np.ones(y.shape),
+                          np.ascontiguousarray(w.data.T)))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -712,6 +745,16 @@ class TestStructuralOps:
             loss = sum_all(mul(y, y))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    def test_broadcast_to_is_a_read_only_view(self):
+        a = Tensor(np.arange(6.0).reshape(1, 2, 3), requires_grad=True)
+        with Tape() as tape:
+            b = broadcast_to(a, (4, 2, 3))
+            loss = sum_all(mul(b, b))
+        assert np.shares_memory(b.data, a.data)
+        assert not b.data.flags.writeable
+        tape.backward(loss)
+        np.testing.assert_array_equal(a.grad, 8 * a.data)
 
     def test_concat_backward_splits(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
