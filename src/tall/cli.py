@@ -173,7 +173,8 @@ def cmd_train_tall(args) -> int:
         _, heldout = split_train_eval([list(p.lr_tokens) for p in corpus],
                                       cfg.train.tall.eval_fraction, seed)
         hr_lm = model.translate_prefixes([t[:-1] for t in heldout])
-        stats = (evaluate_tall(model, list(zip(heldout, hr_lm)))
+        stats = (evaluate_tall(model, list(zip(heldout, hr_lm)),
+                               cfg.train.tall.batch_size)
                  if heldout else None)
         print(json.dumps({"resumed_at": start_step, "eval": stats},
                          sort_keys=True))

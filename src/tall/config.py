@@ -22,7 +22,7 @@ import yaml
 from .evaluation import SamplerConfig
 from .models import CausalLMConfig, Seq2SeqConfig
 from .pipeline import TallConfig
-from .pretrain import TrainConfig
+from .pretrain import TrainConfig, held_out_count
 from .world import ToyGrammar, World
 
 
@@ -242,18 +242,19 @@ def _check_heads(cfg: RunConfig) -> None:
 
 
 def _check_sizes(cfg: RunConfig) -> None:
-    """Every feed-forward width, adapter hidden width and layer count is
-    positive."""
+    """Every feed-forward width, adapter hidden width, layer count and
+    corpus size is positive."""
     m = cfg.models
-    for key, section in (("models.translator", m.translator),
+    for key, section in (("world", cfg.world),
+                         ("models.translator", m.translator),
                          ("models.llm", m.llm),
                          ("models.tall", m.tall),
                          ("models.tall.bridge1", m.tall.bridge1),
                          ("models.tall.bridge2", m.tall.bridge2)):
         for f in dataclasses.fields(section):
             value = getattr(section, f.name)
-            if ((f.name == "d_ff" or f.name.endswith(("layers", "hidden")))
-                    and value < 1):
+            if ((f.name in ("d_ff", "train_pairs", "eval_size")
+                 or f.name.endswith(("layers", "hidden"))) and value < 1):
                 raise ConfigError(f"{key}.{f.name}: must be positive, got {value}")
 
 
@@ -277,18 +278,24 @@ def _check_lengths(cfg: RunConfig) -> None:
 
 
 def _check_builders(cfg: RunConfig) -> None:
-    """Build every derived config once, so a bad value fails at load time."""
+    """Build every derived config and held-out split once, at load time."""
     builds = [("world", partial(build_world, cfg)),
               ("world", partial(build_grammar, cfg)),
               ("sampler", partial(cfg.sampler.to_sampler, 0))]
     builds += [(f"train.{f.name}",
-                partial(getattr(cfg.train, f.name).to_train_config, 0))
+                partial(_held_out, getattr(cfg.train, f.name),
+                        cfg.world.train_pairs))
                for f in dataclasses.fields(cfg.train)]
     for key, build in builds:
         try:
             build()
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _held_out(section, n: int) -> int:
+    """How many of ``n`` training pairs the section's schedule holds out."""
+    return held_out_count(section.to_train_config(0).eval_fraction, n)
 
 
 def resolved_dict(cfg: RunConfig) -> dict:

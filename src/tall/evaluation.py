@@ -3,22 +3,22 @@
 Every approach consumes the identical evaluation dataset and turns logits
 into an answer the same way, so accuracy differences come from the
 approaches themselves.  ``_predict`` is that one loop: it walks the
-examples in chunks, asks the approach for the last-position logits of
-each chunk's prefixes, draws one id per row with ``_draw`` and maps it
-back to LR space.  ``_draw`` is ``sample_token`` on the example's own
-stream, ``example_rng(sampler.seed, index)``, so a draw depends only on
-the sampler seed and the example index, never on chunking or on the
-other examples.  This module is the only one that samples; the pipeline
+examples in chunks, hands each chunk's prefixes to the approach, which
+draws its answers with ``draw(j, logits)``, and builds the records.
+``draw`` is ``_draw``: ``sample_token`` on the example's own stream,
+``example_rng(sampler.seed, index)``, so a draw depends only on the
+sampler seed and the example index, never on chunking or on the other
+examples.  This module is the only one that samples; the pipeline
 and the models return logits.
 
 Predictions are scored in LR token space; approaches whose raw output
-lives in the LM space map it back first (``scored_id``), and anything
-unmappable scores as incorrect with a sentinel prediction of -1.  The
-sentinel cases are: the LM emitted a special token (PAD/BOS/EOS/UNK), the
-LM emitted a token of the other language, and, in the naive round trip
-only, a sequence too long for the next model's position table or an
-empty back-translation.  A sentinel is per example, so no single input
-stops a whole evaluation.
+lives in the LM space map it back first.  Every record carries a reason:
+``ok`` for a scored content id, or the cause of a sentinel prediction of
+-1, which scores as incorrect: ``special_token`` (PAD/BOS/EOS/UNK drawn),
+``other_language`` (an LM token of the other language) and, in the naive
+round trip only, ``too_long`` (a sequence too long for the next model's
+position table) and ``empty_back_translation``.  A sentinel is per
+example, so no single input stops a whole evaluation.
 """
 
 from __future__ import annotations
@@ -104,6 +104,7 @@ class EvalRecord:
     predicted: int
     correct: bool
     approach: str
+    reason: str
 
 
 @dataclass
@@ -134,42 +135,49 @@ def accuracy(records: list[EvalRecord]) -> float:
     return sum(r.correct for r in records) / len(records)
 
 
-def scored_id(mapped: int | None) -> int:
-    """The prediction to score for an id mapped back from the LM space.
+def scored_id(mapped: int | None) -> tuple[int, str]:
+    """The prediction to score for a drawn id, and its reason.
 
-    ``mapped`` is the result of ``World.lm_to_lr`` (or ``lm_to_hr``): None
-    when the LM token belongs to the other language, the id itself for a
-    special token.  Both score as the sentinel -1; a content id is kept.
+    ``mapped`` is an LR id, or the result of ``World.lm_to_lr`` (or
+    ``lm_to_hr``): None when the LM token belongs to the other language,
+    the id itself for a special token.  Both score as the sentinel -1; a
+    content id is kept.
     """
-    return mapped if mapped is not None and mapped >= N_SPECIALS else -1
-
-
-def _records(approach: str, examples: list[EvalExample],
-             predictions: list[int]) -> list[EvalRecord]:
-    return [
-        EvalRecord(i, ex.gold, int(pred), int(pred) == ex.gold, approach)
-        for i, (ex, pred) in enumerate(zip(examples, predictions))
-    ]
+    if mapped is None:
+        return -1, "other_language"
+    if mapped < N_SPECIALS:
+        return -1, "special_token"
+    return mapped, "ok"
 
 
 def _predict(approach: str, examples: list[EvalExample],
-             sampler: SamplerConfig,
-             next_logits: Callable[[list], np.ndarray],
-             to_lr: Callable[[int], int]) -> list[EvalRecord]:
-    """The prediction loop every single-step approach shares.
+             sampler: SamplerConfig, run_chunk: Callable
+             ) -> list[EvalRecord]:
+    """The prediction loop every approach shares.
 
-    ``next_logits`` maps a chunk of LR prefixes to the logits [B, V] of
-    the token after each; ``to_lr`` maps a drawn id to the LR id scored.
+    ``run_chunk(prefixes, draw)`` returns ``(predicted, reason)`` for each
+    LR prefix of one chunk, where ``draw(j, logits)`` is ``_draw`` on the
+    stream of the chunk's ``j``-th example.
     """
     if not examples:
         raise ValueError("evaluation dataset is empty")
-    preds = []
+    records = []
     for start in range(0, len(examples), CHUNK):
         chunk = examples[start : start + CHUNK]
-        logits = next_logits([ex.prefix for ex in chunk])
-        preds.extend(to_lr(_draw(row, sampler, start + j))
-                     for j, row in enumerate(logits))
-    return _records(approach, examples, preds)
+        answers = run_chunk([ex.prefix for ex in chunk],
+                            lambda j, row: _draw(row, sampler, start + j))
+        records += [EvalRecord(start + j, ex.gold, int(pred),
+                               int(pred) == ex.gold, approach, reason)
+                    for j, (ex, (pred, reason))
+                    in enumerate(zip(chunk, answers))]
+    return records
+
+
+def _single_step(next_logits: Callable[[list], np.ndarray],
+                 to_lr: Callable[[int], tuple[int, str]]) -> Callable:
+    """One draw per row of ``next_logits``, mapped by ``to_lr``."""
+    return lambda prefixes, draw: [to_lr(draw(j, row)) for j, row
+                                   in enumerate(next_logits(prefixes))]
 
 
 def _lm_ids(world: World, lr_seqs: list) -> list:
@@ -177,7 +185,7 @@ def _lm_ids(world: World, lr_seqs: list) -> list:
     return [world.lr_to_lm(np.array(s)).tolist() for s in lr_seqs]
 
 
-def _lm_to_lr(world: World) -> Callable[[int], int]:
+def _lm_to_lr(world: World) -> Callable[[int], tuple[int, str]]:
     return lambda lm_id: scored_id(world.lm_to_lr(lm_id))
 
 
@@ -188,10 +196,9 @@ def _lm_to_lr(world: World) -> Callable[[int], int]:
 def eval_direct(llm: CausalLM, world: World, examples: list[EvalExample],
                 sampler: SamplerConfig, approach: str = "direct"
                 ) -> list[EvalRecord]:
-    return _predict(approach, examples, sampler,
-                    lambda prefixes: llm.next_token_logits(
-                        _lm_ids(world, prefixes)),
-                    _lm_to_lr(world))
+    return _predict(approach, examples, sampler, _single_step(
+        lambda prefixes: llm.next_token_logits(_lm_ids(world, prefixes)),
+        _lm_to_lr(world)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,63 +207,35 @@ def eval_direct(llm: CausalLM, world: World, examples: list[EvalExample],
 
 def eval_naive(lr2hr: Translator, llm: CausalLM, hr2lr: Translator,
                world: World, examples: list[EvalExample],
-               sampler: SamplerConfig, log: list | None = None
-               ) -> list[EvalRecord]:
+               sampler: SamplerConfig) -> list[EvalRecord]:
     """Translate the LR prefix to HR, let the LM add one HR token, translate
-    the completed sentence back and score its last LR token.
-
-    An example scores the sentinel -1, and goes no further through the
-    round trip, when:
-
-    - its HR prefix plus BOS does not fit ``llm.cfg.max_len``;
-    - the LM emitted a special token;
-    - the LM emitted a token of the other language (an LR-side id);
-    - the completed HR sentence plus EOS does not fit ``hr2lr.cfg.max_len``;
-    - the back-translation is empty.
-
-    Each sentinel appends one line naming its example to ``log``.
-    """
-    if not examples:
-        raise ValueError("evaluation dataset is empty")
-    preds = []
-    for start in range(0, len(examples), CHUNK):
-        chunk = examples[start : start + CHUNK]
-        hr_seqs = lr2hr.greedy_translate([ex.prefix for ex in chunk])
-        reasons: dict[int, str] = {}
-        fits_lm = []
-        for j, h in enumerate(hr_seqs):
-            if len(h) + 1 > llm.cfg.max_len:
-                reasons[j] = "HR prefix too long for the LM"
-            else:
-                fits_lm.append(j)
+    the completed sentence back and score its last LR token.  Each stage
+    runs once per chunk, on the rows a sentinel has not stopped: ``too_long``
+    when the HR prefix plus BOS or the completion plus EOS exceeds the next
+    model's ``max_len``, ``scored_id``'s reasons for the LM's token."""
+    def run_chunk(prefixes, draw):
+        hr_seqs = lr2hr.greedy_translate(prefixes)
+        out = {j: (-1, "too_long") for j, h in enumerate(hr_seqs)
+               if len(h) + 1 > llm.cfg.max_len}
+        fits_lm = [j for j in range(len(hr_seqs)) if j not in out]
         logits = llm.next_token_logits([
             world.hr_to_lm(np.array(hr_seqs[j], dtype=np.int64)).tolist()
             for j in fits_lm]) if fits_lm else []
-        completed: dict[int, list] = {}
+        completed = {}
         for row, j in enumerate(fits_lm):
-            lm_id = _draw(logits[row], sampler, start + j)
-            hr_id = scored_id(world.lm_to_hr(lm_id))
-            if hr_id == -1:
-                reasons[j] = ("LM emitted a special token" if lm_id < N_SPECIALS
-                              else "LM emitted a non-HR token")
-                continue
-            completion = list(hr_seqs[j]) + [hr_id]
-            if len(completion) + 1 > hr2lr.cfg.max_len:
-                reasons[j] = "completion too long for hr2lr"
+            hr_id, reason = scored_id(world.lm_to_hr(draw(j, logits[row])))
+            if reason != "ok":
+                out[j] = (-1, reason)
+            elif len(hr_seqs[j]) + 2 > hr2lr.cfg.max_len:
+                out[j] = (-1, "too_long")
             else:
-                completed[j] = completion
-        back = dict(zip(completed,
-                        hr2lr.greedy_translate(list(completed.values()))))
-        for j in range(len(chunk)):
-            if j in back and not back[j]:
-                reasons[j] = "empty back-translation"
-            if j in reasons:
-                preds.append(-1)
-                if log is not None:
-                    log.append(f"example {start + j}: {reasons[j]}")
-            else:
-                preds.append(int(back[j][-1]))
-    return _records("naive", examples, preds)
+                completed[j] = list(hr_seqs[j]) + [hr_id]
+        back = hr2lr.greedy_translate(list(completed.values()))
+        for j, lr in zip(completed, back):
+            out[j] = (lr[-1], "ok") if lr else (-1, "empty_back_translation")
+        return [out[j] for j in range(len(hr_seqs))]
+
+    return _predict("naive", examples, sampler, run_chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +305,8 @@ def eval_soft_prompt(llm: CausalLM, params: SoftPromptParams, world: World,
         return _soft_prompt_logits(llm, params.embeddings,
                                    _lm_ids(world, prefixes)).data
 
-    return _predict("soft_prompt", examples, sampler, next_logits,
-                    _lm_to_lr(world))
+    return _predict("soft_prompt", examples, sampler,
+                    _single_step(next_logits, _lm_to_lr(world)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,4 +345,5 @@ def from_scratch_llm(world: World, corpus_lr: list, llm_cfg,
 def eval_tall(model: TallModel, examples: list[EvalExample],
               sampler: SamplerConfig) -> list[EvalRecord]:
     # the pipeline decodes straight into LR ids, scored as drawn
-    return _predict("tall", examples, sampler, model.final_logits, int)
+    return _predict("tall", examples, sampler,
+                    _single_step(model.final_logits, scored_id))

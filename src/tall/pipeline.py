@@ -280,8 +280,7 @@ def train_tall(model: TallModel, corpus: list[BilingualPair],
     return meta, metrics
 
 
-def evaluate_tall(model: TallModel, examples: list, batch_size: int = 64
-                  ) -> dict:
+def evaluate_tall(model: TallModel, examples: list, batch_size: int) -> dict:
     """Held-out final-token loss, greedy accuracy, and perplexity."""
     if not examples:
         raise ValueError("held-out set is empty")

@@ -55,12 +55,18 @@ class TrainConfig:
             raise ValueError(f"eval_fraction must be in [0, 1): {self}")
 
 
-def split_train_eval(items: list, fraction: float, seed: int) -> tuple[list, list]:
-    """Deterministic shuffle-split; eval gets ceil(fraction * n) < n items."""
-    n_eval = int(np.ceil(fraction * len(items))) if fraction > 0 else 0
-    if n_eval >= len(items):
+def held_out_count(fraction: float, n: int) -> int:
+    """ceil(fraction * n) of ``n`` items held out; one must be left over."""
+    n_eval = int(np.ceil(fraction * n)) if fraction > 0 else 0
+    if n_eval >= n:
         raise ValueError(f"eval_fraction {fraction} holds out {n_eval} of "
-                         f"n={len(items)} examples, leaving none to train on")
+                         f"n={n} examples, leaving none to train on")
+    return n_eval
+
+
+def split_train_eval(items: list, fraction: float, seed: int) -> tuple[list, list]:
+    """Deterministic shuffle-split; eval gets ``held_out_count`` items."""
+    n_eval = held_out_count(fraction, len(items))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5317]))
     order = rng.permutation(len(items))
     eval_idx = set(order[:n_eval].tolist())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -201,8 +202,9 @@ def run_approaches(cfg: RunConfig, approaches, models: dict, examples,
     approaches declare.  The fine-tuned, from-scratch and soft-prompt
     baselines train here, because they are per-approach trainings rather
     than reusable backbones; the training corpus they share is generated
-    at most once, and only if one of them runs.  Returns the results rows
-    and ``{"header": ..., "records": {approach: records}}``.
+    at most once, and only if one of them runs.  Returns the results rows,
+    each with its sentinel count by reason, and ``{"header": ...,
+    "records": {approach: records}}``.
     """
     world = build_world(cfg)
     sampler = cfg.sampler.to_sampler(sampler_seed)
@@ -214,7 +216,9 @@ def run_approaches(cfg: RunConfig, approaches, models: dict, examples,
     rows = [{"dataset": f"toy-shifted-{cfg.world.eval_seed}",
              "approach": approach,
              "model": "toy-lm",
-             "accuracy_percent": round(100.0 * ev.accuracy(records), 2)}
+             "accuracy_percent": round(100.0 * ev.accuracy(records), 2),
+             "sentinels": dict(sorted(Counter(
+                 r.reason for r in records if r.reason != "ok").items()))}
             for approach, records in all_records.items()]
     header = {
         "config_hash": config_hash(cfg),
@@ -230,10 +234,13 @@ def format_results_table(rows: list[dict], header: dict) -> str:
         f"# config_hash={header['config_hash']} "
         f"dataset_hash={header['dataset_hash']} "
         f"sampler_seed={header['sampler_seed']} n={header['n_examples']}",
-        f"{'Dataset':<22} {'Approach':<14} {'Model':<10} {'Accuracy (%)':>12}",
+        f"{'Dataset':<22} {'Approach':<14} {'Model':<10} {'Accuracy (%)':>12}"
+        f"  Sentinels",
     ]
     for row in rows:
+        counts = row["sentinels"]
         lines.append(
             f"{row['dataset']:<22} {row['approach']:<14} {row['model']:<10} "
-            f"{row['accuracy_percent']:>12.2f}")
+            f"{row['accuracy_percent']:>12.2f}  {sum(counts.values())}"
+            + "".join(f" {reason}={n}" for reason, n in counts.items()))
     return "\n".join(lines)

@@ -56,8 +56,15 @@ class TestExitCodes:
         (["pretrain", "llm", "--out", "llm.npz",
           "--set", "models.llm.n_heads=abc"],
          "models.llm.n_heads: expected int, got 'abc'"),
+        (["pretrain", "translator-lr2hr", "--out", "llm.npz",
+          "--set", "world.train_pairs=1"],
+         "train.translator: eval_fraction 0.02 holds out 1 of n=1 "
+         "examples, leaving none to train on"),
+        (["eval", "--approach", "direct", "--llm", "llm.npz",
+          "--set", "world.eval_size=0"],
+         "world.eval_size: must be positive, got 0"),
     ], ids=["n_prompt", "adapter1_hidden", "eval_shift_alpha", "epochs",
-            "n_heads"])
+            "n_heads", "train_pairs", "eval_size"])
     def test_bad_config_value_exits_before_any_work(
             self, tmp_path, monkeypatch, capsys, argv, message):
         (tmp_path / "run.yaml").write_text(TINY_RUN)
@@ -127,6 +134,14 @@ def test_eval_all_runs_every_approach(tiny_run, tmp_path, capsys):
     assert doc["header"]["n_examples"] == 20
     assert [r["approach"] for r in doc["rows"]] == sorted(runner.APPROACHES)
     assert all(0.0 <= r["accuracy_percent"] <= 100.0 for r in doc["rows"])
+    # each line ends in the sentinel total, then the count of each reason
+    for line, row in zip(table[2:], doc["rows"]):
+        counts = row["sentinels"]
+        assert set(counts) <= {"special_token", "other_language",
+                               "too_long", "empty_back_translation"}
+        assert all(n > 0 for n in counts.values())
+        assert line.split()[4:] == [str(sum(counts.values()))] + [
+            f"{reason}={n}" for reason, n in sorted(counts.items())]
 
 
 def test_resume_continues_from_a_pipeline_checkpoint(tiny_run, capsys):
@@ -164,7 +179,7 @@ def test_resume_translates_only_the_held_out_prefixes(
     hr_lm = model.translate_prefixes([t[:-1] for t in teachers])
     _, heldout = split_train_eval(list(zip(teachers, hr_lm)),
                                   cfg.train.tall.eval_fraction, seed)
-    want = evaluate_tall(model, heldout)
+    want = evaluate_tall(model, heldout, cfg.train.tall.batch_size)
 
     rows = []
     translate = TallModel.translate_prefixes
@@ -181,6 +196,22 @@ def test_resume_translates_only_the_held_out_prefixes(
     assert resumed == json.dumps(
         {"resumed_at": load_checkpoint(ckpt["tall"])[1]["step"],
          "eval": want}, sort_keys=True)
+
+
+def test_resume_reports_the_checkpoint_best_held_out_loss(tiny_run,
+                                                          tmp_path, capsys):
+    """With more held-out examples than one batch, the resume report
+    batches them as training did, so on the shipped kernel it reproduces
+    the loss the best snapshot was kept for."""
+    args, _ = tiny_run
+    held_out = ["--set", "train.tall.eval_fraction=0.4"]  # 24: 16, then 8
+    ckpt = str(tmp_path / "tall.npz")
+    assert cli.main(["train-tall", *args, *held_out, "--out", ckpt]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["train-tall", *args, *held_out,
+                     "--resume", ckpt]) == cli.EXIT_OK
+    resumed = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert resumed["eval"]["loss"] == load_checkpoint(ckpt)[1]["best_eval_loss"]
 
 
 def test_run_approaches_matches_the_eval_calls(tmp_path, monkeypatch,

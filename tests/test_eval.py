@@ -14,6 +14,7 @@ from tall.evaluation import (
     eval_direct,
     eval_naive,
     eval_soft_prompt,
+    eval_tall,
     finetune_llm,
     make_eval_dataset,
     scored_id,
@@ -24,7 +25,7 @@ from tall.nn import ParamStore, linear
 from tall.pretrain import train_translator
 from tall.tensor import (NumericalError, ShapeError, Tape, Tensor,
                          broadcast_to, cross_entropy_last_token)
-from tall.world import N_SPECIALS, World, generate_corpus
+from tall.world import EOS, N_SPECIALS, World, generate_corpus
 
 from conftest import (all_positions, assert_close, assert_parity,
                       per_row_soft_prompt_logits, prompt_in_every_row,
@@ -35,24 +36,25 @@ from conftest import (all_positions, assert_close, assert_parity,
 
 class TestAccuracy:
     def test_all_correct(self):
-        records = [EvalRecord(i, 5, 5, True, "direct") for i in range(4)]
+        records = [EvalRecord(i, 5, 5, True, "direct", "ok") for i in range(4)]
         assert accuracy(records) == 1.0
 
     def test_one_of_four(self):
-        records = [EvalRecord(0, 5, 5, True, "direct")] + [
-            EvalRecord(i, 5, 6, False, "direct") for i in range(1, 4)
+        records = [EvalRecord(0, 5, 5, True, "direct", "ok")] + [
+            EvalRecord(i, 5, 6, False, "direct", "ok") for i in range(1, 4)
         ]
         assert accuracy(records) == 0.25
 
     def test_matches_recount_after_shuffle(self):
         rng = np.random.default_rng(0)
         records = [
-            EvalRecord(i, 1, int(rng.integers(1, 3)), False, "naive")
+            EvalRecord(i, 1, int(rng.integers(1, 3)), False, "naive", "ok")
             for i in range(50)
         ]
         records = [
             EvalRecord(r.example_id, r.gold, r.predicted,
-                       r.gold == r.predicted, r.approach) for r in records
+                       r.gold == r.predicted, r.approach, r.reason)
+            for r in records
         ]
         base = accuracy(records)
         shuffled = list(records)
@@ -167,14 +169,29 @@ class TestScoredId:
     def test_only_lr_content_ids_are_kept(self):
         world = toy_world(hr_vocab_size=12, seed=3)
         for special in range(N_SPECIALS):
-            assert scored_id(world.lm_to_lr(special)) == -1
+            assert scored_id(world.lm_to_lr(special)) == (-1, "special_token")
         for hr_id in range(N_SPECIALS, world.vocab_hr):
             lm_id = int(world.hr_to_lm(np.array([hr_id]))[0])
-            assert scored_id(world.lm_to_lr(lm_id)) == -1
+            assert scored_id(world.lm_to_lr(lm_id)) == (-1, "other_language")
         for lr_id in range(N_SPECIALS, world.vocab_lr):
             lm_id = int(world.lr_to_lm(np.array([lr_id]))[0])
-            assert scored_id(world.lm_to_lr(lm_id)) == lr_id
+            assert scored_id(world.lm_to_lr(lm_id)) == (lr_id, "ok")
         assert N_SPECIALS + 2 * world.hr_vocab_size == world.vocab_lm
+
+    def test_tall_scores_a_drawn_special_token_as_a_sentinel(self,
+                                                              tiny_world):
+        _, world, _, examples, _ = tiny_world
+
+        class Pipeline:
+            def final_logits(self, prefixes):
+                out = np.zeros((len(prefixes), world.vocab_lr))
+                out[:, N_SPECIALS] = 1000.0
+                out[0, EOS] = 2000.0
+                return out
+
+        records = eval_tall(Pipeline(), examples[:5], sampler_config(seed=1))
+        assert [(r.predicted, r.reason) for r in records] == (
+            [(-1, "special_token")] + [(N_SPECIALS, "ok")] * 4)
 
 
 class TestNaive:
@@ -220,45 +237,71 @@ class TestNaive:
                              examples, sampler_config(seed=2))
         assert accuracy(records) >= fidelity > 0.3
 
-    @pytest.mark.parametrize("limit", ["hr2lr", "llm"])
-    def test_overlong_round_trip_scores_sentinel(self, tiny_world, limit):
-        """An HR translation too long for the next model (hr2lr: itself
-        plus the LM's token and EOS; the LM: itself plus BOS) makes that
-        example alone score -1; the others keep the exact round trip's
-        answer."""
+    @pytest.mark.parametrize("limit, reason", [
+        ("hr2lr", "too_long"), ("llm", "too_long"),
+        ("special_token", "special_token"),
+        ("other_language", "other_language"),
+        ("empty_back_translation", "empty_back_translation"),
+    ], ids=["hr2lr", "llm", "special_token", "other_language",
+            "empty_back_translation"])
+    def test_overlong_round_trip_scores_sentinel(self, tiny_world, limit,
+                                                 reason):
+        """One example leaves the round trip as a sentinel, with its
+        reason, and the others keep the exact round trip's answer: an HR
+        translation too long for the next model (hr2lr: itself plus the
+        LM's token and EOS; the LM: itself plus BOS), an LM token that is
+        special or LR-side, or an empty back-translation."""
         _, world, _, examples, _ = tiny_world
         examples = examples[:20]
         exact = exact_translator(world, "lr2hr")
         hr2lr = exact_translator(world, "hr2lr")
+        lm = oracle_lm(world, examples, max_len=8 if limit == "llm" else 64)
         # the last row, so the oracle's rows stay aligned if it is dropped
         long_row = len(examples) - 1
-        if limit == "hr2lr":
-            lm = oracle_lm(world, examples)
-            long_len = hr2lr.cfg.max_len - 1
-            reason = "completion too long for hr2lr"
-        else:
-            lm = oracle_lm(world, examples, max_len=8)
-            long_len = lm.cfg.max_len
-            reason = "HR prefix too long for the LM"
+        long_len = {"hr2lr": hr2lr.cfg.max_len - 1, "llm": lm.cfg.max_len}
 
         class Overlong:
             cfg = exact.cfg
 
             def greedy_translate(self, seqs, cap=None):
                 out = exact.greedy_translate(seqs)
-                out[long_row] = [N_SPECIALS] * long_len
+                if limit in long_len:
+                    out[long_row] = [N_SPECIALS] * long_len[limit]
                 return out
 
-        sampler, log = sampler_config(seed=3), []
-        records = eval_naive(Overlong(), lm, hr2lr, world, examples, sampler,
-                             log=log)
+        lr_side = int(world.lr_to_lm(np.array([N_SPECIALS]))[0])
+        lm_id = {"special_token": EOS, "other_language": lr_side}
+
+        class Swayed:
+            cfg = lm.cfg
+
+            def next_token_logits(self, prefixes):
+                out = lm.next_token_logits(prefixes)
+                if limit in lm_id:
+                    out[long_row, lm_id[limit]] = 2000.0
+                return out
+
+        class Emptied:
+            cfg = hr2lr.cfg
+
+            def greedy_translate(self, seqs, cap=None):
+                out = hr2lr.greedy_translate(seqs)
+                if limit == "empty_back_translation":
+                    out[long_row] = []
+                return out
+
+        sampler = sampler_config(seed=3)
+        records = eval_naive(Overlong(), Swayed(), Emptied(), world, examples,
+                             sampler)
         exact_records = eval_naive(exact, lm, hr2lr, world, examples, sampler)
         assert len(records) == len(examples)
         assert [r.predicted for r in records] == [
             -1 if i == long_row else r.predicted
             for i, r in enumerate(exact_records)]
         assert -1 not in [r.predicted for r in exact_records]
-        assert log == [f"example {long_row}: {reason}"]
+        assert [r.reason for r in records] == [
+            reason if i == long_row else "ok" for i in range(len(examples))]
+        assert {r.reason for r in exact_records} == {"ok"}
 
     def test_identity_world_naive_equals_direct_modulo_remap(self):
         """Degenerate world (identity cipher, no swap): routing through

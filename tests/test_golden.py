@@ -38,9 +38,9 @@ from conftest import sampler_config, toy_grammar, toy_world, train_config
 
 GOLDEN = {
     "direct.eval":
-        "6cf08cc73c82b09f8fe8a7eacb8ea79be3d23038a1953d9446e22b9412135e7b",
+        "6a81fc35c1b6af1ec14cdd0e204531f69ba7caa37cd36f9167f0730df47dddea",
     "naive.eval":
-        "1de5df508f552d95ae4e62b79b96c7738a8d30cd1832ffe6a853a6acf547227c",
+        "c2b0e4c238d44bf65ca2f0aa5a5bf5f343b854be4b0cf2bc629f8dfe41f57c8e",
     "lr2hr.store":
         "507d6f26898d164de1a3e83eaf939ab95bf9f1450c230d1c1e3059d171d0b9a1",
     "lr2hr.metrics":
@@ -54,13 +54,13 @@ GOLDEN = {
     "tall.metrics":
         "3e2d0107c81ececb66ac16325041de2eee6a22673111a817019a3468f12afdc7",
     "tall.eval":
-        "2783ee9f335c28624f61f0335e27da52e4fdde488362f4700d4c500b5b508f93",
+        "86ee2014b9f958698ada91c70d2daf407eea84d53a6881c2ff8fcf7355550bd2",
     "soft_prompt.store":
         "c9e9b79b0e137f9abef8c1c2b94f5e5f47957d8e2023171755eb6b414a605fc3",
     "soft_prompt.metrics":
         "ed2c5a58dac2a3bab28e6e0cf22ac8a01c144c7467907dd5e71ca1e3fdaed603",
     "soft_prompt.eval":
-        "54feaa06e73730c447ff34fdb2e540ae81dea936f2d7373e04ad2fd5eb88a6e4",
+        "66b9052d94827e153bc66b4844f286a786af8dba134bc649f34f00c6833333a8",
 }
 
 

@@ -1,6 +1,6 @@
 """Import hygiene and the product seam, checked with the stdlib ``ast``.
 
-Ten rules for every module under ``src/tall``:
+Eleven rules for every module under ``src/tall``:
 
 - a module-level import binds a name the module references, unless its
   line carries ``# noqa: F401`` (an import kept on purpose);
@@ -30,7 +30,9 @@ Ten rules for every module under ``src/tall``:
   one place an approach is declared and dispatched;
 - only ``config.load_config`` calls ``RunConfig``, so every run
   configuration, the benchmark scale included, passes the load-time
-  checks.
+  checks;
+- only ``evaluation._predict`` calls ``EvalRecord``, so every approach
+  is scored by the one eval loop and no second loop comes back.
 
 And one for ``tensor.py`` and ``nn.py``: every public function has a
 caller in ``src/tall`` outside its own body, so what only tests use
@@ -204,17 +206,27 @@ def approach_name_comparisons(path: Path) -> list[str]:
     return sorted(found)
 
 
-def run_config_builds(path: Path) -> list[str]:
-    """``RunConfig(...)`` calls outside the body of ``load_config``."""
+def calls_outside(path: Path, name: str, function: str) -> list[str]:
+    """``name(...)`` calls outside the body of the function ``function``."""
     tree, _ = _parse(path)
     inside = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef) and fn.name == "load_config"
+              if isinstance(fn, ast.FunctionDef) and fn.name == function
               for node in ast.walk(fn)}
-    return sorted(f"{path.name}:{node.lineno} RunConfig"
+    return sorted(f"{path.name}:{node.lineno} {name}"
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and id(node) not in inside
-                  and "RunConfig" in (getattr(node.func, "id", None),
-                                      getattr(node.func, "attr", None)))
+                  and name in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None)))
+
+
+def run_config_builds(path: Path) -> list[str]:
+    """``RunConfig(...)`` calls outside the body of ``load_config``."""
+    return calls_outside(path, "RunConfig", "load_config")
+
+
+def eval_record_builds(path: Path) -> list[str]:
+    """``EvalRecord(...)`` calls outside the body of ``_predict``."""
+    return calls_outside(path, "EvalRecord", "_predict")
 
 
 def imported_calls(path: Path) -> list[tuple[str, str]]:
@@ -350,6 +362,11 @@ def test_run_configs_are_built_by_load_config_alone():
     [_] = calls_to(SRC / "config.py", ("RunConfig",))
 
 
+def test_eval_records_are_built_by_predict_alone():
+    assert [s for p in MODULES for s in eval_record_builds(p)] == []
+    [_] = calls_to(SRC / "evaluation.py", ("EvalRecord",))
+
+
 def test_classes_config_builds_take_no_defaults():
     built = [getattr(importlib.import_module(f"tall.{module}"), name)
              for module, name in imported_calls(SRC / "config.py")]
@@ -441,6 +458,15 @@ def test_checks_catch_what_they_name(tmp_path):
         "kind = RunConfig\n")
     assert run_config_builds(cfg) == ["cfg.py:4 RunConfig",
                                       "cfg.py:5 RunConfig"]
+    loop = tmp_path / "loop.py"
+    loop.write_text(
+        "def _predict(examples):\n"
+        "    return [EvalRecord(i, 0, 0, True, 'x', 'ok') for i in examples]\n"
+        "def eval_naive(examples):\n"
+        "    return [ev.EvalRecord(i, 0, -1, False, 'naive', 'too_long')\n"
+        "            for i in examples]\n"
+        "record = EvalRecord\n")
+    assert eval_record_builds(loop) == ["loop.py:4 EvalRecord"]
     built = tmp_path / "built.py"
     built.write_text(
         "from . import world\n"

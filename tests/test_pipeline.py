@@ -399,7 +399,7 @@ class TestTraining:
     def test_evaluate_tall_refuses_an_empty_held_out_set(self):
         model, _, _ = tiny_setup(seed=11)
         with pytest.raises(ValueError, match="held-out set is empty"):
-            evaluate_tall(model, [])
+            evaluate_tall(model, [], batch_size=8)
 
 
 class TestPrediction:
