@@ -212,7 +212,8 @@ def eval_naive(lr2hr: Translator, llm: CausalLM, hr2lr: Translator,
     the completed sentence back and score its last LR token.  Each stage
     runs once per chunk, on the rows a sentinel has not stopped: ``too_long``
     when the HR prefix plus BOS or the completion plus EOS exceeds the next
-    model's ``max_len``, ``scored_id``'s reasons for the LM's token."""
+    model's ``max_len``, ``scored_id``'s reasons for the LM's token and
+    for the back-translation's last token."""
     def run_chunk(prefixes, draw):
         hr_seqs = lr2hr.greedy_translate(prefixes)
         out = {j: (-1, "too_long") for j, h in enumerate(hr_seqs)
@@ -232,7 +233,7 @@ def eval_naive(lr2hr: Translator, llm: CausalLM, hr2lr: Translator,
                 completed[j] = list(hr_seqs[j]) + [hr_id]
         back = hr2lr.greedy_translate(list(completed.values()))
         for j, lr in zip(completed, back):
-            out[j] = (lr[-1], "ok") if lr else (-1, "empty_back_translation")
+            out[j] = scored_id(lr[-1]) if lr else (-1, "empty_back_translation")
         return [out[j] for j in range(len(hr_seqs))]
 
     return _predict("naive", examples, sampler, run_chunk)
@@ -262,12 +263,10 @@ def _soft_prompt_logits(llm: CausalLM, prompt: Tensor, lm_prefixes: list
     n_prompt = prompt.shape[0]
     cache = [LayerCache() for _ in range(llm.cfg.n_layers)]
     # only the caches are read, so the last layer runs one prompt row
-    llm.hidden_from_embeddings(T.reshape(prompt, (1,) + prompt.shape),
-                               np.array([n_prompt]),
+    llm.hidden_from_embeddings(prompt, np.array([n_prompt]),
                                read=np.array([n_prompt - 1]), cache=cache)
-    tok = T.embedding(llm.store["tok_embed"], ids)
-    hidden = llm.hidden_from_embeddings(tok, lengths + n_prompt,
-                                        read=lengths - 1, cache=cache)
+    hidden = llm.hidden_from_ids(ids, lengths + n_prompt, read=lengths - 1,
+                                 cache=cache)
     return tied_logits(hidden, llm.store["tok_embed"])
 
 

@@ -3,23 +3,32 @@
 Both are pre-LN transformers over the blocks in :mod:`tall.nn`, with the
 output projection weight-tied to the target-side token embedding.  Every
 transformer stack, here and in :mod:`tall.pipeline`, runs through
-``_stack_forward``, which owns four decisions: it adds the stack's
-learned ``<prefix>.pos`` table to the token embeddings its caller passes
-(and rejects a sequence longer than that table), builds the self mask
-from the sequence lengths, causal exactly when the stack's
-:class:`~tall.nn.LayerConfig` says so, builds the cross mask from the
-memory lengths, and, when its caller passes ``read`` (one position per
-row, as Hugging Face's ``logits_to_keep`` does), runs the last layer's
-queries, feed-forward and the final norm on those positions alone.  The
-callers that read one next-token row pass ``read``: ``next_token_logits``,
-the soft prompt and stage 7 of the pipeline; teacher-forced training
-reads every position and passes none.  Greedy decoding is incremental:
-``decoder_forward`` with a per-layer :class:`~tall.nn.LayerCache` list embeds only the
-newest token, at the position after the cached ones, appends its
-self-attention keys and values to the cache and projects the encoder
-memory into cross-attention keys and values once, on the first step.
-Teacher-forced training passes no cache and runs the whole sequence in
-one call.
+``_stack_forward``, which owns five decisions.  It packs the batch: from
+the sequence lengths and the padded width L it builds the
+:class:`~tall.tensor.Packing` of the real positions (:func:`packing`),
+gathers the token embeddings of those ids alone (or takes another
+stack's packed rows), and every activation from there on is packed rows
+[N, d], one per real token, so no linear, norm, GELU, tied head or loss
+runs on a PAD position; attention alone scatters to the [B, L] grid, and
+when every position is real the packing is a reshape.  It adds the
+stack's learned ``<prefix>.pos`` table at each real position (and
+rejects a sequence longer than that table), builds the self mask from
+the sequence lengths, causal exactly when the stack's
+:class:`~tall.nn.LayerConfig` says so, builds the cross mask and the
+memory's packing from the memory lengths, and, when its caller passes
+``read`` (one position per row, as Hugging Face's ``logits_to_keep``
+does), runs the last layer's queries, feed-forward and the final norm on
+those positions alone.  The callers that read one next-token row pass
+``read``: ``next_token_logits``, the soft prompt and stage 7 of the
+pipeline; teacher-forced training reads every real position, so its
+logits are [N, V] and its labels are the target sequences laid end to
+end.  Greedy decoding is incremental: ``decoder_forward`` with a
+per-layer :class:`~tall.nn.LayerCache` list embeds only the newest token,
+at the position after the cached ones, appends its self-attention keys
+and values to the cache and projects the encoder memory into
+cross-attention keys and values once, on the first step; every step is a
+full batch, so its packing is a reshape.  Teacher-forced training passes
+no cache and runs the whole sequence in one call.
 
 Sequence conventions (content ids exclude specials):
 
@@ -85,6 +94,19 @@ def key_valid_mask(lengths: np.ndarray, l_query: int, l_key: int) -> np.ndarray:
     return np.broadcast_to(valid[:, None, :], (len(lengths), l_query, l_key))
 
 
+def packing(lengths: np.ndarray, width: int, start: int = 0) -> T.Packing:
+    """The real positions of a [B, width] call whose first position is
+    ``start``: position j of row i is real iff ``start + j < lengths[i]``.
+
+    Rows are packed in row-major order, so row i's real positions are
+    consecutive and follow those of rows 0 .. i - 1; when every position
+    is real the packing is a reshape.
+    """
+    valid = start + np.arange(width)[None, :] < np.asarray(lengths)[:, None]
+    return T.Packing(len(valid), width,
+                     None if valid.all() else np.flatnonzero(valid))
+
+
 def _p(prefix: str, name: str) -> str:
     return f"{prefix}.{name}" if prefix else name
 
@@ -94,51 +116,87 @@ def tied_logits(hidden: Tensor, embed: Tensor) -> Tensor:
     return T.matmul(hidden, T.swapaxes(embed, 0, 1))
 
 
-def _stack_forward(x: Tensor, store: ParamStore, prefix: str, n_layers: int,
+def _width(lengths: np.ndarray, start: int = 0) -> int:
+    """The grid width ``pad_batch`` gives rows of ``lengths`` past ``start``."""
+    return max(1, int(np.max(lengths, initial=0)) - start)
+
+
+def _stack_forward(x, store: ParamStore, prefix: str, n_layers: int,
                    cfg: LayerConfig, lengths: np.ndarray, cross_kv=None,
                    cross_lengths=None, cache: list | None = None,
-                   read: np.ndarray | None = None) -> Tensor:
-    """One transformer stack over token embeddings ``x`` [B, L, d].
+                   read: np.ndarray | None = None,
+                   embed: Tensor | None = None) -> Tensor:
+    """One transformer stack over the real positions of a [B, L] batch.
+
+    ``x`` is token ids [B, L], looked up in ``embed``, or, without
+    ``embed``, input embeddings [N, d]: one row per real position, packed
+    as :func:`packing` packs them (another stack's output over the same
+    lengths), with L the width ``pad_batch`` gives.  The stack builds the
+    packing from ``lengths`` and L, gathers the token and position
+    embeddings of the real positions alone, and runs every position-wise
+    op on those N rows; attention alone sees the grid.
 
     Adds ``<prefix>.pos`` at positions ``start .. start + L - 1``, where
     ``start`` counts the tokens already in ``cache``, and masks keys at or
     past ``lengths`` (which count cached tokens too), causally iff
-    ``cfg.causal``; cross-attention to ``cross_kv`` masks keys at or past
-    ``cross_lengths``.  Returns [B, L, d], or with ``read`` [B] the hidden
-    state [B, d] of position ``read[i]`` of each row: the last layer then
-    runs its queries, feed-forward and the final norm on those rows alone.
-    With ``cache``, ``read`` indexes the call's new positions, so
-    ``read[i]`` is position ``start + read[i]`` of the whole sequence.
+    ``cfg.causal``; cross-attention to ``cross_kv``, the packed rows of a
+    batch of ``cross_lengths``, masks keys at or past ``cross_lengths``.
+    Returns the packed hidden states [N, d], or with ``read`` [B] the
+    hidden state [B, d] of position ``read[i]`` of each row: the last
+    layer then runs its queries, feed-forward and the final norm on those
+    rows alone.  With ``cache``, ``read`` indexes the call's new
+    positions, so ``read[i]`` is position ``start + read[i]`` of the
+    whole sequence.
     """
-    if read is not None and (n_layers < 1 or np.shape(read) != (x.shape[0],)):
+    lengths = np.asarray(lengths)
+    b = len(lengths)
+    if read is not None and (n_layers < 1 or np.shape(read) != (b,)):
         raise ShapeError(f"read must hold one position per row, got "
-                         f"{np.shape(read)} for {x.shape} over "
+                         f"{np.shape(read)} for {b} rows over "
                          f"{n_layers} layers")
     start = 0 if cache is None else cache[0].self_attn.length
-    end = start + x.shape[1]
+    width = x.shape[1] if embed is not None else _width(lengths, start)
+    end = start + width
     pos_table = store[_p(prefix, "pos")]
     if end > pos_table.shape[0]:
         raise ShapeError(
             f"sequence length {end} exceeds {_p(prefix, 'pos')} table "
             f"({pos_table.shape[0]} positions)"
         )
-    x = T.add(x, T.embedding(pos_table, np.arange(start, end)))
-    self_mask = key_valid_mask(lengths, x.shape[1], end)
+    rows = packing(lengths, width, start)
+    if embed is not None:
+        x = T.embedding(embed, rows.rows(np.asarray(x)))
+    elif x.shape[0] != rows.n:
+        raise ShapeError(f"{prefix or 'stack'} input has {x.shape[0]} rows, "
+                         f"but lengths {lengths.tolist()} give {rows.n}")
+    positions = rows.rows(np.broadcast_to(np.arange(start, end), (b, width)))
+    x = T.add(x, T.embedding(pos_table, positions))
+    self_mask = key_valid_mask(lengths, width, end)
     if cfg.causal:
         self_mask = self_mask & nn.causal_mask(end)[start:]
-    cross_mask = None if cross_kv is None else key_valid_mask(
-        cross_lengths, x.shape[1], cross_kv.shape[1])
+    cross_rows = cross_mask = None
+    if cross_kv is not None:
+        cross_width = _width(cross_lengths)
+        cross_rows = packing(cross_lengths, cross_width)
+        cross_mask = key_valid_mask(cross_lengths, width, cross_width)
+    read_rows = None
+    if read is not None:
+        if np.any(read < 0) or np.any(start + read >= lengths):
+            raise IndexError(f"read {np.asarray(read).tolist()} past the "
+                             f"real positions of lengths {lengths.tolist()}")
+        read_rows = rows.locate(np.arange(b) * width + read)
     for i in range(n_layers):
-        rows = read if i == n_layers - 1 else None
-        if rows is not None:
+        last = i == n_layers - 1
+        if last and read is not None:
             # the last layer's masks: the query row of each read position
-            pick = (np.arange(len(rows)), rows)
+            pick = (np.arange(b), read)
             self_mask = self_mask[pick][:, None]
             if cross_mask is not None:
                 cross_mask = cross_mask[pick][:, None]
         x = nn.transformer_layer_forward(
             x, cross_kv, cfg, store, _p(prefix, f"layers.{i}"), self_mask,
-            cross_mask, None if cache is None else cache[i], rows)
+            cross_mask, None if cache is None else cache[i],
+            read_rows if last else None, rows, cross_rows)
     return nn.layer_norm(x, store, _p(prefix, "final_ln"))
 
 
@@ -169,9 +227,10 @@ def init_decoder(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
 
 def encoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
                     ids: np.ndarray, lengths: np.ndarray) -> Tensor:
-    x = T.embedding(store[f"{prefix}.src_embed"], ids)
-    return _stack_forward(x, store, prefix, cfg.enc_layers,
-                          cfg.layer(causal=False), lengths)
+    """Encoder hidden states: the packed rows [N, d] of ``ids`` [B, L]."""
+    return _stack_forward(ids, store, prefix, cfg.enc_layers,
+                          cfg.layer(causal=False), lengths,
+                          embed=store[f"{prefix}.src_embed"])
 
 
 def decoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
@@ -179,18 +238,19 @@ def decoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
                     memory_lengths: np.ndarray,
                     cache: list[nn.LayerCache] | None = None,
                     read: np.ndarray | None = None) -> Tensor:
-    """Decoder hidden states for ``ids`` [B, L], or [B, d] at ``read``.
+    """Decoder hidden states for ``ids`` [B, L]: packed rows [N, d], or
+    [B, d] at ``read``; ``memory`` holds the packed encoder rows of a
+    batch of ``memory_lengths``.
 
     With ``cache`` (one :class:`~tall.nn.LayerCache` per layer) ``ids``
     continue the tokens already cached, and ``lengths`` count the cached
     tokens too.  The first call with fresh caches projects ``memory`` for
     cross-attention; later calls reuse that projection.
     """
-    x = T.embedding(store[f"{prefix}.tgt_embed"], ids)
-    return _stack_forward(x, store, prefix, cfg.dec_layers,
+    return _stack_forward(ids, store, prefix, cfg.dec_layers,
                           cfg.layer(causal=True), lengths, cross_kv=memory,
                           cross_lengths=memory_lengths, cache=cache,
-                          read=read)
+                          read=read, embed=store[f"{prefix}.tgt_embed"])
 
 
 class Translator:
@@ -213,16 +273,15 @@ class Translator:
         return encoder_forward(self.store, "encoder", self.cfg, ids, lengths), lengths
 
     def teacher_logits(self, src_seqs: list, tgt_seqs: list
-                       ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-        """Teacher-forced logits plus (labels, label_mask) for the loss."""
+                       ) -> tuple[Tensor, np.ndarray]:
+        """Teacher-forced logits [N, V], one row per target token, and
+        their labels [N]."""
         memory, mem_lengths = self.encode(src_seqs)
         dec_ids, dec_lengths = pad_batch([[BOS] + list(t) for t in tgt_seqs])
-        labels, _ = pad_batch([list(t) + [EOS] for t in tgt_seqs])
         hidden = decoder_forward(self.store, "decoder", self.cfg, dec_ids,
                                  dec_lengths, memory, mem_lengths)
         logits = tied_logits(hidden, self.store["decoder.tgt_embed"])
-        mask = np.arange(labels.shape[1])[None, :] < dec_lengths[:, None]
-        return logits, labels, mask
+        return logits, _packed_labels(tgt_seqs)
 
     def greedy_translate(self, src_seqs: list, cap: int | None = None) -> list:
         """Deterministic argmax decode; returns content ids without EOS.
@@ -246,7 +305,7 @@ class Translator:
                                      np.full(b, t + 1), memory, mem_lengths,
                                      cache)
             logits = tied_logits(hidden, self.store["decoder.tgt_embed"]).data
-            nxt = logits[:, -1].argmax(axis=1)
+            nxt = logits.argmax(axis=1)
             done = done | (nxt == EOS)
             step_ids = np.where(done, PAD, nxt)[:, None]
             for i in np.flatnonzero(~done & (nxt != PAD)):
@@ -272,32 +331,42 @@ class CausalLM:
         return cls(cfg, store)
 
     def hidden_from_ids(self, ids: np.ndarray, lengths: np.ndarray,
-                        read: np.ndarray | None = None) -> Tensor:
-        x = T.embedding(self.store["tok_embed"], ids)
-        return self.hidden_from_embeddings(x, lengths, read)
+                        read: np.ndarray | None = None,
+                        cache: list[nn.LayerCache] | None = None) -> Tensor:
+        """Run the blocks on token ids [B, L]: packed rows [N, d], or
+        [B, d] at positions ``read``; with ``cache`` ``ids`` continue the
+        cached tokens (see ``_stack_forward``)."""
+        return _stack_forward(ids, self.store, "", self.cfg.n_layers,
+                              self.cfg.layer(), lengths, cache=cache,
+                              read=read, embed=self.store["tok_embed"])
 
     def hidden_from_embeddings(self, x: Tensor, lengths: np.ndarray,
                                read: np.ndarray | None = None,
                                cache: list[nn.LayerCache] | None = None
                                ) -> Tensor:
-        """Run the blocks, positions included, on input embeddings: [B, L,
-        d], or [B, d] at positions ``read``; with ``cache`` ``x``
-        continues the cached embeddings (see ``_stack_forward``)."""
+        """Run the blocks, positions included, on input embeddings: the
+        packed rows [N, d] of a batch of ``lengths``; returns [N, d], or
+        [B, d] at positions ``read``.  With ``cache`` ``x`` continues the
+        cached embeddings (see ``_stack_forward``)."""
         return _stack_forward(x, self.store, "", self.cfg.n_layers,
                               self.cfg.layer(), lengths, cache=cache,
                               read=read)
 
-    def logits_for(self, seqs: list) -> tuple[Tensor, np.ndarray, np.ndarray]:
-        """Teacher-forced LM logits plus (labels, mask) for training."""
+    def logits_for(self, seqs: list) -> tuple[Tensor, np.ndarray]:
+        """Teacher-forced LM logits [N, V], one row per label, and their
+        labels [N], for training."""
         ids, lengths = pad_batch([[BOS] + list(s) for s in seqs])
-        labels, _ = pad_batch([list(s) + [EOS] for s in seqs])
         hidden = self.hidden_from_ids(ids, lengths)
-        logits = tied_logits(hidden, self.store["tok_embed"])
-        mask = np.arange(labels.shape[1])[None, :] < lengths[:, None]
-        return logits, labels, mask
+        return tied_logits(hidden, self.store["tok_embed"]), _packed_labels(seqs)
 
     def next_token_logits(self, prefixes: list) -> np.ndarray:
         """Logits over the vocabulary for the token after each prefix."""
         ids, lengths = pad_batch([[BOS] + list(p) for p in prefixes])
         hidden = self.hidden_from_ids(ids, lengths, read=lengths - 1)
         return tied_logits(hidden, self.store["tok_embed"]).data
+
+
+def _packed_labels(seqs: list) -> np.ndarray:
+    """The labels ``tokens + [EOS]`` of every sequence, end to end: the
+    packed order of the rows of a ``[BOS] + tokens`` batch."""
+    return np.array([t for s in seqs for t in (*s, EOS)], dtype=np.int64)

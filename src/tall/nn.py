@@ -15,7 +15,12 @@ its matching ``init_*`` function created.  Conventions:
 * every projection is one :func:`tensor.linear` node and every attention
   core (scores, mask, softmax, context) one :func:`tensor.attention`
   node, so the tape keeps one record per composite.
-* a layer given ``read`` (one position per row) runs everything after
+* a layer's activations are packed rows [N, d], one per real token of a
+  [B, L] grid described by a :class:`tensor.Packing` (built by
+  ``models._stack_forward``); every projection, norm and feed-forward
+  runs on those rows, and only :func:`tensor.attention` sees the grid.
+  A cache keeps its keys and values as a [B, L, d] grid.
+* a layer given ``read`` (one row per grid row) runs everything after
   its self-attention keys and values on those rows alone: this module is
   the one caller of :func:`tensor.take_rows`.
 * the dimension-alignment adapter is Linear -> LayerNorm -> GELU ->
@@ -79,15 +84,15 @@ class LayerConfig:
 
 @dataclass
 class KVCache:
-    """Projected keys and values [B, L, d] one attention block keeps
-    between incremental decode calls.
+    """Projected keys and values one attention block keeps between
+    incremental decode calls.
 
-    With ``grow`` (self-attention) every call appends its keys and values
-    and attends over all of them; one row is a prefix that a call of B
-    rows broadcasts to every row (backward sums the rows' gradients).
-    Without it (cross-attention) the first call projects its key/value
-    input and later calls reuse the result, ignoring their key/value
-    input.
+    Both are kept as a [B, L, d] grid.  With ``grow`` (self-attention)
+    every call appends its keys and values and attends over all of them;
+    one row is a prefix that a call of B rows broadcasts to every row
+    (backward sums the rows' gradients).  Without it (cross-attention)
+    the first call projects its key/value rows and later calls reuse the
+    result, ignoring their key/value input.
     """
 
     grow: bool
@@ -304,24 +309,29 @@ def _mask_bias(mask: np.ndarray, dtype) -> np.ndarray:
 
 def multi_head_attention(q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
                          cfg: AttentionConfig, store: ParamStore,
-                         prefix: str, cache: KVCache | None = None) -> Tensor:
-    """Scaled dot-product attention of ``q_in`` [B, Lq, d], or [B, d] for
-    one query per row, over ``kv_in`` [B, Lkv, d_kv].
+                         prefix: str, cache: KVCache | None = None,
+                         q_rows: T.Packing | None = None,
+                         kv_rows: T.Packing | None = None) -> Tensor:
+    """Scaled dot-product attention of the query rows ``q_in`` [Nq, d] of
+    the [B, Lq] grid ``q_rows`` over the rows ``kv_in`` [Nkv, d_kv] of
+    the [B, Lkv] grid ``kv_rows``; an input given without its packing is
+    a [B, L, d] grid.
 
-    ``mask`` is [Lq, Lkv] or [B, Lq, Lkv], with Lq = 1 for one query per
-    row.  With ``cache`` the keys and values come from, and go to, the
-    cache, so ``mask`` spans every cached key: [B, Lq, Lcache].
+    ``mask`` is [Lq, Lkv] or [B, Lq, Lkv].  With ``cache`` the keys and
+    values come from, and go to, the cache, which keeps them as a
+    [B, Lcache, d] grid, so ``mask`` spans every cached key:
+    [B, Lq, Lcache].
     """
-    if (q_in.ndim not in (2, 3) or kv_in.ndim != 3
-            or q_in.shape[-1] != cfg.d_model or kv_in.shape[-1] != cfg.kv_dim):
+    if q_in.shape[-1] != cfg.d_model or kv_in.shape[-1] != cfg.kv_dim:
         raise ShapeError(
-            f"attention {prefix!r} expects [B, L, d] inputs ([B, d] queries "
-            f"allowed) with q last dim {cfg.d_model} and kv last dim "
-            f"{cfg.kv_dim}, got {q_in.shape} and {kv_in.shape}"
+            f"attention {prefix!r} expects [B, L, d] inputs or [N, d] rows "
+            f"with q last dim {cfg.d_model} and kv last dim {cfg.kv_dim}, "
+            f"got {q_in.shape} and {kv_in.shape}"
         )
-    b = q_in.shape[0]
-    if cache is not None and cache.k is not None and cache.k.shape[0] != b:
-        if not cache.grow or cache.k.shape[0] != 1:
+    b = q_in.shape[0] if q_rows is None else q_rows.batch
+    if (cache is not None and cache.grow and cache.k is not None
+            and cache.k.shape[0] != b):
+        if cache.k.shape[0] != 1:
             raise ShapeError(f"attention {prefix!r} got {b} rows against a "
                              f"cache of {cache.k.shape[0]}")
         cache.k, cache.v = (T.broadcast_to(t, (b,) + t.shape[1:])
@@ -333,11 +343,17 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
         k = linear(kv_in, store, f"{prefix}.k")
         v = linear(kv_in, store, f"{prefix}.v")
         if cache is not None:
+            if kv_rows is not None:
+                # a cache holds the grid, so its rows are scattered once
+                k, v = T.to_grid(k, kv_rows), T.to_grid(v, kv_rows)
             if cache.k is not None:
                 k = T.concat([cache.k, k], axis=1)
                 v = T.concat([cache.v, v], axis=1)
             cache.k, cache.v = k, v
-    ctx = T.attention(q, k, v, _mask_bias(mask, q.dtype), cfg.n_heads)
+    if cache is not None:
+        kv_rows = None
+    ctx = T.attention(q, k, v, _mask_bias(mask, q.dtype), cfg.n_heads,
+                      q_rows, kv_rows)
     return linear(ctx, store, f"{prefix}.out")
 
 
@@ -350,23 +366,29 @@ def transformer_layer_forward(x: Tensor, cross_kv: Tensor | None,
                               self_mask: np.ndarray,
                               cross_mask: np.ndarray | None = None,
                               cache: LayerCache | None = None,
-                              read: np.ndarray | None = None) -> Tensor:
-    """One pre-LN layer; with ``cache`` the masks span the cached keys.
+                              read: np.ndarray | None = None,
+                              rows: T.Packing | None = None,
+                              cross_rows: T.Packing | None = None) -> Tensor:
+    """One pre-LN layer over the packed rows ``x`` [N, d] of the grid
+    ``rows`` (or a [B, L, d] grid when ``rows`` is None), with
+    cross-attention to ``cross_kv``, packed by ``cross_rows``; with
+    ``cache`` the masks span the cached keys.
 
-    With ``read`` [B] the self-attention keys and values still span every
-    position of ``x`` [B, L, d], but the queries, the residual stream,
-    cross-attention and the feed-forward run on row ``read[i]`` of each
-    ``x[i]`` alone; the masks then hold one query row each, [B, 1, Lkv],
+    With ``read`` [B], one row of ``x`` per grid row, the self-attention
+    keys and values still span every row of ``x``, but the queries, the
+    residual stream, cross-attention and the feed-forward run on rows
+    ``read`` alone; the masks then hold one query row each, [B, 1, Lkv],
     and the layer returns [B, d].
     """
     normed = layer_norm(x, store, f"{prefix}.ln_self")
-    queries = normed
+    queries, q_rows = normed, rows
     if read is not None:
         x = T.take_rows(x, read)
         queries = T.take_rows(normed, read)
+        q_rows = T.Packing(len(read), 1)
     h = T.add(x, multi_head_attention(
         queries, normed, self_mask, cfg.attn(), store, f"{prefix}.self_attn",
-        None if cache is None else cache.self_attn))
+        None if cache is None else cache.self_attn, q_rows, rows))
     if cross_kv is not None:
         if cross_mask is None:
             raise ContractError("cross_kv given without cross_mask")
@@ -374,6 +396,6 @@ def transformer_layer_forward(x: Tensor, cross_kv: Tensor | None,
             layer_norm(h, store, f"{prefix}.ln_cross"), cross_kv,
             cross_mask, cfg.attn(cross_kv.shape[-1]), store,
             f"{prefix}.cross_attn",
-            None if cache is None else cache.cross_attn))
+            None if cache is None else cache.cross_attn, q_rows, cross_rows))
     return T.add(h, ffn_forward(layer_norm(h, store, f"{prefix}.ln_ffn"),
                                 store, f"{prefix}.ffn"))

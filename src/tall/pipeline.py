@@ -19,7 +19,10 @@ Only {adapter1, bridge1, adapter2, bridge2} ever receive gradients;
 training uses the final-token loss exclusively.  Bridge 1 runs at the LM
 width and bridge 2 at the decoder width; the backbones fix every width
 the trainable parts connect to, so :class:`TallConfig` holds only the
-free choices and a stage width mismatch cannot be configured.  The
+free choices and a stage width mismatch cannot be configured.  Stages
+1 to 6 pass packed rows [N, d], one per real token (see
+``models._stack_forward``): stages 1 and 2 over the LR prefix's
+lengths, stages 3 to 6 over the translation's.  The
 forward pass returns the final-position logits [B, V_lr], for training
 and inference alike (``TallModel.final_logits``), and does no sampling;
 :mod:`tall.evaluation` draws the answer.
@@ -149,10 +152,11 @@ class TallModel:
     def bridge1_forward(self, hr_ids: np.ndarray, hr_lengths: np.ndarray,
                         h_a1: Tensor, a1_lengths: np.ndarray) -> Tensor:
         """Stage 3: causal bridge over LM token embeddings + cross-attn."""
-        x = T.embedding(self.store["llm.tok_embed"], hr_ids)
-        return _stack_forward(x, self.store, "bridge1", self.cfg.bridge1.n_layers,
-                              self.bridge1_layer, hr_lengths,
-                              cross_kv=h_a1, cross_lengths=a1_lengths)
+        return _stack_forward(hr_ids, self.store, "bridge1",
+                              self.cfg.bridge1.n_layers, self.bridge1_layer,
+                              hr_lengths, cross_kv=h_a1,
+                              cross_lengths=a1_lengths,
+                              embed=self.store["llm.tok_embed"])
 
     def llm_blocks(self, h_b1: Tensor, hr_lengths: np.ndarray) -> Tensor:
         """Stage 4: frozen LM blocks on injected embeddings, positions re-added."""

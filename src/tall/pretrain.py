@@ -150,9 +150,8 @@ def train_translator(direction: str, model_cfg: Seq2SeqConfig,
     model = Translator.init(model_cfg, train_cfg.seed)
 
     def loss_fn(batch_idx):
-        logits, labels, mask = model.teacher_logits(
-            [train[i][0] for i in batch_idx], [train[i][1] for i in batch_idx])
-        return T.cross_entropy_sum(logits, labels, mask)
+        return T.cross_entropy_sum(*model.teacher_logits(
+            [train[i][0] for i in batch_idx], [train[i][1] for i in batch_idx]))
 
     metrics = fit(model.store, train_cfg, len(train), loss_fn)
     step = len(metrics)
@@ -195,8 +194,8 @@ def train_llm(model_cfg: CausalLMConfig, sequences: list,
         model_cfg, train_cfg.seed)
 
     def loss_fn(batch_idx):
-        logits, labels, mask = model.logits_for([train[i] for i in batch_idx])
-        return T.cross_entropy_sum(logits, labels, mask)
+        return T.cross_entropy_sum(*model.logits_for(
+            [train[i] for i in batch_idx]))
 
     metrics = fit(model.store, train_cfg, len(train), loss_fn)
     step = len(metrics)
@@ -219,8 +218,7 @@ def llm_perplexity(model: CausalLM, sequences: list,
     total, count = 0.0, 0
     for start in range(0, len(sequences), batch_size):
         batch = sequences[start : start + batch_size]
-        logits, labels, mask = model.logits_for(batch)
-        loss_sum, n = T.cross_entropy_sum(logits, labels, mask)
+        loss_sum, n = T.cross_entropy_sum(*model.logits_for(batch))
         total += loss_sum.item()
         count += n
     return float(np.exp(total / count))

@@ -18,21 +18,28 @@ Design constraints, in order of priority:
   default.  float32 is supported but excluded from gradient-check
   tolerances.
 * memory: what the tape keeps alive sets a training run's peak, and no
-  kernel copies an array to change its layout.  The two composites every
-  transformer layer repeats are single nodes with a hand-written
+  kernel copies an array to change its layout.  A transformer stack's
+  activations are packed rows [N, d], one per real token (see
+  :class:`Packing`), not a padded [B, L, d] grid: every position-wise
+  op (linear, layer norm, GELU, residual add, the tied head and
+  :func:`cross_entropy_sum`) runs on real tokens only, and the tape holds
+  [N, d].  :func:`attention` is the one op that needs the grid; it
+  scatters its rows into it and gathers the context rows back, and when
+  every position is real the packing is a reshape.  The two composites
+  every transformer layer repeats are single nodes with a hand-written
   backward: :func:`linear` (product plus bias) and :func:`attention`
   (head split, scores, mask, softmax, context and head merge), which
   works on head views and keeps only its softmax probabilities.  Both
   replay the array operations of the compositions they replace, so on
-  the reference kernel their bytes match them.  :meth:`Tape.backward` drops each intermediate gradient once
-  its node has run, so after backward only leaves hold ``grad``.  Layer
-  norm and GELU compute forward and backward in place on their own
-  buffers, in the arithmetic order of the formulas, so they keep no
-  temporaries beyond what backward reads.  A stack's last layer runs on
-  the rows its caller reads (:func:`take_rows`), so the tape holds
-  [B, d] rather than [B, L, d] for that layer, the final norm and the
-  head, and :func:`cross_entropy_last_token` takes those [B, V] logits
-  without a [B, L, V] gradient.
+  the reference kernel their bytes match them.  :meth:`Tape.backward`
+  drops each intermediate gradient once its node has run, so after
+  backward only leaves hold ``grad``.  Layer norm and GELU compute
+  forward and backward in place on their own buffers, in the arithmetic
+  order of the formulas, so they keep no temporaries beyond what
+  backward reads.  A stack's last layer runs on the rows its caller
+  reads (:func:`take_rows`), so the tape holds [B, d] for that layer,
+  the final norm and the head, and :func:`cross_entropy_last_token`
+  takes those [B, V] logits.
 
 Recording happens only while a :class:`Tape` is active, so inference
 code that never opens a tape pays no autodiff overhead.
@@ -41,6 +48,7 @@ code that never opens a tape pays no autodiff overhead.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -218,15 +226,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _register(out, (a,), bwd)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-
-    def bwd(g):
-        return (g.reshape(a.data.shape),)
-
-    return _register(out, (a,), bwd)
-
-
 def swapaxes(a: Tensor, i: int, j: int) -> Tensor:
     out = Tensor(np.swapaxes(a.data, i, j))
 
@@ -261,26 +260,88 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """Row ``rows[i]`` of each ``a[i]``: ``a`` [B, L, ...] -> [B, ...].
+    """Rows ``rows`` [B] of ``a`` [N, ...]: [B, ...].
 
     One node; backward scatters the gradient into zeros of ``a``'s
     shape, so every row not taken gets an exact zero.
     """
     rows = np.asarray(rows)
-    if a.ndim < 2 or rows.shape != (a.shape[0],):
-        raise ShapeError(f"take_rows needs a [B, L, ...] operand and rows "
-                         f"[B], got {a.shape} and {rows.shape}")
-    if rows.size and (rows.min() < 0 or rows.max() >= a.shape[1]):
-        raise IndexError(f"take_rows rows out of range [0, {a.shape[1]})")
-    batch = np.arange(a.shape[0])
-    out = Tensor(a.data[batch, rows])
+    if a.ndim < 1 or rows.ndim != 1:
+        raise ShapeError(f"take_rows needs an [N, ...] operand and rows [B], "
+                         f"got {a.shape} and {rows.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= a.shape[0]):
+        raise IndexError(f"take_rows rows out of range [0, {a.shape[0]})")
+    out = Tensor(a.data[rows])
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        ga[batch, rows] = g
+        ga[rows] = g
         return (ga,)
 
     return _register(out, (a,), bwd)
+
+
+@dataclass(frozen=True, eq=False)
+class Packing:
+    """Where N packed rows sit in a [B, L] grid of positions.
+
+    ``index`` [N] holds each row's flat position ``b * L + l``, in
+    increasing order; it is None when every position of the grid is a row
+    (N = B * L), and packing is then a reshape.  ``models.packing`` builds
+    the index from sequence lengths.
+    """
+
+    batch: int
+    width: int
+    index: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.batch * self.width if self.index is None else len(self.index)
+
+    def grid(self, rows: np.ndarray) -> np.ndarray:
+        """[N, ...] rows (or, with no index, an array of the grid's size)
+        -> [B, L, ...], zeros at the positions that are not rows."""
+        if self.index is None:
+            return rows.reshape((self.batch, self.width) + rows.shape[-1:])
+        out = np.zeros((self.batch * self.width,) + rows.shape[1:], rows.dtype)
+        out[self.index] = rows
+        return out.reshape((self.batch, self.width) + rows.shape[1:])
+
+    def rows(self, grid: np.ndarray) -> np.ndarray:
+        """[B, L, ...] -> the [N, ...] rows."""
+        flat = grid.reshape((self.batch * self.width,) + grid.shape[2:])
+        return flat if self.index is None else flat.take(self.index, axis=0)
+
+    def locate(self, flat: np.ndarray) -> np.ndarray:
+        """The packed row of each flat grid position ``flat`` (each a row)."""
+        return flat if self.index is None else np.searchsorted(self.index, flat)
+
+
+def _grid_rows(x: np.ndarray, rows: Packing | None, what: str) -> Packing:
+    """``rows``, checked against packed ``x`` [N, d]; with no ``rows``,
+    ``x`` is itself a [B, L, d] grid, every position a row."""
+    if rows is None:
+        if x.ndim != 3:
+            raise ShapeError(f"{what} needs a [B, L, d] grid or [N, d] rows "
+                             f"with their packing, got {x.shape}")
+        return Packing(x.shape[0], x.shape[1])
+    if x.ndim != 2 or x.shape[0] != rows.n:
+        raise ShapeError(f"{what} rows {x.shape} do not match a packing of "
+                         f"{rows.n} rows")
+    return rows
+
+
+def to_grid(x: Tensor, rows: Packing) -> Tensor:
+    """Packed rows ``x`` [N, d] as their [B, L, d] grid, zeros where the
+    grid has no row; backward gathers the rows' gradients."""
+    _grid_rows(x.data, rows, "to_grid")
+    out = Tensor(rows.grid(x.data))
+
+    def bwd(g):
+        return (rows.rows(g),)
+
+    return _register(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -348,31 +409,38 @@ def linear(x, w, b) -> Tensor:
     return _register(out, (x, w, b), bwd)
 
 
-def attention(q, k, v, bias: np.ndarray, n_heads: int) -> Tensor:
+def attention(q, k, v, bias: np.ndarray, n_heads: int,
+              q_rows: Packing | None = None,
+              kv_rows: Packing | None = None) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
-    ``q`` [B, Lq, d], ``k`` and ``v`` [B, Lkv, d] are projected inputs;
-    ``bias`` is an additive logits bias that broadcasts to [B, h, Lq,
-    Lkv].  Returns the merged heads' context [B, Lq, d]; a ``q`` of
-    [B, d] is one query per row (Lq = 1) and gives a [B, d] context.
-    Products run on head views and write through the head view of a
-    fresh [B, L, d] result, so nothing is copied.  The node keeps only
-    the softmax probabilities P; backward uses dS = P * (dP - rowsum(dP *
-    P)) * scale, the softmax backward of FlashAttention (Dao et al.
-    2022).  Every array operation is the one the primitive composition
-    (reshape, swapaxes, matmul, scale, add, softmax) performs, so on the
-    reference kernel the bytes match it.
+    ``q`` holds the packed query rows [Nq, d] of the [B, Lq] grid
+    ``q_rows``, and ``k`` and ``v`` the key and value rows [Nkv, d] of
+    the [B, Lkv] grid ``kv_rows``; an operand given without its packing
+    is a [B, L, d] grid.  ``bias`` is an additive logits bias that
+    broadcasts to [B, h, Lq, Lkv].  Returns the merged heads' context,
+    shaped like ``q``.  This is the one op that needs the grid: it
+    scatters its rows into the head views of [B, L, d] buffers (a
+    reshape when every position is a row), and gathers the context rows
+    back; backward scatters them again rather than keep the grids on the
+    tape.  Products run on head views and write through the head view of
+    a fresh [B, L, d] result.  The node keeps only the softmax
+    probabilities P; backward uses dS = P * (dP - rowsum(dP * P)) *
+    scale, the softmax backward of FlashAttention (Dao et al. 2022).
+    Every array operation is the one the primitive composition (reshape,
+    swapaxes, matmul, scale, add, softmax) performs, so on the reference
+    kernel the bytes match it.
     """
     q_d, k_d, v_d = _data(q), _data(k), _data(v)
-    q_shape = q_d.shape
-    if q_d.ndim == 2:
-        q_d = q_d[:, None]
-    if (q_d.ndim != 3 or k_d.ndim != 3 or v_d.shape != k_d.shape
-            or q_d.shape[0] != k_d.shape[0] or q_d.shape[2] != k_d.shape[2]):
-        raise ShapeError(f"attention needs q [B, Lq, d] and k, v [B, Lkv, d], "
-                         f"got {q_d.shape}, {k_d.shape} and {v_d.shape}")
-    b, lq, d = q_d.shape
-    lkv = k_d.shape[1]
+    q_rows = _grid_rows(q_d, q_rows, "attention q")
+    kv_rows = _grid_rows(k_d, kv_rows, "attention k")
+    if (v_d.shape != k_d.shape or q_rows.batch != kv_rows.batch
+            or q_d.shape[-1] != k_d.shape[-1]):
+        raise ShapeError(f"attention needs q [B, Lq, d] and k, v [B, Lkv, d] "
+                         f"grids, got {q_d.shape}, {k_d.shape} and "
+                         f"{v_d.shape} over grids of {q_rows.batch} and "
+                         f"{kv_rows.batch} rows")
+    b, lq, lkv, d = q_rows.batch, q_rows.width, kv_rows.width, q_d.shape[-1]
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention width {d} not divisible by {n_heads} heads")
     hd = d // n_heads
@@ -388,30 +456,37 @@ def attention(q, k, v, bias: np.ndarray, n_heads: int) -> Tensor:
         _product(x, y, out=heads(merged, length))
         return merged
 
-    p = _product(heads(q_d, lq), np.swapaxes(heads(k_d, lkv), 2, 3))
+    p = _product(heads(q_rows.grid(q_d), lq),
+                 np.swapaxes(heads(kv_rows.grid(k_d), lkv), 2, 3))
     p *= c
     p += bias
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor(merged_product(p, heads(v_d, lkv), lq).reshape(q_shape))
+    out = Tensor(q_rows.rows(merged_product(p, heads(kv_rows.grid(v_d), lkv),
+                                            lq)).reshape(q_d.shape))
 
     def bwd(g):
-        g_ctx = heads(g.reshape(b, lq, d), lq)
+        # the grids are scattered again here, not kept alive on the tape
+        g_ctx = heads(q_rows.grid(g), lq)
         gq = gk = gv = None
         if _needs_grad(v):
-            gv = merged_product(np.swapaxes(p, -1, -2), g_ctx, lkv)
+            gv = kv_rows.rows(merged_product(np.swapaxes(p, -1, -2), g_ctx,
+                                             lkv)).reshape(v_d.shape)
         if _needs_grad(q) or _needs_grad(k):
-            ds = _product(g_ctx, np.swapaxes(heads(v_d, lkv), -1, -2))
+            ds = _product(g_ctx, np.swapaxes(heads(kv_rows.grid(v_d), lkv),
+                                             -1, -2))
             dot = (ds * p).sum(axis=-1, keepdims=True)
             ds -= dot
             ds *= p
             ds *= c
             if _needs_grad(q):
-                gq = merged_product(ds, heads(k_d, lkv), lq).reshape(q_shape)
+                gq = q_rows.rows(merged_product(
+                    ds, heads(kv_rows.grid(k_d), lkv), lq)).reshape(q_d.shape)
             if _needs_grad(k):
-                gk = merged_product(np.swapaxes(ds, -1, -2), heads(q_d, lq),
-                                    lkv)
+                gk = kv_rows.rows(merged_product(
+                    np.swapaxes(ds, -1, -2), heads(q_rows.grid(q_d), lq), lkv)
+                ).reshape(k_d.shape)
         return gq, gk, gv
 
     return _register(out, (q, k, v), bwd)
@@ -515,6 +590,9 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
+    """Rows ``ids`` of ``table``.  Backward adds each gradient row into
+    its id's row in the order of ``ids``, element by element through
+    ``np.add.at`` on the flat table (its one-dimensional fast path)."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(
@@ -524,8 +602,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     out = Tensor(table.data[ids])
 
     def bwd(g):
+        d = table.shape[-1]
         dt = np.zeros_like(table.data)
-        np.add.at(dt, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
+        np.add.at(dt.reshape(-1), (ids.reshape(-1, 1) * d + np.arange(d)
+                                   ).reshape(-1), g.reshape(-1))
         return (dt,)
 
     return _register(out, (table,), bwd)
@@ -538,6 +618,31 @@ def _log_softmax_rows(rows: np.ndarray) -> np.ndarray:
     return shifted - lse
 
 
+def _nll(logits: Tensor, targets: np.ndarray, divisor: int) -> Tensor:
+    """Summed negative log-likelihood of each row of ``logits`` [N, V]
+    at ``targets`` [N], divided by ``divisor``."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if logits.ndim != 2:
+        raise ShapeError(f"logits must be [rows, vocab], got {logits.shape}")
+    n, vocab = logits.shape
+    if targets.shape != (n,):
+        raise ShapeError(f"targets must be ({n},), got {targets.shape}")
+    if n == 0:
+        raise ContractError("cross entropy needs at least one row")
+    if targets.min() < 0 or targets.max() >= vocab:
+        raise IndexError(f"target id out of range [0, {vocab})")
+    logp = _log_softmax_rows(logits.data)
+    out = Tensor(-logp[np.arange(n), targets].sum() / divisor)
+
+    def bwd(g):
+        p = np.exp(logp)
+        p[np.arange(n), targets] -= 1.0
+        p *= float(g) / divisor
+        return (p,)
+
+    return _register(out, (logits,), bwd)
+
+
 def cross_entropy_last_token(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of each example's final position.
 
@@ -545,57 +650,17 @@ def cross_entropy_last_token(logits: Tensor, targets: np.ndarray) -> Tensor:
     model computes alone (see ``models._stack_forward``'s ``read``);
     example i has class ``targets[i]``.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be [batch, vocab], got {logits.shape}")
-    b, vocab = logits.shape
-    if targets.shape != (b,):
-        raise ShapeError(f"targets must be ({b},), got {targets.shape}")
-    if targets.min() < 0 or targets.max() >= vocab:
-        raise IndexError(f"target id out of range [0, {vocab})")
-    logp = _log_softmax_rows(logits.data)
-    out = Tensor(-logp[np.arange(b), targets].sum() / b)
-
-    def bwd(g):
-        p = np.exp(logp)
-        p[np.arange(b), targets] -= 1.0
-        p *= float(g) / b
-        return (p,)
-
-    return _register(out, (logits,), bwd)
+    return _nll(logits, targets, logits.shape[0])
 
 
-def cross_entropy_sum(
-    logits: Tensor, targets: np.ndarray, mask: np.ndarray
-) -> tuple[Tensor, int]:
-    """Summed token-level cross entropy over masked-in positions.
+def cross_entropy_sum(logits: Tensor, targets: np.ndarray
+                      ) -> tuple[Tensor, int]:
+    """Summed token-level cross entropy of the packed rows ``logits``
+    [N, V] against ``targets`` [N]: one row per real token, so there is
+    no mask.
 
-    Returns (loss_sum, n_positions).  Sum reduction keeps gradient
-    accumulation over micro-batches exactly equivalent to one large
-    batch; callers normalize by the total position count at update time.
+    Returns (loss_sum, N).  Sum reduction keeps gradient accumulation
+    over micro-batches exactly equivalent to one large batch; callers
+    normalize by the total position count at update time.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    mask = np.asarray(mask, dtype=bool)
-    b, seq, vocab = logits.shape
-    if targets.shape != (b, seq) or mask.shape != (b, seq):
-        raise ShapeError(
-            f"targets/mask must be ({b}, {seq}), got {targets.shape} and {mask.shape}"
-        )
-    valid = targets[mask]
-    if valid.size == 0:
-        raise ContractError("cross_entropy_sum needs at least one valid position")
-    if valid.min() < 0 or valid.max() >= vocab:
-        raise IndexError(f"target id out of range [0, {vocab})")
-    rows = logits.data[mask]
-    logp = _log_softmax_rows(rows)
-    n = rows.shape[0]
-    out = Tensor(-logp[np.arange(n), valid].sum())
-
-    def bwd(g):
-        p = np.exp(logp)
-        p[np.arange(n), valid] -= 1.0
-        dl = np.zeros_like(logits.data)
-        dl[mask] = p * float(g)
-        return (dl,)
-
-    return _register(out, (logits,), bwd), n
+    return _nll(logits, targets, 1), logits.shape[0]

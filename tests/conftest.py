@@ -11,11 +11,14 @@ operands.
 Oracles: the einsum reference kernel, the primitive compositions the
 fused tape nodes replace (with ``batched_matmul``, the batched product
 only ``composed_attention`` needs), the all-positions stack that
-``read`` replaces, the per-row soft prompt that the shared prompt cache
-replaces, the finite-difference gradient check, and the tape
-ops and parameter count that only tests use (``mul``, ``sum_all``,
-``mean_all``, ``trainable_param_count``), the grammar as a materialized
-[V+1, V+1, V] transition table with its ``np.searchsorted`` sampler, and
+``read`` replaces, the padded stacks and masked loss that packed rows
+replace (``padded_rows``, ``masked_cross_entropy_sum``,
+``padded_teacher_loss``), the per-row soft prompt that the shared prompt
+cache replaces, the finite-difference gradient check, and the tape ops
+and parameter count that only tests use (``mul``, ``reshape``,
+``sum_all``, ``mean_all``, ``trainable_param_count``), the grammar as a
+materialized [V+1, V+1, V] transition table with its ``np.searchsorted``
+sampler, and
 the benchmark configuration built by hand, field by field.
 
 ``tensor.matmul`` and ``batched_matmul`` compute every product with one
@@ -38,7 +41,7 @@ from tall.config import (RunConfig, SamplerSection, SoftPromptSection,
                          TrainSection, WorldSection)
 from tall.evaluation import SamplerConfig
 from tall.pretrain import TrainConfig
-from tall.world import BOS, ToyGrammar, World
+from tall.world import BOS, EOS, ToyGrammar, World
 
 
 def train_config(**kw) -> TrainConfig:
@@ -102,6 +105,16 @@ def sum_all(a):
 
     def bwd(g):
         return (np.full_like(a.data, float(g)),)
+
+    return tensor._register(out, (a,), bwd)
+
+
+def reshape(a, shape):
+    """``a`` in another shape, one tape node."""
+    out = tensor.Tensor(a.data.reshape(shape))
+
+    def bwd(g):
+        return (g.reshape(a.data.shape),)
 
     return tensor._register(out, (a,), bwd)
 
@@ -206,24 +219,25 @@ def composed_attention(q, k, v, bias, n_heads: int):
     hd = d // n_heads
 
     def split(x, length):
-        return tensor.swapaxes(tensor.reshape(x, (b, length, n_heads, hd)), 1, 2)
+        return tensor.swapaxes(reshape(x, (b, length, n_heads, hd)), 1, 2)
 
     scores = tensor.scale(
         batched_matmul(split(q, lq), tensor.swapaxes(split(k, lkv), 2, 3)),
         hd ** -0.5)
     weights = tensor.softmax(tensor.add(scores, bias), axis=-1)
     ctx = batched_matmul(weights, split(v, lkv))
-    return tensor.reshape(tensor.swapaxes(ctx, 1, 2), (b, lq, d))
+    return reshape(tensor.swapaxes(ctx, 1, 2), (b, lq, d))
 
 
 @contextlib.contextmanager
 def all_positions():
     """The path ``read`` replaces: every transformer stack runs all its
-    positions, and a stack asked for rows returns the final valid row of
-    each sequence, ``lengths - 1``, whatever ``read`` says (every caller
-    that passes ``read`` reads the final position).  A cached call's rows
-    index its new positions, so they are offset by the cache length the
-    call starts from, taken before the call grows the cache."""
+    positions, and a stack asked for rows returns the final real row of
+    each sequence, position ``lengths - 1``, whatever ``read`` says (every
+    caller that passes ``read`` reads the final position).  A cached
+    call's rows are its new positions, ``lengths - start`` of them in
+    row i, where ``start`` is the cache length the call starts from,
+    taken before the call grows the cache."""
     stack = models._stack_forward
     signature = inspect.signature(stack)
 
@@ -234,7 +248,8 @@ def all_positions():
         hidden = stack(*args, **kwargs)
         if read is None:
             return hidden
-        return tensor.take_rows(hidden, bound["lengths"] - 1 - start)
+        return tensor.take_rows(hidden,
+                                np.cumsum(bound["lengths"] - start) - 1)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "_stack_forward", run)
@@ -242,17 +257,71 @@ def all_positions():
         yield
 
 
+@contextlib.contextmanager
+def padded_rows():
+    """The composition packing replaces: every transformer stack computes
+    every position of its [B, L] grid, pad positions included, and its
+    output holds B * L rows.  Pad positions stay out of every real row
+    only through the attention masks, and a loss must mask them out
+    afterwards (``padded_teacher_loss``)."""
+    def every_position(lengths, width, start=0):
+        return tensor.Packing(len(lengths), width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "packing", every_position)
+        yield
+
+
+def masked_cross_entropy_sum(logits, targets, mask):
+    """``tensor.cross_entropy_sum`` as it was on padded logits [B, L, V]:
+    summed over the positions ``mask`` keeps, with an exact-zero gradient
+    at every other position.  Returns (loss_sum, n_positions)."""
+    mask = np.asarray(mask, dtype=bool)
+    valid = np.asarray(targets, dtype=np.int64)[mask]
+    rows = logits.data[mask]
+    logp = tensor._log_softmax_rows(rows)
+    n = rows.shape[0]
+    out = tensor.Tensor(-logp[np.arange(n), valid].sum())
+
+    def bwd(g):
+        p = np.exp(logp)
+        p[np.arange(n), valid] -= 1.0
+        dl = np.zeros_like(logits.data)
+        dl[mask] = p * float(g)
+        return (dl,)
+
+    return tensor._register(out, (logits,), bwd), n
+
+
+def padded_teacher_loss(logits_fn, seqs: list):
+    """(loss_sum, n, logits [B, L, V], mask [B, L]) of the teacher-forced
+    ``logits_fn()`` (``Translator.teacher_logits`` or
+    ``CausalLM.logits_for``) run under ``padded_rows``; ``seqs`` are its
+    target sequences, whose labels ``seq + [EOS]`` the mask keeps."""
+    with padded_rows():
+        logits, _ = logits_fn()
+    labels, lengths = models.pad_batch([list(s) + [EOS] for s in seqs])
+    mask = np.arange(labels.shape[1])[None, :] < lengths[:, None]
+    grid = reshape(logits, labels.shape + (logits.shape[-1],))
+    return masked_cross_entropy_sum(grid, labels, mask) + (grid, mask)
+
+
 def per_row_soft_prompt_logits(llm, prompt, lm_prefixes):
     """``evaluation._soft_prompt_logits`` as it ran before the prompt got
     its shared cache: the prompt block copied into every row, and the
-    whole LM run over [B, P + L] positions."""
+    whole LM run over [B, P + L] positions, packed by their lengths."""
     ids, lengths = models.pad_batch([[BOS] + list(p) for p in lm_prefixes])
     tok = tensor.embedding(llm.store["tok_embed"], ids)
-    block = tensor.broadcast_to(tensor.reshape(prompt, (1,) + prompt.shape),
+    block = tensor.broadcast_to(reshape(prompt, (1,) + prompt.shape),
                                 (len(lm_prefixes),) + prompt.shape)
+    grid = tensor.concat([block, tok], axis=1)
+    b, width, d = grid.shape
     full_lengths = lengths + prompt.shape[0]
-    hidden = llm.hidden_from_embeddings(tensor.concat([block, tok], axis=1),
-                                        full_lengths, read=full_lengths - 1)
+    positions = models.packing(full_lengths, width).rows(
+        np.arange(b * width).reshape(b, width))
+    packed = tensor.take_rows(reshape(grid, (b * width, d)), positions)
+    hidden = llm.hidden_from_embeddings(packed, full_lengths,
+                                        read=full_lengths - 1)
     return models.tied_logits(hidden, llm.store["tok_embed"])
 
 

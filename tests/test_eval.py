@@ -25,7 +25,7 @@ from tall.nn import ParamStore, linear
 from tall.pretrain import train_translator
 from tall.tensor import (NumericalError, ShapeError, Tape, Tensor,
                          broadcast_to, cross_entropy_last_token)
-from tall.world import EOS, N_SPECIALS, World, generate_corpus
+from tall.world import EOS, N_SPECIALS, UNK, World, generate_corpus
 
 from conftest import (all_positions, assert_close, assert_parity,
                       per_row_soft_prompt_logits, prompt_in_every_row,
@@ -242,15 +242,17 @@ class TestNaive:
         ("special_token", "special_token"),
         ("other_language", "other_language"),
         ("empty_back_translation", "empty_back_translation"),
+        ("back_translated_special", "special_token"),
     ], ids=["hr2lr", "llm", "special_token", "other_language",
-            "empty_back_translation"])
+            "empty_back_translation", "back_translated_special"])
     def test_overlong_round_trip_scores_sentinel(self, tiny_world, limit,
                                                  reason):
         """One example leaves the round trip as a sentinel, with its
         reason, and the others keep the exact round trip's answer: an HR
         translation too long for the next model (hr2lr: itself plus the
         LM's token and EOS; the LM: itself plus BOS), an LM token that is
-        special or LR-side, or an empty back-translation."""
+        special or LR-side, an empty back-translation, or one whose last
+        token is special."""
         _, world, _, examples, _ = tiny_world
         examples = examples[:20]
         exact = exact_translator(world, "lr2hr")
@@ -288,6 +290,8 @@ class TestNaive:
                 out = hr2lr.greedy_translate(seqs)
                 if limit == "empty_back_translation":
                     out[long_row] = []
+                elif limit == "back_translated_special":
+                    out[long_row] = out[long_row][:-1] + [UNK]
                 return out
 
         sampler = sampler_config(seed=3)
@@ -504,8 +508,8 @@ class TestSoftPrompt:
         monkeypatch.setattr(nn, "linear", counting)
         prompt = Tensor(np.zeros((6, llm.cfg.d_model)))
         _soft_prompt_logits(llm, prompt, prefixes)
-        padded = 1 + max(len(p) for p in prefixes)  # BOS + tokens
-        assert rows == [6, 5 * padded]
+        # the prompt once, then the real token rows: BOS + tokens each
+        assert rows == [6, sum(1 + len(p) for p in prefixes)]
 
     def test_published_prompt_size_arithmetic(self):
         assert 30 * 96 == 2880

@@ -40,7 +40,7 @@ GOLDEN = {
     "direct.eval":
         "6a81fc35c1b6af1ec14cdd0e204531f69ba7caa37cd36f9167f0730df47dddea",
     "naive.eval":
-        "c2b0e4c238d44bf65ca2f0aa5a5bf5f343b854be4b0cf2bc629f8dfe41f57c8e",
+        "19f88599dad880cad53e0dbb3ea9bf746d990227b3eefc6ea3e6dae25df1eb84",
     "lr2hr.store":
         "507d6f26898d164de1a3e83eaf939ab95bf9f1450c230d1c1e3059d171d0b9a1",
     "lr2hr.metrics":

@@ -1,6 +1,6 @@
 """Import hygiene and the product seam, checked with the stdlib ``ast``.
 
-Eleven rules for every module under ``src/tall``:
+Thirteen rules for every module under ``src/tall``:
 
 - a module-level import binds a name the module references, unless its
   line carries ``# noqa: F401`` (an import kept on purpose);
@@ -16,6 +16,14 @@ Eleven rules for every module under ``src/tall``:
 - only ``models.py`` names a position table (a ``"pos"`` or ``"*.pos"``
   string) or calls a mask builder, so every transformer stack adds its
   positions and builds its masks in ``models._stack_forward``;
+- only ``models.py`` builds a packing index: it alone calls the builder
+  ``packing`` or passes an index to ``Packing``, so every stack packs
+  its real tokens the one way ``models._stack_forward`` does (a
+  ``Packing`` without an index, every grid position a row, is a reshape
+  any module may state);
+- no module subscripts with a boolean mask (``logits.data[mask]``, any
+  name containing ``mask``): loss rows are packed rows already, and a
+  masked selection would bring the padded rows back;
 - only ``pipeline.py`` (from the backbones' widths) and
   ``params_report.py`` (for the published presets) call ``AdapterSpec``,
   so the adapters' geometry is not stated a second time;
@@ -149,6 +157,30 @@ def stack_seam_sites(path: Path) -> list[str]:
                 and (node.value == "pos" or node.value.endswith(".pos"))):
             found.append(f"{path.name}:{node.lineno} {node.value!r}")
     return sorted(found)
+
+
+def packing_index_sites(path: Path) -> list[str]:
+    """``packing(...)`` calls and ``Packing(...)`` calls given an index."""
+    tree, _ = _parse(path)
+    found = calls_to(path, ("packing",))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and "Packing" in (getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None))
+                and (len(node.args) > 2
+                     or any(k.arg == "index" for k in node.keywords))):
+            found.append(f"{path.name}:{node.lineno} Packing(index)")
+    return sorted(found)
+
+
+def mask_subscripts(path: Path) -> list[str]:
+    """Subscripts by a bare name containing ``mask``: ``x.data[mask]``."""
+    tree, _ = _parse(path)
+    return sorted(f"{path.name}:{node.lineno} [{node.slice.id}]"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript)
+                  and isinstance(node.slice, ast.Name)
+                  and "mask" in node.slice.id)
 
 
 def adapter_spec_calls(path: Path) -> list[str]:
@@ -318,6 +350,17 @@ def test_only_models_adds_positions_and_builds_masks(path):
 
 
 @pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "models.py"], ids=lambda p: p.name)
+def test_only_models_builds_a_packing_index(path):
+    assert packing_index_sites(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_selects_rows_with_a_mask(path):
+    assert mask_subscripts(path) == []
+
+
+@pytest.mark.parametrize(
     "path", [p for p in MODULES
              if p.name not in ("pipeline.py", "params_report.py")],
     ids=lambda p: p.name)
@@ -424,6 +467,21 @@ def test_checks_catch_what_they_name(tmp_path):
         "seam.py:1 'bridge1.pos'", "seam.py:2 causal_mask",
         "seam.py:2 causal_valid_mask", "seam.py:3 key_valid_mask",
         "seam.py:4 '.pos'", "seam.py:4 'pos'"]
+    pack = tmp_path / "pack.py"
+    pack.write_text(
+        "rows = models.packing(lengths, width)\n"
+        "a = T.Packing(b, l, np.flatnonzero(valid)) or Packing(b, l, index=i)\n"
+        "q = T.Packing(len(read), 1) or packings(x)\n")
+    assert packing_index_sites(pack) == [
+        "pack.py:1 packing", "pack.py:2 Packing(index)",
+        "pack.py:2 Packing(index)"]
+    masked = tmp_path / "masked.py"
+    masked.write_text(
+        "rows = logits.data[mask]\n"
+        "dl[label_mask] = p\n"
+        "m = self_mask[pick] + x[np.arange(n), targets] + y[masks[0]]\n")
+    assert mask_subscripts(masked) == ["masked.py:1 [mask]",
+                                       "masked.py:2 [label_mask]"]
     spec = tmp_path / "spec.py"
     spec.write_text(
         "a1 = AdapterSpec(enc.d_model, t.adapter1_hidden, lm.d_model)\n"

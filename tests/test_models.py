@@ -21,7 +21,7 @@ from tall.nn import LayerCache
 from tall.tensor import ShapeError, Tape, Tensor
 from tall.world import BOS, EOS, N_SPECIALS, PAD
 
-from conftest import assert_close, assert_parity, mul, sum_all
+from conftest import assert_close, assert_parity, mul, reshape, sum_all
 
 CFG = Seq2SeqConfig(vocab_src=20, vocab_tgt=18, d_model=16, n_heads=2,
                     d_ff=32, enc_layers=2, dec_layers=2, max_len=12)
@@ -47,7 +47,7 @@ def full_recompute_greedy(tr: Translator, src_seqs: list, cap=None):
         hidden = decoder_forward(tr.store, "decoder", tr.cfg, dec_ids,
                                  dec_lengths, memory, mem_lengths)
         logits = tied_logits(hidden, tr.store["decoder.tgt_embed"]).data
-        last = logits[np.arange(b), dec_lengths - 1]
+        last = logits[np.cumsum(dec_lengths) - 1]
         step_logits.append(last)
         nxt = last.argmax(axis=1)
         for i in range(b):
@@ -69,8 +69,8 @@ def cached_greedy(tr: Translator, src_seqs: list, monkeypatch, cap=None):
 
     def recording(*args, **kwargs):
         hidden = decoder_forward(*args, **kwargs)
-        logits = tied_logits(hidden, tr.store["decoder.tgt_embed"]).data
-        step_logits.append(logits[:, -1])
+        step_logits.append(
+            tied_logits(hidden, tr.store["decoder.tgt_embed"]).data)
         return hidden
 
     monkeypatch.setattr(models, "decoder_forward", recording)
@@ -140,7 +140,7 @@ def test_next_token_logits_are_the_final_rows_of_every_position(kernel):
     full = tied_logits(lm.hidden_from_ids(ids, lengths),
                        lm.store["tok_embed"]).data
     assert_parity(lm.next_token_logits(prefixes),
-                  full[np.arange(len(prefixes)), lengths - 1], kernel)
+                  full[np.cumsum(lengths) - 1], kernel)
 
 
 def lm_tokens(seed: int, lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -156,15 +156,11 @@ def test_read_with_a_cache_takes_the_rows_of_the_same_call(reference_kernel):
 
     def continued(read):
         cache = [LayerCache() for _ in range(LM_CFG.n_layers)]
-        embed = lm.store["tok_embed"]
-        lm.hidden_from_embeddings(T.embedding(embed, first), first_lengths,
-                                  cache=cache)
-        return lm.hidden_from_embeddings(T.embedding(embed, ids),
-                                         first_lengths + lengths, read,
-                                         cache)
+        lm.hidden_from_ids(first, first_lengths, cache=cache)
+        return lm.hidden_from_ids(ids, first_lengths + lengths, read, cache)
 
     got = continued(lengths - 1)
-    want = T.take_rows(continued(None), lengths - 1)
+    want = T.take_rows(continued(None), np.cumsum(lengths) - 1)
     assert got.data.tobytes() == want.data.tobytes()
 
 
@@ -180,19 +176,20 @@ def prefix_then_rows(lm: CausalLM, prefix: np.ndarray,
     filled by ``prefix`` [P, d], as one row or tiled to the four."""
     ids, lengths = lm_tokens(6, (2, 6, 1, 4))
     rows = len(lengths)
-    weights = np.random.default_rng(7).normal(
-        size=ids.shape + (LM_CFG.d_model,))
+    weights = models.packing(lengths, ids.shape[1]).rows(
+        np.random.default_rng(7).normal(size=ids.shape + (LM_CFG.d_model,)))
     p = Tensor(prefix, requires_grad=True)
     with Tape() as tape:
-        block = T.reshape(p, (1,) + prefix.shape)
+        block, n_rows = p, 1
         if tiled:
-            block = T.broadcast_to(block, (rows,) + prefix.shape)
+            block = reshape(T.broadcast_to(reshape(p, (1,) + prefix.shape),
+                                           (rows,) + prefix.shape),
+                            (rows * N_SHARED, LM_CFG.d_model))
+            n_rows = rows
         cache = [LayerCache() for _ in range(LM_CFG.n_layers)]
-        lm.hidden_from_embeddings(block, np.full(block.shape[0], N_SHARED),
+        lm.hidden_from_embeddings(block, np.full(n_rows, N_SHARED),
                                   cache=cache)
-        hidden = lm.hidden_from_embeddings(
-            T.embedding(lm.store["tok_embed"], ids), lengths + N_SHARED,
-            cache=cache)
+        hidden = lm.hidden_from_ids(ids, lengths + N_SHARED, cache=cache)
         loss = sum_all(mul(hidden, weights))
     tape.backward(loss)
     grads = {"prefix": p.grad}
@@ -221,16 +218,13 @@ def test_a_one_row_cache_is_the_same_cache_tiled(kernel):
 
 def test_a_cache_of_neither_one_row_nor_every_row_is_refused():
     lm = CausalLM.init(LM_CFG, 0)
-    embed = lm.store["tok_embed"]
     first, first_lengths = lm_tokens(0, (2, 2))
     ids, lengths = lm_tokens(1, (1, 3, 2))
     cache = [LayerCache() for _ in range(LM_CFG.n_layers)]
-    lm.hidden_from_embeddings(T.embedding(embed, first), first_lengths,
-                              cache=cache)
+    lm.hidden_from_ids(first, first_lengths, cache=cache)
     with pytest.raises(ShapeError, match="attention 'layers.0.self_attn' "
                                          "got 3 rows against a cache of 2"):
-        lm.hidden_from_embeddings(T.embedding(embed, ids), lengths + 2,
-                                  cache=cache)
+        lm.hidden_from_ids(ids, lengths + 2, cache=cache)
 
 
 def test_read_needs_one_position_per_row():

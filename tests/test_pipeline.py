@@ -261,8 +261,7 @@ class TestCausalityAndIsolation:
         l_hr, l_lr = 6, 5
         hr_ids = rng.integers(4, world.vocab_lm, size=(1, l_hr))
         hr_lengths = np.array([l_hr])
-        h_a1 = T.Tensor(rng.standard_normal((1, l_lr,
-                                             model.llm_cfg.d_model)))
+        h_a1 = T.Tensor(rng.standard_normal((l_lr, model.llm_cfg.d_model)))
         a1_lengths = np.array([l_lr])
         base = model.bridge1_forward(hr_ids, hr_lengths, h_a1, a1_lengths).data
         j = 3
@@ -270,8 +269,8 @@ class TestCausalityAndIsolation:
         perturbed[0, j] = 4 + (perturbed[0, j] - 4 + 1) % (world.vocab_lm - 4)
         out = model.bridge1_forward(perturbed, hr_lengths, h_a1,
                                     a1_lengths).data
-        np.testing.assert_array_equal(base[0, :j], out[0, :j])
-        assert np.any(base[0, j:] != out[0, j:])
+        np.testing.assert_array_equal(base[:j], out[:j])
+        assert np.any(base[j:] != out[j:])
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_adapter1_zeroing_cuts_the_lr_channel(self, seed):

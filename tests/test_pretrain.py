@@ -152,8 +152,8 @@ class TestGradAccumulation:
             for micro in range(tc.grad_accum_steps):
                 batch = [seqs[i] for i in order[u * tc.grad_accum_steps + micro]]
                 with Tape() as tape:
-                    logits, labels, mask = model.logits_for(batch)
-                    loss_sum, n_tok = T.cross_entropy_sum(logits, labels, mask)
+                    loss_sum, n_tok = T.cross_entropy_sum(
+                        *model.logits_for(batch))
                 tape.backward(loss_sum)
                 tokens += n_tok
             for n in names:
@@ -207,8 +207,8 @@ class TestGradAccumulation:
             total_tokens = 0
             for chunk in chunks:
                 with Tape() as tape:
-                    logits, labels, mask = model.logits_for(chunk)
-                    loss_sum, n_tok = T.cross_entropy_sum(logits, labels, mask)
+                    loss_sum, n_tok = T.cross_entropy_sum(
+                        *model.logits_for(chunk))
                 tape.backward(loss_sum)
                 total_tokens += n_tok
             return {n: t.grad / total_tokens

@@ -19,7 +19,6 @@ from tall.tensor import (
     gelu,
     layer_norm,
     matmul,
-    reshape,
     scale,
     softmax,
     swapaxes,
@@ -35,6 +34,7 @@ from conftest import (
     max_relative_error,
     mean_all,
     mul,
+    reshape,
     sum_all,
 )
 
@@ -273,12 +273,62 @@ class TestFusedOps:
         def attend(q, k, v):
             return T.attention(q, k, v, bias, 2)
 
+        def attend_rows(q, k, v):
+            return T.attention(q, k, v, bias, 2, q_rows=T.Packing(2, 1))
+
         rows = [arrays[0][:, 0]] + arrays[1:]
-        one = _output_and_grads(attend, rows, g[:, 0])
+        one = _output_and_grads(attend_rows, rows, g[:, 0])
         full = _output_and_grads(attend, arrays, g)
         assert one[0].shape == (2, 8) and one[1].shape == (2, 8)
         for got, want in zip(one, full):
             np.testing.assert_array_equal(got, want.reshape(got.shape))
+
+    def test_packed_rows_are_the_rows_of_the_grid(self, kernel):
+        """Packed query rows (lengths 3 and 1) over packed key rows
+        (lengths 5 and 2) give the output rows and gradient rows of the
+        grid run whose other positions hold zeros and get no gradient."""
+        arrays, g, _ = _attention_operands(30)
+        q_index, kv_index = np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3, 4, 5, 6])
+        q_rows, kv_rows = T.Packing(2, 3, q_index), T.Packing(2, 5, kv_index)
+        bias = np.where(np.arange(5) < np.array([5, 2])[:, None], 0.0,
+                        -1e9)[:, None, None, :]
+        grids = [q_rows.grid(q_rows.rows(arrays[0]))] + [
+            kv_rows.grid(kv_rows.rows(a)) for a in arrays[1:]]
+        g_grid = q_rows.grid(q_rows.rows(g))
+        packed = _output_and_grads(
+            lambda q, k, v: T.attention(q, k, v, bias, 2, q_rows, kv_rows),
+            [q_rows.rows(grids[0])] + [kv_rows.rows(a) for a in grids[1:]],
+            q_rows.rows(g_grid))
+        grid = _output_and_grads(lambda q, k, v: T.attention(q, k, v, bias, 2),
+                                 grids, g_grid)
+        picks = (q_rows, q_rows, kv_rows, kv_rows)
+        for got, want, rows in zip(packed, grid, picks):
+            assert_parity(got, rows.rows(want), kernel)
+
+    def test_a_packing_with_every_position_is_a_reshape(self):
+        arrays, g, bias = _attention_operands(31)
+        q_rows, kv_rows = T.Packing(2, 3), T.Packing(2, 5)
+        packed = _output_and_grads(
+            lambda q, k, v: T.attention(q, k, v, bias, 2, q_rows, kv_rows),
+            [a.reshape(-1, 8) for a in arrays], g.reshape(-1, 8))
+        grid = _output_and_grads(lambda q, k, v: T.attention(q, k, v, bias, 2),
+                                 arrays, g)
+        for got, want in zip(packed, grid):
+            assert got.tobytes() == want.tobytes()
+
+    def test_to_grid_scatters_rows_and_gathers_their_gradient(self):
+        rows = T.Packing(2, 3, np.array([0, 1, 3]))
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        g = np.arange(12.0).reshape(2, 3, 2) + 1.0
+        with Tape() as tape:
+            out = T.to_grid(x, rows)
+            loss = sum_all(mul(out, Tensor(g)))
+        tape.backward(loss)
+        np.testing.assert_array_equal(
+            out.data, [[[0, 1], [2, 3], [0, 0]], [[4, 5], [0, 0], [0, 0]]])
+        np.testing.assert_array_equal(x.grad, g.reshape(6, 2)[[0, 1, 3]])
+        with pytest.raises(ShapeError):
+            T.to_grid(Tensor(np.zeros((4, 2))), rows)
 
     def test_linear_against_finite_differences(self):
         arrays, g = _linear_operands(23, (2, 3, 4))
@@ -486,32 +536,30 @@ class TestCrossEntropyLastToken:
 
     def test_non_final_positions_ignored_bitwise(self):
         rng = np.random.default_rng(4)
-        base = rng.standard_normal((2, 5, 6))
+        base = rng.standard_normal((8, 6))  # packed rows of lengths 3 and 5
         targets = np.array([1, 4])
-        final = np.array([3, 5]) - 1
+        final = np.array([3, 8]) - 1
 
         def loss(logits):
             return cross_entropy_last_token(
                 take_rows(Tensor(logits), final), targets).item()
 
         perturbed = base.copy()
-        perturbed[0, 0, :] += 100.0
-        perturbed[1, 2, 3] = -17.0
+        perturbed[0, :] += 100.0
+        perturbed[5, 3] = -17.0
         assert loss(perturbed) == loss(base)
 
     def test_gradient_zero_at_non_final_positions(self):
         rng = np.random.default_rng(5)
-        logits = Tensor(rng.standard_normal((3, 6, 5)), requires_grad=True)
-        lengths = np.array([2, 6, 4])
+        logits = Tensor(rng.standard_normal((12, 5)), requires_grad=True)
+        final = np.cumsum([2, 6, 4]) - 1
         with Tape() as tape:
-            loss = cross_entropy_last_token(take_rows(logits, lengths - 1),
+            loss = cross_entropy_last_token(take_rows(logits, final),
                                             np.array([0, 2, 4]))
         tape.backward(loss)
         g = logits.grad
-        for i, n in enumerate(lengths):
-            rest = np.delete(g[i], n - 1, axis=0)
-            assert np.all(rest == 0.0)
-            assert np.any(g[i, n - 1] != 0.0)
+        assert np.all(np.delete(g, final, axis=0) == 0.0)
+        assert np.all(np.any(g[final] != 0.0, axis=1))
 
     def test_gradient_is_softmax_minus_one_hot_over_batch(self):
         rng = np.random.default_rng(7)
@@ -534,22 +582,22 @@ class TestCrossEntropyLastToken:
             cross_entropy_last_token(Tensor(np.zeros((1, 3))), np.array([3]))
 
     def test_logits_of_every_position_are_refused(self):
-        with pytest.raises(ShapeError, match=r"\[batch, vocab\]"):
+        with pytest.raises(ShapeError, match=r"\[rows, vocab\]"):
             cross_entropy_last_token(Tensor(np.zeros((2, 3, 4))),
                                      np.array([0, 1]))
 
 
 class TestTakeRows:
     def test_forward_picks_one_row_per_batch_element(self):
-        data = np.arange(24.0).reshape(2, 3, 4)
+        data = np.arange(24.0).reshape(6, 4)
         out = take_rows(Tensor(data), np.array([2, 0]))
-        np.testing.assert_array_equal(out.data, [data[0, 2], data[1, 0]])
+        np.testing.assert_array_equal(out.data, [data[2], data[0]])
 
     def test_against_finite_differences(self):
         rng = np.random.default_rng(31)
-        x = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
+        x = Tensor(rng.standard_normal((12, 2)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 2)))
-        rows = np.array([1, 3, 1])
+        rows = np.array([1, 7, 9])
 
         def loss():
             return sum_all(mul(gelu(take_rows(x, rows)), w))
@@ -559,18 +607,18 @@ class TestTakeRows:
         tape.backward(value)
         fd = finite_diff_grad(lambda: loss().item(), [x])
         assert max_relative_error(x.grad, fd[0]) < 1e-6
-        assert np.all(np.delete(x.grad, 1, axis=1)[[0, 2]] == 0.0)
+        assert np.all(np.delete(x.grad, rows, axis=0) == 0.0)
 
     def test_frozen_operand_records_nothing(self):
-        x = Tensor(np.ones((2, 3, 4)))
+        x = Tensor(np.ones((6, 4)))
         with Tape() as tape:
             out = take_rows(x, np.array([0, 2]))
         assert len(tape) == 0 and not out.requires_grad
 
     def test_bad_rows_are_refused(self):
-        x = Tensor(np.zeros((2, 3, 4)))
+        x = Tensor(np.zeros((3, 4)))
         with pytest.raises(ShapeError):
-            take_rows(x, np.array([0, 1, 2]))
+            take_rows(x, np.array([[0, 1]]))
         with pytest.raises(IndexError):
             take_rows(x, np.array([0, 3]))
         with pytest.raises(IndexError):
@@ -788,7 +836,7 @@ class TestCrossEntropySum:
         logits = rng.standard_normal((2, 3, 5))
         targets = rng.integers(0, 5, size=(2, 3))
         mask = np.array([[True, True, False], [True, False, False]])
-        loss, n = cross_entropy_sum(Tensor(logits), targets, mask)
+        loss, n = cross_entropy_sum(Tensor(logits[mask]), targets[mask])
         assert n == 3
         manual = 0.0
         for i in range(2):
@@ -798,10 +846,14 @@ class TestCrossEntropySum:
                     manual -= row[targets[i, j]] - math.log(np.exp(row - row.max()).sum()) - row.max()
         np.testing.assert_allclose(loss.item(), manual, atol=1e-9)
 
-    def test_empty_mask_rejected(self):
+    def test_no_rows_rejected(self):
         with pytest.raises(ContractError):
-            cross_entropy_sum(
-                Tensor(np.zeros((1, 2, 3))),
-                np.zeros((1, 2), dtype=int),
-                np.zeros((1, 2), dtype=bool),
-            )
+            cross_entropy_sum(Tensor(np.zeros((0, 3))),
+                              np.zeros(0, dtype=int))
+
+    def test_rows_and_targets_must_agree(self):
+        with pytest.raises(ShapeError):
+            cross_entropy_sum(Tensor(np.zeros((2, 3, 4))),
+                              np.zeros((2, 3), dtype=int))
+        with pytest.raises(ShapeError):
+            cross_entropy_sum(Tensor(np.zeros((2, 4))), np.zeros(3, dtype=int))
