@@ -215,6 +215,8 @@ def cmd_param_report(args) -> int:
     preset = args.preset
     if preset not in ("bloomz", "qwen", "toy"):
         raise ConfigError(f"unknown preset {preset!r}")
+    if args.check and preset == "toy":
+        raise ConfigError("--check applies to the published presets only")
     if preset == "toy":
         cfg, seed = _load(args)
         report = param_report("toy", runner.untrained_tall(cfg, seed).store)
@@ -222,8 +224,6 @@ def cmd_param_report(args) -> int:
         report = param_report(preset)
     print(format_report(report))
     if args.check:
-        if preset == "toy":
-            raise ConfigError("--check applies to the published presets only")
         problems = check_report(report)
         if problems:
             for p in problems:

@@ -242,18 +242,19 @@ def _check_heads(cfg: RunConfig) -> None:
 
 
 def _check_sizes(cfg: RunConfig) -> None:
-    """Every feed-forward width, adapter hidden width, layer count and
-    corpus size is positive."""
+    """Every feed-forward width, adapter hidden width, layer count, corpus
+    size and the soft prompt's length is positive."""
     m = cfg.models
     for key, section in (("world", cfg.world),
                          ("models.translator", m.translator),
                          ("models.llm", m.llm),
                          ("models.tall", m.tall),
                          ("models.tall.bridge1", m.tall.bridge1),
-                         ("models.tall.bridge2", m.tall.bridge2)):
+                         ("models.tall.bridge2", m.tall.bridge2),
+                         ("train.soft_prompt", cfg.train.soft_prompt)):
         for f in dataclasses.fields(section):
             value = getattr(section, f.name)
-            if ((f.name in ("d_ff", "train_pairs", "eval_size")
+            if ((f.name in ("d_ff", "train_pairs", "eval_size", "n_prompt")
                  or f.name.endswith(("layers", "hidden"))) and value < 1):
                 raise ConfigError(f"{key}.{f.name}: must be positive, got {value}")
 

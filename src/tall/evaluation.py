@@ -243,16 +243,6 @@ def eval_naive(lr2hr: Translator, llm: CausalLM, hr2lr: Translator,
 # soft prompt: trainable vectors prepended to frozen LM embeddings
 
 
-@dataclass
-class SoftPromptParams:
-    store: ParamStore
-    n_prompt: int
-
-    @property
-    def embeddings(self) -> Tensor:
-        return self.store["prompt"]
-
-
 def _soft_prompt_logits(llm: CausalLM, prompt: Tensor, lm_prefixes: list
                         ) -> Tensor:
     """Final-position logits [B, V] of each LM prefix after the prompt
@@ -272,8 +262,10 @@ def _soft_prompt_logits(llm: CausalLM, prompt: Tensor, lm_prefixes: list
 
 def train_soft_prompt(llm: CausalLM, world: World, corpus_lr: list,
                       train_cfg: TrainConfig, n_prompt: int
-                      ) -> tuple[SoftPromptParams, list[dict]]:
-    """Train only the prompt block on the shared final-token task.
+                      ) -> tuple[ParamStore, list[dict]]:
+    """Train only the prompt block on the shared final-token task; returns
+    the store holding the block [n_prompt, d] as ``prompt``, and the
+    training records.
 
     ``corpus_lr`` holds full LR sentences (content ids).  The LM is
     frozen while the prompt trains; afterwards its bytes, its frozen
@@ -281,27 +273,28 @@ def train_soft_prompt(llm: CausalLM, world: World, corpus_lr: list,
     """
     store = ParamStore()
     rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 0x50F7]))
-    store.add("prompt", rng.normal(0.0, 0.1,
-                                   size=(n_prompt, llm.cfg.d_model)))
-    params = SoftPromptParams(store, n_prompt)
+    prompt = store.add("prompt", rng.normal(0.0, 0.1,
+                                            size=(n_prompt, llm.cfg.d_model)))
     prefixes = _lm_ids(world, [s[:-1] for s in corpus_lr])
     targets = world.lr_to_lm(np.array([s[-1] for s in corpus_lr]))
 
     def loss_fn(batch_idx):
-        logits = _soft_prompt_logits(llm, params.embeddings,
+        logits = _soft_prompt_logits(llm, prompt,
                                      [prefixes[i] for i in batch_idx])
         # weight 1: an update averages micro-batch means (see ``pretrain``)
         return T.cross_entropy_last_token(logits, targets[batch_idx]), 1
 
     with llm.store.frozen():
-        return params, fit(store, train_cfg, len(corpus_lr), loss_fn)
+        return store, fit(store, train_cfg, len(corpus_lr), loss_fn)
 
 
-def eval_soft_prompt(llm: CausalLM, params: SoftPromptParams, world: World,
+def eval_soft_prompt(llm: CausalLM, store: ParamStore, world: World,
                      examples: list[EvalExample], sampler: SamplerConfig
                      ) -> list[EvalRecord]:
+    """Score ``examples`` with the prompt block ``store["prompt"]`` that
+    :func:`train_soft_prompt` trained."""
     def next_logits(prefixes):
-        return _soft_prompt_logits(llm, params.embeddings,
+        return _soft_prompt_logits(llm, store["prompt"],
                                    _lm_ids(world, prefixes)).data
 
     return _predict("soft_prompt", examples, sampler,

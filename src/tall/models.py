@@ -3,7 +3,7 @@
 Both are pre-LN transformers over the blocks in :mod:`tall.nn`, with the
 output projection weight-tied to the target-side token embedding.  Every
 transformer stack, here and in :mod:`tall.pipeline`, runs through
-``_stack_forward``, which owns five decisions.  It packs the batch: from
+``_stack_forward``, which owns four decisions.  It packs the batch: from
 the sequence lengths and the padded width L it builds the
 :class:`~tall.tensor.Packing` of the real positions (:func:`packing`),
 gathers the token embeddings of those ids alone (or takes another
@@ -12,23 +12,24 @@ stack's packed rows), and every activation from there on is packed rows
 runs on a PAD position; attention alone scatters to the [B, L] grid, and
 when every position is real the packing is a reshape.  It adds the
 stack's learned ``<prefix>.pos`` table at each real position (and
-rejects a sequence longer than that table), builds the self mask from
-the sequence lengths, causal exactly when the stack's
-:class:`~tall.nn.LayerConfig` says so, builds the cross mask and the
-memory's packing from the memory lengths, and, when its caller passes
-``read`` (one position per row, as Hugging Face's ``logits_to_keep``
-does), runs the last layer's queries, feed-forward and the final norm on
-those positions alone.  The callers that read one next-token row pass
-``read``: ``next_token_logits``, the soft prompt and stage 7 of the
-pipeline; teacher-forced training reads every real position, so its
-logits are [N, V] and its labels are the target sequences laid end to
-end.  Greedy decoding is incremental: ``decoder_forward`` with a
-per-layer :class:`~tall.nn.LayerCache` list embeds only the newest token,
-at the position after the cached ones, appends its self-attention keys
-and values to the cache and projects the encoder memory into
-cross-attention keys and values once, on the first step; every step is a
-full batch, so its packing is a reshape.  Teacher-forced training passes
-no cache and runs the whole sequence in one call.
+rejects a sequence longer than that table), builds the memory's packing
+from the memory lengths, and, when its caller passes ``read`` (one
+position per row, as Hugging Face's ``logits_to_keep`` does), runs the
+last layer's queries, feed-forward and the final norm on those positions
+alone.  It builds no mask: each packing carries its lengths and first
+position, and :func:`tensor.attention` masks from them, causally exactly
+when the stack's :class:`~tall.nn.LayerConfig` says so.  The callers
+that read one next-token row pass ``read``: ``next_token_logits``, the
+soft prompt and stage 7 of the pipeline; teacher-forced training reads
+every real position, so its logits are [N, V] and its labels are the
+target sequences laid end to end.  Greedy decoding is incremental:
+``decoder_forward`` with a per-layer :class:`~tall.nn.LayerCache` list
+embeds only the newest token, at the position after the cached ones,
+appends its self-attention keys and values to the cache and projects the
+encoder memory into cross-attention keys and values once, on the first
+step; every step is a full batch, so its packing is a reshape.
+Teacher-forced training passes no cache and runs the whole sequence in
+one call.
 
 Sequence conventions (content ids exclude specials):
 
@@ -88,12 +89,6 @@ def pad_batch(seqs: list, pad_value: int = PAD) -> tuple[np.ndarray, np.ndarray]
     return out, lengths
 
 
-def key_valid_mask(lengths: np.ndarray, l_query: int, l_key: int) -> np.ndarray:
-    """[B, Lq, Lk] mask allowing only key positions below each length."""
-    valid = np.arange(l_key)[None, :] < lengths[:, None]
-    return np.broadcast_to(valid[:, None, :], (len(lengths), l_query, l_key))
-
-
 def packing(lengths: np.ndarray, width: int, start: int = 0) -> T.Packing:
     """The real positions of a [B, width] call whose first position is
     ``start``: position j of row i is real iff ``start + j < lengths[i]``.
@@ -102,9 +97,11 @@ def packing(lengths: np.ndarray, width: int, start: int = 0) -> T.Packing:
     consecutive and follow those of rows 0 .. i - 1; when every position
     is real the packing is a reshape.
     """
-    valid = start + np.arange(width)[None, :] < np.asarray(lengths)[:, None]
+    lengths = np.asarray(lengths)
+    valid = start + np.arange(width)[None, :] < lengths[:, None]
     return T.Packing(len(valid), width,
-                     None if valid.all() else np.flatnonzero(valid))
+                     None if valid.all() else np.flatnonzero(valid),
+                     lengths=lengths, start=start)
 
 
 def _p(prefix: str, name: str) -> str:
@@ -137,10 +134,11 @@ def _stack_forward(x, store: ParamStore, prefix: str, n_layers: int,
     op on those N rows; attention alone sees the grid.
 
     Adds ``<prefix>.pos`` at positions ``start .. start + L - 1``, where
-    ``start`` counts the tokens already in ``cache``, and masks keys at or
-    past ``lengths`` (which count cached tokens too), causally iff
-    ``cfg.causal``; cross-attention to ``cross_kv``, the packed rows of a
-    batch of ``cross_lengths``, masks keys at or past ``cross_lengths``.
+    ``start`` counts the tokens already in ``cache``; attention sees the
+    keys before ``lengths`` (which count cached tokens too), causally iff
+    ``cfg.causal``, and, in cross-attention to ``cross_kv``, the packed
+    rows of a batch of ``cross_lengths``, the keys before
+    ``cross_lengths``.
     Returns the packed hidden states [N, d], or with ``read`` [B] the
     hidden state [B, d] of position ``read[i]`` of each row: the last
     layer then runs its queries, feed-forward and the final norm on those
@@ -171,32 +169,19 @@ def _stack_forward(x, store: ParamStore, prefix: str, n_layers: int,
                          f"but lengths {lengths.tolist()} give {rows.n}")
     positions = rows.rows(np.broadcast_to(np.arange(start, end), (b, width)))
     x = T.add(x, T.embedding(pos_table, positions))
-    self_mask = key_valid_mask(lengths, width, end)
-    if cfg.causal:
-        self_mask = self_mask & nn.causal_mask(end)[start:]
-    cross_rows = cross_mask = None
+    cross_rows = None
     if cross_kv is not None:
-        cross_width = _width(cross_lengths)
-        cross_rows = packing(cross_lengths, cross_width)
-        cross_mask = key_valid_mask(cross_lengths, width, cross_width)
-    read_rows = None
-    if read is not None:
-        if np.any(read < 0) or np.any(start + read >= lengths):
-            raise IndexError(f"read {np.asarray(read).tolist()} past the "
-                             f"real positions of lengths {lengths.tolist()}")
-        read_rows = rows.locate(np.arange(b) * width + read)
+        cross_rows = packing(cross_lengths, _width(cross_lengths))
+    if read is not None and (np.any(read < 0)
+                             or np.any(start + read >= lengths)):
+        raise IndexError(f"read {np.asarray(read).tolist()} past the "
+                         f"real positions of lengths {lengths.tolist()}")
     for i in range(n_layers):
         last = i == n_layers - 1
-        if last and read is not None:
-            # the last layer's masks: the query row of each read position
-            pick = (np.arange(b), read)
-            self_mask = self_mask[pick][:, None]
-            if cross_mask is not None:
-                cross_mask = cross_mask[pick][:, None]
         x = nn.transformer_layer_forward(
-            x, cross_kv, cfg, store, _p(prefix, f"layers.{i}"), self_mask,
-            cross_mask, None if cache is None else cache[i],
-            read_rows if last else None, rows, cross_rows)
+            x, cross_kv, cfg, store, _p(prefix, f"layers.{i}"), rows,
+            cross_rows, None if cache is None else cache[i],
+            read if last else None)
     return nn.layer_norm(x, store, _p(prefix, "final_ln"))
 
 

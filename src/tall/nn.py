@@ -6,20 +6,23 @@ its matching ``init_*`` function created.  Conventions:
 
 * pre-LayerNorm residual layers, single output projection per attention
   block, biases everywhere, GELU feed-forward.
-* masked attention logits get -1e9 rather than -inf so softmax never
-  sees NaN.
+* no block builds a mask: each attention call hands
+  :func:`tensor.attention` the packings of its queries and keys, with
+  their lengths and positions, and a causal flag for causal
+  self-attention, and the op masks the hidden keys itself.
 * incremental decoding passes a :class:`LayerCache` per layer: attention
   then keeps its projected keys and values between calls, so each call
   needs to project only its new query positions.  A cache may hold a
   one-row prefix that every row of the next call shares.
 * every projection is one :func:`tensor.linear` node and every attention
-  core (scores, mask, softmax, context) one :func:`tensor.attention`
+  core (scores, masks, softmax, context) one :func:`tensor.attention`
   node, so the tape keeps one record per composite.
 * a layer's activations are packed rows [N, d], one per real token of a
   [B, L] grid described by a :class:`tensor.Packing` (built by
   ``models._stack_forward``); every projection, norm and feed-forward
   runs on those rows, and only :func:`tensor.attention` sees the grid.
-  A cache keeps its keys and values as a [B, L, d] grid.
+  A cache keeps its keys and values as a [B, L, d] grid, passed to
+  attention with an index-free packing and the lengths of its keys.
 * a layer given ``read`` (one row per grid row) runs everything after
   its self-attention keys and values on those rows alone: this module is
   the one caller of :func:`tensor.take_rows`.
@@ -36,9 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tensor import ContractError, ShapeError, Tensor
-
-MASKED_LOGIT = -1e9
+from .tensor import ShapeError, Tensor
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class LayerConfig:
     d_model: int
     n_heads: int
     d_ff: int
-    causal: bool = False  # models._stack_forward builds a causal self mask
+    causal: bool = False  # self-attention sees no later position
 
     def attn(self, d_kv: int | None = None) -> AttentionConfig:
         return AttentionConfig(self.d_model, self.n_heads, d_kv)
@@ -286,49 +287,26 @@ def adapter_param_count(spec: AdapterSpec) -> int:
     )
 
 
-def causal_mask(n: int) -> np.ndarray:
-    """Boolean n x n mask; entry [i, j] allows attention iff j <= i."""
-    if n < 1:
-        raise ShapeError(f"causal_mask needs n >= 1, got {n}")
-    return np.tril(np.ones((n, n), dtype=bool))
-
-
-def _mask_bias(mask: np.ndarray, dtype) -> np.ndarray:
-    """Additive logits bias: 0 where allowed, MASKED_LOGIT where not."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim == 2:
-        mask = mask[None, None]          # [1, 1, Lq, Lkv]
-    elif mask.ndim == 3:
-        mask = mask[:, None]             # [B, 1, Lq, Lkv]
-    else:
-        raise ShapeError(f"mask must be rank 2 or 3, got rank {mask.ndim}")
-    if not mask.any(axis=-1).all():
-        raise ContractError("attention mask has a fully-masked query row")
-    return np.where(mask, 0.0, MASKED_LOGIT).astype(dtype)
-
-
-def multi_head_attention(q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
-                         cfg: AttentionConfig, store: ParamStore,
-                         prefix: str, cache: KVCache | None = None,
-                         q_rows: T.Packing | None = None,
-                         kv_rows: T.Packing | None = None) -> Tensor:
+def multi_head_attention(q_in: Tensor, kv_in: Tensor, cfg: AttentionConfig,
+                         store: ParamStore, prefix: str, q_rows: T.Packing,
+                         kv_rows: T.Packing, causal: bool = False,
+                         cache: KVCache | None = None) -> Tensor:
     """Scaled dot-product attention of the query rows ``q_in`` [Nq, d] of
     the [B, Lq] grid ``q_rows`` over the rows ``kv_in`` [Nkv, d_kv] of
-    the [B, Lkv] grid ``kv_rows``; an input given without its packing is
-    a [B, L, d] grid.
+    the [B, Lkv] grid ``kv_rows``, masked by :func:`tensor.attention`
+    from the two packings (causally iff ``causal``).
 
-    ``mask`` is [Lq, Lkv] or [B, Lq, Lkv].  With ``cache`` the keys and
-    values come from, and go to, the cache, which keeps them as a
-    [B, Lcache, d] grid, so ``mask`` spans every cached key:
-    [B, Lq, Lcache].
+    With ``cache`` the keys and values come from, and go to, the cache,
+    which keeps them as a [B, Lcache, d] grid whose keys are visible up
+    to ``kv_rows.lengths``.
     """
     if q_in.shape[-1] != cfg.d_model or kv_in.shape[-1] != cfg.kv_dim:
         raise ShapeError(
-            f"attention {prefix!r} expects [B, L, d] inputs or [N, d] rows "
-            f"with q last dim {cfg.d_model} and kv last dim {cfg.kv_dim}, "
-            f"got {q_in.shape} and {kv_in.shape}"
+            f"attention {prefix!r} expects [N, d] rows with q last dim "
+            f"{cfg.d_model} and kv last dim {cfg.kv_dim}, got {q_in.shape} "
+            f"and {kv_in.shape}"
         )
-    b = q_in.shape[0] if q_rows is None else q_rows.batch
+    b = q_rows.batch
     if (cache is not None and cache.grow and cache.k is not None
             and cache.k.shape[0] != b):
         if cache.k.shape[0] != 1:
@@ -343,17 +321,15 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
         k = linear(kv_in, store, f"{prefix}.k")
         v = linear(kv_in, store, f"{prefix}.v")
         if cache is not None:
-            if kv_rows is not None:
-                # a cache holds the grid, so its rows are scattered once
-                k, v = T.to_grid(k, kv_rows), T.to_grid(v, kv_rows)
+            # a cache holds the grid, so its rows are scattered once
+            k, v = T.to_grid(k, kv_rows), T.to_grid(v, kv_rows)
             if cache.k is not None:
                 k = T.concat([cache.k, k], axis=1)
                 v = T.concat([cache.v, v], axis=1)
             cache.k, cache.v = k, v
     if cache is not None:
-        kv_rows = None
-    ctx = T.attention(q, k, v, _mask_bias(mask, q.dtype), cfg.n_heads,
-                      q_rows, kv_rows)
+        kv_rows = T.Packing(b, k.shape[1], lengths=kv_rows.lengths)
+    ctx = T.attention(q, k, v, cfg.n_heads, q_rows, kv_rows, causal)
     return linear(ctx, store, f"{prefix}.out")
 
 
@@ -363,39 +339,36 @@ def ffn_forward(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
 
 def transformer_layer_forward(x: Tensor, cross_kv: Tensor | None,
                               cfg: LayerConfig, store: ParamStore, prefix: str,
-                              self_mask: np.ndarray,
-                              cross_mask: np.ndarray | None = None,
+                              rows: T.Packing,
+                              cross_rows: T.Packing | None = None,
                               cache: LayerCache | None = None,
-                              read: np.ndarray | None = None,
-                              rows: T.Packing | None = None,
-                              cross_rows: T.Packing | None = None) -> Tensor:
+                              read: np.ndarray | None = None) -> Tensor:
     """One pre-LN layer over the packed rows ``x`` [N, d] of the grid
-    ``rows`` (or a [B, L, d] grid when ``rows`` is None), with
-    cross-attention to ``cross_kv``, packed by ``cross_rows``; with
-    ``cache`` the masks span the cached keys.
+    ``rows``, self-attending causally iff ``cfg.causal``, with
+    cross-attention to ``cross_kv``, packed by ``cross_rows``.
 
-    With ``read`` [B], one row of ``x`` per grid row, the self-attention
-    keys and values still span every row of ``x``, but the queries, the
-    residual stream, cross-attention and the feed-forward run on rows
-    ``read`` alone; the masks then hold one query row each, [B, 1, Lkv],
-    and the layer returns [B, d].
+    With ``read`` [B], one grid column per row, the self-attention keys
+    and values still span every row of ``x``, but the queries, the
+    residual stream, cross-attention and the feed-forward run on the rows
+    at columns ``read`` alone, each a query at its own position, and the
+    layer returns [B, d].
     """
     normed = layer_norm(x, store, f"{prefix}.ln_self")
     queries, q_rows = normed, rows
     if read is not None:
-        x = T.take_rows(x, read)
-        queries = T.take_rows(normed, read)
-        q_rows = T.Packing(len(read), 1)
+        picked = rows.locate(np.arange(rows.batch) * rows.width + read)
+        x = T.take_rows(x, picked)
+        queries = T.take_rows(normed, picked)
+        q_rows = T.Packing(rows.batch, 1, lengths=rows.lengths,
+                           start=rows.start + read)
     h = T.add(x, multi_head_attention(
-        queries, normed, self_mask, cfg.attn(), store, f"{prefix}.self_attn",
-        None if cache is None else cache.self_attn, q_rows, rows))
+        queries, normed, cfg.attn(), store, f"{prefix}.self_attn", q_rows,
+        rows, cfg.causal, None if cache is None else cache.self_attn))
     if cross_kv is not None:
-        if cross_mask is None:
-            raise ContractError("cross_kv given without cross_mask")
         h = T.add(h, multi_head_attention(
             layer_norm(h, store, f"{prefix}.ln_cross"), cross_kv,
-            cross_mask, cfg.attn(cross_kv.shape[-1]), store,
-            f"{prefix}.cross_attn",
-            None if cache is None else cache.cross_attn, q_rows, cross_rows))
+            cfg.attn(cross_kv.shape[-1]), store, f"{prefix}.cross_attn",
+            q_rows, cross_rows,
+            cache=None if cache is None else cache.cross_attn))
     return T.add(h, ffn_forward(layer_norm(h, store, f"{prefix}.ln_ffn"),
                                 store, f"{prefix}.ffn"))

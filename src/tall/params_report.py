@@ -63,21 +63,28 @@ def _finish(preset: str, rows: list[ModuleRow],
     return ParamReport(preset, tuple(rows), total, trainable, llm_only)
 
 
-def _bloomz_rows() -> list[ModuleRow]:
-    a1 = AdapterSpec(1024, 2048, 1024)
-    a2 = AdapterSpec(1024, 1024, 512)
+def _mlp_note(d_in: int, d_hidden: int, d_out: int) -> str:
+    return f"Two-layer MLP ({d_in} -> {d_hidden}, {d_hidden} -> {d_out})"
+
+
+def _published_rows(adapter1: AdapterSpec, adapter2: AdapterSpec,
+                    llm_embeddings: int, decoder1: int,
+                    main_llm: int) -> list[ModuleRow]:
+    """A published preset's rows; the presets differ only in these five
+    values."""
+    def adapter(name: str, spec: AdapterSpec) -> ModuleRow:
+        n = adapter_param_count(spec)
+        return ModuleRow(name, n, n,
+                         _mlp_note(spec.d_in, spec.d_hidden, spec.d_out))
+
     return [
         ModuleRow("HE-EN Encoder", 138_341_376, 0, "Frozen encoder"),
-        ModuleRow("LLM Embeddings", 256_901_120, 0, "Frozen embedding layer"),
-        ModuleRow("Autoencoder 1", adapter_param_count(a1),
-                  adapter_param_count(a1),
-                  "Two-layer MLP (1024 -> 2048, 2048 -> 1024)"),
-        ModuleRow("Custom Decoder 1", 101_828_608, 101_828_608,
+        ModuleRow("LLM Embeddings", llm_embeddings, 0, "Frozen embedding layer"),
+        adapter("Autoencoder 1", adapter1),
+        ModuleRow("Custom Decoder 1", decoder1, decoder1,
                   "Trainable decoder module"),
-        ModuleRow("Main LLM", 302_313_472, 0, "Frozen main LLM"),
-        ModuleRow("Autoencoder 2", adapter_param_count(a2),
-                  adapter_param_count(a2),
-                  "Two-layer MLP (1024 -> 1024, 1024 -> 512)"),
+        ModuleRow("Main LLM", main_llm, 0, "Frozen main LLM"),
+        adapter("Autoencoder 2", adapter2),
         ModuleRow("Custom Encoder 2", 19_176_448, 19_176_448,
                   "Trainable encoder module"),
         ModuleRow("EN-HE Decoder", 59_195_904, 0, "Frozen decoder module"),
@@ -86,27 +93,12 @@ def _bloomz_rows() -> list[ModuleRow]:
     ]
 
 
-def _qwen_rows() -> list[ModuleRow]:
-    a1 = AdapterSpec(1024, 1792, 896)
-    a2 = AdapterSpec(896, 1024, 512)
-    return [
-        ModuleRow("HE-EN Encoder", 138_341_376, 0, "Frozen encoder"),
-        ModuleRow("LLM Embeddings", 136_134_656, 0, "Frozen embedding layer"),
-        ModuleRow("Autoencoder 1", adapter_param_count(a1),
-                  adapter_param_count(a1),
-                  "Two-layer MLP (1024 -> 1792, 1792 -> 896)"),
-        ModuleRow("Custom Decoder 1", 83_598_080, 83_598_080,
-                  "Trainable decoder module"),
-        ModuleRow("Main LLM", 357_898_112, 0, "Frozen main LLM"),
-        ModuleRow("Autoencoder 2", adapter_param_count(a2),
-                  adapter_param_count(a2),
-                  "Two-layer MLP (896 -> 1024, 1024 -> 512)"),
-        ModuleRow("Custom Encoder 2", 19_176_448, 19_176_448,
-                  "Trainable encoder module"),
-        ModuleRow("EN-HE Decoder", 59_195_904, 0, "Frozen decoder module"),
-        ModuleRow("LM Head", 33_709_568, 0, "Final linear mapping (tied)",
-                  tied=True),
-    ]
+_PUBLISHED = {
+    "bloomz": (AdapterSpec(1024, 2048, 1024), AdapterSpec(1024, 1024, 512),
+               256_901_120, 101_828_608, 302_313_472),
+    "qwen": (AdapterSpec(1024, 1792, 896), AdapterSpec(896, 1024, 512),
+             136_134_656, 83_598_080, 357_898_112),
+}
 
 
 def toy_rows(store: ParamStore) -> list[ModuleRow]:
@@ -122,8 +114,7 @@ def toy_rows(store: ParamStore) -> list[ModuleRow]:
 
     def mlp(part: str) -> str:
         d_in, d_hidden = store[f"{part}.linear1.weight"].shape
-        d_out = store[f"{part}.linear2.weight"].shape[1]
-        return f"Two-layer MLP ({d_in} -> {d_hidden}, {d_hidden} -> {d_out})"
+        return _mlp_note(d_in, d_hidden, store[f"{part}.linear2.weight"].shape[1])
 
     return [
         row("LR-HR Encoder", "encoder.", "Frozen encoder"),
@@ -139,25 +130,17 @@ def toy_rows(store: ParamStore) -> list[ModuleRow]:
     ]
 
 
-_LLM_ONLY_ROWS = {
-    "bloomz": ("LLM Embeddings", "Main LLM"),
-    "qwen": ("LLM Embeddings", "Main LLM"),
-    "toy": ("LM Embeddings", "Main LM"),
-}
-
-
 def param_report(preset: str, store: ParamStore | None = None) -> ParamReport:
-    if preset == "bloomz":
-        rows = _bloomz_rows()
-    elif preset == "qwen":
-        rows = _qwen_rows()
+    if preset in _PUBLISHED:
+        rows = _published_rows(*_PUBLISHED[preset])
+        llm_rows = ("LLM Embeddings", "Main LLM")
     elif preset == "toy":
         if store is None:
             raise ValueError("toy preset needs an assembled pipeline's store")
-        rows = toy_rows(store)
+        rows, llm_rows = toy_rows(store), ("LM Embeddings", "Main LM")
     else:
         raise ValueError(f"unknown preset {preset!r}")
-    return _finish(preset, rows, _LLM_ONLY_ROWS[preset])
+    return _finish(preset, rows, llm_rows)
 
 
 EXPECTED = {
@@ -210,11 +193,8 @@ def check_report(report: ParamReport) -> list[str]:
     for name, want in expected["rows"].items():
         if got_rows.get(name) != want:
             problems.append(f"row {name}: got {got_rows.get(name)}, want {want}")
-    for attr in ("total", "trainable", "llm_only"):
-        if getattr(report, attr) != expected[attr]:
-            problems.append(
-                f"{attr}: got {getattr(report, attr)}, want {expected[attr]}")
-    for attr in ("trainable_pct", "llm_only_pct"):
+    for attr in ("total", "trainable", "llm_only", "trainable_pct",
+                 "llm_only_pct"):
         if getattr(report, attr) != expected[attr]:
             problems.append(
                 f"{attr}: got {getattr(report, attr)}, want {expected[attr]}")

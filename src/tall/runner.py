@@ -155,10 +155,10 @@ def _naive(cfg, models, world, corpus_lr, examples, sampler):
 
 def _soft_prompt(cfg, models, world, corpus_lr, examples, sampler):
     sp_cfg = cfg.train.soft_prompt
-    params, _ = ev.train_soft_prompt(
+    prompt, _ = ev.train_soft_prompt(
         models["llm"], world, corpus_lr(),
         sp_cfg.to_train_config(sampler.seed), n_prompt=sp_cfg.n_prompt)
-    return ev.eval_soft_prompt(models["llm"], params, world, examples, sampler)
+    return ev.eval_soft_prompt(models["llm"], prompt, world, examples, sampler)
 
 
 def _tall(cfg, models, world, corpus_lr, examples, sampler):

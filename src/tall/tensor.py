@@ -25,11 +25,15 @@ Design constraints, in order of priority:
   :func:`cross_entropy_sum`) runs on real tokens only, and the tape holds
   [N, d].  :func:`attention` is the one op that needs the grid; it
   scatters its rows into it and gathers the context rows back, and when
-  every position is real the packing is a reshape.  The two composites
-  every transformer layer repeats are single nodes with a hand-written
-  backward: :func:`linear` (product plus bias) and :func:`attention`
-  (head split, scores, mask, softmax, context and head merge), which
-  works on head views and keeps only its softmax probabilities.  Both
+  every position is real the packing is a reshape.  It is also the one
+  place that masks: a packing carries its rows' lengths and first
+  position, and attention hides each key at or past its row's length
+  and, when causal, past the query's position, with
+  :data:`MASKED_LOGIT`.  The two composites every transformer layer
+  repeats are single nodes with a hand-written backward: :func:`linear`
+  (product plus bias) and :func:`attention` (head split, scores, masks,
+  softmax, context and head merge), which works on head views and keeps
+  only its softmax probabilities.  Both
   replay the array operations of the compositions they replace, so on
   the reference kernel their bytes match them.  :meth:`Tape.backward`
   drops each intermediate gradient once its node has run, so after
@@ -48,12 +52,15 @@ code that never opens a tape pays no autodiff overhead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 from scipy.special import erf
 
 DEFAULT_DTYPE = np.float64
+
+# a hidden key's logit: -1e9 rather than -inf, so softmax never sees NaN
+MASKED_LOGIT = -1e9
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -287,13 +294,19 @@ class Packing:
 
     ``index`` [N] holds each row's flat position ``b * L + l``, in
     increasing order; it is None when every position of the grid is a row
-    (N = B * L), and packing is then a reshape.  ``models.packing`` builds
-    the index from sequence lengths.
+    (N = B * L), and packing is then a reshape.  ``lengths`` [B] counts
+    each sequence's real positions, and grid column 0 sits at sequence
+    position ``start``: an int, or one value per row for a grid of one
+    query per row.  :func:`attention` builds its masks from these two
+    alone.  ``models.packing`` builds the index from sequence lengths.
     """
 
     batch: int
     width: int
     index: np.ndarray | None = None
+    _: KW_ONLY
+    lengths: np.ndarray
+    start: int | np.ndarray = 0
 
     @property
     def n(self) -> int:
@@ -318,24 +331,20 @@ class Packing:
         return flat if self.index is None else np.searchsorted(self.index, flat)
 
 
-def _grid_rows(x: np.ndarray, rows: Packing | None, what: str) -> Packing:
-    """``rows``, checked against packed ``x`` [N, d]; with no ``rows``,
-    ``x`` is itself a [B, L, d] grid, every position a row."""
-    if rows is None:
-        if x.ndim != 3:
-            raise ShapeError(f"{what} needs a [B, L, d] grid or [N, d] rows "
-                             f"with their packing, got {x.shape}")
-        return Packing(x.shape[0], x.shape[1])
-    if x.ndim != 2 or x.shape[0] != rows.n:
-        raise ShapeError(f"{what} rows {x.shape} do not match a packing of "
-                         f"{rows.n} rows")
-    return rows
+def _check_rows(x: np.ndarray, rows: Packing, what: str) -> None:
+    """``x`` holds the rows of ``rows``: [N, d], or, when every grid
+    position is a row, the [B, L, d] grid itself (a KV cache)."""
+    lead = x.shape[:-1]
+    if lead != (rows.n,) and (rows.index is not None
+                              or lead != (rows.batch, rows.width)):
+        raise ShapeError(f"{what} {x.shape} does not hold the rows of a "
+                         f"packing of {rows.n} rows")
 
 
 def to_grid(x: Tensor, rows: Packing) -> Tensor:
     """Packed rows ``x`` [N, d] as their [B, L, d] grid, zeros where the
     grid has no row; backward gathers the rows' gradients."""
-    _grid_rows(x.data, rows, "to_grid")
+    _check_rows(x.data, rows, "to_grid")
     out = Tensor(rows.grid(x.data))
 
     def bwd(g):
@@ -409,35 +418,58 @@ def linear(x, w, b) -> Tensor:
     return _register(out, (x, w, b), bwd)
 
 
-def attention(q, k, v, bias: np.ndarray, n_heads: int,
-              q_rows: Packing | None = None,
-              kv_rows: Packing | None = None) -> Tensor:
+def _attention_bias(q_rows: Packing, kv_rows: Packing,
+                    causal: bool) -> np.ndarray | None:
+    """The additive logits bias of :func:`attention`, broadcastable to
+    [B, h, Lq, Lkv], or None when every key is visible.
+
+    Key column j of row b is visible iff j < ``kv_rows.lengths[b]`` and,
+    when ``causal``, j <= ``q_rows.start[b] + i`` for query column i.  A
+    hidden key gets :data:`MASKED_LOGIT`; a query with no visible key is
+    a :class:`ContractError`.
+    """
+    keys = np.arange(kv_rows.width)
+    visible = (keys < kv_rows.lengths[:, None])[:, None]
+    if causal:
+        queries = np.reshape(q_rows.start, (-1, 1)) + np.arange(q_rows.width)
+        visible = visible & (keys <= queries[..., None])
+    if not visible.any(axis=-1).all():
+        raise ContractError("attention mask has a fully-masked query row")
+    if visible.all():
+        return None
+    return np.where(visible, 0.0, MASKED_LOGIT)[:, None]
+
+
+def attention(q, k, v, n_heads: int, q_rows: Packing, kv_rows: Packing,
+              causal: bool = False) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
     ``q`` holds the packed query rows [Nq, d] of the [B, Lq] grid
     ``q_rows``, and ``k`` and ``v`` the key and value rows [Nkv, d] of
-    the [B, Lkv] grid ``kv_rows``; an operand given without its packing
-    is a [B, L, d] grid.  ``bias`` is an additive logits bias that
-    broadcasts to [B, h, Lq, Lkv].  Returns the merged heads' context,
-    shaped like ``q``.  This is the one op that needs the grid: it
-    scatters its rows into the head views of [B, L, d] buffers (a
-    reshape when every position is a row), and gathers the context rows
-    back; backward scatters them again rather than keep the grids on the
-    tape.  Products run on head views and write through the head view of
-    a fresh [B, L, d] result.  The node keeps only the softmax
-    probabilities P; backward uses dS = P * (dP - rowsum(dP * P)) *
-    scale, the softmax backward of FlashAttention (Dao et al. 2022).
-    Every array operation is the one the primitive composition (reshape,
-    swapaxes, matmul, scale, add, softmax) performs, so on the reference
-    kernel the bytes match it.
+    the [B, Lkv] grid ``kv_rows`` (a KV cache passes its [B, Lkv, d] grid
+    with an index-free packing).  The masks come from the packings alone
+    (:func:`_attention_bias`): a query sees the keys before its row's
+    length, and, when ``causal``, none past its own position.  Returns
+    the merged heads' context, shaped like ``q``.  This is the one op
+    that needs the grid: it scatters its rows into the head views of
+    [B, L, d] buffers (a reshape when every position is a row), and
+    gathers the context rows back; backward scatters them again rather
+    than keep the grids on the tape.  Products run on head views and
+    write through the head view of a fresh [B, L, d] result.  The node
+    keeps only the softmax probabilities P; backward uses dS = P * (dP -
+    rowsum(dP * P)) * scale, the softmax backward of FlashAttention (Dao
+    et al. 2022), which also takes its masks from sequence lengths and a
+    causal flag.  Every array operation is the one the primitive
+    composition (reshape, swapaxes, matmul, scale, add, softmax)
+    performs, so on the reference kernel the bytes match it.
     """
     q_d, k_d, v_d = _data(q), _data(k), _data(v)
-    q_rows = _grid_rows(q_d, q_rows, "attention q")
-    kv_rows = _grid_rows(k_d, kv_rows, "attention k")
+    _check_rows(q_d, q_rows, "attention q")
+    _check_rows(k_d, kv_rows, "attention k")
     if (v_d.shape != k_d.shape or q_rows.batch != kv_rows.batch
             or q_d.shape[-1] != k_d.shape[-1]):
-        raise ShapeError(f"attention needs q [B, Lq, d] and k, v [B, Lkv, d] "
-                         f"grids, got {q_d.shape}, {k_d.shape} and "
+        raise ShapeError(f"attention needs q [Nq, d] and k, v [Nkv, d] "
+                         f"rows, got {q_d.shape}, {k_d.shape} and "
                          f"{v_d.shape} over grids of {q_rows.batch} and "
                          f"{kv_rows.batch} rows")
     b, lq, lkv, d = q_rows.batch, q_rows.width, kv_rows.width, q_d.shape[-1]
@@ -445,6 +477,7 @@ def attention(q, k, v, bias: np.ndarray, n_heads: int,
         raise ShapeError(f"attention width {d} not divisible by {n_heads} heads")
     hd = d // n_heads
     c = hd ** -0.5
+    bias = _attention_bias(q_rows, kv_rows, causal)
 
     def heads(x: np.ndarray, length: int) -> np.ndarray:
         """[B, L, d] -> its [B, h, L, hd] view."""
@@ -459,7 +492,8 @@ def attention(q, k, v, bias: np.ndarray, n_heads: int,
     p = _product(heads(q_rows.grid(q_d), lq),
                  np.swapaxes(heads(kv_rows.grid(k_d), lkv), 2, 3))
     p *= c
-    p += bias
+    if bias is not None:
+        p += bias
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

@@ -10,7 +10,8 @@ operands.
 
 Oracles: the einsum reference kernel, the primitive compositions the
 fused tape nodes replace (with ``batched_matmul``, the batched product
-only ``composed_attention`` needs), the all-positions stack that
+only ``composed_attention`` needs), the attention masks written out
+entry by entry (``reference_attention_bias``), the all-positions stack that
 ``read`` replaces, the padded stacks and masked loss that packed rows
 replace (``padded_rows``, ``masked_cross_entropy_sum``,
 ``padded_teacher_loss``), the per-row soft prompt that the shared prompt
@@ -229,6 +230,23 @@ def composed_attention(q, k, v, bias, n_heads: int):
     return reshape(tensor.swapaxes(ctx, 1, 2), (b, lq, d))
 
 
+def reference_attention_bias(q_rows, kv_rows, causal: bool) -> np.ndarray:
+    """The logits bias [B, 1, Lq, Lkv] that ``tensor.attention`` adds,
+    entry by entry: 0 where key column j of row b is visible to query
+    column i (j < ``kv_rows.lengths[b]`` and, when ``causal``, j at most
+    the query's position ``q_rows.start[b] + i``), -1e9 elsewhere."""
+    b, lq, lkv = q_rows.batch, q_rows.width, kv_rows.width
+    starts = np.broadcast_to(q_rows.start, (b,))
+    bias = np.zeros((b, 1, lq, lkv))
+    for row in range(b):
+        for i in range(lq):
+            for j in range(lkv):
+                visible = (j < kv_rows.lengths[row]
+                           and (not causal or j <= starts[row] + i))
+                bias[row, 0, i, j] = 0.0 if visible else -1e9
+    return bias
+
+
 @contextlib.contextmanager
 def all_positions():
     """The path ``read`` replaces: every transformer stack runs all its
@@ -265,7 +283,8 @@ def padded_rows():
     only through the attention masks, and a loss must mask them out
     afterwards (``padded_teacher_loss``)."""
     def every_position(lengths, width, start=0):
-        return tensor.Packing(len(lengths), width)
+        return tensor.Packing(len(lengths), width, lengths=np.asarray(lengths),
+                              start=start)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "packing", every_position)

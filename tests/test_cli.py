@@ -63,8 +63,12 @@ class TestExitCodes:
         (["eval", "--approach", "direct", "--llm", "llm.npz",
           "--set", "world.eval_size=0"],
          "world.eval_size: must be positive, got 0"),
+        (["eval", "--all", "--llm", "llm.npz", "--lr2hr", "lr2hr.npz",
+          "--hr2lr", "hr2lr.npz", "--tall", "tall.npz",
+          "--set", "train.soft_prompt.n_prompt=0"],
+         "train.soft_prompt.n_prompt: must be positive, got 0"),
     ], ids=["n_prompt", "adapter1_hidden", "eval_shift_alpha", "epochs",
-            "n_heads", "train_pairs", "eval_size"])
+            "n_heads", "train_pairs", "eval_size", "no_prompt"])
     def test_bad_config_value_exits_before_any_work(
             self, tmp_path, monkeypatch, capsys, argv, message):
         (tmp_path / "run.yaml").write_text(TINY_RUN)
@@ -72,6 +76,16 @@ class TestExitCodes:
         assert cli.main([*argv, "--config", "run.yaml"]) == cli.EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "llm.npz").exists()
+
+
+def test_param_report_check_of_the_toy_preset_is_refused_first(
+        monkeypatch, capsys):
+    monkeypatch.setattr(runner, "untrained_tall",
+                        lambda *args: pytest.fail("the pipeline was built"))
+    code = cli.main(["param-report", "--preset", "toy", "--check"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert "config error: --check applies to the published presets only" in err
 
 
 @pytest.mark.parametrize("preset", ["bloomz", "qwen"])

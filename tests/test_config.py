@@ -115,6 +115,13 @@ def test_feed_forward_widths_and_layer_counts_must_be_positive(override):
         load_config(None, [override])
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_soft_prompt_needs_at_least_one_position(value):
+    message = f"train.soft_prompt.n_prompt: must be positive, got {value}"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        load_config(None, [f"train.soft_prompt.n_prompt={value}"])
+
+
 @pytest.mark.parametrize("value", ["2", "-0.5"])
 def test_eval_shift_alpha_must_be_a_fraction(value):
     message = f"world.eval_shift_alpha: must be in [0, 1], got {value}"

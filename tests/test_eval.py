@@ -7,7 +7,6 @@ from tall import nn
 from tall.evaluation import (
     EvalExample,
     EvalRecord,
-    SoftPromptParams,
     _soft_prompt_logits,
     accuracy,
     clone_llm,
@@ -351,13 +350,14 @@ class TestSoftPrompt:
         corpus_lr = [list(p.lr_tokens) for p in corpus[:64]]
         tc = train_config(learning_rate=5e-4, epochs=1, batch_size=16, seed=3,
                           warmup_steps=100)
-        params, metrics = train_soft_prompt(llm, world, corpus_lr, tc,
-                                            n_prompt=30)
-        assert params.embeddings.shape == (30, llm.cfg.d_model)
-        total, trainable = trainable_param_count(params.store)
+        store, metrics = train_soft_prompt(llm, world, corpus_lr, tc,
+                                           n_prompt=30)
+        assert store.names() == ["prompt"]
+        assert store["prompt"].shape == (30, llm.cfg.d_model)
+        total, trainable = trainable_param_count(store)
         assert total == trainable == 30 * llm.cfg.d_model
         assert {n: t.data.tobytes() for n, t in llm.store.items()} == before
-        records = eval_soft_prompt(llm, params, world, examples[:20],
+        records = eval_soft_prompt(llm, store, world, examples[:20],
                                    sampler_config(seed=1))
         assert len(records) == 20
 
@@ -366,12 +366,12 @@ class TestSoftPrompt:
         corpus_lr = [list(p.lr_tokens) for p in corpus[:40]]
         tc = train_config(learning_rate=5e-4, epochs=2, batch_size=4,
                           grad_accum_steps=4, seed=3)
-        params, metrics = train_soft_prompt(clone_llm(llm), world, corpus_lr,
-                                            tc, n_prompt=2)
+        store, metrics = train_soft_prompt(clone_llm(llm), world, corpus_lr,
+                                           tc, n_prompt=2)
         # ceil(40 / (4 * 4)) = 3 updates per epoch
         assert len(metrics) == 6
         assert [m["step"] for m in metrics] == list(range(6))
-        assert params.embeddings.grad is None
+        assert store["prompt"].grad is None
 
     def test_prompt_past_the_position_table_is_refused(self, tiny_world):
         _, world, corpus, _, llm = tiny_world
@@ -417,8 +417,7 @@ class TestSoftPrompt:
         store = ParamStore()
         store.add("prompt", np.zeros((2, llm.cfg.d_model)))
         with pytest.raises(ValueError, match="evaluation dataset is empty"):
-            eval_soft_prompt(llm, SoftPromptParams(store, 2), world, [],
-                             sampler_config())
+            eval_soft_prompt(llm, store, world, [], sampler_config())
 
     def test_logits_are_the_final_rows_of_every_position(self, tiny_world,
                                                           kernel):

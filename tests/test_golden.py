@@ -139,16 +139,16 @@ def golden_run(reference_kernel_module):
 
     # soft prompt: warmup, and 20 sentences in batches of 8 end in a 4
     corpus_lr = [list(p.lr_tokens) for p in corpus[:20]]
-    params, metrics = train_soft_prompt(
+    prompt, metrics = train_soft_prompt(
         llm, world, corpus_lr,
         train_config(learning_rate=5e-3, epochs=2, batch_size=8, seed=7,
                      warmup_steps=2),
         n_prompt=3)
-    out["soft_prompt.store"] = _store_hash(params.store)
+    out["soft_prompt.store"] = _store_hash(prompt)
     out["soft_prompt.metrics"] = _json_hash(metrics)
     out["soft_prompt.eval"] = _json_hash(
         [dataclasses.asdict(r)
-         for r in eval_soft_prompt(llm, params, world, examples, sampler)])
+         for r in eval_soft_prompt(llm, prompt, world, examples, sampler)])
     return out
 
 

@@ -14,8 +14,11 @@ Thirteen rules for every module under ``src/tall``:
   are called nowhere else, so every approach draws its answer the same
   way;
 - only ``models.py`` names a position table (a ``"pos"`` or ``"*.pos"``
-  string) or calls a mask builder, so every transformer stack adds its
-  positions and builds its masks in ``models._stack_forward``;
+  string), so every transformer stack adds its positions in
+  ``models._stack_forward``; and only ``tensor.py`` masks: no other
+  module names ``MASKED_LOGIT`` or defines a function with a parameter
+  whose name contains ``mask``, so every attention mask comes from the
+  packings ``tensor.attention`` is handed;
 - only ``models.py`` builds a packing index: it alone calls the builder
   ``packing`` or passes an index to ``Packing``, so every stack packs
   its real tokens the one way ``models._stack_forward`` does (a
@@ -147,15 +150,34 @@ def sampling_calls(path: Path) -> list[str]:
     return calls_to(path, ("sample_token", "example_rng"))
 
 
-def stack_seam_sites(path: Path) -> list[str]:
-    """Position-table names and mask-builder calls."""
+def position_table_names(path: Path) -> list[str]:
+    """``"pos"`` and ``"*.pos"`` strings."""
     tree, _ = _parse(path)
-    found = calls_to(path, ("key_valid_mask", "causal_valid_mask",
-                            "causal_mask"))
+    return sorted(f"{path.name}:{node.lineno} {node.value!r}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and (node.value == "pos" or node.value.endswith(".pos")))
+
+
+def mask_sites(path: Path) -> list[str]:
+    """Names of ``MASKED_LOGIT`` (imported, read or assigned) and function
+    parameters whose name contains ``mask``."""
+    tree, _ = _parse(path)
+    found = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                and (node.value == "pos" or node.value.endswith(".pos"))):
-            found.append(f"{path.name}:{node.lineno} {node.value!r}")
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name == "MASKED_LOGIT":
+            found.append(f"{path.name}:{node.lineno} MASKED_LOGIT")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            found += [f"{path.name}:{arg.lineno} parameter {arg.arg}"
+                      for arg in (a.posonlyargs + a.args + a.kwonlyargs
+                                  + [a.vararg, a.kwarg])
+                      if arg is not None and "mask" in arg.arg]
     return sorted(found)
 
 
@@ -343,10 +365,13 @@ def test_only_evaluation_samples(path):
     assert sampling_calls(path) == []
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "models.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_models_adds_positions_and_builds_masks(path):
-    assert stack_seam_sites(path) == []
+    """Positions belong to ``models.py`` and masks to ``tensor.py``."""
+    if path.name != "models.py":
+        assert position_table_names(path) == []
+    if path.name != "tensor.py":
+        assert mask_sites(path) == []
 
 
 @pytest.mark.parametrize(
@@ -460,13 +485,21 @@ def test_checks_catch_what_they_name(tmp_path):
     seam = tmp_path / "seam.py"
     seam.write_text(
         "x = T.add(x, T.embedding(store['bridge1.pos'], np.arange(n)))\n"
-        "m = causal_valid_mask(lengths, n) & nn.causal_mask(n)\n"
-        "k = key_valid_mask(lengths, n, n)\n"
         "p = store[f'{prefix}.pos'] or store['pos'] or store['pos_ids']\n")
-    assert stack_seam_sites(seam) == [
-        "seam.py:1 'bridge1.pos'", "seam.py:2 causal_mask",
-        "seam.py:2 causal_valid_mask", "seam.py:3 key_valid_mask",
-        "seam.py:4 '.pos'", "seam.py:4 'pos'"]
+    assert position_table_names(seam) == [
+        "seam.py:1 'bridge1.pos'", "seam.py:2 '.pos'", "seam.py:2 'pos'"]
+    masks = tmp_path / "masks.py"
+    masks.write_text(
+        "from .tensor import MASKED_LOGIT\n"
+        "def attend(q, self_mask, *, cross_mask=None, **masks):\n"
+        "    return np.where(self_mask, 0.0, T.MASKED_LOGIT)\n"
+        "MASKED_LOGIT = -1e9\n"
+        "bias = lambda mask: mask + masked + valid_masks(q)\n")
+    assert mask_sites(masks) == [
+        "masks.py:1 MASKED_LOGIT", "masks.py:2 parameter cross_mask",
+        "masks.py:2 parameter masks", "masks.py:2 parameter self_mask",
+        "masks.py:3 MASKED_LOGIT", "masks.py:4 MASKED_LOGIT",
+        "masks.py:5 parameter mask"]
     pack = tmp_path / "pack.py"
     pack.write_text(
         "rows = models.packing(lengths, width)\n"

@@ -8,15 +8,15 @@ from tall.nn import (
     ParamStore,
     adapter_forward,
     adapter_param_count,
-    causal_mask,
     init_adapter,
     init_attention,
     init_transformer_layer,
     multi_head_attention,
     transformer_layer_forward,
 )
+from tall import tensor as T
 from tall.optim import AdamW
-from tall.tensor import ContractError, ShapeError, Tape, Tensor
+from tall.tensor import ContractError, Packing, ShapeError, Tape, Tensor
 
 from conftest import (finite_diff_grad, max_relative_error, mean_all, mul,
                       trainable_param_count)
@@ -111,17 +111,21 @@ def identity_attention(d):
     return store, cfg
 
 
+def sequence(n):
+    """The packing of one sequence of ``n`` real positions."""
+    return Packing(1, n, lengths=np.array([n]))
+
+
 class TestAttention:
     def test_single_key_returns_value(self):
         d = 3
         store, cfg = identity_attention(d)
         rng = np.random.default_rng(1)
-        q = Tensor(rng.standard_normal((1, 4, d)))
-        kv = Tensor(rng.standard_normal((1, 1, d)))
-        out = multi_head_attention(q, kv, np.ones((4, 1), dtype=bool), cfg,
-                                   store, "attn")
-        np.testing.assert_allclose(out.data,
-                                   np.broadcast_to(kv.data, (1, 4, d)),
+        q = Tensor(rng.standard_normal((4, d)))
+        kv = Tensor(rng.standard_normal((1, d)))
+        out = multi_head_attention(q, kv, cfg, store, "attn", sequence(4),
+                                   sequence(1))
+        np.testing.assert_allclose(out.data, np.broadcast_to(kv.data, (4, d)),
                                    atol=1e-12)
 
     def test_causal_perturbation(self):
@@ -130,15 +134,15 @@ class TestAttention:
         cfg = AttentionConfig(d_model=d, n_heads=2)
         rng = np.random.default_rng(2)
         init_attention(store, "attn", cfg, rng)
-        x = rng.standard_normal((1, n, d))
-        mask = causal_mask(n)
-        base = multi_head_attention(Tensor(x), Tensor(x), mask, cfg, store,
-                                    "attn").data[0]
+        x = rng.standard_normal((n, d))
+        rows = sequence(n)
+        base = multi_head_attention(Tensor(x), Tensor(x), cfg, store, "attn",
+                                    rows, rows, causal=True).data
         j = 3
         x2 = x.copy()
-        x2[0, j] += 10.0
-        pert = multi_head_attention(Tensor(x2), Tensor(x2), mask, cfg, store,
-                                    "attn").data[0]
+        x2[j] += 10.0
+        pert = multi_head_attention(Tensor(x2), Tensor(x2), cfg, store, "attn",
+                                    rows, rows, causal=True).data
         np.testing.assert_array_equal(base[:j], pert[:j])
         assert np.any(base[j:] != pert[j:])
 
@@ -148,44 +152,56 @@ class TestAttention:
         store["attn.q.weight"].data[:] = 0.0
         store["attn.k.weight"].data[:] = 0.0
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, n, d))
-        mask = causal_mask(n)
-        out = multi_head_attention(Tensor(x), Tensor(x), mask, cfg, store,
-                                   "attn").data
+        x = rng.standard_normal((n, d))
+        rows = sequence(n)
+        out = multi_head_attention(Tensor(x), Tensor(x), cfg, store, "attn",
+                                   rows, rows, causal=True).data
         for i in range(n):
-            np.testing.assert_allclose(out[0, i], x[0, : i + 1].mean(axis=0),
+            np.testing.assert_allclose(out[i], x[: i + 1].mean(axis=0),
                                        atol=1e-12)
 
     def test_fully_masked_row_rejected(self):
         d = 2
         store, cfg = identity_attention(d)
-        mask = np.array([[True, True], [False, False]])
+        no_keys = Packing(1, 2, lengths=np.array([0]))
         with pytest.raises(ContractError):
-            multi_head_attention(Tensor(np.zeros((1, 2, d))),
-                                 Tensor(np.zeros((1, 2, d))), mask, cfg, store,
-                                 "attn")
+            multi_head_attention(Tensor(np.zeros((2, d))),
+                                 Tensor(np.zeros((2, d))), cfg, store,
+                                 "attn", sequence(2), no_keys)
 
     def test_unbatched_input_rejected(self):
+        """An input without a row axis, or with other rows than its
+        packing, is refused."""
         store, cfg = identity_attention(2)
-        with pytest.raises(ShapeError, match=r"\[B, L, d\]"):
-            multi_head_attention(Tensor(np.zeros((2, 2))),
-                                 Tensor(np.zeros((2, 2))),
-                                 np.ones((2, 2), dtype=bool), cfg, store,
-                                 "attn")
+        for x in (np.zeros(2), np.zeros((3, 2))):
+            with pytest.raises(ShapeError, match="rows of a packing"):
+                multi_head_attention(Tensor(x), Tensor(x), cfg, store, "attn",
+                                     sequence(2), sequence(2))
+
+
+def causal_weights(n):
+    """Attention weights [n, n] of one causal sequence of ``n`` positions
+    under uniform scores: with q = k = 0 and v = I, output row i holds
+    query i's weights over the keys."""
+    zeros = Tensor(np.zeros((n, n)))
+    return T.attention(zeros, zeros, Tensor(np.eye(n)), 1, sequence(n),
+                       sequence(n), causal=True).data
 
 
 class TestCausalMask:
+    """``tensor.attention``'s causal flag: query i sees keys 0 .. i."""
+
     def test_n1(self):
-        np.testing.assert_array_equal(causal_mask(1), [[True]])
+        np.testing.assert_array_equal(causal_weights(1), [[1.0]])
 
     def test_n3(self):
-        m = causal_mask(3)
+        m = causal_weights(3) > 0
         assert m.sum() == 6
         assert m[0, 1] == False  # noqa: E712
 
     def test_row_counts_up_to_64(self):
         for n in range(1, 65):
-            m = causal_mask(n)
+            m = causal_weights(n) > 0
             np.testing.assert_array_equal(m.sum(axis=1), np.arange(1, n + 1))
 
 
@@ -198,11 +214,10 @@ class TestTransformerLayer:
         zero_params(store, "layer.self_attn.out")
         zero_params(store, "layer.cross_attn.out")
         zero_params(store, "layer.ffn.down")
-        x = rng.standard_normal((1, 3, 8))
-        kv = Tensor(rng.standard_normal((1, 4, 8)))
-        out = transformer_layer_forward(
-            Tensor(x), kv, cfg, store, "layer",
-            self_mask=causal_mask(3), cross_mask=np.ones((3, 4), dtype=bool))
+        x = rng.standard_normal((3, 8))
+        kv = Tensor(rng.standard_normal((4, 8)))
+        out = transformer_layer_forward(Tensor(x), kv, cfg, store, "layer",
+                                        sequence(3), sequence(4))
         np.testing.assert_array_equal(out.data, x)
 
     def test_output_shape(self):
@@ -211,11 +226,10 @@ class TestTransformerLayer:
         rng = np.random.default_rng(7)
         init_transformer_layer(store, "layer", cfg, rng)
         for length in (1, 4, 9):
-            x = Tensor(rng.standard_normal((1, length, 6)))
-            out = transformer_layer_forward(
-                x, None, cfg, store, "layer",
-                self_mask=np.ones((length, length), dtype=bool))
-            assert out.shape == (1, length, 6)
+            x = Tensor(rng.standard_normal((length, 6)))
+            out = transformer_layer_forward(x, None, cfg, store, "layer",
+                                            sequence(length))
+            assert out.shape == (length, 6)
 
     def test_two_layer_stack_gradcheck(self):
         cfg = LayerConfig(d_model=6, n_heads=2, d_ff=8, causal=True)
@@ -223,15 +237,14 @@ class TestTransformerLayer:
         rng = np.random.default_rng(8)
         init_transformer_layer(store, "l0", cfg, rng, cross_kv_dim=4)
         init_transformer_layer(store, "l1", cfg, rng)
-        x = rng.standard_normal((1, 3, 6))
-        kv = rng.standard_normal((1, 2, 4))
-        self_mask = causal_mask(3)
-        cross_mask = np.ones((3, 2), dtype=bool)
+        x = rng.standard_normal((3, 6))
+        kv = rng.standard_normal((2, 4))
 
         def compute():
             h = transformer_layer_forward(Tensor(x), Tensor(kv), cfg, store,
-                                          "l0", self_mask, cross_mask)
-            h = transformer_layer_forward(h, None, cfg, store, "l1", self_mask)
+                                          "l0", sequence(3), sequence(2))
+            h = transformer_layer_forward(h, None, cfg, store, "l1",
+                                          sequence(3))
             return mean_all(mul(h, h))
 
         params = [t for _, t in store.trainable_items()]

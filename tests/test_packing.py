@@ -10,9 +10,11 @@ row order, so on the reference kernel the packed logits, loss and every
 leaf gradient are the oracle's bytes; on BLAS, whose bytes depend on the
 shape of each product, they agree to 1e-12.
 
-Also here: a row gives the same bytes alone and in a mixed batch, and a
+Also here: a row gives the same bytes alone and in a mixed batch, a
 batch whose every position is real packs by reshaping, with the tape of
-the padded composition.
+the padded composition, and the masks ``tensor.attention`` derives from
+the packings it is handed equal the entry-by-entry oracle
+``conftest.reference_attention_bias`` at every call a model makes.
 """
 
 import numpy as np
@@ -21,13 +23,14 @@ import pytest
 from tall import evaluation, models
 from tall import tensor as T
 from tall.models import (CausalLM, CausalLMConfig, Seq2SeqConfig, Translator,
-                         pad_batch)
+                         decoder_forward, pad_batch)
 from tall.pipeline import BridgeConfig, TallConfig, TallModel
 from tall.tensor import Tape, Tensor
 from tall.world import BOS, N_SPECIALS
 
-from conftest import (assert_close, assert_parity, padded_rows,
-                      padded_teacher_loss, toy_world)
+from conftest import (assert_close, assert_parity, composed_attention,
+                      padded_rows, padded_teacher_loss,
+                      reference_attention_bias, toy_world)
 
 S2S = Seq2SeqConfig(vocab_src=20, vocab_tgt=18, d_model=16, n_heads=2,
                     d_ff=32, enc_layers=2, dec_layers=2, max_len=12)
@@ -296,3 +299,89 @@ def test_packing_is_row_major_over_real_positions():
     cached = models.packing(np.array([4, 5]), 2, start=3)
     np.testing.assert_array_equal(cached.index, [0, 2, 3])
     assert models.packing(np.array([3, 3]), 3).index is None
+
+
+def recording_attention(monkeypatch) -> list:
+    """Every ``tensor.attention`` call: its operands' data, head count,
+    packings and causal flag, and its output's data."""
+    calls = []
+    attend = T.attention
+
+    def record(q, k, v, n_heads, q_rows, kv_rows, causal=False):
+        out = attend(q, k, v, n_heads, q_rows, kv_rows, causal)
+        calls.append((q.data, k.data, v.data, n_heads, q_rows, kv_rows,
+                      causal, out.data))
+        return out
+
+    monkeypatch.setattr(T, "attention", record)
+    return calls
+
+
+def _decoder_reading_the_last_positions():
+    tr = Translator.init(S2S, 11)
+    memory, mem_lengths = tr.encode(token_seqs(11, SRC_LENGTHS, S2S.vocab_src))
+    ids, lengths = pad_batch([[BOS] + t for t in
+                              token_seqs(12, TGT_LENGTHS, S2S.vocab_tgt)])
+    decoder_forward(tr.store, "decoder", S2S, ids, lengths, memory,
+                    mem_lengths, read=lengths - 1)
+
+
+def _soft_prompt():
+    prompt = Tensor(np.random.default_rng(13).normal(0.0, 0.1,
+                                                      size=(3, LM.d_model)))
+    evaluation._soft_prompt_logits(CausalLM.init(LM, 13), prompt,
+                                   token_seqs(13, (4, 0, 12, 7), LM.vocab_size))
+
+
+# each shape: a run, and the calls of that run that show the shape
+MASK_SHAPES = {
+    "padded_encoder": (
+        lambda: Translator.init(S2S, 10).encode(
+            token_seqs(10, SRC_LENGTHS, S2S.vocab_src)),
+        lambda q, kv, causal: not causal and kv.index is not None),
+    "causal_decoder_with_read": (
+        _decoder_reading_the_last_positions,
+        lambda q, kv, causal: causal and np.ndim(q.start) == 1),
+    "cached_greedy_step": (
+        lambda: Translator.init(S2S, 12).greedy_translate(
+            token_seqs(12, SRC_LENGTHS, S2S.vocab_src), cap=3),
+        lambda q, kv, causal: causal and q.width == 1 and np.all(q.start > 0)),
+    "cross_attention_to_a_padded_memory": (
+        lambda: Translator.init(S2S, 14).teacher_logits(
+            token_seqs(14, SRC_LENGTHS, S2S.vocab_src),
+            token_seqs(15, TGT_LENGTHS, S2S.vocab_tgt)),
+        lambda q, kv, causal: (not causal and kv is not q
+                               and np.any(kv.lengths < kv.width))),
+    "broadcast_prompt_cache": (
+        _soft_prompt,
+        lambda q, kv, causal: causal and kv.batch > 1 and np.all(q.start >= 3)),
+}
+
+
+@pytest.mark.parametrize("shape", MASK_SHAPES)
+def test_attention_masks_match_the_oracle(shape, reference_kernel,
+                                          monkeypatch):
+    """At every attention call of the run, the bias ``attention`` builds
+    is the oracle's (None: every entry 0), and its output is the bytes of
+    the primitive composition over the grids with the oracle's bias.  The
+    key columns past each row's length are its pad columns: the key grid
+    holds exact zeros there and nowhere else."""
+    run_model, shows_shape = MASK_SHAPES[shape]
+    calls = recording_attention(monkeypatch)
+    run_model()
+    assert any(shows_shape(q_rows, kv_rows, causal)
+               for _, _, _, _, q_rows, kv_rows, causal, _ in calls)
+    hidden = 0
+    for q, k, v, n_heads, q_rows, kv_rows, causal, out in calls:
+        want = reference_attention_bias(q_rows, kv_rows, causal)
+        got = T._attention_bias(q_rows, kv_rows, causal)
+        np.testing.assert_array_equal(
+            np.broadcast_to(0.0 if got is None else got, want.shape), want)
+        grids = [q_rows.grid(q)] + [kv_rows.grid(a) for a in (k, v)]
+        np.testing.assert_array_equal(
+            np.all(grids[1] == 0, axis=-1),
+            np.arange(kv_rows.width) >= kv_rows.lengths[:, None])
+        composed = composed_attention(*map(Tensor, grids), want, n_heads)
+        assert q_rows.rows(composed.data).tobytes() == out.tobytes()
+        hidden += int(np.any(want != 0))
+    assert hidden > 0

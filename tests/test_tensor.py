@@ -34,6 +34,7 @@ from conftest import (
     max_relative_error,
     mean_all,
     mul,
+    reference_attention_bias,
     reshape,
     sum_all,
 )
@@ -158,17 +159,19 @@ class TestShippedKernel:
 
 
 def _attention_operands(seed, b=2, lq=3, lkv=5, d=8, causal=False):
-    """Projected q, k, v, an upstream gradient and a logits bias whose
-    every query row keeps at least one key."""
+    """Projected q, k, v grids, an upstream gradient, and the masks:
+    (q_rows, kv_rows, causal), the grids' index-free packings and the
+    flag.  Unless ``causal``, the last row's keys are real up to column 2
+    only; when ``causal`` every key is real and the mask is causal."""
     rng = np.random.default_rng(seed)
     q, g = rng.standard_normal((2, b, lq, d))
     k, v = rng.standard_normal((2, b, lkv, d))
-    if causal:
-        mask = np.tril(np.ones((lq, lkv), dtype=bool))[None, None]
-    else:
-        mask = rng.random((b, 1, lq, lkv)) < 0.7
-        mask[..., 0] = True
-    return [q, k, v], g, np.where(mask, 0.0, -1e9)
+    lengths = np.full(b, lkv)
+    if not causal:
+        lengths[-1] = 2
+    masks = (T.Packing(b, lq, lengths=np.full(b, lq)),
+             T.Packing(b, lkv, lengths=lengths), causal)
+    return [q, k, v], g, masks
 
 
 def _linear_operands(seed, x_shape):
@@ -222,13 +225,14 @@ class TestFusedOps:
                                            einsum_reference):
         if kernel == "reference":
             monkeypatch.setattr(T, "_product", einsum_reference)
-        arrays, g, bias = _attention_operands(22, **case)
+        arrays, g, masks = _attention_operands(22, **case)
 
         def fused(q, k, v):
-            return T.attention(q, k, v, bias, 2)
+            return T.attention(q, k, v, 2, *masks)
 
         def composed(q, k, v):
-            return composed_attention(q, k, v, bias, 2)
+            return composed_attention(q, k, v,
+                                      reference_attention_bias(*masks), 2)
 
         for got, want in zip(_output_and_grads(fused, arrays, g),
                              _output_and_grads(composed, arrays, g)):
@@ -246,8 +250,8 @@ class TestFusedOps:
             arrays, g = _linear_operands(28, (2, 3, 4))
             fn, n_views = T.linear, 1
         else:
-            arrays, g, bias = _attention_operands(28)
-            fn, n_views = (lambda q, k, v: T.attention(q, k, v, bias, 2)), 3
+            arrays, g, masks = _attention_operands(28)
+            fn, n_views = (lambda q, k, v: T.attention(q, k, v, 2, *masks)), 3
         rng = np.random.default_rng(29)
         views = []
         for a in arrays[:n_views]:
@@ -268,16 +272,13 @@ class TestFusedOps:
             assert_parity(got, want, kernel)
 
     def test_one_query_per_row_is_a_length_one_query(self):
-        arrays, g, bias = _attention_operands(27, lq=1)
+        arrays, g, (q_rows, kv_rows, _) = _attention_operands(27, lq=1)
 
         def attend(q, k, v):
-            return T.attention(q, k, v, bias, 2)
-
-        def attend_rows(q, k, v):
-            return T.attention(q, k, v, bias, 2, q_rows=T.Packing(2, 1))
+            return T.attention(q, k, v, 2, q_rows, kv_rows)
 
         rows = [arrays[0][:, 0]] + arrays[1:]
-        one = _output_and_grads(attend_rows, rows, g[:, 0])
+        one = _output_and_grads(attend, rows, g[:, 0])
         full = _output_and_grads(attend, arrays, g)
         assert one[0].shape == (2, 8) and one[1].shape == (2, 8)
         for got, want in zip(one, full):
@@ -287,37 +288,36 @@ class TestFusedOps:
         """Packed query rows (lengths 3 and 1) over packed key rows
         (lengths 5 and 2) give the output rows and gradient rows of the
         grid run whose other positions hold zeros and get no gradient."""
-        arrays, g, _ = _attention_operands(30)
+        arrays, g, (q_grid, kv_grid, _) = _attention_operands(30)
         q_index, kv_index = np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3, 4, 5, 6])
-        q_rows, kv_rows = T.Packing(2, 3, q_index), T.Packing(2, 5, kv_index)
-        bias = np.where(np.arange(5) < np.array([5, 2])[:, None], 0.0,
-                        -1e9)[:, None, None, :]
+        q_rows = T.Packing(2, 3, q_index, lengths=np.array([3, 1]))
+        kv_rows = T.Packing(2, 5, kv_index, lengths=kv_grid.lengths)
         grids = [q_rows.grid(q_rows.rows(arrays[0]))] + [
             kv_rows.grid(kv_rows.rows(a)) for a in arrays[1:]]
         g_grid = q_rows.grid(q_rows.rows(g))
         packed = _output_and_grads(
-            lambda q, k, v: T.attention(q, k, v, bias, 2, q_rows, kv_rows),
+            lambda q, k, v: T.attention(q, k, v, 2, q_rows, kv_rows),
             [q_rows.rows(grids[0])] + [kv_rows.rows(a) for a in grids[1:]],
             q_rows.rows(g_grid))
-        grid = _output_and_grads(lambda q, k, v: T.attention(q, k, v, bias, 2),
-                                 grids, g_grid)
+        grid = _output_and_grads(
+            lambda q, k, v: T.attention(q, k, v, 2, q_grid, kv_grid),
+            grids, g_grid)
         picks = (q_rows, q_rows, kv_rows, kv_rows)
         for got, want, rows in zip(packed, grid, picks):
             assert_parity(got, rows.rows(want), kernel)
 
     def test_a_packing_with_every_position_is_a_reshape(self):
-        arrays, g, bias = _attention_operands(31)
-        q_rows, kv_rows = T.Packing(2, 3), T.Packing(2, 5)
+        arrays, g, masks = _attention_operands(31)
         packed = _output_and_grads(
-            lambda q, k, v: T.attention(q, k, v, bias, 2, q_rows, kv_rows),
+            lambda q, k, v: T.attention(q, k, v, 2, *masks),
             [a.reshape(-1, 8) for a in arrays], g.reshape(-1, 8))
-        grid = _output_and_grads(lambda q, k, v: T.attention(q, k, v, bias, 2),
-                                 arrays, g)
+        grid = _output_and_grads(
+            lambda q, k, v: T.attention(q, k, v, 2, *masks), arrays, g)
         for got, want in zip(packed, grid):
             assert got.tobytes() == want.tobytes()
 
     def test_to_grid_scatters_rows_and_gathers_their_gradient(self):
-        rows = T.Packing(2, 3, np.array([0, 1, 3]))
+        rows = T.Packing(2, 3, np.array([0, 1, 3]), lengths=np.array([2, 1]))
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         g = np.arange(12.0).reshape(2, 3, 2) + 1.0
         with Tape() as tape:
@@ -347,11 +347,11 @@ class TestFusedOps:
     @pytest.mark.parametrize("case", ATTENTION_CASES.values(),
                              ids=ATTENTION_CASES.keys())
     def test_attention_against_finite_differences(self, case):
-        arrays, g, bias = _attention_operands(24, **case)
+        arrays, g, masks = _attention_operands(24, **case)
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
 
         def loss():
-            return sum_all(mul(T.attention(*leaves, bias, 2), Tensor(g)))
+            return sum_all(mul(T.attention(*leaves, 2, *masks), Tensor(g)))
 
         with Tape() as tape:
             value = loss()
@@ -375,11 +375,11 @@ class TestFusedOps:
                                   [True, False, False])[1])
 
     def test_frozen_keys_and_values_get_no_gradient(self):
-        arrays, g, bias = _attention_operands(26)
+        arrays, g, masks = _attention_operands(26)
         q, k, v = (Tensor(a, requires_grad=t)
                    for a, t in zip(arrays, (True, False, False)))
         with Tape() as tape:
-            out = T.attention(q, k, v, bias, 2)
+            out = T.attention(q, k, v, 2, *masks)
         [(node_out, inputs, backward_fn)] = tape._nodes
         assert node_out is out and inputs == (q, k, v)
         gq, gk, gv = backward_fn(g)
@@ -393,12 +393,13 @@ class TestFusedOps:
         with pytest.raises(ShapeError):
             T.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))),
                      Tensor(np.zeros(4)))
+        rows = T.Packing(1, 3, lengths=np.array([3]))
+        with pytest.raises(ShapeError):
+            T.attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
+                        Tensor(np.zeros((3, 4))), 2, rows, rows)
         with pytest.raises(ShapeError):
             T.attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))),
-                        Tensor(np.zeros((3, 4))), np.zeros((1, 1, 3, 3)), 2)
-        with pytest.raises(ShapeError):
-            T.attention(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((1, 3, 4))),
-                        Tensor(np.zeros((1, 3, 4))), np.zeros((1, 1, 3, 3)), 3)
+                        Tensor(np.zeros((3, 4))), 3, rows, rows)
 
 
 class TestSoftmax:
@@ -699,13 +700,14 @@ class TestBackward:
 
     def test_leaf_accumulates_across_two_tapes_of_fused_nodes(self):
         rng = np.random.default_rng(28)
-        arrays, g, bias = _attention_operands(29)
+        arrays, g, masks = _attention_operands(29)
         w = Tensor(rng.standard_normal((8, 8)), requires_grad=True)
         b = Tensor(np.zeros(8), requires_grad=True)
 
         def loss():
             q = T.linear(Tensor(arrays[0]), w, b)
-            return sum_all(mul(T.attention(q, *arrays[1:], bias, 2), Tensor(g)))
+            return sum_all(mul(T.attention(q, *arrays[1:], 2, *masks),
+                               Tensor(g)))
 
         with Tape() as tape:
             first_loss = loss()
