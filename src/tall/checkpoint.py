@@ -7,7 +7,7 @@ Layout (little-endian, no padding):
     meta    u32 length + UTF-8 JSON document (config echo, seed, step)
     count   u32 number of tensors, then per tensor:
         name  u16 length + UTF-8 bytes
-        dtype u8   0 = float32, 1 = float64
+        dtype u8   1 = float64, the only code
         rank  u8
         dims  rank x u32
         data  raw row-major values
@@ -19,6 +19,7 @@ Round trips are bit-identical: metadata is serialized canonically
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from .nn import ParamStore
 MAGIC = b"TLCP"
 VERSION = 1
 
-_DTYPE_CODES = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_FLOAT64 = np.dtype("<f8")
+_FLOAT64_CODE = 1
 
 
 class CheckpointError(RuntimeError):
@@ -66,12 +67,11 @@ def save_checkpoint(store: ParamStore | dict, meta: dict, path) -> None:
     for name, t in store.items():
         name_bytes = name.encode("utf-8")
         arr = t.data
-        code = _DTYPE_CODES[np.dtype(arr.dtype.str.replace(">", "<"))]
         parts.append(struct.pack("<H", len(name_bytes)))
         parts.append(name_bytes)
-        parts.append(struct.pack("<BB", code, arr.ndim))
+        parts.append(struct.pack("<BB", _FLOAT64_CODE, arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+        parts.append(arr.astype(_FLOAT64, copy=False).tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -89,6 +89,12 @@ class _Reader:
         out = self.blob[self.pos : self.pos + n]
         self.pos += n
         return out
+
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{what} is not UTF-8: {exc}")
 
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
@@ -116,19 +122,26 @@ def load_checkpoint(path, expect_meta: dict | None = None
         raise VersionMismatchError(
             f"{path}: unsupported checkpoint version {version}, expected {VERSION}"
         )
-    meta = json.loads(r.take(r.u32("metadata length"), "metadata").decode("utf-8"))
+    try:
+        meta = json.loads(r.text(r.u32("metadata length"), "metadata"))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: metadata is not JSON: {exc}")
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is a JSON "
+                              f"{type(meta).__name__}, not an object")
     store = ParamStore()
     for i in range(r.u32("tensor count")):
         what = f"tensor {i}"
-        name = r.take(r.u16(what), f"{what} name").decode("utf-8")
+        name = r.text(r.u16(what), f"{what} name")
+        if name in store:
+            raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
         dtype_code = r.u8(f"{what} dtype")
-        if dtype_code not in _CODE_DTYPES:
+        if dtype_code != _FLOAT64_CODE:
             raise CheckpointError(f"{path}: unknown dtype code {dtype_code}")
         rank = r.u8(f"{what} rank")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"{what} dims"))
-        dtype = _CODE_DTYPES[dtype_code]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-        arr = np.frombuffer(r.take(nbytes, f"{what} data"), dtype=dtype)
+        nbytes = math.prod(dims) * _FLOAT64.itemsize
+        arr = np.frombuffer(r.take(nbytes, f"{what} data"), dtype=_FLOAT64)
         store.add(name, arr.reshape(dims).copy())
     if r.pos != len(r.blob):
         raise CheckpointError(

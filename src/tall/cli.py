@@ -54,6 +54,11 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 def _load(args) -> tuple:
     cfg = load_config(args.config, args.overrides)
+    for flag in ("seed", "eval_seed"):  # --eval-seed is eval's alone
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise ConfigError(f"--{flag.replace('_', '-')}: must be >= 0, "
+                              f"got {value}")
     seed = cfg.world.seed if args.seed is None else args.seed
     return cfg, seed
 

@@ -220,9 +220,10 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
         raise ConfigError(
             f"world.eval_shift_alpha: must be in [0, 1], got {alpha}")
     _check_heads(cfg)
-    _check_sizes(cfg)
     _check_lengths(cfg)
+    # the builders name their section for the values they check themselves
     _check_builders(cfg)
+    _check_sizes(cfg)
     return cfg
 
 
@@ -241,22 +242,21 @@ def _check_heads(cfg: RunConfig) -> None:
                               f"d_model {d_model}")
 
 
-def _check_sizes(cfg: RunConfig) -> None:
-    """Every feed-forward width, adapter hidden width, layer count, corpus
-    size and the soft prompt's length is positive."""
-    m = cfg.models
-    for key, section in (("world", cfg.world),
-                         ("models.translator", m.translator),
-                         ("models.llm", m.llm),
-                         ("models.tall", m.tall),
-                         ("models.tall.bridge1", m.tall.bridge1),
-                         ("models.tall.bridge2", m.tall.bridge2),
-                         ("train.soft_prompt", cfg.train.soft_prompt)):
-        for f in dataclasses.fields(section):
-            value = getattr(section, f.name)
-            if ((f.name in ("d_ff", "train_pairs", "eval_size", "n_prompt")
-                 or f.name.endswith(("layers", "hidden"))) and value < 1):
-                raise ConfigError(f"{key}.{f.name}: must be positive, got {value}")
+def _check_sizes(section, path: str = "") -> None:
+    """Every ``int`` field of the tree under ``section`` is at least 1,
+    except a seed or a warmup step count, which may be 0.  A field's kind
+    is the type of its default (a float field may hold an int)."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        where = f"{path}.{f.name}" if path else f.name
+        if dataclasses.is_dataclass(value):
+            _check_sizes(value, where)
+        elif type(f.default) is int:
+            if f.name.endswith(("seed", "warmup_steps")):
+                if value < 0:
+                    raise ConfigError(f"{where}: must be >= 0, got {value}")
+            elif value < 1:
+                raise ConfigError(f"{where}: must be positive, got {value}")
 
 
 def _check_lengths(cfg: RunConfig) -> None:

@@ -25,9 +25,11 @@ every real position, so its logits are [N, V] and its labels are the
 target sequences laid end to end.  Greedy decoding is incremental:
 ``decoder_forward`` with a per-layer :class:`~tall.nn.LayerCache` list
 embeds only the newest token, at the position after the cached ones,
-appends its self-attention keys and values to the cache and projects the
-encoder memory into cross-attention keys and values once, on the first
-step; every step is a full batch, so its packing is a reshape.
+and each self-attention block writes the cached keys and values and the
+step's own into one fresh grid each (:func:`tensor.kv_grid`), which the
+cache then holds; cross-attention projects the encoder memory into keys
+and values once, on the first step.  Every step is a full batch, so its
+packing is a reshape.
 Teacher-forced training passes no cache and runs the whole sequence in
 one call.
 

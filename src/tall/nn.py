@@ -12,8 +12,10 @@ its matching ``init_*`` function created.  Conventions:
   self-attention, and the op masks the hidden keys itself.
 * incremental decoding passes a :class:`LayerCache` per layer: attention
   then keeps its projected keys and values between calls, so each call
-  needs to project only its new query positions.  A cache may hold a
-  one-row prefix that every row of the next call shares.
+  needs to project only its new query positions.  Each call builds its
+  key grid and its value grid with one :func:`tensor.kv_grid` node each,
+  the cached grid followed by the call's rows; a cache may hold a
+  one-row prefix that the op writes into every row of the next call.
 * every projection is one :func:`tensor.linear` node and every attention
   core (scores, masks, softmax, context) one :func:`tensor.attention`
   node, so the tape keeps one record per composite.
@@ -90,10 +92,10 @@ class KVCache:
 
     Both are kept as a [B, L, d] grid.  With ``grow`` (self-attention)
     every call appends its keys and values and attends over all of them;
-    one row is a prefix that a call of B rows broadcasts to every row
-    (backward sums the rows' gradients).  Without it (cross-attention)
-    the first call projects its key/value rows and later calls reuse the
-    result, ignoring their key/value input.
+    one row is a prefix that :func:`tensor.kv_grid` writes into every
+    row of a call of B rows (backward sums the rows' gradients).  Without
+    it (cross-attention) the first call projects its key/value rows and
+    later calls reuse the result, ignoring their key/value input.
     """
 
     grow: bool
@@ -308,12 +310,9 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, cfg: AttentionConfig,
         )
     b = q_rows.batch
     if (cache is not None and cache.grow and cache.k is not None
-            and cache.k.shape[0] != b):
-        if cache.k.shape[0] != 1:
-            raise ShapeError(f"attention {prefix!r} got {b} rows against a "
-                             f"cache of {cache.k.shape[0]}")
-        cache.k, cache.v = (T.broadcast_to(t, (b,) + t.shape[1:])
-                            for t in (cache.k, cache.v))
+            and cache.k.shape[0] not in (1, b)):
+        raise ShapeError(f"attention {prefix!r} got {b} rows against a "
+                         f"cache of {cache.k.shape[0]}")
     q = linear(q_in, store, f"{prefix}.q")
     if cache is not None and not cache.grow and cache.k is not None:
         k, v = cache.k, cache.v
@@ -322,10 +321,8 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, cfg: AttentionConfig,
         v = linear(kv_in, store, f"{prefix}.v")
         if cache is not None:
             # a cache holds the grid, so its rows are scattered once
-            k, v = T.to_grid(k, kv_rows), T.to_grid(v, kv_rows)
-            if cache.k is not None:
-                k = T.concat([cache.k, k], axis=1)
-                v = T.concat([cache.v, v], axis=1)
+            k = T.kv_grid(cache.k, k, kv_rows)
+            v = T.kv_grid(cache.v, v, kv_rows)
             cache.k, cache.v = k, v
     if cache is not None:
         kv_rows = T.Packing(b, k.shape[1], lengths=kv_rows.lengths)

@@ -14,9 +14,8 @@ Design constraints, in order of priority:
   views it is handed, is kept in the tests as the oracle: swapped in
   for the kernel, it gives the byte-exact results the golden and
   triple-loop tests pin.
-* simplicity: define-by-run tape, no graph rewriting, 64-bit floats by
-  default.  float32 is supported but excluded from gradient-check
-  tolerances.
+* simplicity: define-by-run tape, no graph rewriting, and one dtype: a
+  tensor holds 64-bit floats, whatever it is built from.
 * memory: what the tape keeps alive sets a training run's peak, and no
   kernel copies an array to change its layout.  A transformer stack's
   activations are packed rows [N, d], one per real token (see
@@ -43,7 +42,10 @@ Design constraints, in order of priority:
   backward reads.  A stack's last layer runs on the rows its caller
   reads (:func:`take_rows`), so the tape holds [B, d] for that layer,
   the final norm and the head, and :func:`cross_entropy_last_token`
-  takes those [B, V] logits.
+  takes those [B, V] logits.  An incremental decode's KV cache holds
+  [B, L, d] grids: each cached call writes the cached grid and its new
+  rows into one fresh grid with :func:`kv_grid`, one node per key and
+  per value.
 
 Recording happens only while a :class:`Tape` is active, so inference
 code that never opens a tape pays no autodiff overhead.
@@ -57,12 +59,8 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 from scipy.special import erf
 
-DEFAULT_DTYPE = np.float64
-
 # a hidden key's logit: -1e9 rather than -inf, so softmax never sees NaN
 MASKED_LOGIT = -1e9
-
-_FLOAT_DTYPES = (np.float32, np.float64)
 
 
 class ShapeError(ValueError):
@@ -80,7 +78,7 @@ class NumericalError(RuntimeError):
 class Tensor:
     """Dense n-dimensional value with optional gradient tracking.
 
-    ``data`` is a float array, possibly a read-only view; no kernel
+    ``data`` is a float64 array, possibly a read-only view; no kernel
     writes into its operands' data.  ``grad`` is either
     ``None`` or an array of identical shape.  :meth:`Tape.backward` sets
     it on leaves only: tensors with ``requires_grad`` that no recorded
@@ -91,13 +89,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(DEFAULT_DTYPE)
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
 
@@ -112,10 +105,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self) -> float:
         return float(self.data)
@@ -172,7 +161,7 @@ class Tape:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {loss.shape}"
             )
-        loss.grad = np.ones((), dtype=loss.dtype)
+        loss.grad = np.ones(())
         for out, inputs, backward_fn in reversed(self._nodes):
             if out.grad is None:
                 continue
@@ -238,30 +227,6 @@ def swapaxes(a: Tensor, i: int, j: int) -> Tensor:
 
     def bwd(g):
         return (np.swapaxes(g, i, j),)
-
-    return _register(out, (a,), bwd)
-
-
-def concat(parts: list, axis: int) -> Tensor:
-    datas = [_data(p) for p in parts]
-    out = Tensor(np.concatenate(datas, axis=axis))
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        pieces = np.split(g, splits, axis=axis)
-        return [piece if _needs_grad(p) else None
-                for p, piece in zip(parts, pieces)]
-
-    return _register(out, tuple(parts), bwd)
-
-
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    """A read-only view; backward sums the broadcast axes."""
-    out = Tensor(np.broadcast_to(a.data, shape))
-
-    def bwd(g):
-        return (_unbroadcast(g, a.data.shape),)
 
     return _register(out, (a,), bwd)
 
@@ -341,16 +306,36 @@ def _check_rows(x: np.ndarray, rows: Packing, what: str) -> None:
                          f"packing of {rows.n} rows")
 
 
-def to_grid(x: Tensor, rows: Packing) -> Tensor:
-    """Packed rows ``x`` [N, d] as their [B, L, d] grid, zeros where the
-    grid has no row; backward gathers the rows' gradients."""
-    _check_rows(x.data, rows, "to_grid")
-    out = Tensor(rows.grid(x.data))
+def kv_grid(cached: Tensor | None, x: Tensor, rows: Packing) -> Tensor:
+    """A cached attention call's [B, Lc + L, d] key or value grid: the
+    grid ``cached`` [1 or B, Lc, d] (a one-row cache is written into
+    every row), then the call's packed rows ``x`` [N, d] at their [B, L]
+    columns, zeros where the grid has no row, in one fresh buffer.  With
+    no cache it is the rows' [B, L, d] grid (a reshape when every
+    position is a row).  Backward sums a one-row cache's gradient over
+    the rows and gathers the rows' gradients."""
+    _check_rows(x.data, rows, "kv_grid")
+    if cached is None:
+        lc, grid = 0, rows.grid(x.data)
+    else:
+        lc = cached.shape[1]
+        grid = np.empty((rows.batch, lc + rows.width, x.shape[-1]))
+        grid[:, :lc] = cached.data
+        if rows.index is None:
+            grid[:, lc:] = rows.grid(x.data)
+        else:
+            # a column slice of the grid is no reshape of its rows
+            grid[:, lc:] = 0.0
+            row, col = np.divmod(rows.index, rows.width)
+            grid[row, lc + col] = x.data
+    out = Tensor(grid)
+    shared = cached is not None and cached.shape[0] != rows.batch
 
     def bwd(g):
-        return (rows.rows(g),)
+        gc = g[:, :lc].sum(axis=0, keepdims=True) if shared else g[:, :lc]
+        return gc, rows.rows(g[:, lc:]) if _needs_grad(x) else None
 
-    return _register(out, (x,), bwd)
+    return _register(out, (cached, x), bwd)
 
 
 # ---------------------------------------------------------------------------

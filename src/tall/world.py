@@ -188,35 +188,35 @@ class World:
 
     # -- fixed tokenizer remaps ---------------------------------------------
 
-    def hr_to_lm(self, ids) -> np.ndarray:
+    # The union vocabulary holds the HR content ids, then the LR content
+    # ids shifted up by hr_vocab_size; HR and LR share one id range.
+
+    def _to_lm(self, ids, offset: int) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
         out = np.full(ids.shape, UNK, dtype=np.int64)
         special = ids < N_SPECIALS
         out[special] = ids[special]
         content = (ids >= N_SPECIALS) & (ids < self.vocab_hr)
-        out[content] = self._union_to_lm[ids[content]]
+        out[content] = self._union_to_lm[ids[content] + offset]
         return out
+
+    def _from_lm(self, lm_id: int, offset: int) -> int | None:
+        if 0 <= lm_id < N_SPECIALS:
+            return int(lm_id)
+        own = int(self._lm_to_union[lm_id]) - offset
+        return own if N_SPECIALS <= own < self.vocab_hr else None
+
+    def hr_to_lm(self, ids) -> np.ndarray:
+        return self._to_lm(ids, 0)
 
     def lr_to_lm(self, ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        out = np.full(ids.shape, UNK, dtype=np.int64)
-        special = ids < N_SPECIALS
-        out[special] = ids[special]
-        content = (ids >= N_SPECIALS) & (ids < self.vocab_lr)
-        out[content] = self._union_to_lm[ids[content] + self.hr_vocab_size]
-        return out
+        return self._to_lm(ids, self.hr_vocab_size)
 
     def lm_to_hr(self, lm_id: int) -> int | None:
-        if 0 <= lm_id < N_SPECIALS:
-            return int(lm_id)
-        union = int(self._lm_to_union[lm_id])
-        return union if union < self.vocab_hr else None
+        return self._from_lm(lm_id, 0)
 
     def lm_to_lr(self, lm_id: int) -> int | None:
-        if 0 <= lm_id < N_SPECIALS:
-            return int(lm_id)
-        union = int(self._lm_to_union[lm_id])
-        return union - self.hr_vocab_size if union >= self.vocab_hr else None
+        return self._from_lm(lm_id, self.hr_vocab_size)
 
 
 def generate_corpus(seed: int, n: int, grammar: ToyGrammar,

@@ -17,7 +17,8 @@ replace (``padded_rows``, ``masked_cross_entropy_sum``,
 ``padded_teacher_loss``), the per-row soft prompt that the shared prompt
 cache replaces, the finite-difference gradient check, and the tape ops
 and parameter count that only tests use (``mul``, ``reshape``,
-``sum_all``, ``mean_all``, ``trainable_param_count``), the grammar as a
+``broadcast_to``, ``concat``, ``sum_all``, ``mean_all``,
+``trainable_param_count``), the grammar as a
 materialized [V+1, V+1, V] transition table with its ``np.searchsorted``
 sampler, and
 the benchmark configuration built by hand, field by field.
@@ -118,6 +119,31 @@ def reshape(a, shape):
         return (g.reshape(a.data.shape),)
 
     return tensor._register(out, (a,), bwd)
+
+
+def broadcast_to(a, shape):
+    """A read-only view of ``a`` in ``shape``; backward sums the broadcast
+    axes, one tape node."""
+    out = tensor.Tensor(np.broadcast_to(a.data, shape))
+
+    def bwd(g):
+        return (tensor._unbroadcast(g, a.data.shape),)
+
+    return tensor._register(out, (a,), bwd)
+
+
+def concat(parts: list, axis: int):
+    """``parts`` joined along ``axis``; backward splits the gradient, one
+    tape node."""
+    datas = [tensor._data(p) for p in parts]
+    out = tensor.Tensor(np.concatenate(datas, axis=axis))
+    splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
+
+    def bwd(g):
+        return [piece if tensor._needs_grad(p) else None
+                for p, piece in zip(parts, np.split(g, splits, axis=axis))]
+
+    return tensor._register(out, tuple(parts), bwd)
 
 
 def mean_all(a):
@@ -331,9 +357,9 @@ def per_row_soft_prompt_logits(llm, prompt, lm_prefixes):
     whole LM run over [B, P + L] positions, packed by their lengths."""
     ids, lengths = models.pad_batch([[BOS] + list(p) for p in lm_prefixes])
     tok = tensor.embedding(llm.store["tok_embed"], ids)
-    block = tensor.broadcast_to(reshape(prompt, (1,) + prompt.shape),
-                                (len(lm_prefixes),) + prompt.shape)
-    grid = tensor.concat([block, tok], axis=1)
+    block = broadcast_to(reshape(prompt, (1,) + prompt.shape),
+                         (len(lm_prefixes),) + prompt.shape)
+    grid = concat([block, tok], axis=1)
     b, width, d = grid.shape
     full_lengths = lengths + prompt.shape[0]
     positions = models.packing(full_lengths, width).rows(

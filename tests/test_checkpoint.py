@@ -1,8 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from tall.checkpoint import (
+    MAGIC,
+    VERSION,
     BadMagicError,
+    CheckpointError,
     MetadataMismatchError,
     TruncatedCheckpointError,
     VersionMismatchError,
@@ -18,8 +23,7 @@ def random_store(rng, n_tensors=None):
     for i in range(n):
         rank = int(rng.integers(0, 4))
         shape = tuple(int(d) for d in rng.integers(1, 5, size=rank))
-        dtype = np.float32 if rng.random() < 0.3 else np.float64
-        store.add(f"module{i}.weight", rng.standard_normal(shape).astype(dtype))
+        store.add(f"module{i}.weight", rng.standard_normal(shape))
     return store
 
 
@@ -97,3 +101,33 @@ def test_scalar_tensor_roundtrip(tmp_path):
     loaded, _ = load_checkpoint(path)
     assert loaded["s"].data.shape == ()
     assert float(loaded["s"].data) == 3.25
+
+
+def _blob(meta: bytes, tensors: list[tuple[bytes, int]]) -> bytes:
+    """A checkpoint file written by hand: ``meta`` as the metadata bytes,
+    then one [2] tensor of zeros per (name bytes, dtype code)."""
+    parts = [MAGIC, struct.pack("<II", VERSION, len(meta)), meta,
+             struct.pack("<I", len(tensors))]
+    for name, code in tensors:
+        parts += [struct.pack("<H", len(name)), name,
+                  struct.pack("<BBI", code, 1, 2), bytes(16)]
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (_blob(b"{}", [(b"w", 1), (b"w", 1)]), "duplicate tensor name 'w'"),
+    (_blob(b"{}", [(b"\xff\xfe", 1)]), "tensor 0 name is not UTF-8"),
+    (_blob(b"\xff", []), "metadata is not UTF-8"),
+    (_blob(b"{seed: 1}", []), "metadata is not JSON"),
+    (_blob(b"[1, 2]", []), "metadata is a JSON list, not an object"),
+    (_blob(b"{}", [(b"w", 0)]), "unknown dtype code 0"),
+    # 2**64 elements, whose int64 byte count wraps round to 0
+    (_blob(b"{}", [])[:-4] + struct.pack("<IH", 1, 1) + b"w"
+     + struct.pack("<BB4I", 1, 4, *[2 ** 16] * 4), "truncated"),
+], ids=["duplicate_name", "name_not_utf8", "meta_not_utf8", "meta_not_json",
+        "meta_a_list", "float32_code", "dims_overflow"])
+def test_a_malformed_file_is_a_checkpoint_error(tmp_path, blob, message):
+    path = tmp_path / "x.tlcp"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path, expect_meta={"kind": "causal-lm"})

@@ -2,12 +2,13 @@
 end-to-end run of every approach on a tiny configuration."""
 
 import json
+import struct
 
 import pytest
 
 from tall import cli, runner
 from tall import evaluation as ev
-from tall.checkpoint import load_checkpoint, save_checkpoint
+from tall.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from tall.config import build_world, llm_config, load_config
 from tall.nn import ParamStore
 from tall.pipeline import TallModel, evaluate_tall
@@ -67,8 +68,17 @@ class TestExitCodes:
           "--hr2lr", "hr2lr.npz", "--tall", "tall.npz",
           "--set", "train.soft_prompt.n_prompt=0"],
          "train.soft_prompt.n_prompt: must be positive, got 0"),
+        (["eval", "--approach", "direct", "--llm", "llm.npz",
+          "--set", "world.eval_seed=-1"],
+         "world.eval_seed: must be >= 0, got -1"),
+        (["param-report", "--preset", "toy", "--seed", "-1"],
+         "--seed: must be >= 0, got -1"),
+        (["eval", "--approach", "direct", "--llm", "llm.npz",
+          "--eval-seed", "-2"],
+         "--eval-seed: must be >= 0, got -2"),
     ], ids=["n_prompt", "adapter1_hidden", "eval_shift_alpha", "epochs",
-            "n_heads", "train_pairs", "eval_size", "no_prompt"])
+            "n_heads", "train_pairs", "eval_size", "no_prompt", "eval_seed",
+            "seed", "eval_seed_flag"])
     def test_bad_config_value_exits_before_any_work(
             self, tmp_path, monkeypatch, capsys, argv, message):
         (tmp_path / "run.yaml").write_text(TINY_RUN)
@@ -372,6 +382,22 @@ def test_backbone_checkpoint_must_be_of_its_stage_kind(
     assert cli.main(argv) == cli.EXIT_CHECKPOINT
     captured = capsys.readouterr()
     assert f"checkpoint error: {message.format(**ckpt)}" in captured.err
+    assert captured.out == ""
+
+
+def test_a_malformed_checkpoint_exits_with_the_checkpoint_code(
+        tmp_path, monkeypatch, capsys):
+    """A file whose metadata is a JSON list, not an object."""
+    (tmp_path / "run.yaml").write_text(TINY_RUN)
+    (tmp_path / "llm.npz").write_bytes(
+        MAGIC + struct.pack("<II", VERSION, 2) + b"[]" + struct.pack("<I", 0))
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["eval", "--approach", "direct", "--llm", "llm.npz",
+                     "--config", "run.yaml"])
+    assert code == cli.EXIT_CHECKPOINT
+    captured = capsys.readouterr()
+    assert ("checkpoint error: stage 4 language-model backbone: llm.npz: "
+            "metadata is a JSON list, not an object") in captured.err
     assert captured.out == ""
 
 

@@ -8,7 +8,7 @@ import typing
 import pytest
 from conftest import reference_benchmark_config
 
-from tall import config
+from tall import config, runner
 from tall.config import (ConfigError, benchmark_config, compat_hash,
                          config_hash, load_config)
 
@@ -159,6 +159,25 @@ def test_every_default_has_its_annotated_type():
              if type(getattr(section, f.name))
              is not typing.get_type_hints(type(section))[f.name]]
     assert wrong == []
+
+
+INT_KEYS = [f"{path}.{f.name}".lstrip(".")
+            for path, section in _sections(load_config(None, []))
+            for f in dataclasses.fields(section)
+            if type(getattr(section, f.name)) is int]
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("key", INT_KEYS)
+def test_every_int_key_is_refused_at_load_or_builds(key, value):
+    """``load_config`` refuses every size below 1 and every seed or warmup
+    step count below 0; what it loads, the pipeline builds from."""
+    try:
+        cfg = load_config(None, [f"{key}={value}"])
+    except ConfigError:
+        return
+    assert value == 0 and key.endswith(("seed", "warmup_steps"))
+    runner.untrained_tall(cfg, cfg.world.seed)
 
 
 @pytest.mark.parametrize("name", [

@@ -1,6 +1,6 @@
 """Import hygiene and the product seam, checked with the stdlib ``ast``.
 
-Thirteen rules for every module under ``src/tall``:
+Fourteen rules for every module under ``src/tall``:
 
 - a module-level import binds a name the module references, unless its
   line carries ``# noqa: F401`` (an import kept on purpose);
@@ -36,6 +36,8 @@ Thirteen rules for every module under ``src/tall``:
 - only ``nn.py`` calls ``take_rows``, and no module picks final positions
   out of a whole sequence with ``[np.arange(...), ... - 1]``: a caller
   passes ``read`` to the stack, which chooses the rows in one place;
+- only ``nn.py`` calls ``kv_grid``: a KV cache's grids are built by
+  ``nn.multi_head_attention`` alone, one node per key and per value;
 - no module compares a value against an approach name written as a
   string literal (``approach == "naive"``): ``runner.APPROACHES`` is the
   one place an approach is declared and dispatched;
@@ -230,6 +232,10 @@ def read_row_sites(path: Path) -> list[str]:
     return sorted(found)
 
 
+def kv_grid_calls(path: Path) -> list[str]:
+    return calls_to(path, ("kv_grid",))
+
+
 # each approach's record name and its ``--approach`` name
 APPROACH_NAMES = frozenset(n for name, a in APPROACHES.items()
                            for n in (name, a.cli_name))
@@ -399,6 +405,12 @@ def test_only_nn_takes_the_rows_a_caller_reads(path):
     assert read_row_sites(path) == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "nn.py"], ids=lambda p: p.name)
+def test_only_nn_builds_cache_grids(path):
+    assert kv_grid_calls(path) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_approaches_are_dispatched_by_the_table(path):
     assert approach_name_comparisons(path) == []
@@ -530,6 +542,11 @@ def test_checks_catch_what_they_name(tmp_path):
     assert read_row_sites(rows) == [
         "rows.py:1 [arange, ... - 1]", "rows.py:2 [arange, ... - 1]",
         "rows.py:2 take_rows"]
+    grids = tmp_path / "grids.py"
+    grids.write_text(
+        "k = T.kv_grid(cache.k, k, rows)\n"
+        "v = kv_grid(None, v, rows) + kv_grids(v) + T.to_grid(v, rows)\n")
+    assert kv_grid_calls(grids) == ["grids.py:1 kv_grid", "grids.py:2 kv_grid"]
     chain = tmp_path / "chain.py"
     chain.write_text(
         "if approach == 'naive':\n"

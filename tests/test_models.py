@@ -21,7 +21,8 @@ from tall.nn import LayerCache
 from tall.tensor import ShapeError, Tape, Tensor
 from tall.world import BOS, EOS, N_SPECIALS, PAD
 
-from conftest import assert_close, assert_parity, mul, reshape, sum_all
+from conftest import (assert_close, assert_parity, broadcast_to, mul, reshape,
+                      sum_all)
 
 CFG = Seq2SeqConfig(vocab_src=20, vocab_tgt=18, d_model=16, n_heads=2,
                     d_ff=32, enc_layers=2, dec_layers=2, max_len=12)
@@ -182,8 +183,8 @@ def prefix_then_rows(lm: CausalLM, prefix: np.ndarray,
     with Tape() as tape:
         block, n_rows = p, 1
         if tiled:
-            block = reshape(T.broadcast_to(reshape(p, (1,) + prefix.shape),
-                                           (rows,) + prefix.shape),
+            block = reshape(broadcast_to(reshape(p, (1,) + prefix.shape),
+                                         (rows,) + prefix.shape),
                             (rows * N_SHARED, LM_CFG.d_model))
             n_rows = rows
         cache = [LayerCache() for _ in range(LM_CFG.n_layers)]

@@ -11,8 +11,6 @@ from tall.tensor import (
     Tape,
     Tensor,
     add,
-    broadcast_to,
-    concat,
     cross_entropy_last_token,
     cross_entropy_sum,
     embedding,
@@ -28,8 +26,10 @@ from tall.tensor import (
 from conftest import (
     assert_parity,
     batched_matmul,
+    broadcast_to,
     composed_attention,
     composed_linear,
+    concat,
     finite_diff_grad,
     max_relative_error,
     mean_all,
@@ -316,19 +316,48 @@ class TestFusedOps:
         for got, want in zip(packed, grid):
             assert got.tobytes() == want.tobytes()
 
-    def test_to_grid_scatters_rows_and_gathers_their_gradient(self):
+    def test_kv_grid_without_a_cache_scatters_rows_and_gathers_their_gradient(
+            self):
         rows = T.Packing(2, 3, np.array([0, 1, 3]), lengths=np.array([2, 1]))
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         g = np.arange(12.0).reshape(2, 3, 2) + 1.0
         with Tape() as tape:
-            out = T.to_grid(x, rows)
+            out = T.kv_grid(None, x, rows)
             loss = sum_all(mul(out, Tensor(g)))
         tape.backward(loss)
         np.testing.assert_array_equal(
             out.data, [[[0, 1], [2, 3], [0, 0]], [[4, 5], [0, 0], [0, 0]]])
         np.testing.assert_array_equal(x.grad, g.reshape(6, 2)[[0, 1, 3]])
         with pytest.raises(ShapeError):
-            T.to_grid(Tensor(np.zeros((4, 2))), rows)
+            T.kv_grid(None, Tensor(np.zeros((4, 2))), rows)
+
+    @pytest.mark.parametrize("cache_rows", [1, 3])
+    @pytest.mark.parametrize("index", [None, np.array([0, 1, 3, 6, 7])],
+                             ids=["reshape", "packed"])
+    def test_kv_grid_is_the_cache_then_the_rows_grid(self, cache_rows, index):
+        """The bytes of the composition it replaces: the cache (broadcast
+        to every row when it has one row), then the rows' grid,
+        concatenated along the positions."""
+        rng = np.random.default_rng(29)
+        new = np.full(3, 3) if index is None else np.array([2, 1, 2])
+        rows = T.Packing(3, 3, index, lengths=2 + new, start=2)
+        arrays = [rng.normal(size=(cache_rows, 2, 4)),
+                  rng.normal(size=(rows.n, 4))]
+        g = rng.normal(size=(3, 5, 4))
+
+        def composed(cache, x):
+            if cache_rows == 1:
+                cache = broadcast_to(cache, (3, 2, 4))
+            return concat([cache, T.kv_grid(None, x, rows)], axis=1)
+
+        got = _output_and_grads(lambda c, x: T.kv_grid(c, x, rows), arrays, g)
+        want = _output_and_grads(composed, arrays, g)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        pads = np.ones(9, bool)
+        pads[np.arange(rows.n) if index is None else index] = False
+        assert not got[0][:, 2:].reshape(9, 4)[pads].any()
+        assert got[1].shape == (cache_rows, 2, 4)
 
     def test_linear_against_finite_differences(self):
         arrays, g = _linear_operands(23, (2, 3, 4))
@@ -795,26 +824,6 @@ class TestStructuralOps:
             loss = sum_all(mul(y, y))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, 2 * x.data)
-
-    def test_broadcast_to_is_a_read_only_view(self):
-        a = Tensor(np.arange(6.0).reshape(1, 2, 3), requires_grad=True)
-        with Tape() as tape:
-            b = broadcast_to(a, (4, 2, 3))
-            loss = sum_all(mul(b, b))
-        assert np.shares_memory(b.data, a.data)
-        assert not b.data.flags.writeable
-        tape.backward(loss)
-        np.testing.assert_array_equal(a.grad, 8 * a.data)
-
-    def test_concat_backward_splits(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.ones((2, 3)), requires_grad=True)
-        with Tape() as tape:
-            c = concat([a, b], axis=1)
-            loss = sum_all(mul(c, Tensor(np.arange(10.0).reshape(2, 5))))
-        tape.backward(loss)
-        np.testing.assert_array_equal(a.grad, [[0.0, 1.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(b.grad, [[2.0, 3.0, 4.0], [7.0, 8.0, 9.0]])
 
     def test_embedding_gradient_scatters(self):
         table = Tensor(np.zeros((4, 2)), requires_grad=True)
