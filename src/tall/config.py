@@ -180,7 +180,8 @@ def _scalar(kind: type, value, where: str):
             pass
     elif isinstance(value, bool) == (kind is bool) and isinstance(
             value, (int, float) if kind is float else kind):
-        return value
+        # an int given to a float field is stored, and hashed, as the float
+        return float(value) if kind is float else value
     raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
 
 
@@ -218,7 +219,7 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     alpha = cfg.world.eval_shift_alpha
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(
-            f"world.eval_shift_alpha: must be in [0, 1], got {alpha}")
+            f"world.eval_shift_alpha: must be in [0, 1], got {alpha:g}")
     _check_heads(cfg)
     _check_lengths(cfg)
     # the builders name their section for the values they check themselves
@@ -245,7 +246,7 @@ def _check_heads(cfg: RunConfig) -> None:
 def _check_sizes(section, path: str = "") -> None:
     """Every ``int`` field of the tree under ``section`` is at least 1,
     except a seed or a warmup step count, which may be 0.  A field's kind
-    is the type of its default (a float field may hold an int)."""
+    is the type of its default."""
     for f in dataclasses.fields(section):
         value = getattr(section, f.name)
         where = f"{path}.{f.name}" if path else f.name

@@ -247,11 +247,15 @@ def _soft_prompt_logits(llm: CausalLM, prompt: Tensor, lm_prefixes: list
                         ) -> Tensor:
     """Final-position logits [B, V] of each LM prefix after the prompt
     block [P, d].  The LM is causal, so the prompt's keys and values are
-    the same in every row: it runs once, as a batch of one, into the
-    caches that the B token rows then share."""
+    the same in every row: it runs once, as a batch of one, into prefix
+    caches (``LayerCache.prefix``; the other kinds, a greedy decode's
+    buffer and its cross-attention memory, serve the translators).  The
+    B token rows then attend to those [P, d] keys and values as one
+    shared block, which is never copied into a row, and the caches do
+    not grow, so any number of token calls may share them."""
     ids, lengths = pad_batch([[BOS] + list(p) for p in lm_prefixes])
     n_prompt = prompt.shape[0]
-    cache = [LayerCache() for _ in range(llm.cfg.n_layers)]
+    cache = [LayerCache.prefix() for _ in range(llm.cfg.n_layers)]
     # only the caches are read, so the last layer runs one prompt row
     llm.hidden_from_embeddings(prompt, np.array([n_prompt]),
                                read=np.array([n_prompt - 1]), cache=cache)

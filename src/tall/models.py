@@ -24,14 +24,15 @@ soft prompt and stage 7 of the pipeline; teacher-forced training reads
 every real position, so its logits are [N, V] and its labels are the
 target sequences laid end to end.  Greedy decoding is incremental:
 ``decoder_forward`` with a per-layer :class:`~tall.nn.LayerCache` list
-embeds only the newest token, at the position after the cached ones,
-and each self-attention block writes the cached keys and values and the
-step's own into one fresh grid each (:func:`tensor.kv_grid`), which the
-cache then holds; cross-attention projects the encoder memory into keys
-and values once, on the first step.  Every step is a full batch, so its
-packing is a reshape.
-Teacher-forced training passes no cache and runs the whole sequence in
-one call.
+(``LayerCache.decode``, sized for the step cap) embeds only the newest
+token, at the position after the cached ones; each self-attention block
+writes the step's keys and values into the next column of its decode
+buffer, allocated once per call, and attends to the filled columns; and
+cross-attention projects the encoder memory into a key and a value grid
+once, on the first step.  Every step is a full batch, so its packing is
+a reshape.  The third cache kind, a prefix every row shares
+(``LayerCache.prefix``), serves the soft prompt.  Teacher-forced
+training passes no cache and runs the whole sequence in one call.
 
 Sequence conventions (content ids exclude specials):
 
@@ -133,7 +134,9 @@ def _stack_forward(x, store: ParamStore, prefix: str, n_layers: int,
     lengths), with L the width ``pad_batch`` gives.  The stack builds the
     packing from ``lengths`` and L, gathers the token and position
     embeddings of the real positions alone, and runs every position-wise
-    op on those N rows; attention alone sees the grid.
+    op on those N rows; attention alone sees the grid.  Every layer
+    attends with the same packings, so :func:`tensor.attention` builds
+    each mask bias once per stack call and the later layers reuse it.
 
     Adds ``<prefix>.pos`` at positions ``start .. start + L - 1``, where
     ``start`` counts the tokens already in ``cache``; attention sees the
@@ -184,6 +187,8 @@ def _stack_forward(x, store: ParamStore, prefix: str, n_layers: int,
             x, cross_kv, cfg, store, _p(prefix, f"layers.{i}"), rows,
             cross_rows, None if cache is None else cache[i],
             read if last else None)
+    # the tape keeps the packing alive until backward, but not its biases
+    rows.biases.clear()
     return nn.layer_norm(x, store, _p(prefix, "final_ln"))
 
 
@@ -283,7 +288,7 @@ class Translator:
         cap = cap if cap is not None else self.cfg.max_len - 1
         memory, mem_lengths = self.encode(src_seqs)
         b = len(src_seqs)
-        cache = [nn.LayerCache() for _ in range(self.cfg.dec_layers)]
+        cache = [nn.LayerCache.decode(cap) for _ in range(self.cfg.dec_layers)]
         step_ids = np.full((b, 1), BOS, dtype=np.int64)
         done = np.zeros(b, dtype=bool)
         out = [[] for _ in range(b)]

@@ -10,12 +10,16 @@ its matching ``init_*`` function created.  Conventions:
   :func:`tensor.attention` the packings of its queries and keys, with
   their lengths and positions, and a causal flag for causal
   self-attention, and the op masks the hidden keys itself.
-* incremental decoding passes a :class:`LayerCache` per layer: attention
-  then keeps its projected keys and values between calls, so each call
-  needs to project only its new query positions.  Each call builds its
-  key grid and its value grid with one :func:`tensor.kv_grid` node each,
-  the cached grid followed by the call's rows; a cache may hold a
-  one-row prefix that the op writes into every row of the next call.
+* a cached call passes a :class:`LayerCache` per layer: attention then
+  keeps its projected keys and values between calls, so each call needs
+  to project only its new query positions.  No cache is ever copied:
+  greedy decoding writes each step's keys and values into one column of
+  a [B, capacity, d] decode buffer, in place and with no tape, and
+  attends to a view of the filled columns; cross-attention scatters the
+  memory into a grid on the first step and reuses it; and a prefix
+  cache keeps the [P, d] keys and values of a prefix that every row of
+  the later calls attends to as :func:`tensor.attention`'s shared block.
+  This module alone writes a cache's keys and values.
 * every projection is one :func:`tensor.linear` node and every attention
   core (scores, masks, softmax, context) one :func:`tensor.attention`
   node, so the tape keeps one record per composite.
@@ -23,8 +27,8 @@ its matching ``init_*`` function created.  Conventions:
   [B, L] grid described by a :class:`tensor.Packing` (built by
   ``models._stack_forward``); every projection, norm and feed-forward
   runs on those rows, and only :func:`tensor.attention` sees the grid.
-  A cache keeps its keys and values as a [B, L, d] grid, passed to
-  attention with an index-free packing and the lengths of its keys.
+  A decode or memory cache passes its [B, L, d] grid to attention with
+  an index-free packing and the lengths of its keys.
 * a layer given ``read`` (one row per grid row) runs everything after
   its self-attention keys and values on those rows alone: this module is
   the one caller of :func:`tensor.take_rows`.
@@ -36,7 +40,7 @@ its matching ``init_*`` function created.  Conventions:
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,32 +91,86 @@ class LayerConfig:
 
 @dataclass
 class KVCache:
-    """Projected keys and values one attention block keeps between
-    incremental decode calls.
+    """Projected keys and values one attention block keeps between calls.
 
-    Both are kept as a [B, L, d] grid.  With ``grow`` (self-attention)
-    every call appends its keys and values and attends over all of them;
-    one row is a prefix that :func:`tensor.kv_grid` writes into every
-    row of a call of B rows (backward sums the rows' gradients).  Without
-    it (cross-attention) the first call projects its key/value rows and
-    later calls reuse the result, ignoring their key/value input.
+    There are three kinds, by ``kind``:
+
+    * ``"decode"``, the self-attention cache of incremental decoding: the
+      first call allocates [B, ``capacity``, d] key and value buffers, each
+      call writes its rows into the next columns in place (zeros where the
+      grid has no row), and attention reads a view of the filled columns.
+    * ``"memory"``, the cross-attention cache of incremental decoding: the
+      first call projects its key/value rows and scatters them into
+      [B, Lkv, d] grids, and later calls reuse those, ignoring their
+      key/value input.
+    * ``"prefix"``, a prefix every row of later calls shares (the soft
+      prompt): the first call, one row of P positions, keeps its key and
+      value rows [P, d] as recorded tensors, and every later call attends
+      to them as :func:`tensor.attention`'s shared block, so gradients
+      reach the prefix and the cache never grows.
+
+    A decode or memory cache writes arrays that no tape sees, so using
+    one while a tape records is a :class:`tensor.ContractError`.
     """
 
-    grow: bool
-    k: Tensor | None = None
-    v: Tensor | None = None
+    kind: str
+    capacity: int = 0
+    keys: Tensor | np.ndarray | None = None
+    values: Tensor | np.ndarray | None = None
+    length: int = 0  # the positions cached so far
 
-    @property
-    def length(self) -> int:
-        return 0 if self.k is None else self.k.shape[1]
+    def update(self, k: Tensor, v: Tensor, rows: T.Packing):
+        """The keys, values, key packing and shared block this call
+        attends with, after keeping what the call adds: ``k`` and ``v``
+        are the call's projected rows of the grid ``rows`` (a memory
+        cache's own grids once it holds them)."""
+        if self.kind == "prefix":
+            if self.keys is not None:
+                return k, v, rows, (self.keys, self.values)
+            if rows.batch != 1:
+                raise ShapeError(f"a prefix cache is filled by one row, "
+                                 f"got {rows.batch}")
+            self.keys, self.values, self.length = k, v, rows.width
+            return k, v, rows, None
+        if T.recording():
+            raise T.ContractError(f"a {self.kind} cache is written in place, "
+                                  f"so it cannot run under a tape")
+        if self.kind == "memory":
+            if self.keys is None:
+                self.keys, self.values = rows.grid(k.data), rows.grid(v.data)
+            width = self.keys.shape[1]
+            return (self.keys, self.values,
+                    T.Packing(rows.batch, width, lengths=rows.lengths), None)
+        end = self.length + rows.width
+        if end > self.capacity:
+            raise T.ContractError(f"a decode cache of {self.capacity} "
+                                  f"positions cannot take {end}")
+        if self.keys is None:
+            shape = (rows.batch, self.capacity, k.shape[-1])
+            self.keys, self.values = np.empty(shape), np.empty(shape)
+        self.keys[:, self.length:end] = rows.grid(k.data)
+        self.values[:, self.length:end] = rows.grid(v.data)
+        self.length = end
+        return (self.keys[:, :end], self.values[:, :end],
+                T.Packing(rows.batch, end, lengths=rows.lengths), None)
 
 
 @dataclass
 class LayerCache:
     """The attention caches of one transformer layer."""
 
-    self_attn: KVCache = field(default_factory=lambda: KVCache(grow=True))
-    cross_attn: KVCache = field(default_factory=lambda: KVCache(grow=False))
+    self_attn: KVCache
+    cross_attn: KVCache | None = None
+
+    @classmethod
+    def decode(cls, capacity: int) -> "LayerCache":
+        """Incremental decoding of at most ``capacity`` positions."""
+        return cls(KVCache("decode", capacity), KVCache("memory"))
+
+    @classmethod
+    def prefix(cls) -> "LayerCache":
+        """A prefix that every row of the later calls shares."""
+        return cls(KVCache("prefix"))
 
 
 class ParamStore:
@@ -298,9 +356,8 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, cfg: AttentionConfig,
     the [B, Lkv] grid ``kv_rows``, masked by :func:`tensor.attention`
     from the two packings (causally iff ``causal``).
 
-    With ``cache`` the keys and values come from, and go to, the cache,
-    which keeps them as a [B, Lcache, d] grid whose keys are visible up
-    to ``kv_rows.lengths``.
+    With ``cache`` the keys and values also come from, and go to, the
+    cache (see :class:`KVCache` for its three kinds).
     """
     if q_in.shape[-1] != cfg.d_model or kv_in.shape[-1] != cfg.kv_dim:
         raise ShapeError(
@@ -309,24 +366,21 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, cfg: AttentionConfig,
             f"and {kv_in.shape}"
         )
     b = q_rows.batch
-    if (cache is not None and cache.grow and cache.k is not None
-            and cache.k.shape[0] not in (1, b)):
+    if (cache is not None and cache.kind == "decode"
+            and cache.keys is not None and cache.keys.shape[0] != b):
         raise ShapeError(f"attention {prefix!r} got {b} rows against a "
-                         f"cache of {cache.k.shape[0]}")
+                         f"cache of {cache.keys.shape[0]}")
     q = linear(q_in, store, f"{prefix}.q")
-    if cache is not None and not cache.grow and cache.k is not None:
-        k, v = cache.k, cache.v
+    if (cache is not None and cache.kind == "memory"
+            and cache.keys is not None):
+        k, v = cache.keys, cache.values
     else:
         k = linear(kv_in, store, f"{prefix}.k")
         v = linear(kv_in, store, f"{prefix}.v")
-        if cache is not None:
-            # a cache holds the grid, so its rows are scattered once
-            k = T.kv_grid(cache.k, k, kv_rows)
-            v = T.kv_grid(cache.v, v, kv_rows)
-            cache.k, cache.v = k, v
+    shared = None
     if cache is not None:
-        kv_rows = T.Packing(b, k.shape[1], lengths=kv_rows.lengths)
-    ctx = T.attention(q, k, v, cfg.n_heads, q_rows, kv_rows, causal)
+        k, v, kv_rows, shared = cache.update(k, v, kv_rows)
+    ctx = T.attention(q, k, v, cfg.n_heads, q_rows, kv_rows, causal, shared)
     return linear(ctx, store, f"{prefix}.out")
 
 

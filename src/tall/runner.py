@@ -9,6 +9,7 @@ the command line reads for its choices and checkpoint flags.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from collections import Counter
@@ -20,6 +21,7 @@ import numpy as np
 from . import evaluation as ev
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import (
+    ConfigError,
     RunConfig,
     build_eval_grammar,
     build_grammar,
@@ -45,15 +47,28 @@ def stamp_meta(cfg: RunConfig, meta: dict) -> dict:
     return meta
 
 
+@contextlib.contextmanager
+def _sized_by(key: str):
+    """A corpus the grammar cannot fill (``generate_corpus``'s draw
+    budget) reported as a config error naming the size ``key``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def train_corpus(cfg: RunConfig):
-    return generate_corpus(cfg.world.seed, cfg.world.train_pairs,
-                           build_grammar(cfg), build_world(cfg))
+    grammar, world = build_grammar(cfg), build_world(cfg)
+    with _sized_by("world.train_pairs"):
+        return generate_corpus(cfg.world.seed, cfg.world.train_pairs,
+                               grammar, world)
 
 
 def eval_dataset(cfg: RunConfig, eval_seed: int | None = None):
     seed = cfg.world.eval_seed if eval_seed is None else eval_seed
-    return ev.make_eval_dataset(build_world(cfg), build_eval_grammar(cfg),
-                                seed, cfg.world.eval_size)
+    world, grammar = build_world(cfg), build_eval_grammar(cfg)
+    with _sized_by("world.eval_size"):
+        return ev.make_eval_dataset(world, grammar, seed, cfg.world.eval_size)
 
 
 def pretrain_translator(cfg: RunConfig, direction: str, seed: int

@@ -42,10 +42,13 @@ Design constraints, in order of priority:
   backward reads.  A stack's last layer runs on the rows its caller
   reads (:func:`take_rows`), so the tape holds [B, d] for that layer,
   the final norm and the head, and :func:`cross_entropy_last_token`
-  takes those [B, V] logits.  An incremental decode's KV cache holds
-  [B, L, d] grids: each cached call writes the cached grid and its new
-  rows into one fresh grid with :func:`kv_grid`, one node per key and
-  per value.
+  takes those [B, V] logits.  No op copies a KV cache (``nn.KVCache``
+  keeps three kinds).  A greedy decode's self-attention cache is a
+  [B, capacity, d] buffer that ``nn`` writes one column per step, with
+  no tape, and :func:`attention` reads a view of its filled columns;
+  cross-attention reads the memory grid scattered on the first step;
+  and a prefix every row shares (the soft prompt) is :func:`attention`'s
+  shared block [P, d], attended to by every row without a per-row copy.
 
 Recording happens only while a :class:`Tape` is active, so inference
 code that never opens a tape pays no autodiff overhead.
@@ -54,7 +57,7 @@ code that never opens a tape pays no autodiff overhead.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -108,9 +111,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -177,6 +177,12 @@ class Tape:
 
 
 _ACTIVE: list[Tape] = []
+
+
+def recording() -> bool:
+    """Whether a tape is active, so that an op on a tensor that needs a
+    gradient would be recorded."""
+    return bool(_ACTIVE)
 
 
 def _register(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
@@ -272,6 +278,8 @@ class Packing:
     _: KW_ONLY
     lengths: np.ndarray
     start: int | np.ndarray = 0
+    # the attention biases built on this query packing (see ``_bias``)
+    biases: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -304,38 +312,6 @@ def _check_rows(x: np.ndarray, rows: Packing, what: str) -> None:
                               or lead != (rows.batch, rows.width)):
         raise ShapeError(f"{what} {x.shape} does not hold the rows of a "
                          f"packing of {rows.n} rows")
-
-
-def kv_grid(cached: Tensor | None, x: Tensor, rows: Packing) -> Tensor:
-    """A cached attention call's [B, Lc + L, d] key or value grid: the
-    grid ``cached`` [1 or B, Lc, d] (a one-row cache is written into
-    every row), then the call's packed rows ``x`` [N, d] at their [B, L]
-    columns, zeros where the grid has no row, in one fresh buffer.  With
-    no cache it is the rows' [B, L, d] grid (a reshape when every
-    position is a row).  Backward sums a one-row cache's gradient over
-    the rows and gathers the rows' gradients."""
-    _check_rows(x.data, rows, "kv_grid")
-    if cached is None:
-        lc, grid = 0, rows.grid(x.data)
-    else:
-        lc = cached.shape[1]
-        grid = np.empty((rows.batch, lc + rows.width, x.shape[-1]))
-        grid[:, :lc] = cached.data
-        if rows.index is None:
-            grid[:, lc:] = rows.grid(x.data)
-        else:
-            # a column slice of the grid is no reshape of its rows
-            grid[:, lc:] = 0.0
-            row, col = np.divmod(rows.index, rows.width)
-            grid[row, lc + col] = x.data
-    out = Tensor(grid)
-    shared = cached is not None and cached.shape[0] != rows.batch
-
-    def bwd(g):
-        gc = g[:, :lc].sum(axis=0, keepdims=True) if shared else g[:, :lc]
-        return gc, rows.rows(g[:, lc:]) if _needs_grad(x) else None
-
-    return _register(out, (cached, x), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -405,48 +381,75 @@ def linear(x, w, b) -> Tensor:
 
 def _attention_bias(q_rows: Packing, kv_rows: Packing,
                     causal: bool) -> np.ndarray | None:
-    """The additive logits bias of :func:`attention`, broadcastable to
-    [B, h, Lq, Lkv], or None when every key is visible.
+    """The additive logits bias of :func:`attention`'s row keys, [B, 1 or
+    Lq, Lkv] (broadcastable to its [h, B, Lq, Lkv] scores), or None when
+    every key is visible.
 
-    Key column j of row b is visible iff j < ``kv_rows.lengths[b]`` and,
-    when ``causal``, j <= ``q_rows.start[b] + i`` for query column i.  A
-    hidden key gets :data:`MASKED_LOGIT`; a query with no visible key is
-    a :class:`ContractError`.
+    Key column j of row b sits at sequence position ``kv_rows.start + j``
+    and is visible iff that position is before ``kv_rows.lengths[b]``
+    and, when ``causal``, at most ``q_rows.start[b] + i`` for query
+    column i.  A hidden key gets :data:`MASKED_LOGIT`.  A query with no
+    visible key is a :class:`ContractError`, unless keys before
+    ``kv_rows.start`` (a shared block) are there for it to see.
     """
-    keys = np.arange(kv_rows.width)
+    keys = kv_rows.start + np.arange(kv_rows.width)
     visible = (keys < kv_rows.lengths[:, None])[:, None]
     if causal:
         queries = np.reshape(q_rows.start, (-1, 1)) + np.arange(q_rows.width)
         visible = visible & (keys <= queries[..., None])
-    if not visible.any(axis=-1).all():
+    if kv_rows.start == 0 and not visible.any(axis=-1).all():
         raise ContractError("attention mask has a fully-masked query row")
     if visible.all():
         return None
-    return np.where(visible, 0.0, MASKED_LOGIT)[:, None]
+    return np.where(visible, 0.0, MASKED_LOGIT)
+
+
+def _bias(q_rows: Packing, kv_rows: Packing, causal: bool) -> np.ndarray | None:
+    """:func:`_attention_bias`, built once per query packing and key
+    width, first position, lengths and causal flag: every layer of a
+    stack call attends with the same packings, so it reuses the first
+    layer's bias."""
+    key = (kv_rows.width, kv_rows.start, kv_rows.lengths.tobytes(), causal)
+    if key not in q_rows.biases:
+        q_rows.biases[key] = _attention_bias(q_rows, kv_rows, causal)
+    return q_rows.biases[key]
 
 
 def attention(q, k, v, n_heads: int, q_rows: Packing, kv_rows: Packing,
-              causal: bool = False) -> Tensor:
+              causal: bool = False, shared: tuple | None = None) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
     ``q`` holds the packed query rows [Nq, d] of the [B, Lq] grid
     ``q_rows``, and ``k`` and ``v`` the key and value rows [Nkv, d] of
     the [B, Lkv] grid ``kv_rows`` (a KV cache passes its [B, Lkv, d] grid
-    with an index-free packing).  The masks come from the packings alone
-    (:func:`_attention_bias`): a query sees the keys before its row's
-    length, and, when ``causal``, none past its own position.  Returns
-    the merged heads' context, shaped like ``q``.  This is the one op
-    that needs the grid: it scatters its rows into the head views of
-    [B, L, d] buffers (a reshape when every position is a row), and
-    gathers the context rows back; backward scatters them again rather
-    than keep the grids on the tape.  Products run on head views and
-    write through the head view of a fresh [B, L, d] result.  The node
-    keeps only the softmax probabilities P; backward uses dS = P * (dP -
-    rowsum(dP * P)) * scale, the softmax backward of FlashAttention (Dao
-    et al. 2022), which also takes its masks from sequence lengths and a
-    causal flag.  Every array operation is the one the primitive
-    composition (reshape, swapaxes, matmul, scale, add, softmax)
-    performs, so on the reference kernel the bytes match it.
+    with an index-free packing).  ``shared``, a pair of key and value
+    blocks [P, d], is a prefix every row shares: its keys sit at
+    positions 0 .. P - 1, before the row keys (so ``kv_rows.start`` must
+    be P), and every query sees all of them.  The masks of the row keys
+    come from the packings alone (:func:`_attention_bias`, built once
+    per packing pair by :func:`_bias`): a query sees the keys before its
+    row's length, and, when ``causal``, none past its own position.
+    Returns the merged heads' context, shaped like ``q``.
+
+    This is the one op that needs the grid: it scatters its rows into
+    the head views of [B, L, d] buffers (a reshape when every position is
+    a row), and gathers the context rows back; backward scatters them
+    again rather than keep the grids on the tape.  The scores of a head
+    are one [B * Lq, P + Lkv] buffer: the shared keys' columns come from
+    one product per head over every query row, the row keys' columns
+    from one product per row and head, and one softmax normalises both.
+    The context adds the shared values' product per head to the row
+    values' product, and backward gets the block's gradients from one
+    product per head, so the block is never copied into a row.  Products
+    run on head views and write through the head view of a fresh result.
+    The node keeps only the softmax probabilities P; backward uses dS = P
+    * (dP - rowsum(dP * P)) * scale, the softmax backward of
+    FlashAttention (Dao et al. 2022), which also takes its masks from
+    sequence lengths and a causal flag; Hydragen (Juravsky et al. 2024)
+    attends to a shared prefix as its own batched key block in the same
+    way.  Without a shared block every array operation is the one the
+    primitive composition (reshape, swapaxes, matmul, scale, add,
+    softmax) performs, so on the reference kernel the bytes match it.
     """
     q_d, k_d, v_d = _data(q), _data(k), _data(v)
     _check_rows(q_d, q_rows, "attention q")
@@ -460,55 +463,113 @@ def attention(q, k, v, n_heads: int, q_rows: Packing, kv_rows: Packing,
     b, lq, lkv, d = q_rows.batch, q_rows.width, kv_rows.width, q_d.shape[-1]
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention width {d} not divisible by {n_heads} heads")
+    ns = 0
+    if shared is not None:
+        sk_d, sv_d = _data(shared[0]), _data(shared[1])
+        if sk_d.ndim != 2 or sv_d.shape != sk_d.shape or sk_d.shape[1] != d:
+            raise ShapeError(f"attention's shared block needs keys and "
+                             f"values [P, {d}], got {sk_d.shape} and "
+                             f"{sv_d.shape}")
+        ns = len(sk_d)
+    if kv_rows.start != ns:
+        raise ContractError(f"attention's row keys start at position "
+                            f"{kv_rows.start}, after {ns} shared keys")
     hd = d // n_heads
     c = hd ** -0.5
-    bias = _attention_bias(q_rows, kv_rows, causal)
+    bias = _bias(q_rows, kv_rows, causal)
 
     def heads(x: np.ndarray, length: int) -> np.ndarray:
-        """[B, L, d] -> its [B, h, L, hd] view."""
-        return np.swapaxes(x.reshape(b, length, n_heads, hd), 1, 2)
+        """[B, L, d] or [B * L, d] -> its [h, B, L, hd] view."""
+        return x.reshape(b, length, n_heads, hd).transpose(2, 0, 1, 3)
+
+    def flat_heads(x: np.ndarray) -> np.ndarray:
+        """[..., d] -> its [h, N, hd] view, N rows per head."""
+        return x.reshape(-1, n_heads, hd).swapaxes(0, 1)
+
+    def by_row(s: np.ndarray) -> np.ndarray:
+        """[h, B * Lq, P + Lkv] scores -> the [h, B, Lq, Lkv] view of the
+        row keys' columns."""
+        return s.reshape(n_heads, b, lq, ns + lkv)[..., ns:]
 
     def merged_product(x, y, length: int) -> np.ndarray:
-        """[B, L, d] array whose head view holds ``x @ y``."""
-        merged = np.empty((b, length, d), dtype=p.dtype)
+        """[B * L, d] array whose head view holds ``x @ y``."""
+        merged = np.empty((b * length, d))
         _product(x, y, out=heads(merged, length))
         return merged
 
-    p = _product(heads(q_rows.grid(q_d), lq),
-                 np.swapaxes(heads(kv_rows.grid(k_d), lkv), 2, 3))
+    def shared_product(x, y) -> np.ndarray:
+        """[P, d] array whose head view holds ``x @ y``."""
+        merged = np.empty((ns, d))
+        _product(x, y, out=flat_heads(merged))
+        return merged
+
+    def add_shared(merged: np.ndarray, x, y) -> None:
+        """Add ``x @ y``, one product per head, into the head view of the
+        rows ``merged``."""
+        view = flat_heads(merged)
+        view += _product(x, y)
+
+    q_grid = q_rows.grid(q_d)
+    p = np.empty((n_heads, b * lq, ns + lkv))
+    _product(heads(q_grid, lq),
+             np.swapaxes(heads(kv_rows.grid(k_d), lkv), 2, 3), out=by_row(p))
+    if ns:
+        _product(flat_heads(q_grid), np.swapaxes(flat_heads(sk_d), 1, 2),
+                 out=p[..., :ns])
+    del q_grid  # a scattered grid lives no longer than its products
     p *= c
     if bias is not None:
-        p += bias
+        by_row(p)[...] += bias
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor(q_rows.rows(merged_product(p, heads(kv_rows.grid(v_d), lkv),
-                                            lq)).reshape(q_d.shape))
+    ctx = merged_product(by_row(p), heads(kv_rows.grid(v_d), lkv), lq)
+    if ns:
+        add_shared(ctx, p[..., :ns], flat_heads(sv_d))
+    out = Tensor(q_rows.rows(ctx.reshape(b, lq, d)).reshape(q_d.shape))
+    inputs = (q, k, v) if shared is None else (q, k, v, *shared)
 
     def bwd(g):
         # the grids are scattered again here, not kept alive on the tape
-        g_ctx = heads(q_rows.grid(g), lq)
-        gq = gk = gv = None
+        g_grid = q_rows.grid(g)
+        g_ctx = heads(g_grid, lq)
+        grads = [None] * len(inputs)
         if _needs_grad(v):
-            gv = kv_rows.rows(merged_product(np.swapaxes(p, -1, -2), g_ctx,
-                                             lkv)).reshape(v_d.shape)
-        if _needs_grad(q) or _needs_grad(k):
-            ds = _product(g_ctx, np.swapaxes(heads(kv_rows.grid(v_d), lkv),
-                                             -1, -2))
+            grads[2] = kv_rows.rows(merged_product(
+                np.swapaxes(by_row(p), 2, 3), g_ctx, lkv
+            ).reshape(b, lkv, d)).reshape(v_d.shape)
+        if ns and _needs_grad(shared[1]):
+            grads[4] = shared_product(np.swapaxes(p[..., :ns], 1, 2),
+                                      flat_heads(g_grid))
+        if any(_needs_grad(x) for x in inputs[:2] + inputs[3:4]):
+            ds = np.empty_like(p)
+            _product(g_ctx, np.swapaxes(heads(kv_rows.grid(v_d), lkv), 2, 3),
+                     out=by_row(ds))
+            if ns:
+                _product(flat_heads(g_grid), np.swapaxes(flat_heads(sv_d), 1, 2),
+                         out=ds[..., :ns])
             dot = (ds * p).sum(axis=-1, keepdims=True)
             ds -= dot
             ds *= p
             ds *= c
-            if _needs_grad(q):
-                gq = q_rows.rows(merged_product(
-                    ds, heads(kv_rows.grid(k_d), lkv), lq)).reshape(q_d.shape)
             if _needs_grad(k):
-                gk = kv_rows.rows(merged_product(
-                    np.swapaxes(ds, -1, -2), heads(q_rows.grid(q_d), lq), lkv)
-                ).reshape(k_d.shape)
-        return gq, gk, gv
+                grads[1] = kv_rows.rows(merged_product(
+                    np.swapaxes(by_row(ds), 2, 3),
+                    heads(q_rows.grid(q_d), lq), lkv
+                ).reshape(b, lkv, d)).reshape(k_d.shape)
+            if ns and _needs_grad(shared[0]):
+                grads[3] = shared_product(np.swapaxes(ds[..., :ns], 1, 2),
+                                          flat_heads(q_rows.grid(q_d)))
+            # last, so that its merged buffer outlives no other product
+            if _needs_grad(q):
+                gq = merged_product(by_row(ds), heads(kv_rows.grid(k_d), lkv),
+                                    lq)
+                if ns:
+                    add_shared(gq, ds[..., :ns], flat_heads(sk_d))
+                grads[0] = q_rows.rows(gq.reshape(b, lq, d)).reshape(q_d.shape)
+        return grads
 
-    return _register(out, (q, k, v), bwd)
+    return _register(out, inputs, bwd)
 
 
 # ---------------------------------------------------------------------------

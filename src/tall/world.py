@@ -224,7 +224,8 @@ def generate_corpus(seed: int, n: int, grammar: ToyGrammar,
     """n unique bilingual pairs, deterministic in (seed, n, grammar).
 
     Sentence candidates come from per-index child RNGs; duplicates are
-    skipped, and running out of the retry budget is an explicit error.
+    skipped, and running out of the retry budget is a ``ValueError``: the
+    grammar cannot emit n distinct sentences often enough.
     """
     if n < 1:
         raise ValueError(f"corpus size must be >= 1, got {n}")
@@ -234,7 +235,7 @@ def generate_corpus(seed: int, n: int, grammar: ToyGrammar,
     index = 0
     while len(pairs) < n:
         if index >= budget:
-            raise RuntimeError(
+            raise ValueError(
                 f"could not reach {n} unique sentences within {budget} draws"
             )
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))

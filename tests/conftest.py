@@ -257,18 +257,20 @@ def composed_attention(q, k, v, bias, n_heads: int):
 
 
 def reference_attention_bias(q_rows, kv_rows, causal: bool) -> np.ndarray:
-    """The logits bias [B, 1, Lq, Lkv] that ``tensor.attention`` adds,
-    entry by entry: 0 where key column j of row b is visible to query
-    column i (j < ``kv_rows.lengths[b]`` and, when ``causal``, j at most
-    the query's position ``q_rows.start[b] + i``), -1e9 elsewhere."""
+    """The logits bias [B, 1, Lq, Lkv] that ``tensor.attention`` adds to
+    its row keys' scores, entry by entry: 0 where key column j of row b,
+    at position p = ``kv_rows.start`` + j, is visible to query column i
+    (p < ``kv_rows.lengths[b]`` and, when ``causal``, p at most the
+    query's position ``q_rows.start[b] + i``), -1e9 elsewhere."""
     b, lq, lkv = q_rows.batch, q_rows.width, kv_rows.width
     starts = np.broadcast_to(q_rows.start, (b,))
     bias = np.zeros((b, 1, lq, lkv))
     for row in range(b):
         for i in range(lq):
             for j in range(lkv):
-                visible = (j < kv_rows.lengths[row]
-                           and (not causal or j <= starts[row] + i))
+                p = kv_rows.start + j
+                visible = (p < kv_rows.lengths[row]
+                           and (not causal or p <= starts[row] + i))
                 bias[row, 0, i, j] = 0.0 if visible else -1e9
     return bias
 

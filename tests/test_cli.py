@@ -9,7 +9,7 @@ import pytest
 from tall import cli, runner
 from tall import evaluation as ev
 from tall.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
-from tall.config import build_world, llm_config, load_config
+from tall.config import ConfigError, build_world, llm_config, load_config
 from tall.nn import ParamStore
 from tall.pipeline import TallModel, evaluate_tall
 from tall.pretrain import split_train_eval
@@ -86,6 +86,30 @@ class TestExitCodes:
         assert cli.main([*argv, "--config", "run.yaml"]) == cli.EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "llm.npz").exists()
+
+
+# a grammar of four words and two-word sentences has too few sentences
+SMALL_GRAMMAR = ["--set", "world.hr_vocab_size=4", "--set", "world.min_len=2",
+                 "--set", "world.max_len=2"]
+
+
+def test_a_corpus_the_grammar_cannot_fill_is_a_config_error(tmp_path,
+                                                             capsys):
+    out = tmp_path / "X"
+    code = cli.main(["pretrain", "llm", *SMALL_GRAMMAR,
+                     "--set", "world.train_pairs=100", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert ("config error: world.train_pairs: could not reach 100 unique "
+            "sentences within 6000 draws") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_eval_set_the_grammar_cannot_fill_names_its_size():
+    cfg = load_config(None, [o for o in SMALL_GRAMMAR if o != "--set"]
+                      + ["world.eval_size=100"])
+    with pytest.raises(ConfigError, match="^world.eval_size: could not reach "
+                                          "100 unique sentences"):
+        runner.eval_dataset(cfg)
 
 
 def test_param_report_check_of_the_toy_preset_is_refused_first(

@@ -2,6 +2,7 @@
 dotted path."""
 
 import dataclasses
+import operator
 import re
 import typing
 
@@ -64,6 +65,24 @@ def test_float_field_takes_the_string_yaml_reads_for_an_exponent():
     cfg = load_config(None, ["train.tall.learning_rate=1e-3"])
     assert cfg.train.tall.learning_rate == 1e-3
     assert isinstance(cfg.train.tall.learning_rate, float)
+
+
+@pytest.mark.parametrize("override, text", [
+    ("world.eval_shift_alpha=0", "world: {eval_shift_alpha: 0}"),
+    ("train.llm.weight_decay=0", "train: {llm: {weight_decay: 0}}"),
+    ("sampler.top_p=1", "sampler: {top_p: 1}")])
+def test_a_float_key_given_an_int_hashes_as_the_float(override, text,
+                                                      tmp_path):
+    """``--set`` and YAML both read the int; the field stores the float,
+    so the config hashes as the float's spelling does."""
+    key, value = override.split("=")
+    as_float = load_config(None, [f"{key}={float(value)}"])
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    for cfg in (load_config(None, [override]), load_config(path)):
+        assert type(operator.attrgetter(key)(cfg)) is float
+        assert (config_hash(cfg), compat_hash(cfg)) == (
+            config_hash(as_float), compat_hash(as_float))
 
 
 @pytest.mark.parametrize("override, section", [

@@ -480,6 +480,22 @@ class TestSoftPrompt:
             runs.append((loss.data.tobytes(), leaf.grad.tobytes()))
         assert runs[0] == runs[1]
 
+    def test_a_step_records_no_key_or_value_grid(self, tiny_world):
+        """The token rows attend to the prompt's keys and values as one
+        shared block: no node of a step's tape outputs a [B, P + L, d]
+        grid, the block copied into every row."""
+        _, world, corpus, _, _ = tiny_world
+        llm = two_layer_lm(world)
+        prefixes = [world.lr_to_lm(np.array(p.lr_tokens[:-1])).tolist()
+                    for p in corpus[:5]]
+        prompt = Tensor(np.zeros((4, llm.cfg.d_model)), requires_grad=True)
+        width = 1 + max(len(p) for p in prefixes)
+        with llm.store.frozen(), Tape() as tape:
+            _soft_prompt_logits(llm, prompt, prefixes)
+        shapes = {out.shape for out, _, _ in tape._nodes}
+        assert (5, 4 + width, llm.cfg.d_model) not in shapes
+        assert not any(len(s) == 3 and s[1] > width for s in shapes)
+
     def test_the_prompt_runs_once_per_call(self, tiny_world, monkeypatch):
         _, world, corpus, _, _ = tiny_world
         llm = two_layer_lm(world)

@@ -56,9 +56,9 @@ GOLDEN = {
     "tall.eval":
         "86ee2014b9f958698ada91c70d2daf407eea84d53a6881c2ff8fcf7355550bd2",
     "soft_prompt.store":
-        "c9e9b79b0e137f9abef8c1c2b94f5e5f47957d8e2023171755eb6b414a605fc3",
+        "ec9996e587c22e05787f7a9b378b09f3ae0090e5b99ae32a7dd1051c8853931c",
     "soft_prompt.metrics":
-        "ed2c5a58dac2a3bab28e6e0cf22ac8a01c144c7467907dd5e71ca1e3fdaed603",
+        "e89a4a051352446989fb2f77f0b4e9ebb6cfa78123b822891ce65c0f69be2fa7",
     "soft_prompt.eval":
         "66b9052d94827e153bc66b4844f286a786af8dba134bc649f34f00c6833333a8",
 }

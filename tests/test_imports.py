@@ -36,8 +36,9 @@ Fourteen rules for every module under ``src/tall``:
 - only ``nn.py`` calls ``take_rows``, and no module picks final positions
   out of a whole sequence with ``[np.arange(...), ... - 1]``: a caller
   passes ``read`` to the stack, which chooses the rows in one place;
-- only ``nn.py`` calls ``kv_grid``: a KV cache's grids are built by
-  ``nn.multi_head_attention`` alone, one node per key and per value;
+- only ``nn.py`` writes a KV cache's keys or values (assigns an
+  attribute ``keys`` or ``values``, whole or through a subscript): the
+  three cache kinds are kept by ``nn.KVCache`` alone;
 - no module compares a value against an approach name written as a
   string literal (``approach == "naive"``): ``runner.APPROACHES`` is the
   one place an approach is declared and dispatched;
@@ -232,8 +233,34 @@ def read_row_sites(path: Path) -> list[str]:
     return sorted(found)
 
 
-def kv_grid_calls(path: Path) -> list[str]:
-    return calls_to(path, ("kv_grid",))
+def _written(target: ast.expr):
+    """The attributes an assignment target writes, whole or through a
+    subscript, looking into tuples and starred names."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _written(elt)
+    elif isinstance(target, (ast.Starred, ast.Subscript)):
+        yield from _written(target.value)
+    elif isinstance(target, ast.Attribute):
+        yield target
+
+
+def cache_writes(path: Path) -> list[str]:
+    """Writes to an attribute ``keys`` or ``values``: ``cache.keys = ...``,
+    ``a.keys, a.values = ...``, ``a.values[:, i] = ...``, ``a.keys += ...``."""
+    tree, _ = _parse(path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} .{a.attr}"
+                  for t in targets for a in _written(t)
+                  if a.attr in ("keys", "values")]
+    return sorted(found)
 
 
 # each approach's record name and its ``--approach`` name
@@ -408,7 +435,7 @@ def test_only_nn_takes_the_rows_a_caller_reads(path):
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "nn.py"], ids=lambda p: p.name)
 def test_only_nn_builds_cache_grids(path):
-    assert kv_grid_calls(path) == []
+    assert cache_writes(path) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -542,11 +569,17 @@ def test_checks_catch_what_they_name(tmp_path):
     assert read_row_sites(rows) == [
         "rows.py:1 [arange, ... - 1]", "rows.py:2 [arange, ... - 1]",
         "rows.py:2 take_rows"]
-    grids = tmp_path / "grids.py"
-    grids.write_text(
-        "k = T.kv_grid(cache.k, k, rows)\n"
-        "v = kv_grid(None, v, rows) + kv_grids(v) + T.to_grid(v, rows)\n")
-    assert kv_grid_calls(grids) == ["grids.py:1 kv_grid", "grids.py:2 kv_grid"]
+    writes = tmp_path / "writes.py"
+    writes.write_text(
+        "cache.keys = T.linear(x, w, b)\n"
+        "cache.keys, (cache.values, n) = k, (v, 2)\n"
+        "layer.self_attn.values[:, 3:4] = rows\n"
+        "cache.keys += 1\n"
+        "kv = cache.keys + x[cache.values] + d.values()\n"
+        "opt.v = store.key = x[cache.keys] = cache.k = 1\n")
+    assert cache_writes(writes) == [
+        "writes.py:1 .keys", "writes.py:2 .keys", "writes.py:2 .values",
+        "writes.py:3 .values", "writes.py:4 .keys"]
     chain = tmp_path / "chain.py"
     chain.write_text(
         "if approach == 'naive':\n"

@@ -301,16 +301,42 @@ def test_packing_is_row_major_over_real_positions():
     assert models.packing(np.array([3, 3]), 3).index is None
 
 
+def test_each_bias_is_built_once_per_stack_call(monkeypatch):
+    """A two-layer decoder forward over ragged rows builds one causal
+    self-attention bias and one cross-attention bias, which both layers
+    use; a second forward builds its own."""
+    built = []
+    build = T._attention_bias
+
+    def counting(q_rows, kv_rows, causal):
+        built.append(causal)
+        return build(q_rows, kv_rows, causal)
+
+    monkeypatch.setattr(T, "_attention_bias", counting)
+    tr = Translator.init(S2S, 16)
+    memory, mem_lengths = tr.encode(token_seqs(16, SRC_LENGTHS, S2S.vocab_src))
+    assert S2S.enc_layers == S2S.dec_layers == 2 and built == [False]
+    ids, lengths = pad_batch([[BOS] + t for t in
+                              token_seqs(17, TGT_LENGTHS, S2S.vocab_tgt)])
+    for _ in range(2):
+        built.clear()
+        decoder_forward(tr.store, "decoder", S2S, ids, lengths, memory,
+                        mem_lengths)
+        assert sorted(built) == [False, True]
+
+
 def recording_attention(monkeypatch) -> list:
-    """Every ``tensor.attention`` call: its operands' data, head count,
-    packings and causal flag, and its output's data."""
+    """Every ``tensor.attention`` call: its operands' data (the shared
+    block's keys and values, or None), head count, packings and causal
+    flag, and its output's data."""
     calls = []
     attend = T.attention
 
-    def record(q, k, v, n_heads, q_rows, kv_rows, causal=False):
-        out = attend(q, k, v, n_heads, q_rows, kv_rows, causal)
-        calls.append((q.data, k.data, v.data, n_heads, q_rows, kv_rows,
-                      causal, out.data))
+    def record(q, k, v, n_heads, q_rows, kv_rows, causal=False, shared=None):
+        out = attend(q, k, v, n_heads, q_rows, kv_rows, causal, shared)
+        block = None if shared is None else [T._data(x) for x in shared]
+        calls.append((T._data(q), T._data(k), T._data(v), block, n_heads,
+                      q_rows, kv_rows, causal, out.data))
         return out
 
     monkeypatch.setattr(T, "attention", record)
@@ -352,9 +378,9 @@ MASK_SHAPES = {
             token_seqs(15, TGT_LENGTHS, S2S.vocab_tgt)),
         lambda q, kv, causal: (not causal and kv is not q
                                and np.any(kv.lengths < kv.width))),
-    "broadcast_prompt_cache": (
+    "shared_prompt_block": (
         _soft_prompt,
-        lambda q, kv, causal: causal and kv.batch > 1 and np.all(q.start >= 3)),
+        lambda q, kv, causal: causal and kv.batch > 1 and kv.start == 3),
 }
 
 
@@ -365,23 +391,38 @@ def test_attention_masks_match_the_oracle(shape, reference_kernel,
     is the oracle's (None: every entry 0), and its output is the bytes of
     the primitive composition over the grids with the oracle's bias.  The
     key columns past each row's length are its pad columns: the key grid
-    holds exact zeros there and nowhere else."""
+    holds exact zeros there and nowhere else.  A call with a shared block
+    matches the composition over the block copied in front of every
+    row's keys, with every block key visible, within 1e-12: the two sum
+    the block's keys and the row keys in another order."""
     run_model, shows_shape = MASK_SHAPES[shape]
     calls = recording_attention(monkeypatch)
     run_model()
-    assert any(shows_shape(q_rows, kv_rows, causal)
-               for _, _, _, _, q_rows, kv_rows, causal, _ in calls)
+    assert any(shows_shape(call[5], call[6], call[7]) for call in calls)
     hidden = 0
-    for q, k, v, n_heads, q_rows, kv_rows, causal, out in calls:
+    for q, k, v, block, n_heads, q_rows, kv_rows, causal, out in calls:
         want = reference_attention_bias(q_rows, kv_rows, causal)
         got = T._attention_bias(q_rows, kv_rows, causal)
         np.testing.assert_array_equal(
-            np.broadcast_to(0.0 if got is None else got, want.shape), want)
+            np.broadcast_to(0.0 if got is None else got[:, None], want.shape),
+            want)
         grids = [q_rows.grid(q)] + [kv_rows.grid(a) for a in (k, v)]
         np.testing.assert_array_equal(
             np.all(grids[1] == 0, axis=-1),
-            np.arange(kv_rows.width) >= kv_rows.lengths[:, None])
-        composed = composed_attention(*map(Tensor, grids), want, n_heads)
-        assert q_rows.rows(composed.data).tobytes() == out.tobytes()
+            kv_rows.start + np.arange(kv_rows.width)
+            >= kv_rows.lengths[:, None])
         hidden += int(np.any(want != 0))
+        if block is None:
+            composed = composed_attention(*map(Tensor, grids), want, n_heads)
+            assert q_rows.rows(composed.data).tobytes() == out.tobytes()
+            continue
+        b, n_shared = q_rows.batch, len(block[0])
+        keys, values = (np.concatenate(
+            [np.broadcast_to(x, (b,) + x.shape), grid], axis=1)
+            for x, grid in zip(block, grids[1:]))
+        want = np.concatenate([np.zeros(want.shape[:3] + (n_shared,)), want],
+                              axis=-1)
+        composed = composed_attention(Tensor(grids[0]), Tensor(keys),
+                                      Tensor(values), want, n_heads)
+        assert_close(out, q_rows.rows(composed.data))
     assert hidden > 0

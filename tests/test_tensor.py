@@ -24,6 +24,7 @@ from tall.tensor import (
 )
 
 from conftest import (
+    assert_close,
     assert_parity,
     batched_matmul,
     broadcast_to,
@@ -316,49 +317,6 @@ class TestFusedOps:
         for got, want in zip(packed, grid):
             assert got.tobytes() == want.tobytes()
 
-    def test_kv_grid_without_a_cache_scatters_rows_and_gathers_their_gradient(
-            self):
-        rows = T.Packing(2, 3, np.array([0, 1, 3]), lengths=np.array([2, 1]))
-        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        g = np.arange(12.0).reshape(2, 3, 2) + 1.0
-        with Tape() as tape:
-            out = T.kv_grid(None, x, rows)
-            loss = sum_all(mul(out, Tensor(g)))
-        tape.backward(loss)
-        np.testing.assert_array_equal(
-            out.data, [[[0, 1], [2, 3], [0, 0]], [[4, 5], [0, 0], [0, 0]]])
-        np.testing.assert_array_equal(x.grad, g.reshape(6, 2)[[0, 1, 3]])
-        with pytest.raises(ShapeError):
-            T.kv_grid(None, Tensor(np.zeros((4, 2))), rows)
-
-    @pytest.mark.parametrize("cache_rows", [1, 3])
-    @pytest.mark.parametrize("index", [None, np.array([0, 1, 3, 6, 7])],
-                             ids=["reshape", "packed"])
-    def test_kv_grid_is_the_cache_then_the_rows_grid(self, cache_rows, index):
-        """The bytes of the composition it replaces: the cache (broadcast
-        to every row when it has one row), then the rows' grid,
-        concatenated along the positions."""
-        rng = np.random.default_rng(29)
-        new = np.full(3, 3) if index is None else np.array([2, 1, 2])
-        rows = T.Packing(3, 3, index, lengths=2 + new, start=2)
-        arrays = [rng.normal(size=(cache_rows, 2, 4)),
-                  rng.normal(size=(rows.n, 4))]
-        g = rng.normal(size=(3, 5, 4))
-
-        def composed(cache, x):
-            if cache_rows == 1:
-                cache = broadcast_to(cache, (3, 2, 4))
-            return concat([cache, T.kv_grid(None, x, rows)], axis=1)
-
-        got = _output_and_grads(lambda c, x: T.kv_grid(c, x, rows), arrays, g)
-        want = _output_and_grads(composed, arrays, g)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-        pads = np.ones(9, bool)
-        pads[np.arange(rows.n) if index is None else index] = False
-        assert not got[0][:, 2:].reshape(9, 4)[pads].any()
-        assert got[1].shape == (cache_rows, 2, 4)
-
     def test_linear_against_finite_differences(self):
         arrays, g = _linear_operands(23, (2, 3, 4))
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
@@ -429,6 +387,92 @@ class TestFusedOps:
         with pytest.raises(ShapeError):
             T.attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))),
                         Tensor(np.zeros((3, 4))), 3, rows, rows)
+
+
+def _shared_block_operands(seed, n_shared=4):
+    """Packed query rows, row keys and values, a shared block of
+    ``n_shared`` keys and values, an upstream gradient, and the packings:
+    three rows of 3, 1 and 2 new positions after the block, causal."""
+    rng = np.random.default_rng(seed)
+    new = np.array([3, 1, 2])
+    index = np.array([0, 1, 2, 3, 6, 7])
+    rows = T.Packing(3, 3, index, lengths=n_shared + new, start=n_shared)
+    q, k, v, g = rng.standard_normal((4, rows.n, 8))
+    sk, sv = rng.standard_normal((2, n_shared, 8))
+    return [q, k, v, sk, sv], g, rows
+
+
+class TestSharedBlock:
+    """``attention``'s shared block against the block copied in front of
+    every row's keys: the composition it replaces."""
+
+    @staticmethod
+    def block_in_every_row(rows):
+        """``attention`` over each row's keys after its own copy of the
+        block: a [B, P + L] key grid whose first P columns are the block."""
+        n_shared = rows.start
+        full = T.Packing(rows.batch, n_shared + rows.width,
+                         lengths=rows.lengths)
+        queries = T.Packing(rows.batch, rows.width, rows.index,
+                            lengths=rows.lengths, start=n_shared)
+
+        def to_grid(x):
+            out = Tensor(rows.grid(x.data))
+            return T._register(out, (x,), lambda g: (rows.rows(g),))
+
+        def attend(q, k, v, sk, sv):
+            grids = [concat([broadcast_to(reshape(block, (1,) + block.shape),
+                                          (rows.batch,) + block.shape),
+                             to_grid(x)], axis=1)
+                     for block, x in ((sk, k), (sv, v))]
+            return T.attention(q, *grids, 2, queries, full, causal=True)
+
+        return attend
+
+    def test_shared_block_is_the_block_in_every_row(self, kernel):
+        arrays, g, rows = _shared_block_operands(40)
+        got = _output_and_grads(
+            lambda q, k, v, sk, sv: T.attention(q, k, v, 2, rows, rows, True,
+                                                (sk, sv)), arrays, g)
+        want = _output_and_grads(self.block_in_every_row(rows), arrays, g)
+        for a, b in zip(got, want):
+            assert_close(a, b)
+
+    def test_against_finite_differences(self, kernel):
+        arrays, g, rows = _shared_block_operands(41, n_shared=2)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+
+        def loss():
+            return sum_all(mul(T.attention(*leaves[:3], 2, rows, rows, True,
+                                           tuple(leaves[3:])), Tensor(g)))
+
+        with Tape() as tape:
+            value = loss()
+        tape.backward(value)
+        fd = finite_diff_grad(lambda: loss().item(), leaves)
+        for leaf, want in zip(leaves, fd):
+            assert max_relative_error(leaf.grad, want) < 1e-6
+
+    def test_no_shared_block_leaves_the_node_as_it_was(self):
+        """Without a block the node records its three operands alone."""
+        arrays, g, masks = _attention_operands(42)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            T.attention(*leaves, 2, *masks)
+        [(_, inputs, _)] = tape._nodes
+        assert inputs == tuple(leaves)
+
+    def test_the_row_keys_start_after_the_block(self):
+        arrays, _, rows = _shared_block_operands(43)
+        q, k, v, sk, sv = map(Tensor, arrays)
+        with pytest.raises(ContractError, match="start at position 4, "
+                                                "after 3 shared keys"):
+            T.attention(q, k, v, 2, rows, rows, True,
+                        (Tensor(sk.data[:3]), Tensor(sv.data[:3])))
+        with pytest.raises(ContractError, match="after 0 shared keys"):
+            T.attention(q, k, v, 2, rows, rows, True)
+        with pytest.raises(ShapeError, match="shared block"):
+            T.attention(q, k, v, 2, rows, rows, True, (sk, Tensor(sv.data[1:])))
 
 
 class TestSoftmax:

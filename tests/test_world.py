@@ -180,7 +180,7 @@ class TestCorpus:
     def test_retry_budget_error(self, world):
         tiny = toy_grammar(hr_vocab_size=4, min_len=2, max_len=2, seed=0,
                            branching=1)
-        with pytest.raises(RuntimeError, match="unique"):
+        with pytest.raises(ValueError, match="could not reach 40 unique"):
             generate_corpus(0, 40, tiny, toy_world(hr_vocab_size=4, seed=0))
 
     def test_corpus_hash_stable(self, grammar, world):
