@@ -187,6 +187,8 @@ def cmd_train_tall(args) -> int:
                                cfg.train.tall.to_train_config(seed))
     meta = runner.stamp_meta(cfg, meta)
     meta["step"] += start_step
+    if meta["best_step"] >= 0:  # -1: nothing was held out
+        meta["best_step"] += start_step
     if args.out:
         save_checkpoint(dict(model.store.trainable_items()), meta, args.out)
     if args.metrics:

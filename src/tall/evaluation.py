@@ -257,9 +257,9 @@ def _soft_prompt_logits(llm: CausalLM, prompt: Tensor, lm_prefixes: list
     n_prompt = prompt.shape[0]
     cache = [LayerCache.prefix() for _ in range(llm.cfg.n_layers)]
     # only the caches are read, so the last layer runs one prompt row
-    llm.hidden_from_embeddings(prompt, np.array([n_prompt]),
-                               read=np.array([n_prompt - 1]), cache=cache)
-    hidden = llm.hidden_from_ids(ids, lengths + n_prompt, read=lengths - 1,
+    llm.hidden_from_embeddings(prompt, np.array([n_prompt]), last=True,
+                               cache=cache)
+    hidden = llm.hidden_from_ids(ids, lengths + n_prompt, last=True,
                                  cache=cache)
     return tied_logits(hidden, llm.store["tok_embed"])
 

@@ -13,16 +13,16 @@ runs on a PAD position; attention alone scatters to the [B, L] grid, and
 when every position is real the packing is a reshape.  It adds the
 stack's learned ``<prefix>.pos`` table at each real position (and
 rejects a sequence longer than that table), builds the memory's packing
-from the memory lengths, and, when its caller passes ``read`` (one
-position per row, as Hugging Face's ``logits_to_keep`` does), runs the
-last layer's queries, feed-forward and the final norm on those positions
-alone.  It builds no mask: each packing carries its lengths and first
-position, and :func:`tensor.attention` masks from them, causally exactly
-when the stack's :class:`~tall.nn.LayerConfig` says so.  The callers
-that read one next-token row pass ``read``: ``next_token_logits``, the
-soft prompt and stage 7 of the pipeline; teacher-forced training reads
-every real position, so its logits are [N, V] and its labels are the
-target sequences laid end to end.  Greedy decoding is incremental:
+from the memory lengths, and, when its caller passes ``last``, runs the
+last layer's queries, feed-forward and the final norm on each row's last
+real token alone (as Hugging Face's ``logits_to_keep=1`` does).  It
+builds no mask: each packing carries its lengths and first position, and
+:func:`tensor.attention` masks from them, causally exactly when the
+stack's :class:`~tall.nn.LayerConfig` says so.  The callers that read
+one next-token row pass ``last``: ``next_token_logits``, the soft prompt
+and stage 7 of the pipeline; teacher-forced training reads every real
+position, so its logits are [N, V] and its labels are the target
+sequences laid end to end.  Greedy decoding is incremental:
 ``decoder_forward`` with a per-layer :class:`~tall.nn.LayerCache` list
 (``LayerCache.decode``, sized for the step cap) embeds only the newest
 token, at the position after the cached ones; each self-attention block
@@ -82,10 +82,11 @@ class CausalLMConfig:
         return LayerConfig(self.d_model, self.n_heads, self.d_ff, causal=True)
 
 
-def pad_batch(seqs: list, pad_value: int = PAD) -> tuple[np.ndarray, np.ndarray]:
-    """Stack ragged id sequences into (ids [B, L], lengths [B])."""
+def pad_batch(seqs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Stack ragged id sequences into (ids [B, L], lengths [B]), padded
+    with PAD."""
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    out = np.full((len(seqs), max(1, int(lengths.max(initial=0)))), pad_value,
+    out = np.full((len(seqs), max(1, int(lengths.max(initial=0)))), PAD,
                   dtype=np.int64)
     for i, s in enumerate(seqs):
         out[i, : len(s)] = s
@@ -124,8 +125,7 @@ def _width(lengths: np.ndarray, start: int = 0) -> int:
 def _stack_forward(x, store: ParamStore, prefix: str, n_layers: int,
                    cfg: LayerConfig, lengths: np.ndarray, cross_kv=None,
                    cross_lengths=None, cache: list | None = None,
-                   read: np.ndarray | None = None,
-                   embed: Tensor | None = None) -> Tensor:
+                   last: bool = False, embed: Tensor | None = None) -> Tensor:
     """One transformer stack over the real positions of a [B, L] batch.
 
     ``x`` is token ids [B, L], looked up in ``embed``, or, without
@@ -144,20 +144,18 @@ def _stack_forward(x, store: ParamStore, prefix: str, n_layers: int,
     ``cfg.causal``, and, in cross-attention to ``cross_kv``, the packed
     rows of a batch of ``cross_lengths``, the keys before
     ``cross_lengths``.
-    Returns the packed hidden states [N, d], or with ``read`` [B] the
-    hidden state [B, d] of position ``read[i]`` of each row: the last
-    layer then runs its queries, feed-forward and the final norm on those
-    rows alone.  With ``cache``, ``read`` indexes the call's new
-    positions, so ``read[i]`` is position ``start + read[i]`` of the
-    whole sequence.
+    Returns the packed hidden states [N, d], or with ``last`` the hidden
+    state [B, d] of each row's last real token, position
+    ``lengths[i] - 1``: the last layer then runs its queries,
+    feed-forward and the final norm on those rows alone; a row with no
+    real position among the call's, which has no such token, is refused.
     """
     lengths = np.asarray(lengths)
     b = len(lengths)
-    if read is not None and (n_layers < 1 or np.shape(read) != (b,)):
-        raise ShapeError(f"read must hold one position per row, got "
-                         f"{np.shape(read)} for {b} rows over "
-                         f"{n_layers} layers")
     start = 0 if cache is None else cache[0].self_attn.length
+    if last and np.any(lengths <= start):
+        raise IndexError(f"rows {np.flatnonzero(lengths <= start).tolist()} "
+                         f"have no real position to read")
     width = x.shape[1] if embed is not None else _width(lengths, start)
     end = start + width
     pos_table = store[_p(prefix, "pos")]
@@ -177,16 +175,11 @@ def _stack_forward(x, store: ParamStore, prefix: str, n_layers: int,
     cross_rows = None
     if cross_kv is not None:
         cross_rows = packing(cross_lengths, _width(cross_lengths))
-    if read is not None and (np.any(read < 0)
-                             or np.any(start + read >= lengths)):
-        raise IndexError(f"read {np.asarray(read).tolist()} past the "
-                         f"real positions of lengths {lengths.tolist()}")
     for i in range(n_layers):
-        last = i == n_layers - 1
         x = nn.transformer_layer_forward(
             x, cross_kv, cfg, store, _p(prefix, f"layers.{i}"), rows,
             cross_rows, None if cache is None else cache[i],
-            read if last else None)
+            last and i == n_layers - 1)
     # the tape keeps the packing alive until backward, but not its biases
     rows.biases.clear()
     return nn.layer_norm(x, store, _p(prefix, "final_ln"))
@@ -229,10 +222,10 @@ def decoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
                     ids: np.ndarray, lengths: np.ndarray, memory: Tensor,
                     memory_lengths: np.ndarray,
                     cache: list[nn.LayerCache] | None = None,
-                    read: np.ndarray | None = None) -> Tensor:
+                    last: bool = False) -> Tensor:
     """Decoder hidden states for ``ids`` [B, L]: packed rows [N, d], or
-    [B, d] at ``read``; ``memory`` holds the packed encoder rows of a
-    batch of ``memory_lengths``.
+    with ``last`` [B, d] at each row's last real token; ``memory`` holds
+    the packed encoder rows of a batch of ``memory_lengths``.
 
     With ``cache`` (one :class:`~tall.nn.LayerCache` per layer) ``ids``
     continue the tokens already cached, and ``lengths`` count the cached
@@ -242,7 +235,7 @@ def decoder_forward(store: ParamStore, prefix: str, cfg: Seq2SeqConfig,
     return _stack_forward(ids, store, prefix, cfg.dec_layers,
                           cfg.layer(causal=True), lengths, cross_kv=memory,
                           cross_lengths=memory_lengths, cache=cache,
-                          read=read, embed=store[f"{prefix}.tgt_embed"])
+                          last=last, embed=store[f"{prefix}.tgt_embed"])
 
 
 class Translator:
@@ -323,26 +316,28 @@ class CausalLM:
         return cls(cfg, store)
 
     def hidden_from_ids(self, ids: np.ndarray, lengths: np.ndarray,
-                        read: np.ndarray | None = None,
+                        last: bool = False,
                         cache: list[nn.LayerCache] | None = None) -> Tensor:
         """Run the blocks on token ids [B, L]: packed rows [N, d], or
-        [B, d] at positions ``read``; with ``cache`` ``ids`` continue the
-        cached tokens (see ``_stack_forward``)."""
+        with ``last`` [B, d] at each row's last real token; with
+        ``cache`` ``ids`` continue the cached tokens (see
+        ``_stack_forward``)."""
         return _stack_forward(ids, self.store, "", self.cfg.n_layers,
                               self.cfg.layer(), lengths, cache=cache,
-                              read=read, embed=self.store["tok_embed"])
+                              last=last, embed=self.store["tok_embed"])
 
     def hidden_from_embeddings(self, x: Tensor, lengths: np.ndarray,
-                               read: np.ndarray | None = None,
+                               last: bool = False,
                                cache: list[nn.LayerCache] | None = None
                                ) -> Tensor:
         """Run the blocks, positions included, on input embeddings: the
         packed rows [N, d] of a batch of ``lengths``; returns [N, d], or
-        [B, d] at positions ``read``.  With ``cache`` ``x`` continues the
-        cached embeddings (see ``_stack_forward``)."""
+        with ``last`` [B, d] at each row's last real token.  With
+        ``cache`` ``x`` continues the cached embeddings (see
+        ``_stack_forward``)."""
         return _stack_forward(x, self.store, "", self.cfg.n_layers,
                               self.cfg.layer(), lengths, cache=cache,
-                              read=read)
+                              last=last)
 
     def logits_for(self, seqs: list) -> tuple[Tensor, np.ndarray]:
         """Teacher-forced LM logits [N, V], one row per label, and their
@@ -354,7 +349,7 @@ class CausalLM:
     def next_token_logits(self, prefixes: list) -> np.ndarray:
         """Logits over the vocabulary for the token after each prefix."""
         ids, lengths = pad_batch([[BOS] + list(p) for p in prefixes])
-        hidden = self.hidden_from_ids(ids, lengths, read=lengths - 1)
+        hidden = self.hidden_from_ids(ids, lengths, last=True)
         return tied_logits(hidden, self.store["tok_embed"]).data
 
 

@@ -29,9 +29,9 @@ its matching ``init_*`` function created.  Conventions:
   runs on those rows, and only :func:`tensor.attention` sees the grid.
   A decode or memory cache passes its [B, L, d] grid to attention with
   an index-free packing and the lengths of its keys.
-* a layer given ``read`` (one row per grid row) runs everything after
-  its self-attention keys and values on those rows alone: this module is
-  the one caller of :func:`tensor.take_rows`.
+* a layer given ``last`` runs everything after its self-attention keys
+  and values on each row's last real token alone: this module is the
+  one caller of :func:`tensor.take_rows`.
 * the dimension-alignment adapter is Linear -> LayerNorm -> GELU ->
   Linear -> LayerNorm; this is the stack whose parameter count matches
   the published per-module figures (see adapter_param_count).
@@ -46,23 +46,6 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    d_model: int
-    n_heads: int
-    d_kv: int | None = None  # key/value input width; defaults to d_model
-
-    def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ShapeError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
-
-    @property
-    def kv_dim(self) -> int:
-        return self.d_kv if self.d_kv is not None else self.d_model
 
 
 @dataclass(frozen=True)
@@ -84,9 +67,6 @@ class LayerConfig:
     n_heads: int
     d_ff: int
     causal: bool = False  # self-attention sees no later position
-
-    def attn(self, d_kv: int | None = None) -> AttentionConfig:
-        return AttentionConfig(self.d_model, self.n_heads, d_kv)
 
 
 @dataclass
@@ -234,10 +214,11 @@ class ParamStore:
     def trainable_items(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self._entries.items() if t.requires_grad]
 
-    def adopt(self, prefix: str, other: "ParamStore", trainable: bool = False) -> None:
-        """Copy every entry of ``other`` in under ``prefix`` (fresh arrays)."""
+    def adopt(self, prefix: str, other: "ParamStore") -> None:
+        """Copy every entry of ``other`` in under ``prefix``, frozen (fresh
+        arrays)."""
         for name, t in other.items():
-            self.add(f"{prefix}.{name}", t.data.copy(), trainable=trainable)
+            self.add(f"{prefix}.{name}", t.data.copy(), trainable=False)
 
     def subset(self, prefix: str) -> "ParamStore":
         sub = ParamStore()
@@ -273,8 +254,8 @@ def init_layer_norm(store: ParamStore, prefix: str, dim: int) -> None:
 
 
 def init_embedding(store: ParamStore, name: str, n: int, dim: int,
-                   rng: np.random.Generator, std: float = 0.1) -> None:
-    store.add(name, rng.normal(0.0, std, size=(n, dim)))
+                   rng: np.random.Generator) -> None:
+    store.add(name, rng.normal(0.0, 0.1, size=(n, dim)))
 
 
 def init_adapter(store: ParamStore, prefix: str, spec: AdapterSpec,
@@ -285,12 +266,12 @@ def init_adapter(store: ParamStore, prefix: str, spec: AdapterSpec,
     init_layer_norm(store, f"{prefix}.ln2", spec.d_out)
 
 
-def init_attention(store: ParamStore, prefix: str, cfg: AttentionConfig,
+def init_attention(store: ParamStore, prefix: str, d_model: int, d_kv: int,
                    rng: np.random.Generator) -> None:
-    init_linear(store, f"{prefix}.q", cfg.d_model, cfg.d_model, rng)
-    init_linear(store, f"{prefix}.k", cfg.kv_dim, cfg.d_model, rng)
-    init_linear(store, f"{prefix}.v", cfg.kv_dim, cfg.d_model, rng)
-    init_linear(store, f"{prefix}.out", cfg.d_model, cfg.d_model, rng)
+    init_linear(store, f"{prefix}.q", d_model, d_model, rng)
+    init_linear(store, f"{prefix}.k", d_kv, d_model, rng)
+    init_linear(store, f"{prefix}.v", d_kv, d_model, rng)
+    init_linear(store, f"{prefix}.out", d_model, d_model, rng)
 
 
 def init_ffn(store: ParamStore, prefix: str, d_model: int, d_ff: int,
@@ -303,11 +284,11 @@ def init_transformer_layer(store: ParamStore, prefix: str, cfg: LayerConfig,
                            rng: np.random.Generator,
                            cross_kv_dim: int | None = None) -> None:
     init_layer_norm(store, f"{prefix}.ln_self", cfg.d_model)
-    init_attention(store, f"{prefix}.self_attn", cfg.attn(), rng)
+    init_attention(store, f"{prefix}.self_attn", cfg.d_model, cfg.d_model, rng)
     if cross_kv_dim is not None:
         init_layer_norm(store, f"{prefix}.ln_cross", cfg.d_model)
-        init_attention(store, f"{prefix}.cross_attn", cfg.attn(cross_kv_dim),
-                       rng)
+        init_attention(store, f"{prefix}.cross_attn", cfg.d_model,
+                       cross_kv_dim, rng)
     init_layer_norm(store, f"{prefix}.ln_ffn", cfg.d_model)
     init_ffn(store, f"{prefix}.ffn", cfg.d_model, cfg.d_ff, rng)
 
@@ -320,8 +301,8 @@ def linear(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     return T.linear(x, store[f"{prefix}.weight"], store[f"{prefix}.bias"])
 
 
-def layer_norm(x: Tensor, store: ParamStore, prefix: str, eps: float = 1e-5) -> Tensor:
-    return T.layer_norm(x, store[f"{prefix}.gamma"], store[f"{prefix}.beta"], eps)
+def layer_norm(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
+    return T.layer_norm(x, store[f"{prefix}.gamma"], store[f"{prefix}.beta"])
 
 
 def adapter_forward(x: Tensor, spec: AdapterSpec, store: ParamStore,
@@ -347,24 +328,19 @@ def adapter_param_count(spec: AdapterSpec) -> int:
     )
 
 
-def multi_head_attention(q_in: Tensor, kv_in: Tensor, cfg: AttentionConfig,
+def multi_head_attention(q_in: Tensor, kv_in: Tensor, n_heads: int,
                          store: ParamStore, prefix: str, q_rows: T.Packing,
                          kv_rows: T.Packing, causal: bool = False,
                          cache: KVCache | None = None) -> Tensor:
-    """Scaled dot-product attention of the query rows ``q_in`` [Nq, d] of
-    the [B, Lq] grid ``q_rows`` over the rows ``kv_in`` [Nkv, d_kv] of
-    the [B, Lkv] grid ``kv_rows``, masked by :func:`tensor.attention`
-    from the two packings (causally iff ``causal``).
+    """Scaled dot-product attention over ``n_heads`` heads of the query
+    rows ``q_in`` [Nq, d] of the [B, Lq] grid ``q_rows`` over the rows
+    ``kv_in`` [Nkv, d_kv] of the [B, Lkv] grid ``kv_rows``, masked by
+    :func:`tensor.attention` from the two packings (causally iff
+    ``causal``).
 
     With ``cache`` the keys and values also come from, and go to, the
     cache (see :class:`KVCache` for its three kinds).
     """
-    if q_in.shape[-1] != cfg.d_model or kv_in.shape[-1] != cfg.kv_dim:
-        raise ShapeError(
-            f"attention {prefix!r} expects [N, d] rows with q last dim "
-            f"{cfg.d_model} and kv last dim {cfg.kv_dim}, got {q_in.shape} "
-            f"and {kv_in.shape}"
-        )
     b = q_rows.batch
     if (cache is not None and cache.kind == "decode"
             and cache.keys is not None and cache.keys.shape[0] != b):
@@ -380,7 +356,7 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, cfg: AttentionConfig,
     shared = None
     if cache is not None:
         k, v, kv_rows, shared = cache.update(k, v, kv_rows)
-    ctx = T.attention(q, k, v, cfg.n_heads, q_rows, kv_rows, causal, shared)
+    ctx = T.attention(q, k, v, n_heads, q_rows, kv_rows, causal, shared)
     return linear(ctx, store, f"{prefix}.out")
 
 
@@ -393,33 +369,32 @@ def transformer_layer_forward(x: Tensor, cross_kv: Tensor | None,
                               rows: T.Packing,
                               cross_rows: T.Packing | None = None,
                               cache: LayerCache | None = None,
-                              read: np.ndarray | None = None) -> Tensor:
+                              last: bool = False) -> Tensor:
     """One pre-LN layer over the packed rows ``x`` [N, d] of the grid
     ``rows``, self-attending causally iff ``cfg.causal``, with
     cross-attention to ``cross_kv``, packed by ``cross_rows``.
 
-    With ``read`` [B], one grid column per row, the self-attention keys
-    and values still span every row of ``x``, but the queries, the
-    residual stream, cross-attention and the feed-forward run on the rows
-    at columns ``read`` alone, each a query at its own position, and the
-    layer returns [B, d].
+    With ``last`` the self-attention keys and values still span every
+    row of ``x``, but the queries, the residual stream, cross-attention
+    and the feed-forward run on each row's last real token alone, a
+    query at its own position, and the layer returns [B, d].  Every grid
+    row must hold a real position.
     """
     normed = layer_norm(x, store, f"{prefix}.ln_self")
     queries, q_rows = normed, rows
-    if read is not None:
-        picked = rows.locate(np.arange(rows.batch) * rows.width + read)
+    if last:
+        picked = np.cumsum(rows.lengths - rows.start) - 1
         x = T.take_rows(x, picked)
         queries = T.take_rows(normed, picked)
         q_rows = T.Packing(rows.batch, 1, lengths=rows.lengths,
-                           start=rows.start + read)
+                           start=rows.lengths - 1)
     h = T.add(x, multi_head_attention(
-        queries, normed, cfg.attn(), store, f"{prefix}.self_attn", q_rows,
+        queries, normed, cfg.n_heads, store, f"{prefix}.self_attn", q_rows,
         rows, cfg.causal, None if cache is None else cache.self_attn))
     if cross_kv is not None:
         h = T.add(h, multi_head_attention(
             layer_norm(h, store, f"{prefix}.ln_cross"), cross_kv,
-            cfg.attn(cross_kv.shape[-1]), store, f"{prefix}.cross_attn",
-            q_rows, cross_rows,
+            cfg.n_heads, store, f"{prefix}.cross_attn", q_rows, cross_rows,
             cache=None if cache is None else cache.cross_attn))
     return T.add(h, ffn_forward(layer_norm(h, store, f"{prefix}.ln_ffn"),
                                 store, f"{prefix}.ffn"))

@@ -13,6 +13,9 @@ import numpy as np
 
 from .nn import ParamStore
 
+# the moments' decay rates and the denominator's floor
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def cosine_lr(step: int, total_steps: int, peak_lr: float,
               warmup_steps: int) -> float:
@@ -44,11 +47,8 @@ def clip_grad_norm(params: list, max_norm: float) -> float:
 class AdamW:
     """In-place AdamW; each step keeps the arithmetic order noted beside."""
 
-    def __init__(self, store: ParamStore, weight_decay: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, store: ParamStore, weight_decay: float):
         self.params = [t for _, t in store.trainable_items()]
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -57,8 +57,8 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
@@ -66,15 +66,14 @@ class AdamW:
             num, den = self._scratch[:2 * p.size].reshape((2,) + p.shape)
             if self.weight_decay:  # p -= lr * wd * p
                 p.data -= np.multiply(p.data, lr * self.weight_decay, out=num)
-            m *= self.beta1  # m = beta1 * m + (1 - beta1) * g
-            m += np.multiply(g, 1.0 - self.beta1, out=num)
-            v *= self.beta2  # v = beta2 * v + (1 - beta2) * (g * g)
-            v += np.multiply(np.multiply(g, g, out=num), 1.0 - self.beta2,
-                             out=num)
+            m *= BETA1  # m = beta1 * m + (1 - beta1) * g
+            m += np.multiply(g, 1.0 - BETA1, out=num)
+            v *= BETA2  # v = beta2 * v + (1 - beta2) * (g * g)
+            v += np.multiply(np.multiply(g, g, out=num), 1.0 - BETA2, out=num)
             # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
             np.multiply(np.divide(m, bc1, out=num), lr, out=num)
             np.sqrt(np.divide(v, bc2, out=den), out=den)
-            den += self.eps
+            den += EPS
             p.data -= np.divide(num, den, out=num)
 
     def zero_grad(self) -> None:

@@ -11,9 +11,9 @@ Stages:
 5. trainable alignment adapter, LM width -> decoder width
 6. trainable bridge transformer (bidirectional self-attention)
 7. frozen target-language decoder over teacher-forced target tokens
-   with cross-attention to stage 6, then the frozen tied head; only the
-   final position of each row is read, so the decoder's last layer and
-   the head run on that position alone
+   with cross-attention to stage 6, then the frozen tied head; the
+   decoder's last layer and the head run on each row's last real token
+   alone
 
 Only {adapter1, bridge1, adapter2, bridge2} ever receive gradients;
 training uses the final-token loss exclusively.  Bridge 1 runs at the LM
@@ -58,6 +58,8 @@ from .world import BOS, EOS, PAD, BilingualPair, World
 
 TRAINABLE_PARTS = ("adapter1", "bridge1", "adapter2", "bridge2")
 FROZEN_PARTS = ("encoder", "llm", "decoder")
+# prefixes per greedy translation batch
+TRANSLATE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ class TallModel:
         [B, V_lr] of each row's final position, ``dec_lengths - 1``."""
         hidden = decoder_forward(self.store, "decoder", self.decoder_cfg,
                                  dec_ids, dec_lengths, memory, memory_lengths,
-                                 read=dec_lengths - 1)
+                                 last=True)
         return tied_logits(hidden, self.store["decoder.tgt_embed"])
 
     def forward(self, batch: TallBatch) -> Tensor:
@@ -193,11 +195,12 @@ class TallModel:
 
     # -- data plumbing --------------------------------------------------------
 
-    def translate_prefixes(self, prefixes: list, batch_size: int = 256) -> list:
-        """Frozen greedy LR->HR translation, re-tokenized into LM ids."""
+    def translate_prefixes(self, prefixes: list) -> list:
+        """Frozen greedy LR->HR translation, re-tokenized into LM ids, in
+        chunks of ``TRANSLATE_CHUNK`` prefixes."""
         out = []
-        for start in range(0, len(prefixes), batch_size):
-            chunk = prefixes[start : start + batch_size]
+        for start in range(0, len(prefixes), TRANSLATE_CHUNK):
+            chunk = prefixes[start : start + TRANSLATE_CHUNK]
             hr = self.lr2hr.greedy_translate(chunk)
             out.extend(
                 [BOS] + self.world.hr_to_lm(np.array(h, dtype=np.int64)).tolist()

@@ -34,6 +34,9 @@ from .optim import AdamW, clip_grad_norm, cosine_lr
 from .tensor import NumericalError, Tape
 from .world import BilingualPair
 
+# held-out examples per greedy decode or LM forward when scoring
+HELDOUT_CHUNK = 128
+
 
 @dataclass
 class TrainConfig:
@@ -168,12 +171,11 @@ def train_translator(direction: str, model_cfg: Seq2SeqConfig,
     return model, meta, metrics
 
 
-def translator_exact_match(model: Translator, examples: list,
-                           batch_size: int = 128) -> float:
+def translator_exact_match(model: Translator, examples: list) -> float:
     """Greedy-decode exact-sentence accuracy over (src, tgt) examples."""
     hits = 0
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
+    for start in range(0, len(examples), HELDOUT_CHUNK):
+        chunk = examples[start : start + HELDOUT_CHUNK]
         outs = model.greedy_translate([src for src, _ in chunk])
         hits += sum(tuple(o) == tuple(t) for o, (_, t) in zip(outs, chunk))
     return hits / len(examples)
@@ -212,12 +214,11 @@ def train_llm(model_cfg: CausalLMConfig, sequences: list,
     return model, meta, metrics
 
 
-def llm_perplexity(model: CausalLM, sequences: list,
-                   batch_size: int = 128) -> float:
+def llm_perplexity(model: CausalLM, sequences: list) -> float:
     """exp(mean token cross entropy); a uniform model scores vocab_size."""
     total, count = 0.0, 0
-    for start in range(0, len(sequences), batch_size):
-        batch = sequences[start : start + batch_size]
+    for start in range(0, len(sequences), HELDOUT_CHUNK):
+        batch = sequences[start : start + HELDOUT_CHUNK]
         loss_sum, n = T.cross_entropy_sum(*model.logits_for(batch))
         total += loss_sum.item()
         count += n

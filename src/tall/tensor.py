@@ -39,16 +39,17 @@ Design constraints, in order of priority:
   backward only leaves hold ``grad``.  Layer norm and GELU compute
   forward and backward in place on their own buffers, in the arithmetic
   order of the formulas, so they keep no temporaries beyond what
-  backward reads.  A stack's last layer runs on the rows its caller
-  reads (:func:`take_rows`), so the tape holds [B, d] for that layer,
-  the final norm and the head, and :func:`cross_entropy_last_token`
-  takes those [B, V] logits.  No op copies a KV cache (``nn.KVCache``
-  keeps three kinds).  A greedy decode's self-attention cache is a
-  [B, capacity, d] buffer that ``nn`` writes one column per step, with
-  no tape, and :func:`attention` reads a view of its filled columns;
-  cross-attention reads the memory grid scattered on the first step;
-  and a prefix every row shares (the soft prompt) is :func:`attention`'s
-  shared block [P, d], attended to by every row without a per-row copy.
+  backward reads.  A stack read at each row's last real token runs its
+  last layer on those rows alone (:func:`take_rows`), so the tape holds
+  [B, d] for that layer, the final norm and the head, and
+  :func:`cross_entropy_last_token` takes those [B, V] logits.  No op
+  copies a KV cache (``nn.KVCache`` keeps three kinds).  A greedy
+  decode's self-attention cache is a [B, capacity, d] buffer that ``nn``
+  writes one column per step, with no tape, and :func:`attention` reads
+  a view of its filled columns; cross-attention reads the memory grid
+  scattered on the first step; and a prefix every row shares (the soft
+  prompt) is :func:`attention`'s shared block [P, d], attended to by
+  every row without a per-row copy.
 
 Recording happens only while a :class:`Tape` is active, so inference
 code that never opens a tape pays no autodiff overhead.
@@ -299,10 +300,6 @@ class Packing:
         flat = grid.reshape((self.batch * self.width,) + grid.shape[2:])
         return flat if self.index is None else flat.take(self.index, axis=0)
 
-    def locate(self, flat: np.ndarray) -> np.ndarray:
-        """The packed row of each flat grid position ``flat`` (each a row)."""
-        return flat if self.index is None else np.searchsorted(self.index, flat)
-
 
 def _check_rows(x: np.ndarray, rows: Packing, what: str) -> None:
     """``x`` holds the rows of ``rows``: [N, d], or, when every grid
@@ -552,14 +549,16 @@ def attention(q, k, v, n_heads: int, q_rows: Packing, kv_rows: Packing,
             ds -= dot
             ds *= p
             ds *= c
-            if _needs_grad(k):
-                grads[1] = kv_rows.rows(merged_product(
-                    np.swapaxes(by_row(ds), 2, 3),
-                    heads(q_rows.grid(q_d), lq), lkv
-                ).reshape(b, lkv, d)).reshape(k_d.shape)
-            if ns and _needs_grad(shared[0]):
-                grads[3] = shared_product(np.swapaxes(ds[..., :ns], 1, 2),
-                                          flat_heads(q_rows.grid(q_d)))
+            if _needs_grad(k) or (ns and _needs_grad(shared[0])):
+                q_grid = q_rows.grid(q_d)  # scattered once for both keys
+                if _needs_grad(k):
+                    grads[1] = kv_rows.rows(merged_product(
+                        np.swapaxes(by_row(ds), 2, 3), heads(q_grid, lq), lkv
+                    ).reshape(b, lkv, d)).reshape(k_d.shape)
+                if ns and _needs_grad(shared[0]):
+                    grads[3] = shared_product(np.swapaxes(ds[..., :ns], 1, 2),
+                                              flat_heads(q_grid))
+                del q_grid
             # last, so that its merged buffer outlives no other product
             if _needs_grad(q):
                 gq = merged_product(by_row(ds), heads(kv_rows.grid(k_d), lkv),
@@ -727,7 +726,7 @@ def cross_entropy_last_token(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of each example's final position.
 
     ``logits`` [batch, vocab] are the final-position logits, which the
-    model computes alone (see ``models._stack_forward``'s ``read``);
+    model computes alone (see ``models._stack_forward``'s ``last``);
     example i has class ``targets[i]``.
     """
     return _nll(logits, targets, logits.shape[0])

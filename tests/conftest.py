@@ -12,7 +12,7 @@ Oracles: the einsum reference kernel, the primitive compositions the
 fused tape nodes replace (with ``batched_matmul``, the batched product
 only ``composed_attention`` needs), the attention masks written out
 entry by entry (``reference_attention_bias``), the all-positions stack that
-``read`` replaces, the padded stacks and masked loss that packed rows
+``last`` replaces, the padded stacks and masked loss that packed rows
 replace (``padded_rows``, ``masked_cross_entropy_sum``,
 ``padded_teacher_loss``), the per-row soft prompt that the shared prompt
 cache replaces, the finite-difference gradient check, and the tape ops
@@ -275,31 +275,37 @@ def reference_attention_bias(q_rows, kv_rows, causal: bool) -> np.ndarray:
     return bias
 
 
-@contextlib.contextmanager
-def all_positions():
-    """The path ``read`` replaces: every transformer stack runs all its
-    positions, and a stack asked for rows returns the final real row of
-    each sequence, position ``lengths - 1``, whatever ``read`` says (every
-    caller that passes ``read`` reads the final position).  A cached
-    call's rows are its new positions, ``lengths - start`` of them in
-    row i, where ``start`` is the cache length the call starts from,
+def _stacks_reading_every_position(mp, last_rows) -> None:
+    """Make every transformer stack run all its positions, and one asked
+    for ``last`` return the rows ``last_rows(lengths, start, n)`` of its
+    n output rows: ``start`` is the cache length the call starts from,
     taken before the call grows the cache."""
     stack = models._stack_forward
     signature = inspect.signature(stack)
 
-    def run(*args, read=None, **kwargs):
+    def run(*args, last=False, **kwargs):
         bound = signature.bind(*args, **kwargs).arguments
         cache = bound.get("cache")
         start = 0 if cache is None else cache[0].self_attn.length
         hidden = stack(*args, **kwargs)
-        if read is None:
+        if not last:
             return hidden
-        return tensor.take_rows(hidden,
-                                np.cumsum(bound["lengths"] - start) - 1)
+        return tensor.take_rows(hidden, last_rows(
+            np.asarray(bound["lengths"]), start, hidden.shape[0]))
 
+    mp.setattr(models, "_stack_forward", run)
+    mp.setattr(pipeline, "_stack_forward", run)
+
+
+@contextlib.contextmanager
+def all_positions():
+    """The path ``last`` replaces: every transformer stack runs all its
+    positions, and a stack asked for ``last`` returns the final real row
+    of each sequence, position ``lengths - 1``.  A cached call's rows are
+    its new positions, ``lengths - start`` of them in row i."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(models, "_stack_forward", run)
-        mp.setattr(pipeline, "_stack_forward", run)
+        _stacks_reading_every_position(
+            mp, lambda lengths, start, n: np.cumsum(lengths - start) - 1)
         yield
 
 
@@ -309,13 +315,20 @@ def padded_rows():
     every position of its [B, L] grid, pad positions included, and its
     output holds B * L rows.  Pad positions stay out of every real row
     only through the attention masks, and a loss must mask them out
-    afterwards (``padded_teacher_loss``)."""
+    afterwards (``padded_teacher_loss``).  A stack asked for ``last``
+    runs every position too, then returns row i's grid position
+    ``lengths[i] - 1 - start``."""
     def every_position(lengths, width, start=0):
         return tensor.Packing(len(lengths), width, lengths=np.asarray(lengths),
                               start=start)
 
+    def last_rows(lengths, start, n):
+        width = n // len(lengths)
+        return np.arange(len(lengths)) * width + lengths - 1 - start
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "packing", every_position)
+        _stacks_reading_every_position(mp, last_rows)
         yield
 
 
@@ -367,8 +380,7 @@ def per_row_soft_prompt_logits(llm, prompt, lm_prefixes):
     positions = models.packing(full_lengths, width).rows(
         np.arange(b * width).reshape(b, width))
     packed = tensor.take_rows(reshape(grid, (b * width, d)), positions)
-    hidden = llm.hidden_from_embeddings(packed, full_lengths,
-                                        read=full_lengths - 1)
+    hidden = llm.hidden_from_embeddings(packed, full_lengths, last=True)
     return models.tied_logits(hidden, llm.store["tok_embed"])
 
 

@@ -11,7 +11,7 @@ from tall import evaluation as ev
 from tall.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from tall.config import ConfigError, build_world, llm_config, load_config
 from tall.nn import ParamStore
-from tall.pipeline import TallModel, evaluate_tall
+from tall.pipeline import TallModel, evaluate_tall, train_tall
 from tall.pretrain import split_train_eval
 from tall.tensor import ShapeError
 
@@ -211,6 +211,32 @@ def test_resume_with_nothing_held_out_reports_no_eval(tiny_run, capsys):
     assert resumed == {"eval": None,
                        "resumed_at": load_checkpoint(ckpt["tall"])[1]["step"]}
     assert written["best_eval_loss"] is None
+    assert written["best_step"] == -1
+
+
+def test_resume_counts_the_best_step_from_the_checkpoint_step(
+        tiny_run, monkeypatch, capsys):
+    """``best_step`` and ``step`` count updates from the same origin: a
+    resumed run offsets the step its best snapshot was kept at by the
+    checkpoint's step, as it does its own update count."""
+    args, ckpt = tiny_run
+    metas = []
+
+    def recorded(*a, **kw):
+        meta, metrics = train_tall(*a, **kw)
+        metas.append(dict(meta))
+        return meta, metrics
+
+    monkeypatch.setattr(cli, "train_tall", recorded)
+    capsys.readouterr()
+    assert cli.main(["train-tall", *args, "--resume", ckpt["tall"]]) == cli.EXIT_OK
+    written = json.loads(capsys.readouterr().out.splitlines()[1])
+    start = load_checkpoint(ckpt["tall"])[1]["step"]
+    [meta] = metas
+    assert meta["best_step"] > 0
+    assert written["best_step"] == start + meta["best_step"]
+    assert written["step"] == start + meta["step"]
+    assert start < written["best_step"] <= written["step"]
 
 
 def test_resume_translates_only_the_held_out_prefixes(

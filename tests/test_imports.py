@@ -1,6 +1,6 @@
 """Import hygiene and the product seam, checked with the stdlib ``ast``.
 
-Fourteen rules for every module under ``src/tall``:
+Fifteen rules for every module under ``src/tall``:
 
 - a module-level import binds a name the module references, unless its
   line carries ``# noqa: F401`` (an import kept on purpose);
@@ -35,7 +35,8 @@ Fourteen rules for every module under ``src/tall``:
   and kind the same way;
 - only ``nn.py`` calls ``take_rows``, and no module picks final positions
   out of a whole sequence with ``[np.arange(...), ... - 1]``: a caller
-  passes ``read`` to the stack, which chooses the rows in one place;
+  passes ``last`` to the stack, which picks each row's last real token
+  in one place;
 - only ``nn.py`` writes a KV cache's keys or values (assigns an
   attribute ``keys`` or ``values``, whole or through a subscript): the
   three cache kinds are kept by ``nn.KVCache`` alone;
@@ -46,7 +47,12 @@ Fourteen rules for every module under ``src/tall``:
   configuration, the benchmark scale included, passes the load-time
   checks;
 - only ``evaluation._predict`` calls ``EvalRecord``, so every approach
-  is scored by the one eval loop and no second loop comes back.
+  is scored by the one eval loop and no second loop comes back;
+- every defaulted parameter of a function is passed explicitly by some
+  call in ``src/tall`` or in perfbench's non-test modules: a parameter
+  every caller leaves at its default has one value in use, so it is a
+  constant instead, and ``ONE_VALUE_KEPT`` names the few kept, each with
+  its reason.
 
 And one for ``tensor.py`` and ``nn.py``: every public function has a
 caller in ``src/tall`` outside its own body, so what only tests use
@@ -66,8 +72,13 @@ import pytest
 
 from tall.runner import APPROACHES
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "tall"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tall"
 MODULES = sorted(SRC.glob("*.py"))
+# every module that calls into src/tall for a run: the package itself and
+# the benchmark harness, without its tests
+CALLERS = MODULES + sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                           if not p.name.startswith("test_"))
 
 
 def _parse(path: Path) -> tuple[ast.Module, list[str]]:
@@ -337,6 +348,56 @@ def defaulted_parameters(fn) -> list[str]:
             if p.default is not p.empty]
 
 
+def _passes(call: ast.Call, callee: str, name: str, index) -> bool:
+    """Whether ``call`` calls ``callee`` and passes its parameter ``name``
+    (positional index ``index``, None for keyword-only): by keyword, by
+    position, or possibly through ``*args`` or ``**kwargs``."""
+    fn = call.func
+    called = (fn.id if isinstance(fn, ast.Name)
+              else fn.attr if isinstance(fn, ast.Attribute) else None)
+    return called == callee and (
+        any(k.arg in (name, None) for k in call.keywords)
+        or any(isinstance(a, ast.Starred) for a in call.args)
+        or (index is not None and len(call.args) > index))
+
+
+def unpassed_defaults(defining: list[Path], calling: list[Path]) -> list[str]:
+    """Defaulted parameters of the functions in ``defining`` that no call
+    in ``calling`` passes, as ``module.py:Qualified.name(param)``.
+
+    A call is matched by the name it calls (a class's name for its
+    ``__init__``), so a call to another function of the same name counts
+    too; a method's positions do not count ``self`` or ``cls``."""
+    calls = [node for path in calling for node in ast.walk(_parse(path)[0])
+             if isinstance(node, ast.Call)]
+    found = []
+    for path in defining:
+        tree, _ = _parse(path)
+        owners = {id(f): c for c in ast.walk(tree)
+                  if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = owners.get(id(fn))
+            bound = owner is not None and "staticmethod" not in [
+                getattr(d, "id", None) for d in fn.decorator_list]
+            callee = owner.name if fn.name == "__init__" else fn.name
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            params = [(arg.arg, i - bound)
+                      for i, arg in enumerate(positional) if i >= first]
+            params += [(arg.arg, None)
+                       for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                       if d is not None]
+            qualified = fn.name if owner is None else f"{owner.name}.{fn.name}"
+            found += [f"{path.name}:{qualified}({name})"
+                      for name, index in params
+                      if not any(_passes(c, callee, name, index)
+                                 for c in calls)]
+    return sorted(found)
+
+
 def uncalled_functions(target: Path, modules: list[Path]) -> list[str]:
     """Public top-level functions of ``target`` that no module in
     ``modules`` calls outside the function's own body.  A call counts
@@ -435,6 +496,7 @@ def test_only_nn_takes_the_rows_a_caller_reads(path):
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "nn.py"], ids=lambda p: p.name)
 def test_only_nn_builds_cache_grids(path):
+    """Only ``nn.py`` writes a KV cache's ``keys`` or ``values``."""
     assert cache_writes(path) == []
 
 
@@ -452,6 +514,26 @@ KEPT_FOR_PERFBENCH = {"softmax"}
 def test_every_public_kernel_has_a_caller(name):
     uncalled = uncalled_functions(SRC / name, MODULES)
     assert [f for f in uncalled if f not in KEPT_FOR_PERFBENCH] == []
+
+
+# defaulted parameters that no caller passes, kept on purpose
+ONE_VALUE_KEPT = {
+    "tensor.py:Tensor.__init__(requires_grad)":
+        "kernel tests build the leaves they differentiate with it",
+    "tensor.py:layer_norm(eps)":
+        "kernel tests set it; eps=0.0 is test_direct_arithmetic's exact "
+        "oracle",
+    "models.py:Translator.greedy_translate(cap)":
+        "it sizes the decode cache, and tests pin step counts with it",
+    "cli.py:main(argv)":
+        "the console script passes none; tests pass their command lines",
+}
+
+
+def test_every_default_is_passed_by_some_caller():
+    """A parameter every caller leaves at its default has one value in
+    use, so it is a constant; the kept ones are each still unpassed."""
+    assert unpassed_defaults(MODULES, CALLERS) == sorted(ONE_VALUE_KEPT)
 
 
 def test_checkpoints_are_read_by_one_loader():
@@ -617,6 +699,22 @@ def test_checks_catch_what_they_name(tmp_path):
         "c = generate_corpus(0, 1, world.ToyGrammar(), w) + array(3)\n")
     assert imported_calls(built) == [("world", "World"),
                                      ("world", "generate_corpus")]
+
+    defs = tmp_path / "defs.py"
+    defs.write_text(
+        "def f(x, width=3, *, heads=2):\n"
+        "    return f(x, heads=4)\n"
+        "class Box:\n"
+        "    def __init__(self, size=1):\n"
+        "        pass\n"
+        "    def grow(self, by=1, times=1):\n"
+        "        return g(*args) + self.grow(2)\n"
+        "def g(n=0):\n"
+        "    pass\n")
+    use = tmp_path / "use.py"
+    use.write_text("b = Box(3) or f(1) or g(*args)\n")
+    assert unpassed_defaults([defs], [defs, use]) == ["defs.py:Box.grow(times)",
+                                                      "defs.py:f(width)"]
 
     def planted(width, heads=4, *, dropout=0.1):
         pass

@@ -1,5 +1,5 @@
 """Cached greedy decoding against a full-recompute oracle, the stacks'
-``read`` rows against every position, and a prefix cache shared by
+``last`` rows against every position, and a prefix cache shared by
 every row of a call against the prefix copied into every row.
 
 ``Translator.greedy_translate`` runs the decoder one token per step with
@@ -211,14 +211,14 @@ def test_read_with_a_cache_takes_the_rows_of_the_same_call(reference_kernel):
     first, first_lengths = lm_tokens(4, (4, 4, 4))
     ids, lengths = lm_tokens(5, (1, 5, 3))
 
-    def continued(read):
+    def continued(last):
         cache = [LayerCache.decode(LM_CFG.max_len)
                  for _ in range(LM_CFG.n_layers)]
         lm.hidden_from_ids(first, first_lengths, cache=cache)
-        return lm.hidden_from_ids(ids, first_lengths + lengths, read, cache)
+        return lm.hidden_from_ids(ids, first_lengths + lengths, last, cache)
 
-    got = continued(lengths - 1)
-    want = T.take_rows(continued(None), np.cumsum(lengths) - 1)
+    got = continued(True)
+    want = T.take_rows(continued(False), np.cumsum(lengths) - 1)
     assert got.data.tobytes() == want.data.tobytes()
 
 
@@ -313,10 +313,3 @@ def test_a_cache_of_neither_one_row_nor_every_row_is_refused():
     with pytest.raises(ShapeError, match="attention 'layers.0.self_attn' "
                                          "got 3 rows against a cache of 2"):
         lm.hidden_from_ids(ids, lengths + 2, cache=cache)
-
-
-def test_read_needs_one_position_per_row():
-    lm = CausalLM.init(LM_CFG, 0)
-    ids, lengths = pad_batch([[BOS, 5], [BOS, 6, 7]])
-    with pytest.raises(ShapeError, match="one position per row"):
-        lm.hidden_from_ids(ids, lengths, read=np.array([1]))

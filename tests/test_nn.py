@@ -3,7 +3,6 @@ import pytest
 
 from tall.nn import (
     AdapterSpec,
-    AttentionConfig,
     LayerConfig,
     ParamStore,
     adapter_forward,
@@ -102,13 +101,14 @@ class TestAdapterParamCount:
 
 
 def identity_attention(d):
+    """A one-head attention block of width ``d`` whose four projections
+    are the identity; returns the store and the head count."""
     store = ParamStore()
-    cfg = AttentionConfig(d_model=d, n_heads=1)
-    init_attention(store, "attn", cfg, np.random.default_rng(0))
+    init_attention(store, "attn", d, d, np.random.default_rng(0))
     for proj in ("q", "k", "v", "out"):
         store[f"attn.{proj}.weight"].data[:] = np.eye(d)
         store[f"attn.{proj}.bias"].data[:] = 0.0
-    return store, cfg
+    return store, 1
 
 
 def sequence(n):
@@ -119,11 +119,11 @@ def sequence(n):
 class TestAttention:
     def test_single_key_returns_value(self):
         d = 3
-        store, cfg = identity_attention(d)
+        store, n_heads = identity_attention(d)
         rng = np.random.default_rng(1)
         q = Tensor(rng.standard_normal((4, d)))
         kv = Tensor(rng.standard_normal((1, d)))
-        out = multi_head_attention(q, kv, cfg, store, "attn", sequence(4),
+        out = multi_head_attention(q, kv, n_heads, store, "attn", sequence(4),
                                    sequence(1))
         np.testing.assert_allclose(out.data, np.broadcast_to(kv.data, (4, d)),
                                    atol=1e-12)
@@ -131,52 +131,51 @@ class TestAttention:
     def test_causal_perturbation(self):
         d, n = 8, 6
         store = ParamStore()
-        cfg = AttentionConfig(d_model=d, n_heads=2)
         rng = np.random.default_rng(2)
-        init_attention(store, "attn", cfg, rng)
+        init_attention(store, "attn", d, d, rng)
         x = rng.standard_normal((n, d))
         rows = sequence(n)
-        base = multi_head_attention(Tensor(x), Tensor(x), cfg, store, "attn",
+        base = multi_head_attention(Tensor(x), Tensor(x), 2, store, "attn",
                                     rows, rows, causal=True).data
         j = 3
         x2 = x.copy()
         x2[j] += 10.0
-        pert = multi_head_attention(Tensor(x2), Tensor(x2), cfg, store, "attn",
+        pert = multi_head_attention(Tensor(x2), Tensor(x2), 2, store, "attn",
                                     rows, rows, causal=True).data
         np.testing.assert_array_equal(base[:j], pert[:j])
         assert np.any(base[j:] != pert[j:])
 
     def test_uniform_logits_average_allowed_values(self):
         d, n = 4, 5
-        store, cfg = identity_attention(d)
+        store, n_heads = identity_attention(d)
         store["attn.q.weight"].data[:] = 0.0
         store["attn.k.weight"].data[:] = 0.0
         rng = np.random.default_rng(3)
         x = rng.standard_normal((n, d))
         rows = sequence(n)
-        out = multi_head_attention(Tensor(x), Tensor(x), cfg, store, "attn",
-                                   rows, rows, causal=True).data
+        out = multi_head_attention(Tensor(x), Tensor(x), n_heads, store,
+                                   "attn", rows, rows, causal=True).data
         for i in range(n):
             np.testing.assert_allclose(out[i], x[: i + 1].mean(axis=0),
                                        atol=1e-12)
 
     def test_fully_masked_row_rejected(self):
         d = 2
-        store, cfg = identity_attention(d)
+        store, n_heads = identity_attention(d)
         no_keys = Packing(1, 2, lengths=np.array([0]))
         with pytest.raises(ContractError):
             multi_head_attention(Tensor(np.zeros((2, d))),
-                                 Tensor(np.zeros((2, d))), cfg, store,
+                                 Tensor(np.zeros((2, d))), n_heads, store,
                                  "attn", sequence(2), no_keys)
 
     def test_unbatched_input_rejected(self):
         """An input without a row axis, or with other rows than its
         packing, is refused."""
-        store, cfg = identity_attention(2)
+        store, n_heads = identity_attention(2)
         for x in (np.zeros(2), np.zeros((3, 2))):
             with pytest.raises(ShapeError, match="rows of a packing"):
-                multi_head_attention(Tensor(x), Tensor(x), cfg, store, "attn",
-                                     sequence(2), sequence(2))
+                multi_head_attention(Tensor(x), Tensor(x), n_heads, store,
+                                     "attn", sequence(2), sequence(2))
 
 
 def causal_weights(n):

@@ -24,9 +24,10 @@ from tall import evaluation, models
 from tall import tensor as T
 from tall.models import (CausalLM, CausalLMConfig, Seq2SeqConfig, Translator,
                          decoder_forward, pad_batch)
+from tall.nn import LayerCache
 from tall.pipeline import BridgeConfig, TallConfig, TallModel
 from tall.tensor import Tape, Tensor
-from tall.world import BOS, N_SPECIALS
+from tall.world import BOS, N_SPECIALS, PAD
 
 from conftest import (assert_close, assert_parity, composed_attention,
                       padded_rows, padded_teacher_loss,
@@ -272,10 +273,18 @@ class TestFullBatches:
 
 
 def test_read_past_a_real_position_is_refused():
+    """A stack read at each row's last real token refuses a row with no
+    real position in the call, rather than answer from the row before:
+    an empty row, or a cached call's row that adds no token."""
     lm = CausalLM.init(LM, 0)
-    ids, lengths = pad_batch([[BOS, 5], [BOS, 6, 7]])
-    with pytest.raises(IndexError, match="past the real positions"):
-        lm.hidden_from_ids(ids, lengths, read=np.array([2, 2]))
+    ids, lengths = pad_batch([[BOS, 5], []])
+    with pytest.raises(IndexError, match=r"rows \[1\] have no real position"):
+        lm.hidden_from_ids(ids, lengths, last=True)
+    cache = [LayerCache.decode(LM.max_len) for _ in range(LM.n_layers)]
+    lm.hidden_from_ids(*pad_batch([[BOS, 5], [BOS, 6]]), cache=cache)
+    step = np.array([[7], [PAD]])
+    with pytest.raises(IndexError, match=r"rows \[1\] have no real position"):
+        lm.hidden_from_ids(step, np.array([3, 2]), last=True, cache=cache)
 
 
 def test_packed_input_must_match_its_lengths():
@@ -289,7 +298,6 @@ def test_packing_is_row_major_over_real_positions():
     rows = models.packing(np.array([2, 0, 3]), 3)
     np.testing.assert_array_equal(rows.index, [0, 1, 6, 7, 8])
     assert rows.n == 5
-    np.testing.assert_array_equal(rows.locate(np.array([1, 7])), [1, 3])
     data = np.arange(1.0, 11.0).reshape(5, 2)
     grid = rows.grid(data)
     np.testing.assert_array_equal(grid[0], [[1, 2], [3, 4], [0, 0]])
@@ -349,7 +357,7 @@ def _decoder_reading_the_last_positions():
     ids, lengths = pad_batch([[BOS] + t for t in
                               token_seqs(12, TGT_LENGTHS, S2S.vocab_tgt)])
     decoder_forward(tr.store, "decoder", S2S, ids, lengths, memory,
-                    mem_lengths, read=lengths - 1)
+                    mem_lengths, last=True)
 
 
 def _soft_prompt():

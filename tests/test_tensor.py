@@ -595,7 +595,7 @@ class TestGelu:
 class TestCrossEntropyLastToken:
     """The loss on final-position logits [B, V]; with ``take_rows`` in
     front it reads one position of [B, L, V] logits, as the last layer of
-    a stack given ``read`` does."""
+    a stack given ``last`` does."""
 
     def test_uniform_logits(self):
         logits = Tensor(np.zeros((2, 4)))
