@@ -84,7 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="best-checkpoint output path")
     p.add_argument("--metrics", help="metrics JSONL output path")
     p.add_argument("--resume", dest="tall",
-                   help="trainable-parts checkpoint to resume from")
+                   help="trainable-parts checkpoint to resume from; its "
+                        "weights are kept unless an epoch beats their "
+                        "held-out loss")
     p.add_argument("--dry-run", action="store_true",
                    help="validate shapes across all seven stages and exit")
 
@@ -169,7 +171,7 @@ def cmd_train_tall(args) -> int:
             "config_hash": config_hash(cfg),
         }))
         return EXIT_OK
-    start_step = 0
+    start_step, stats = 0, None
     if "tall" in metas:
         start_step = int(metas["tall"].get("step", 0))
         # the split depends only on the corpus size and the seed, so only
@@ -183,11 +185,17 @@ def cmd_train_tall(args) -> int:
                  if heldout else None)
         print(json.dumps({"resumed_at": start_step, "eval": stats},
                          sort_keys=True))
+        resumed = {n: t.data.copy() for n, t in model.store.trainable_items()}
     meta, metrics = train_tall(model, corpus,
                                cfg.train.tall.to_train_config(seed))
     meta = runner.stamp_meta(cfg, meta)
     meta["step"] += start_step
-    if meta["best_step"] >= 0:  # -1: nothing was held out
+    if stats is not None and meta["best_eval_loss"] >= stats["loss"]:
+        # no epoch beat the weights resumed, so they are the ones kept
+        for n, arr in resumed.items():
+            model.store[n].data[:] = arr
+        meta["best_eval_loss"], meta["best_step"] = stats["loss"], start_step
+    elif meta["best_step"] >= 0:  # -1: nothing was held out
         meta["best_step"] += start_step
     if args.out:
         save_checkpoint(dict(model.store.trainable_items()), meta, args.out)

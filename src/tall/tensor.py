@@ -16,9 +16,18 @@ Design constraints, in order of priority:
   triple-loop tests pin.
 * simplicity: define-by-run tape, no graph rewriting, and one dtype: a
   tensor holds 64-bit floats, whatever it is built from.
-* memory: what the tape keeps alive sets a training run's peak, and no
-  kernel copies an array to change its layout.  A transformer stack's
-  activations are packed rows [N, d], one per real token (see
+* memory: what the tape keeps alive sets a training run's peak, so it
+  keeps only what backward reads, as PyTorch's ``save_for_backward``
+  does.  A node holds its output's gradient slot, a route for each
+  operand (the producer's slot, a leaf, or None when the operand needs
+  no gradient) and a backward closure over the flags and arrays it
+  reads, taken when the op runs; it never holds an output or operand
+  tensor.  So a linear with a frozen weight keeps no input, a residual
+  add keeps shapes alone, and an activation that no backward reads
+  (a frozen stage's GELU output, say) is freed as soon as the forward
+  code drops it; :meth:`Tape.backward` releases every node before it
+  returns.  No kernel copies an array to change its layout.  A transformer
+  stack's activations are packed rows [N, d], one per real token (see
   :class:`Packing`), not a padded [B, L, d] grid: every position-wise
   op (linear, layer norm, GELU, residual add, the tied head and
   :func:`cross_entropy_sum`) runs on real tokens only, and the tape holds
@@ -32,17 +41,16 @@ Design constraints, in order of priority:
   repeats are single nodes with a hand-written backward: :func:`linear`
   (product plus bias) and :func:`attention` (head split, scores, masks,
   softmax, context and head merge), which works on head views and keeps
-  only its softmax probabilities.  Both
-  replay the array operations of the compositions they replace, so on
-  the reference kernel their bytes match them.  :meth:`Tape.backward`
-  drops each intermediate gradient once its node has run, so after
-  backward only leaves hold ``grad``.  Layer norm and GELU compute
-  forward and backward in place on their own buffers, in the arithmetic
-  order of the formulas, so they keep no temporaries beyond what
-  backward reads.  A stack read at each row's last real token runs its
-  last layer on those rows alone (:func:`take_rows`), so the tape holds
-  [B, d] for that layer, the final norm and the head, and
-  :func:`cross_entropy_last_token` takes those [B, V] logits.  No op
+  its softmax probabilities and, of its operands, only the rows its
+  gradients read, never a grid.  Both replay the array operations of
+  the compositions they replace, so on the reference kernel their bytes
+  match them.  After backward only leaves hold ``grad``.  Layer norm
+  and GELU compute forward and backward in place on their own buffers,
+  in the arithmetic order of the formulas, so they keep no temporaries
+  beyond what backward reads.  A stack read at each row's last real
+  token runs its last layer on those rows alone (:func:`take_rows`), so
+  the tape holds [B, d] for that layer, the final norm and the head,
+  and :func:`cross_entropy_last_token` takes those [B, V] logits.  No op
   copies a KV cache (``nn.KVCache`` keeps three kinds).  A greedy
   decode's self-attention cache is a [B, capacity, d] buffer that ``nn``
   writes one column per step, with no tape, and :func:`attention` reads
@@ -87,16 +95,19 @@ class Tensor:
     ``None`` or an array of identical shape.  :meth:`Tape.backward` sets
     it on leaves only: tensors with ``requires_grad`` that no recorded
     operation produced (parameters, and tensors created with
-    ``requires_grad=True``).  An operation's output holds its gradient
-    only while backward runs, as in PyTorch's non-leaf rule.
+    ``requires_grad=True``).  A recorded operation's output never holds
+    a gradient: its ``node``, the :class:`_Slot` the tape routes its
+    gradient through, holds it while backward runs, as in PyTorch's
+    non-leaf rule.  ``node`` is None on every other tensor.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
+        self.node = None
 
     @property
     def shape(self) -> tuple:
@@ -127,16 +138,41 @@ def _needs_grad(x) -> bool:
     return isinstance(x, Tensor) and x.requires_grad
 
 
+class _Slot:
+    """The gradient of one recorded output, held only while backward
+    runs: the tape keeps this slot, never the output tensor itself."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+
+def _route(x) -> "_Slot | Tensor | None":
+    """Where backward adds operand ``x``'s gradient: the slot of the
+    node that produced it, the leaf itself, or None when ``x`` needs no
+    gradient."""
+    if not _needs_grad(x):
+        return None
+    return x if x.node is None else x.node
+
+
 class Tape:
     """Ordered record of operations for reverse-mode differentiation.
 
     Operations are appended in execution order, so the record is a
     topological order by construction; ``backward`` replays it in exact
-    reverse.  Tapes nest (the innermost active tape records).
+    reverse.  Tapes nest (the innermost active tape records).  A node is
+    ``(slot, routes, backward_fn)``: the output's gradient slot, one
+    :func:`_route` per operand, and a backward that holds only the flags
+    and arrays it reads, taken when the op ran.  No node refers to an
+    output or operand tensor, so an activation no backward reads is
+    freed as soon as the forward code drops it.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple, object]] = []
+        self._nodes: list[tuple[_Slot, tuple, object]] = []
+        self._ran: int | None = None  # nodes recorded, once backward ran
 
     def __enter__(self) -> "Tape":
         _ACTIVE.append(self)
@@ -147,34 +183,49 @@ class Tape:
         assert popped is self, "tapes unwound out of order"
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        """The number of nodes recorded, before and after backward."""
+        return len(self._nodes) if self._ran is None else self._ran
 
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` on every reachable requires_grad leaf.
 
         Gradients accumulate (+=) into pre-existing ``grad`` arrays, so
         calling backward for several losses between optimizer steps sums
-        their gradients; frozen tensors never receive grad storage.  A
-        node's output gradient is dropped as soon as the node has run,
-        so spent gradients do not pile up beside the tape.
+        their gradients (each loss on its own tape); frozen tensors never
+        receive grad storage.  A node's output gradient is dropped as
+        soon as the node has run, and backward releases every node, with
+        the arrays its backward kept, before it returns, so after
+        backward the tape holds no activation and only leaves hold
+        ``grad``; ``len`` still counts the nodes recorded.  A tape runs
+        backward once: a second call is a :class:`ContractError`, since
+        its nodes are gone.
         """
+        if self._ran is not None:
+            raise ContractError("backward already ran on this tape and "
+                                "released its nodes; record a new tape")
         if loss.data.ndim != 0:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {loss.shape}"
             )
-        loss.grad = np.ones(())
-        for out, inputs, backward_fn in reversed(self._nodes):
-            if out.grad is None:
+        (loss if loss.node is None else loss.node).grad = np.ones(())
+        nodes = self._nodes
+        self._ran = len(nodes)
+        for slot, routes, backward_fn in reversed(nodes):
+            if slot.grad is None:
                 continue
-            grads = backward_fn(out.grad)
-            out.grad = None
-            for inp, g in zip(inputs, grads):
-                if g is None or not _needs_grad(inp):
+            grads = backward_fn(slot.grad)
+            slot.grad = None
+            for route, g in zip(routes, grads):
+                if g is None or route is None:
                     continue
-                if inp.grad is None:
-                    inp.grad = g
+                if route.grad is None:
+                    route.grad = g
                 else:
-                    inp.grad = inp.grad + g
+                    route.grad = route.grad + g
+        # released together, not one by one as each runs: frees amid
+        # backward's own allocations let the allocator hand pages back
+        # and fault them in again
+        nodes.clear()
 
 
 _ACTIVE: list[Tape] = []
@@ -187,9 +238,16 @@ def recording() -> bool:
 
 
 def _register(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
-    if _ACTIVE and any(_needs_grad(t) for t in inputs):
-        out.requires_grad = True
-        _ACTIVE[-1]._nodes.append((out, inputs, backward_fn))
+    """Record ``out`` of an op on ``inputs`` when a tape is active and
+    some input needs a gradient.  ``backward_fn`` maps the output's
+    gradient to one gradient (or None) per input, and must hold no
+    input or output tensor: only what it reads."""
+    if _ACTIVE:
+        routes = tuple(_route(t) for t in inputs)
+        if any(r is not None for r in routes):
+            out.requires_grad = True
+            out.node = _Slot()
+            _ACTIVE[-1]._nodes.append((out.node, routes, backward_fn))
     return out
 
 
@@ -211,10 +269,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a_d, b_d = _data(a), _data(b)
     out = Tensor(a_d + b_d)
+    # backward reads the operands' shapes alone
+    a_shape = a_d.shape if _needs_grad(a) else None
+    b_shape = b_d.shape if _needs_grad(b) else None
 
     def bwd(g):
-        ga = _unbroadcast(g, a_d.shape) if _needs_grad(a) else None
-        gb = _unbroadcast(g, b_d.shape) if _needs_grad(b) else None
+        ga = None if a_shape is None else _unbroadcast(g, a_shape)
+        gb = None if b_shape is None else _unbroadcast(g, b_shape)
         return ga, gb
 
     return _register(out, (a, b), bwd)
@@ -251,9 +312,10 @@ def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     if rows.size and (rows.min() < 0 or rows.max() >= a.shape[0]):
         raise IndexError(f"take_rows rows out of range [0, {a.shape[0]})")
     out = Tensor(a.data[rows])
+    shape = a.shape
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         ga[rows] = g
         return (ga,)
 
@@ -336,12 +398,16 @@ def matmul(a, b) -> Tensor:
     k, n = b_d.shape
     out = Tensor(_product(a_d.reshape(-1, k), b_d).reshape(
         a_d.shape[:-1] + (n,)))
+    # each operand is kept only for the other's gradient
+    a_shape = a_d.shape
+    a_kept = a_d if _needs_grad(b) else None
+    b_kept = b_d if _needs_grad(a) else None
 
     def bwd(g):
-        ga = (_product(g.reshape(-1, n), b_d.T).reshape(a_d.shape)
-              if _needs_grad(a) else None)
-        gb = (_product(a_d.reshape(-1, k).T, g.reshape(-1, n))
-              if _needs_grad(b) else None)
+        ga = (None if b_kept is None
+              else _product(g.reshape(-1, n), b_kept.T).reshape(a_shape))
+        gb = (None if a_kept is None
+              else _product(a_kept.reshape(-1, k).T, g.reshape(-1, n)))
         return ga, gb
 
     return _register(out, (a, b), bwd)
@@ -365,12 +431,18 @@ def linear(x, w, b) -> Tensor:
     out_d = _product(x_d.reshape(-1, k), w_d)
     out_d += b_d
     out = Tensor(out_d.reshape(x_d.shape[:-1] + (n,)))
+    # x is kept only for w's gradient and w only for x's, so a frozen
+    # weight's input is freed once the forward code drops it
+    x_shape = x_d.shape
+    x_kept = x_d if _needs_grad(w) else None
+    w_kept = w_d if _needs_grad(x) else None
+    grad_b = _needs_grad(b)
 
     def bwd(g):
         rows = g.reshape(-1, n)
-        gx = _product(rows, w_d.T).reshape(x_d.shape) if _needs_grad(x) else None
-        gw = _product(x_d.reshape(-1, k).T, rows) if _needs_grad(w) else None
-        gb = _unbroadcast(g, b_d.shape) if _needs_grad(b) else None
+        gx = None if w_kept is None else _product(rows, w_kept.T).reshape(x_shape)
+        gw = None if x_kept is None else _product(x_kept.reshape(-1, k).T, rows)
+        gb = _unbroadcast(g, (n,)) if grad_b else None
         return gx, gw, gb
 
     return _register(out, (x, w, b), bwd)
@@ -460,7 +532,7 @@ def attention(q, k, v, n_heads: int, q_rows: Packing, kv_rows: Packing,
     b, lq, lkv, d = q_rows.batch, q_rows.width, kv_rows.width, q_d.shape[-1]
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention width {d} not divisible by {n_heads} heads")
-    ns = 0
+    ns, sk_d, sv_d = 0, None, None
     if shared is not None:
         sk_d, sv_d = _data(shared[0]), _data(shared[1])
         if sk_d.ndim != 2 or sv_d.shape != sk_d.shape or sk_d.shape[1] != d:
@@ -525,47 +597,59 @@ def attention(q, k, v, n_heads: int, q_rows: Packing, kv_rows: Packing,
         add_shared(ctx, p[..., :ns], flat_heads(sv_d))
     out = Tensor(q_rows.rows(ctx.reshape(b, lq, d)).reshape(q_d.shape))
     inputs = (q, k, v) if shared is None else (q, k, v, *shared)
+    # each gradient's flag, and only the operand arrays those gradients
+    # read: the queries for the keys', the keys for the queries', and the
+    # values for every gradient but the values' own
+    grad_q, grad_k, grad_v = map(_needs_grad, (q, k, v))
+    grad_sk, grad_sv = ((False, False) if shared is None
+                        else map(_needs_grad, shared))
+    grad_keys = grad_k or grad_sk
+    q_kept = q_d if grad_keys else None
+    k_kept, sk_kept = (k_d, sk_d) if grad_q else (None, None)
+    v_kept, sv_kept = (v_d, sv_d) if grad_q or grad_keys else (None, None)
+    q_shape, kv_shape, n_inputs = q_d.shape, k_d.shape, len(inputs)
 
     def bwd(g):
         # the grids are scattered again here, not kept alive on the tape
         g_grid = q_rows.grid(g)
         g_ctx = heads(g_grid, lq)
-        grads = [None] * len(inputs)
-        if _needs_grad(v):
+        grads = [None] * n_inputs
+        if grad_v:
             grads[2] = kv_rows.rows(merged_product(
                 np.swapaxes(by_row(p), 2, 3), g_ctx, lkv
-            ).reshape(b, lkv, d)).reshape(v_d.shape)
-        if ns and _needs_grad(shared[1]):
+            ).reshape(b, lkv, d)).reshape(kv_shape)
+        if grad_sv:
             grads[4] = shared_product(np.swapaxes(p[..., :ns], 1, 2),
                                       flat_heads(g_grid))
-        if any(_needs_grad(x) for x in inputs[:2] + inputs[3:4]):
+        if grad_q or grad_keys:
             ds = np.empty_like(p)
-            _product(g_ctx, np.swapaxes(heads(kv_rows.grid(v_d), lkv), 2, 3),
+            _product(g_ctx, np.swapaxes(heads(kv_rows.grid(v_kept), lkv), 2, 3),
                      out=by_row(ds))
             if ns:
-                _product(flat_heads(g_grid), np.swapaxes(flat_heads(sv_d), 1, 2),
+                _product(flat_heads(g_grid),
+                         np.swapaxes(flat_heads(sv_kept), 1, 2),
                          out=ds[..., :ns])
             dot = (ds * p).sum(axis=-1, keepdims=True)
             ds -= dot
             ds *= p
             ds *= c
-            if _needs_grad(k) or (ns and _needs_grad(shared[0])):
-                q_grid = q_rows.grid(q_d)  # scattered once for both keys
-                if _needs_grad(k):
+            if grad_keys:
+                q_grid = q_rows.grid(q_kept)  # scattered once for both keys
+                if grad_k:
                     grads[1] = kv_rows.rows(merged_product(
                         np.swapaxes(by_row(ds), 2, 3), heads(q_grid, lq), lkv
-                    ).reshape(b, lkv, d)).reshape(k_d.shape)
-                if ns and _needs_grad(shared[0]):
+                    ).reshape(b, lkv, d)).reshape(kv_shape)
+                if grad_sk:
                     grads[3] = shared_product(np.swapaxes(ds[..., :ns], 1, 2),
                                               flat_heads(q_grid))
                 del q_grid
             # last, so that its merged buffer outlives no other product
-            if _needs_grad(q):
-                gq = merged_product(by_row(ds), heads(kv_rows.grid(k_d), lkv),
-                                    lq)
+            if grad_q:
+                gq = merged_product(by_row(ds),
+                                    heads(kv_rows.grid(k_kept), lkv), lq)
                 if ns:
-                    add_shared(gq, ds[..., :ns], flat_heads(sk_d))
-                grads[0] = q_rows.rows(gq.reshape(b, lq, d)).reshape(q_d.shape)
+                    add_shared(gq, ds[..., :ns], flat_heads(sk_kept))
+                grads[0] = q_rows.rows(gq.reshape(b, lq, d)).reshape(q_shape)
         return grads
 
     return _register(out, inputs, bwd)
@@ -615,14 +699,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out_d = xh * g_d
     out_d += b_d
     out = Tensor(out_d)
+    grad_x, grad_gamma, grad_beta = map(_needs_grad, (x, gamma, beta))
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
         buf = g * xh
-        d_gamma = buf.sum(axis=lead) if _needs_grad(gamma) else None
-        d_beta = g.sum(axis=lead) if _needs_grad(beta) else None
+        d_gamma = buf.sum(axis=lead) if grad_gamma else None
+        d_beta = g.sum(axis=lead) if grad_beta else None
         dx = None
-        if _needs_grad(x):
+        if grad_x:
             # dx = inv * (dxh - mean(dxh) - xh * mean(dxh * xh))
             dx = g * g_d
             s1 = dx.sum(axis=-1, keepdims=True)
@@ -648,19 +733,20 @@ def gelu(x: Tensor) -> Tensor:
 
     Forward and backward work in place on their own buffers, in the
     arithmetic order of ``x * 0.5 * (1 + erf(x / sqrt 2))``."""
-    phi_cdf = x.data * _INV_SQRT2
+    x_d = x.data
+    phi_cdf = x_d * _INV_SQRT2
     erf(phi_cdf, out=phi_cdf)
     phi_cdf += 1.0
     phi_cdf *= 0.5
-    out = Tensor(x.data * phi_cdf)
+    out = Tensor(x_d * phi_cdf)
 
     def bwd(g):
         # g * (Phi(x) + x * exp(-x^2 / 2) / sqrt(2 pi))
-        dx = x.data * -0.5
-        dx *= x.data
+        dx = x_d * -0.5
+        dx *= x_d
         np.exp(dx, out=dx)
         dx *= _INV_SQRT_2PI
-        dx *= x.data
+        dx *= x_d
         dx += phi_cdf
         dx *= g
         return (dx,)
@@ -679,10 +765,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             f"min {ids.min()}, max {ids.max()}"
         )
     out = Tensor(table.data[ids])
+    shape = table.shape
 
     def bwd(g):
-        d = table.shape[-1]
-        dt = np.zeros_like(table.data)
+        d = shape[-1]
+        dt = np.zeros(shape)
         np.add.at(dt.reshape(-1), (ids.reshape(-1, 1) * d + np.arange(d)
                                    ).reshape(-1), g.reshape(-1))
         return (dt,)

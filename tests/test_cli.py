@@ -218,14 +218,17 @@ def test_resume_counts_the_best_step_from_the_checkpoint_step(
         tiny_run, monkeypatch, capsys):
     """``best_step`` and ``step`` count updates from the same origin: a
     resumed run offsets the step its best snapshot was kept at by the
-    checkpoint's step, as it does its own update count."""
+    checkpoint's step, as it does its own update count.  No epoch of
+    this tiny run beats the resumed weights, so the run reports a
+    held-out loss below theirs to take the branch that keeps its own
+    snapshot."""
     args, ckpt = tiny_run
     metas = []
 
     def recorded(*a, **kw):
         meta, metrics = train_tall(*a, **kw)
         metas.append(dict(meta))
-        return meta, metrics
+        return dict(meta, best_eval_loss=0.0), metrics
 
     monkeypatch.setattr(cli, "train_tall", recorded)
     capsys.readouterr()
@@ -237,6 +240,36 @@ def test_resume_counts_the_best_step_from_the_checkpoint_step(
     assert written["best_step"] == start + meta["best_step"]
     assert written["step"] == start + meta["step"]
     assert start < written["best_step"] <= written["step"]
+
+
+def test_resume_keeps_the_resumed_weights_when_no_epoch_beats_them(
+        tiny_run, tmp_path, monkeypatch, capsys):
+    """A resumed run never writes weights worse on held out than those it
+    resumed: when no epoch beats the resumed weights' held-out loss, it
+    writes them back, with that loss and the checkpoint's step as its
+    best."""
+    args, ckpt = tiny_run
+
+    def worse(model, corpus, train_cfg):
+        meta, metrics = train_tall(model, corpus, train_cfg)
+        for _, t in model.store.trainable_items():
+            t.data += 1.0
+        return dict(meta, best_eval_loss=1e9), metrics
+
+    monkeypatch.setattr(cli, "train_tall", worse)
+    out = str(tmp_path / "tall.npz")
+    capsys.readouterr()
+    assert cli.main(["train-tall", *args, "--resume", ckpt["tall"],
+                     "--out", out]) == cli.EXIT_OK
+    resumed, written = map(json.loads, capsys.readouterr().out.splitlines())
+    start = load_checkpoint(ckpt["tall"])[1]["step"]
+    assert written["best_eval_loss"] == resumed["eval"]["loss"]
+    assert written["best_step"] == start < written["step"]
+    before, after = (dict(load_checkpoint(path)[0].items())
+                     for path in (ckpt["tall"], out))
+    assert sorted(after) == sorted(before)
+    assert all(after[n].data.tobytes() == t.data.tobytes()
+               for n, t in before.items())
 
 
 def test_resume_translates_only_the_held_out_prefixes(

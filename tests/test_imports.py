@@ -56,9 +56,12 @@ Fifteen rules for every module under ``src/tall``:
 
 And one for ``tensor.py`` and ``nn.py``: every public function has a
 caller in ``src/tall`` outside its own body, so what only tests use
-lives in ``tests/conftest.py``.  And one for ``tensor.py``: it calls
+lives in ``tests/conftest.py``.  And two for ``tensor.py``: it calls
 neither ``ascontiguousarray`` nor ``copy``, so its kernels take views
-and no layout copy creeps back.  And one for ``config.py``: a class it
+and no layout copy creeps back; and no op's nested ``bwd`` calls
+``_needs_grad`` or reads ``.data``, so each backward takes its flags
+and the arrays it reads when the op runs and keeps no operand tensor
+alive on the tape.  And one for ``config.py``: a class it
 imports from another module and calls takes no defaulted parameter, so
 every default is written once, in the section tree.
 """
@@ -436,6 +439,32 @@ def uncalled_functions(target: Path, modules: list[Path]) -> list[str]:
     return sorted(public - called)
 
 
+def backward_reads(path: Path) -> list[str]:
+    """Each ``_needs_grad`` call and ``.data`` read inside a function
+    named ``bwd`` that is nested in another function: an op's backward
+    that reads either still refers to an operand tensor, which keeps it
+    alive on the tape."""
+    tree, _ = _parse(path)
+    found = set()
+    for outer in ast.walk(tree):
+        if not isinstance(outer, ast.FunctionDef):
+            continue
+        for bwd in ast.walk(outer):
+            if (bwd is outer or not isinstance(bwd, ast.FunctionDef)
+                    or bwd.name != "bwd"):
+                continue
+            for node in ast.walk(bwd):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    name = (fn.id if isinstance(fn, ast.Name) else fn.attr
+                            if isinstance(fn, ast.Attribute) else None)
+                    if name == "_needs_grad":
+                        found.add((node.lineno, name))
+                elif isinstance(node, ast.Attribute) and node.attr == "data":
+                    found.add((node.lineno, ".data"))
+    return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
@@ -572,6 +601,10 @@ def test_tensor_has_one_product_kernel():
 
 def test_tensor_makes_no_layout_copies():
     assert calls_to(SRC / "tensor.py", ("ascontiguousarray", "copy")) == []
+
+
+def test_tensor_backwards_take_what_they_read_at_record_time():
+    assert backward_reads(SRC / "tensor.py") == []
 
 
 def test_checks_catch_what_they_name(tmp_path):
@@ -740,3 +773,15 @@ def test_checks_catch_what_they_name(tmp_path):
         "T.helper() + renamed() + other.only_itself(3)\n")
     assert uncalled_functions(pkg / "tensor.py",
                               sorted(pkg.glob("*.py"))) == ["only_itself"]
+    back = tmp_path / "back.py"
+    back.write_text(
+        "def op(x, w):\n"
+        "    x_d = x.data if _needs_grad(w) else None\n"
+        "    def bwd(g):\n"
+        "        return g * w.data if _needs_grad(x) else T._needs_grad(w)\n"
+        "    def helper(g):\n"
+        "        return g.data + x_d\n"
+        "    return bwd, helper\n"
+        "def bwd(g):\n"
+        "    return g.data\n")
+    assert backward_reads(back) == ["back.py:4 .data", "back.py:4 _needs_grad"]

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -353,8 +354,8 @@ class TestFusedOps:
                    for a, t in zip(arrays, (True, False, False)))
         with Tape() as tape:
             out = T.linear(x, w, b)
-        [(node_out, inputs, backward_fn)] = tape._nodes
-        assert node_out is out and inputs == (x, w, b)
+        [(slot, routes, backward_fn)] = tape._nodes
+        assert slot is out.node and routes == (x, None, None)
         gx, gw, gb = backward_fn(g)
         assert gw is None and gb is None
         np.testing.assert_array_equal(
@@ -367,8 +368,8 @@ class TestFusedOps:
                    for a, t in zip(arrays, (True, False, False)))
         with Tape() as tape:
             out = T.attention(q, k, v, 2, *masks)
-        [(node_out, inputs, backward_fn)] = tape._nodes
-        assert node_out is out and inputs == (q, k, v)
+        [(slot, routes, backward_fn)] = tape._nodes
+        assert slot is out.node and routes == (q, None, None)
         gq, gk, gv = backward_fn(g)
         assert gk is None and gv is None
         assert gq.shape == q.shape
@@ -454,13 +455,14 @@ class TestSharedBlock:
             assert max_relative_error(leaf.grad, want) < 1e-6
 
     def test_no_shared_block_leaves_the_node_as_it_was(self):
-        """Without a block the node records its three operands alone."""
+        """Without a block the node records the routes of its three
+        operands alone: here the leaves themselves."""
         arrays, g, masks = _attention_operands(42)
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         with Tape() as tape:
             T.attention(*leaves, 2, *masks)
-        [(_, inputs, _)] = tape._nodes
-        assert inputs == tuple(leaves)
+        [(_, routes, _)] = tape._nodes
+        assert routes == tuple(leaves)
 
     def test_the_row_keys_start_after_the_block(self):
         arrays, _, rows = _shared_block_operands(43)
@@ -730,8 +732,8 @@ class TestBackward:
         w = Tensor(rng.normal(size=(4, 5)), requires_grad=False)
         with Tape() as tape:
             y = matmul(x, w)
-        [(out, inputs, backward_fn)] = tape._nodes
-        assert out is y and inputs == (x, w)
+        [(slot, routes, backward_fn)] = tape._nodes
+        assert slot is y.node and routes == (x, None)
         gx, gw = backward_fn(np.ones(y.shape))
         assert gw is None
         # the reference kernel sums over a C-order copy of w.T
@@ -766,9 +768,10 @@ class TestBackward:
             h = T.linear(x, w, b)
             y = gelu(h)
             loss = mean_all(mul(y, y))
+        slots = [slot for slot, _, _ in tape._nodes]
         tape.backward(loss)
         assert all(t.grad is not None for t in (x, w, b))
-        assert all(out.grad is None for out, _, _ in tape._nodes)
+        assert len(slots) == len(tape) and all(s.grad is None for s in slots)
         assert h.grad is None and y.grad is None and loss.grad is None
 
     def test_leaf_accumulates_across_two_tapes_of_fused_nodes(self):
@@ -838,6 +841,96 @@ class TestBackward:
         l2, g2 = run()
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
+
+    def test_a_second_backward_on_one_tape_is_refused(self):
+        x = Tensor(np.array([2.0]), requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(mul(x, x))
+        tape.backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(ContractError, match="already ran on this tape"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, first)
+        assert len(tape) == 2
+
+
+def _weakrefs(arr: np.ndarray) -> list:
+    """Weak references to ``arr`` and to every array it is a view of."""
+    refs = []
+    while arr is not None:
+        refs.append(weakref.ref(arr))
+        arr = arr.base
+    return refs
+
+
+class TestTapeMemory:
+    """The tape keeps only what backward reads (``Tape``'s node layout):
+    an activation no backward reads is freed as soon as the forward code
+    drops it, and backward releases the rest."""
+
+    @staticmethod
+    def frozen_residual_stack(seed, drop):
+        """A trainable linear, then two residual blocks of a frozen
+        linear and an ``add``, and a loss that keeps its own array.  With
+        ``drop`` the forward keeps no reference to the residual stream
+        or the frozen linears' outputs and returns weak references to
+        them.  Returns (tape, loss, refs, trainable leaves)."""
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal((5, 4)))
+        w, b = (Tensor(rng.standard_normal(s), requires_grad=True)
+                for s in ((4, 4), (4,)))
+        frozen = [(Tensor(rng.standard_normal((4, 4))),
+                   Tensor(rng.standard_normal(4))) for _ in range(2)]
+        refs = []
+        with Tape() as tape:
+            h = T.linear(x, w, b)
+            for fw, fb in frozen:
+                lin = T.linear(h, fw, fb)
+                nxt = add(lin, h)
+                if drop:
+                    refs += _weakrefs(h.data) + _weakrefs(lin.data)
+                h = nxt
+                del lin
+            loss, _ = cross_entropy_sum(h, np.zeros(5, dtype=int))
+            if drop:
+                refs += _weakrefs(h.data)
+                del h, nxt
+        return tape, loss, refs, (w, b)
+
+    def test_what_only_frozen_linears_and_adds_read_is_freed(self):
+        tape, loss, refs, leaves = self.frozen_residual_stack(30, drop=True)
+        assert len(tape) == 6 and len(refs) >= 5
+        # the tape is alive, yet no node holds the residual stream
+        assert all(r() is None for r in refs)
+        tape.backward(loss)
+        kept_tape, kept_loss, _, kept = self.frozen_residual_stack(
+            30, drop=False)
+        kept_tape.backward(kept_loss)
+        for got, want in zip(leaves, kept):
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+    def test_backward_releases_every_activation(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.standard_normal((3, 4)))
+        params = [Tensor(rng.standard_normal(s), requires_grad=True)
+                  for s in ((4, 6), (6,), (6,), (6,))]
+        w, b, gamma, beta = params
+        with Tape() as tape:
+            h = T.linear(x, w, b)
+            a = gelu(h)
+            n = layer_norm(a, gamma, beta)
+            loss = mean_all(mul(n, n))
+        refs = [_weakrefs(t.data) for t in (h, a, n)]
+        del h, a, n
+        recorded = len(tape)
+        # gelu reads its input and the test's product its operands, but
+        # no backward reads gelu's output
+        assert refs[0][0]() is not None and refs[2][0]() is not None
+        assert all(r() is None for r in refs[1])
+        tape.backward(loss)
+        assert all(p.grad is not None for p in params)
+        assert all(r() is None for rs in refs for r in rs)
+        assert len(tape) == recorded == 6
 
 
 class TestFiniteDiff:
