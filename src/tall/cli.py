@@ -23,8 +23,7 @@ from . import runner
 from .checkpoint import CheckpointError, save_checkpoint
 from .config import ConfigError, config_hash, load_config
 from .params_report import check_report, format_report, param_report
-from .pipeline import evaluate_tall, train_tall
-from .pretrain import split_train_eval
+from .pipeline import train_tall
 from .tensor import NumericalError, ShapeError
 
 EXIT_OK = 0
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", dest="tall",
                    help="trainable-parts checkpoint to resume from; its "
                         "weights are kept unless an epoch beats their "
-                        "held-out loss")
+                        "held-out loss, which is reported after training")
     p.add_argument("--dry-run", action="store_true",
                    help="validate shapes across all seven stages and exit")
 
@@ -171,32 +170,17 @@ def cmd_train_tall(args) -> int:
             "config_hash": config_hash(cfg),
         }))
         return EXIT_OK
-    start_step, stats = 0, None
+    start_step = int(metas["tall"].get("step", 0)) if "tall" in metas else 0
+    meta, metrics = train_tall(model, corpus,
+                               cfg.train.tall.to_train_config(seed), start_step)
+    meta = runner.stamp_meta(cfg, meta)
     if "tall" in metas:
-        start_step = int(metas["tall"].get("step", 0))
-        # the split depends only on the corpus size and the seed, so only
-        # the held-out prefixes need translating; train_tall skips an
-        # empty held-out set, and so does this report
-        _, heldout = split_train_eval([list(p.lr_tokens) for p in corpus],
-                                      cfg.train.tall.eval_fraction, seed)
-        hr_lm = model.translate_prefixes([t[:-1] for t in heldout])
-        stats = (evaluate_tall(model, list(zip(heldout, hr_lm)),
-                               cfg.train.tall.batch_size)
-                 if heldout else None)
+        # a resumed run's first eval record scores the weights it resumed
+        first = metrics[0]
+        stats = ({k: v for k, v in first.items() if k not in ("step", "split")}
+                 if first["split"] == "eval" else None)
         print(json.dumps({"resumed_at": start_step, "eval": stats},
                          sort_keys=True))
-        resumed = {n: t.data.copy() for n, t in model.store.trainable_items()}
-    meta, metrics = train_tall(model, corpus,
-                               cfg.train.tall.to_train_config(seed))
-    meta = runner.stamp_meta(cfg, meta)
-    meta["step"] += start_step
-    if stats is not None and meta["best_eval_loss"] >= stats["loss"]:
-        # no epoch beat the weights resumed, so they are the ones kept
-        for n, arr in resumed.items():
-            model.store[n].data[:] = arr
-        meta["best_eval_loss"], meta["best_step"] = stats["loss"], start_step
-    elif meta["best_step"] >= 0:  # -1: nothing was held out
-        meta["best_step"] += start_step
     if args.out:
         save_checkpoint(dict(model.store.trainable_items()), meta, args.out)
     if args.metrics:

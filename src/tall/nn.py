@@ -214,21 +214,17 @@ class ParamStore:
     def trainable_items(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self._entries.items() if t.requires_grad]
 
-    def adopt(self, prefix: str, other: "ParamStore") -> None:
-        """Copy every entry of ``other`` in under ``prefix``, frozen (fresh
-        arrays)."""
-        for name, t in other.items():
-            self.add(f"{prefix}.{name}", t.data.copy(), trainable=False)
-
-    def subset(self, prefix: str) -> "ParamStore":
-        sub = ParamStore()
-        plen = len(prefix) + 1
-        for name, t in self._entries.items():
-            if name.startswith(prefix + "."):
-                sub.add(name[plen:], t.data.copy(), trainable=not self.is_frozen(name))
-        if len(sub) == 0:
-            raise KeyError(f"subset: no parameter matches prefix {prefix!r}")
-        return sub
+    def adopt(self, prefix: str, other: "ParamStore", source: str = "") -> None:
+        """Copy each entry ``source.<rest>`` of ``other`` (every entry when
+        ``source`` is empty) in as ``prefix.<rest>``, frozen, in fresh
+        arrays; a ``source`` that matches nothing is a KeyError."""
+        strip = f"{source}." if source else ""
+        picked = [(n[len(strip):], t) for n, t in other.items()
+                  if n.startswith(strip)]
+        if not picked:
+            raise KeyError(f"adopt: no parameter matches prefix {source!r}")
+        for rest, t in picked:
+            self.add(f"{prefix}.{rest}", t.data.copy(), trainable=False)
 
     def snapshot_bytes(self, prefix: str = "") -> dict[str, bytes]:
         return {

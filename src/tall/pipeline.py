@@ -119,9 +119,9 @@ class TallModel:
                  hr2lr: Translator, llm: CausalLM, seed: int) -> "TallModel":
         model = cls(cfg, ParamStore(), world, lr2hr, llm.cfg, hr2lr.cfg)
         store = model.store
-        store.adopt("encoder", lr2hr.store.subset("encoder"))
+        store.adopt("encoder", lr2hr.store, "encoder")
         store.adopt("llm", llm.store)
-        store.adopt("decoder", hr2lr.store.subset("decoder"))
+        store.adopt("decoder", hr2lr.store, "decoder")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A11]))
         nn.init_adapter(store, "adapter1", model.adapter1, rng)
         init_stack(store, "bridge1", llm.cfg.max_len, cfg.bridge1.n_layers,
@@ -241,7 +241,8 @@ class TallModel:
 
 
 def train_tall(model: TallModel, corpus: list[BilingualPair],
-               train_cfg: TrainConfig) -> tuple[dict, list[dict]]:
+               train_cfg: TrainConfig, start_step: int = 0
+               ) -> tuple[dict, list[dict]]:
     """Final-token training of the four trainable parts.
 
     Strips the last word of each LR sentence, greedy-translates the
@@ -250,6 +251,15 @@ def train_tall(model: TallModel, corpus: list[BilingualPair],
     with ``fit``.  After each epoch it records held-out loss, accuracy
     and perplexity, and at the end it restores the best snapshot by
     held-out loss.
+
+    ``start_step`` is the update count of the checkpoint the trainable
+    parts were resumed from.  When it is non-zero and something is held
+    out, the weights as given are scored before the first update: that
+    score is the first candidate for the best snapshot and the first
+    eval record (``step`` 0), so a resumed run never ends worse on held
+    out than its checkpoint.  The returned ``step`` and ``best_step``
+    count updates from the checkpoint's origin; ``best_step`` is -1 and
+    ``best_eval_loss`` None when nothing is held out.
     """
     model.check_frozen()
     train_idx, heldout_idx = split_train_eval(
@@ -258,7 +268,7 @@ def train_tall(model: TallModel, corpus: list[BilingualPair],
     hr_lm = model.translate_prefixes([t[:-1] for t in teachers])
     train = [(teachers[i], hr_lm[i]) for i in train_idx]
     heldout = [(teachers[i], hr_lm[i]) for i in heldout_idx]
-    best = {"loss": np.inf, "step": -1, "params": None}
+    best = {"loss": None, "step": -1, "params": None}
 
     def loss_fn(batch_idx):
         chunk = [train[i] for i in batch_idx]
@@ -267,22 +277,24 @@ def train_tall(model: TallModel, corpus: list[BilingualPair],
 
     def evaluate(step: int) -> dict:
         stats = evaluate_tall(model, heldout, batch_size=train_cfg.batch_size)
-        if stats["loss"] < best["loss"]:
-            best.update(loss=stats["loss"], step=step, params={
+        if best["loss"] is None or stats["loss"] < best["loss"]:
+            best.update(loss=stats["loss"], step=start_step + step, params={
                 n: t.data.copy() for n, t in model.store.trainable_items()})
         return stats
 
-    metrics = fit(model.store, train_cfg, len(train), loss_fn,
-                  evaluate if heldout else None)
+    metrics = ([{"step": 0, "split": "eval", **evaluate(0)}]
+               if start_step and heldout else [])
+    metrics += fit(model.store, train_cfg, len(train), loss_fn,
+                   evaluate if heldout else None)
     if best["params"] is not None:
         for n, arr in best["params"].items():
             model.store[n].data[:] = arr
     meta = {
         "kind": "tall",
         "seed": train_cfg.seed,
-        "step": sum(m["split"] == "train" for m in metrics),
+        "step": start_step + sum(m["split"] == "train" for m in metrics),
         "best_step": best["step"],
-        "best_eval_loss": None if best["loss"] is np.inf else float(best["loss"]),
+        "best_eval_loss": best["loss"],
     }
     return meta, metrics
 

@@ -133,6 +133,19 @@ def fit(store, train_cfg: TrainConfig, n_train: int, loss_fn,
     return metrics
 
 
+def _score_held_out(metrics: list[dict], key: str, score, model,
+                    heldout: list) -> float:
+    """``score(model, heldout)`` appended to ``metrics`` as the eval record
+    ``key`` after the last update; NaN, and no record, when nothing is
+    held out."""
+    if not heldout:
+        return float("nan")
+    value = score(model, heldout)
+    metrics.append({"step": len(metrics), "split": "eval", key: value,
+                    "n": len(heldout)})
+    return value
+
+
 def train_translator(direction: str, model_cfg: Seq2SeqConfig,
                      corpus: list[BilingualPair], train_cfg: TrainConfig
                      ) -> tuple[Translator, dict, list[dict]]:
@@ -158,10 +171,8 @@ def train_translator(direction: str, model_cfg: Seq2SeqConfig,
 
     metrics = fit(model.store, train_cfg, len(train), loss_fn)
     step = len(metrics)
-    exact = translator_exact_match(model, heldout) if heldout else float("nan")
-    if heldout:
-        metrics.append({"step": step, "split": "eval",
-                        "exact_match": exact, "n": len(heldout)})
+    exact = _score_held_out(metrics, "exact_match", translator_exact_match,
+                            model, heldout)
     meta = {
         "kind": f"translator-{direction}",
         "seed": train_cfg.seed,
@@ -201,10 +212,8 @@ def train_llm(model_cfg: CausalLMConfig, sequences: list,
 
     metrics = fit(model.store, train_cfg, len(train), loss_fn)
     step = len(metrics)
-    ppl = llm_perplexity(model, heldout) if heldout else float("nan")
-    if heldout:
-        metrics.append({"step": step, "split": "eval",
-                        "perplexity": ppl, "n": len(heldout)})
+    ppl = _score_held_out(metrics, "perplexity", llm_perplexity, model,
+                          heldout)
     meta = {
         "kind": "causal-lm",
         "seed": train_cfg.seed,

