@@ -252,14 +252,15 @@ def train_tall(model: TallModel, corpus: list[BilingualPair],
     and perplexity, and at the end it restores the best snapshot by
     held-out loss.
 
-    ``start_step`` is the update count of the checkpoint the trainable
-    parts were resumed from.  When it is non-zero and something is held
-    out, the weights as given are scored before the first update: that
-    score is the first candidate for the best snapshot and the first
-    eval record (``step`` 0), so a resumed run never ends worse on held
-    out than its checkpoint.  The returned ``step`` and ``best_step``
-    count updates from the checkpoint's origin; ``best_step`` is -1 and
-    ``best_eval_loss`` None when nothing is held out.
+    When something is held out, the weights as given (the init, or a
+    resumed checkpoint's) are scored before the first update: that score
+    is the first candidate for the best snapshot and the first eval
+    record (``step`` 0), so a run never ends worse on held out than the
+    weights it started from.  ``start_step`` is the update count of the
+    checkpoint the trainable parts were resumed from, 0 for a fresh run.
+    The returned ``step`` and ``best_step`` count updates from the
+    checkpoint's origin; ``best_step`` is -1 and ``best_eval_loss`` None
+    when nothing is held out.
     """
     model.check_frozen()
     train_idx, heldout_idx = split_train_eval(
@@ -282,8 +283,7 @@ def train_tall(model: TallModel, corpus: list[BilingualPair],
                 n: t.data.copy() for n, t in model.store.trainable_items()})
         return stats
 
-    metrics = ([{"step": 0, "split": "eval", **evaluate(0)}]
-               if start_step and heldout else [])
+    metrics = [{"step": 0, "split": "eval", **evaluate(0)}] if heldout else []
     metrics += fit(model.store, train_cfg, len(train), loss_fn,
                    evaluate if heldout else None)
     if best["params"] is not None:

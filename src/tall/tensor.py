@@ -45,19 +45,22 @@ Design constraints, in order of priority:
   gradients read, never a grid.  Both replay the array operations of
   the compositions they replace, so on the reference kernel their bytes
   match them.  After backward only leaves hold ``grad``.  Layer norm
-  and GELU compute forward and backward in place on their own buffers,
-  in the arithmetic order of the formulas, so they keep no temporaries
-  beyond what backward reads.  A stack read at each row's last real
-  token runs its last layer on those rows alone (:func:`take_rows`), so
-  the tape holds [B, d] for that layer, the final norm and the head,
-  and :func:`cross_entropy_last_token` takes those [B, V] logits.  No op
-  copies a KV cache (``nn.KVCache`` keeps three kinds).  A greedy
-  decode's self-attention cache is a [B, capacity, d] buffer that ``nn``
-  writes one column per step, with no tape, and :func:`attention` reads
-  a view of its filled columns; cross-attention reads the memory grid
-  scattered on the first step; and a prefix every row shares (the soft
-  prompt) is :func:`attention`'s shared block [P, d], attended to by
-  every row without a per-row copy.
+  and GELU compute in place on their own buffers, in the arithmetic
+  order of the formulas, so they keep no temporaries beyond what
+  backward reads.  A recorded GELU computes its slope in the forward and
+  keeps that one array, neither its input nor ``Phi(x)``, so its input
+  is freed once the forward code drops it.  A stack read at each row's
+  last real token runs its last layer on those rows alone
+  (:func:`take_rows`), so the tape holds [B, d] for that layer, the
+  final norm and the head, and :func:`cross_entropy_last_token` takes
+  those [B, V] logits.  No op copies a KV cache (``nn.KVCache`` keeps
+  three kinds).  A greedy decode's self-attention cache is a
+  [B, capacity, d] buffer that ``nn`` writes one column per step, with
+  no tape, and :func:`attention` reads a view of its filled columns;
+  cross-attention reads the memory grid scattered on the first step;
+  and a prefix every row shares (the soft prompt) is
+  :func:`attention`'s shared block [P, d], attended to by every row
+  without a per-row copy.
 
 Recording happens only while a :class:`Tape` is active, so inference
 code that never opens a tape pays no autodiff overhead.
@@ -731,25 +734,30 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Exact erf formulation x * Phi(x), not the tanh approximation.
 
-    Forward and backward work in place on their own buffers, in the
-    arithmetic order of ``x * 0.5 * (1 + erf(x / sqrt 2))``."""
+    Works in place on its own buffers, in the arithmetic order of
+    ``x * 0.5 * (1 + erf(x / sqrt 2))``.  A recorded call computes the
+    slope ``Phi(x) + x * exp(-x^2 / 2) / sqrt(2 pi)`` during the forward
+    and keeps it alone, so its input and ``Phi(x)`` are freed once the
+    forward code drops them; backward multiplies the upstream gradient
+    into the slope.  An unrecorded call computes no slope."""
     x_d = x.data
     phi_cdf = x_d * _INV_SQRT2
     erf(phi_cdf, out=phi_cdf)
     phi_cdf += 1.0
     phi_cdf *= 0.5
     out = Tensor(x_d * phi_cdf)
+    if not (recording() and _needs_grad(x)):
+        return out
+    slope = x_d * -0.5
+    slope *= x_d
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT_2PI
+    slope *= x_d
+    slope += phi_cdf
 
     def bwd(g):
-        # g * (Phi(x) + x * exp(-x^2 / 2) / sqrt(2 pi))
-        dx = x_d * -0.5
-        dx *= x_d
-        np.exp(dx, out=dx)
-        dx *= _INV_SQRT_2PI
-        dx *= x_d
-        dx += phi_cdf
-        dx *= g
-        return (dx,)
+        # a tape runs backward once, so the slope is this call's to write
+        return (np.multiply(slope, g, out=slope),)
 
     return _register(out, (x,), bwd)
 

@@ -6,7 +6,8 @@ Helpers: ``train_config``, ``sampler_config``, ``toy_world`` and
 of their ``config`` sections with the keywords a test names replaced;
 so a test's bare config is the shipped one.  ``read_only_outputs`` makes
 every op's output read-only, to show that no kernel writes into its
-operands.
+operands.  ``kept_arrays`` and ``kept_bytes`` find the arrays a tape's
+backward closures keep alive.
 
 Oracles: the einsum reference kernel, the primitive compositions the
 fused tape nodes replace (with ``batched_matmul``, the batched product
@@ -406,6 +407,46 @@ def read_only_outputs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "_register", run)
         yield
+
+
+def _buffer(arr: np.ndarray) -> np.ndarray:
+    """The array that owns ``arr``'s memory, following views to their base."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def kept_arrays(tape, skip=()) -> list:
+    """The distinct array buffers ``tape``'s backward closures hold, each
+    once, leaving out those of the tensors in ``skip`` (a ``ParamStore``'s
+    weights, say).  It walks each closure's cells and, through them, the
+    closures, containers and objects (a ``Packing``) they hold."""
+    skipped = {id(_buffer(t.data)) for t in skip}
+    found, seen = {}, set()
+    stack = [fn for _, _, fn in tape._nodes]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            buf = _buffer(obj)
+            if id(buf) not in skipped:
+                found[id(buf)] = buf
+        elif inspect.isfunction(obj):
+            stack += [c.cell_contents for c in obj.__closure__ or ()]
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+        elif isinstance(obj, dict):
+            stack += obj.values()
+        elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            stack += vars(obj).values()
+    return list(found.values())
+
+
+def kept_bytes(tape, skip=()) -> int:
+    """Bytes of :func:`kept_arrays`: what the tape keeps alive for backward."""
+    return sum(a.nbytes for a in kept_arrays(tape, skip))
 
 
 @contextlib.contextmanager

@@ -52,7 +52,7 @@ GOLDEN = {
     "tall.store":
         "6463bd51f2687739a8dd8aa590493192e0e76bd8e0288c82a93a0be0a3cc712d",
     "tall.metrics":
-        "3e2d0107c81ececb66ac16325041de2eee6a22673111a817019a3468f12afdc7",
+        "119993a83106c060b1ba087273887e2e04ff71379177ef906ed946e940739d57",
     "tall.eval":
         "86ee2014b9f958698ada91c70d2daf407eea84d53a6881c2ff8fcf7355550bd2",
     "soft_prompt.store":

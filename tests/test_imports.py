@@ -529,7 +529,7 @@ def test_only_nn_takes_the_rows_a_caller_reads(path):
 
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "nn.py"], ids=lambda p: p.name)
-def test_only_nn_builds_cache_grids(path):
+def test_only_nn_writes_cache_keys_and_values(path):
     """Only ``nn.py`` writes a KV cache's ``keys`` or ``values``."""
     assert cache_writes(path) == []
 

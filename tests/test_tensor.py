@@ -33,6 +33,7 @@ from conftest import (
     composed_linear,
     concat,
     finite_diff_grad,
+    kept_arrays,
     max_relative_error,
     mean_all,
     mul,
@@ -582,6 +583,8 @@ class TestGelu:
     def test_bytes_match_the_textbook_formula(self):
         rng = np.random.default_rng(10)
         x_d = rng.standard_normal((4, 9)) * 3
+        x_d[:, :3] = [-40.0, -1e3, -1e150]
+        x_d[:, -3:] = [40.0, 1e3, 1e150]
         up = rng.standard_normal((4, 9))
         x = Tensor(x_d, requires_grad=True)
         with Tape() as tape:
@@ -592,6 +595,49 @@ class TestGelu:
         pdf = np.exp(-0.5 * x_d * x_d) * (1.0 / math.sqrt(2.0 * math.pi))
         assert out.data.tobytes() == (x_d * phi).tobytes()
         assert x.grad.tobytes() == (up * (phi + x_d * pdf)).tobytes()
+        # far from zero Phi is exactly 0 or 1 and the density exactly 0
+        assert np.all(x.grad[:, -3:] == up[:, -3:])
+        assert np.all(x.grad[:, :3] == 0.0)
+
+    def test_recorded_call_keeps_its_slope_alone(self):
+        """A recorded call keeps one array the size of its input, and its
+        input and ``Phi(x)`` are freed once the forward code drops them."""
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        with Tape() as tape:
+            h = scale(x, 2.0)  # its backward keeps no array
+            out = gelu(h)
+        h_refs = _weakrefs(h.data)
+        del h
+        assert all(r() is None for r in h_refs)
+        (slope,) = kept_arrays(tape, skip=(x,))
+        assert slope.shape == out.shape and slope.dtype == np.float64
+
+    @pytest.mark.parametrize("recorded", ["no_tape", "frozen_input"])
+    def test_unrecorded_call_keeps_nothing_and_computes_no_slope(
+            self, recorded, monkeypatch):
+        """The slope's ``exp`` is the only one GELU runs, so a call that
+        no tape records, for want of a tape or of an input that needs a
+        gradient, never reaches it."""
+        exps, exp = [], np.exp
+
+        def counted_exp(x, *args, **kw):
+            exps.append(x.shape)
+            return exp(x, *args, **kw)
+
+        monkeypatch.setattr(np, "exp", counted_exp)
+        x_d = np.random.default_rng(12).standard_normal((3, 4))
+        with Tape() as tape:
+            gelu(Tensor(x_d, requires_grad=True))
+        assert exps == [(3, 4)] and len(tape) == 1
+        exps.clear()
+        if recorded == "no_tape":
+            out = gelu(Tensor(x_d, requires_grad=True))
+        else:
+            with Tape() as tape:
+                out = gelu(Tensor(x_d))
+            assert len(tape) == 0
+        assert exps == [] and out.node is None and not out.requires_grad
 
 
 class TestCrossEntropyLastToken:
@@ -923,10 +969,10 @@ class TestTapeMemory:
         refs = [_weakrefs(t.data) for t in (h, a, n)]
         del h, a, n
         recorded = len(tape)
-        # gelu reads its input and the test's product its operands, but
-        # no backward reads gelu's output
-        assert refs[0][0]() is not None and refs[2][0]() is not None
-        assert all(r() is None for r in refs[1])
+        # gelu keeps its slope and the test's product its operands, but
+        # no backward reads the linear's or gelu's output
+        assert refs[2][0]() is not None
+        assert all(r() is None for rs in refs[:2] for r in rs)
         tape.backward(loss)
         assert all(p.grad is not None for p in params)
         assert all(r() is None for rs in refs for r in rs)
