@@ -24,6 +24,7 @@ re-running reproduces checkpoints bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,12 @@ class TrainConfig:
         if min(self.learning_rate, self.epochs, self.batch_size,
                self.grad_clip_norm, self.grad_accum_steps) <= 0:
             raise ValueError(f"TrainConfig fields must be positive: {self}")
+        if not (math.isfinite(self.learning_rate)
+                and math.isfinite(self.grad_clip_norm)):
+            raise ValueError(f"learning_rate and grad_clip_norm must be "
+                             f"finite: {self}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0: {self}")
         if not 0.0 <= self.eval_fraction < 1.0:
             raise ValueError(f"eval_fraction must be in [0, 1): {self}")
 

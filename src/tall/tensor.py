@@ -26,14 +26,23 @@ Design constraints, in order of priority:
   add keeps shapes alone, and an activation that no backward reads
   (a frozen stage's GELU output, say) is freed as soon as the forward
   code drops it; :meth:`Tape.backward` releases every node before it
-  returns.  No kernel copies an array to change its layout.  A transformer
-  stack's activations are packed rows [N, d], one per real token (see
-  :class:`Packing`), not a padded [B, L, d] grid: every position-wise
-  op (linear, layer norm, GELU, residual add, the tied head and
-  :func:`cross_entropy_sum`) runs on real tokens only, and the tape holds
-  [N, d].  :func:`attention` is the one op that needs the grid; it
-  scatters its rows into it and gathers the context rows back, and when
-  every position is real the packing is a reshape.  It is also the one
+  returns.  Nor does the tape keep a second copy of an array it can
+  rebuild: layer norm and attention offer their output's rebuild on its
+  slot, a function that replays their own last operations on arrays
+  they keep anyway (``xh``; the probabilities and values), and a
+  :func:`linear` or :func:`matmul` whose weight needs a gradient keeps
+  that function instead of its input and calls it in backward, as in
+  the selective activation recomputation of Korthikanti et al. (2022).
+  The rebuild runs the forward's operations on the same shapes, so its
+  bytes are the output's on either kernel.  No kernel copies an array
+  to change its layout.  A transformer stack's activations are packed
+  rows [N, d], one per real token (see :class:`Packing`), not a padded
+  [B, L, d] grid: every position-wise op (linear, layer norm, GELU,
+  residual add, the tied head and :func:`cross_entropy_sum`) runs on
+  real tokens only, and the tape holds [N, d].  :func:`attention` is
+  the one op that needs the grid; it scatters its rows into it and
+  gathers the context rows back, and when every position is real the
+  packing is a reshape.  It is also the one
   place that masks: a packing carries its rows' lengths and first
   position, and attention hides each key at or past its row's length
   and, when causal, past the query's position, with
@@ -143,12 +152,20 @@ def _needs_grad(x) -> bool:
 
 class _Slot:
     """The gradient of one recorded output, held only while backward
-    runs: the tape keeps this slot, never the output tensor itself."""
+    runs: the tape keeps this slot, never the output tensor itself.
 
-    __slots__ = ("grad",)
+    ``rebuild``, when the op offers one, is a function of no arguments
+    that recomputes the output's data from arrays the node keeps anyway,
+    with the forward's own operations in their order, so its bytes are
+    the output's.  A consumer that would keep the output for a weight's
+    gradient keeps this function instead (see :func:`_kept`).
+    """
 
-    def __init__(self):
+    __slots__ = ("grad", "rebuild")
+
+    def __init__(self, rebuild=None):
         self.grad = None
+        self.rebuild = rebuild
 
 
 def _route(x) -> "_Slot | Tensor | None":
@@ -197,9 +214,10 @@ class Tape:
         their gradients (each loss on its own tape); frozen tensors never
         receive grad storage.  A node's output gradient is dropped as
         soon as the node has run, and backward releases every node, with
-        the arrays its backward kept, before it returns, so after
-        backward the tape holds no activation and only leaves hold
-        ``grad``; ``len`` still counts the nodes recorded.  A tape runs
+        the arrays its backward kept, and drops every slot's rebuild
+        before it returns, so after backward the tape holds no
+        activation and only leaves hold ``grad``; ``len`` still counts
+        the nodes recorded.  A tape runs
         backward once: a second call is a :class:`ContractError`, since
         its nodes are gone.
         """
@@ -227,7 +245,10 @@ class Tape:
                     route.grad = route.grad + g
         # released together, not one by one as each runs: frees amid
         # backward's own allocations let the allocator hand pages back
-        # and fault them in again
+        # and fault them in again; an output the caller still holds
+        # keeps its slot, so the slot lets go of what its rebuild reads
+        for slot, _, _ in nodes:
+            slot.rebuild = None
         nodes.clear()
 
 
@@ -240,18 +261,33 @@ def recording() -> bool:
     return bool(_ACTIVE)
 
 
-def _register(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
+def _register(out: Tensor, inputs: tuple, backward_fn,
+              rebuild=None) -> Tensor:
     """Record ``out`` of an op on ``inputs`` when a tape is active and
     some input needs a gradient.  ``backward_fn`` maps the output's
     gradient to one gradient (or None) per input, and must hold no
-    input or output tensor: only what it reads."""
+    input or output tensor: only what it reads.  ``rebuild``, if given,
+    recomputes ``out``'s data from arrays ``backward_fn`` already holds,
+    replaying the forward's operations in their order; it goes on the
+    output's slot (:class:`_Slot`), and is dropped if nothing records."""
     if _ACTIVE:
         routes = tuple(_route(t) for t in inputs)
         if any(r is not None for r in routes):
             out.requires_grad = True
-            out.node = _Slot()
+            out.node = _Slot(rebuild)
             _ACTIVE[-1]._nodes.append((out.node, routes, backward_fn))
     return out
+
+
+def _kept(x, x_d: np.ndarray):
+    """What an op keeps of its activation operand ``x`` (data ``x_d``)
+    for a weight's gradient: a function of no arguments that returns the
+    array, the producer's rebuild when its slot offers one (so no second
+    copy of what the producer keeps is held), else ``x_d`` itself."""
+    slot = x.node if isinstance(x, Tensor) else None
+    if slot is not None and slot.rebuild is not None:
+        return slot.rebuild
+    return lambda: x_d
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -392,7 +428,9 @@ def matmul(a, b) -> Tensor:
     The activation's leading dimensions are collapsed, so forward and
     each gradient is a single GEMM computed by :func:`_product` (BLAS):
     deterministic for fixed shapes on one machine and BLAS build, but
-    not bit-identical to a triple loop.
+    not bit-identical to a triple loop.  For the weight's gradient the
+    node keeps the activation, or its producer's rebuild when it offers
+    one (the tied head's final layer norm, say; see :func:`_kept`).
     """
     a_d, b_d = _data(a), _data(b)
     if a_d.ndim < 2 or b_d.ndim != 2 or a_d.shape[-1] != b_d.shape[0]:
@@ -401,16 +439,17 @@ def matmul(a, b) -> Tensor:
     k, n = b_d.shape
     out = Tensor(_product(a_d.reshape(-1, k), b_d).reshape(
         a_d.shape[:-1] + (n,)))
-    # each operand is kept only for the other's gradient
+    # each operand is kept only for the other's gradient, the activation
+    # as its producer's rebuild when it offers one
     a_shape = a_d.shape
-    a_kept = a_d if _needs_grad(b) else None
+    a_kept = _kept(a, a_d) if _needs_grad(b) else None
     b_kept = b_d if _needs_grad(a) else None
 
     def bwd(g):
         ga = (None if b_kept is None
               else _product(g.reshape(-1, n), b_kept.T).reshape(a_shape))
         gb = (None if a_kept is None
-              else _product(a_kept.reshape(-1, k).T, g.reshape(-1, n)))
+              else _product(a_kept().reshape(-1, k).T, g.reshape(-1, n)))
         return ga, gb
 
     return _register(out, (a, b), bwd)
@@ -422,7 +461,9 @@ def linear(x, w, b) -> Tensor:
     The forward is one :func:`_product` on the collapsed rows of ``x``
     with the bias added in place; backward computes only the gradients
     whose operand needs one.  The bytes are those of ``add(matmul(x, w),
-    b)``.
+    b)``.  For ``w``'s gradient the node keeps ``x``, or, when ``x``'s
+    producer offers a rebuild (a layer norm, an attention context), that
+    function, which backward calls (see :func:`_kept`).
     """
     x_d, w_d, b_d = _data(x), _data(w), _data(b)
     if w_d.ndim != 2 or x_d.ndim < 1 or x_d.shape[-1] != w_d.shape[0]:
@@ -435,16 +476,18 @@ def linear(x, w, b) -> Tensor:
     out_d += b_d
     out = Tensor(out_d.reshape(x_d.shape[:-1] + (n,)))
     # x is kept only for w's gradient and w only for x's, so a frozen
-    # weight's input is freed once the forward code drops it
+    # weight's input is freed once the forward code drops it; x is kept
+    # as its producer's rebuild when it offers one
     x_shape = x_d.shape
-    x_kept = x_d if _needs_grad(w) else None
+    x_kept = _kept(x, x_d) if _needs_grad(w) else None
     w_kept = w_d if _needs_grad(x) else None
     grad_b = _needs_grad(b)
 
     def bwd(g):
         rows = g.reshape(-1, n)
         gx = None if w_kept is None else _product(rows, w_kept.T).reshape(x_shape)
-        gw = None if x_kept is None else _product(x_kept.reshape(-1, k).T, rows)
+        gw = (None if x_kept is None
+              else _product(x_kept().reshape(-1, k).T, rows))
         gb = _unbroadcast(g, (n,)) if grad_b else None
         return gx, gw, gb
 
@@ -514,7 +557,10 @@ def attention(q, k, v, n_heads: int, q_rows: Packing, kv_rows: Packing,
     values' product, and backward gets the block's gradients from one
     product per head, so the block is never copied into a row.  Products
     run on head views and write through the head view of a fresh result.
-    The node keeps only the softmax probabilities P; backward uses dS = P
+    The node keeps the softmax probabilities P and, of its operands, what
+    its gradients read; when that includes the values it offers the
+    context as its output's rebuild: the P @ V product, the shared
+    block's term, then the row gather.  Backward uses dS = P
     * (dP - rowsum(dP * P)) * scale, the softmax backward of
     FlashAttention (Dao et al. 2022), which also takes its masks from
     sequence lengths and a causal flag; Hydragen (Juravsky et al. 2024)
@@ -595,10 +641,15 @@ def attention(q, k, v, n_heads: int, q_rows: Packing, kv_rows: Packing,
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    ctx = merged_product(by_row(p), heads(kv_rows.grid(v_d), lkv), lq)
-    if ns:
-        add_shared(ctx, p[..., :ns], flat_heads(sv_d))
-    out = Tensor(q_rows.rows(ctx.reshape(b, lq, d)).reshape(q_d.shape))
+    q_shape, kv_shape = q_d.shape, k_d.shape
+
+    def rebuild():
+        ctx = merged_product(by_row(p), heads(kv_rows.grid(v_d), lkv), lq)
+        if ns:
+            add_shared(ctx, p[..., :ns], flat_heads(sv_d))
+        return q_rows.rows(ctx.reshape(b, lq, d)).reshape(q_shape)
+
+    out = Tensor(rebuild())
     inputs = (q, k, v) if shared is None else (q, k, v, *shared)
     # each gradient's flag, and only the operand arrays those gradients
     # read: the queries for the keys', the keys for the queries', and the
@@ -610,7 +661,7 @@ def attention(q, k, v, n_heads: int, q_rows: Packing, kv_rows: Packing,
     q_kept = q_d if grad_keys else None
     k_kept, sk_kept = (k_d, sk_d) if grad_q else (None, None)
     v_kept, sv_kept = (v_d, sv_d) if grad_q or grad_keys else (None, None)
-    q_shape, kv_shape, n_inputs = q_d.shape, k_d.shape, len(inputs)
+    n_inputs = len(inputs)
 
     def bwd(g):
         # the grids are scattered again here, not kept alive on the tape
@@ -655,7 +706,8 @@ def attention(q, k, v, n_heads: int, q_rows: Packing, kv_rows: Packing,
                 grads[0] = q_rows.rows(gq.reshape(b, lq, d)).reshape(q_shape)
         return grads
 
-    return _register(out, inputs, bwd)
+    # the context is rebuilt only from what the node keeps: P and the values
+    return _register(out, inputs, bwd, None if v_kept is None else rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +731,12 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer norm over the last axis, forward and backward in place on
-    their own buffers, in the arithmetic order of the textbook formulas."""
+    their own buffers, in the arithmetic order of the textbook formulas.
+
+    A recorded call keeps the normalised rows ``xh`` and ``1 / sigma``,
+    and offers ``xh * gamma`` then ``+= beta``, the forward's own two
+    operations, as its output's rebuild, so a trainable projection of
+    the output keeps no copy of it."""
     d = x.shape[-1]
     if _data(gamma).shape != (d,) or _data(beta).shape != (d,):
         raise ShapeError(
@@ -699,9 +756,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     np.divide(1.0, inv, out=inv)
     xh *= inv
     g_d, b_d = _data(gamma), _data(beta)
-    out_d = xh * g_d
-    out_d += b_d
-    out = Tensor(out_d)
+
+    def rebuild():
+        out_d = xh * g_d
+        out_d += b_d
+        return out_d
+
+    out = Tensor(rebuild())
     grad_x, grad_gamma, grad_beta = map(_needs_grad, (x, gamma, beta))
 
     def bwd(g):
@@ -724,7 +785,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             dx *= inv
         return dx, d_gamma, d_beta
 
-    return _register(out, (x, gamma, beta), bwd)
+    return _register(out, (x, gamma, beta), bwd, rebuild)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -739,7 +800,9 @@ def gelu(x: Tensor) -> Tensor:
     slope ``Phi(x) + x * exp(-x^2 / 2) / sqrt(2 pi)`` during the forward
     and keeps it alone, so its input and ``Phi(x)`` are freed once the
     forward code drops them; backward multiplies the upstream gradient
-    into the slope.  An unrecorded call computes no slope."""
+    into the slope.  An unrecorded call computes no slope.  It offers no
+    rebuild of its output: it keeps neither ``x`` nor ``Phi(x)``, and
+    its backward writes the slope in place."""
     x_d = x.data
     phi_cdf = x_d * _INV_SQRT2
     erf(phi_cdf, out=phi_cdf)

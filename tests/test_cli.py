@@ -76,9 +76,15 @@ class TestExitCodes:
         (["eval", "--approach", "direct", "--llm", "llm.npz",
           "--eval-seed", "-2"],
          "--eval-seed: must be >= 0, got -2"),
+        (["pretrain", "llm", "--out", "llm.npz",
+          "--set", "train.llm.learning_rate=nan"],
+         "train.llm: learning_rate and grad_clip_norm must be finite"),
+        (["eval", "--approach", "direct", "--llm", "llm.npz",
+          "--set", "sampler.temperature=nan"],
+         "sampler: temperature must be finite and >= 0, got nan"),
     ], ids=["n_prompt", "adapter1_hidden", "eval_shift_alpha", "epochs",
             "n_heads", "train_pairs", "eval_size", "no_prompt", "eval_seed",
-            "seed", "eval_seed_flag"])
+            "seed", "eval_seed_flag", "learning_rate_nan", "temperature_nan"])
     def test_bad_config_value_exits_before_any_work(
             self, tmp_path, monkeypatch, capsys, argv, message):
         (tmp_path / "run.yaml").write_text(TINY_RUN)

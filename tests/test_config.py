@@ -199,6 +199,23 @@ def test_every_int_key_is_refused_at_load_or_builds(key, value):
     runner.untrained_tall(cfg, cfg.world.seed)
 
 
+FLOAT_KEYS = [f"{path}.{f.name}".lstrip(".")
+              for path, section in _sections(load_config(None, []))
+              for f in dataclasses.fields(section)
+              if type(getattr(section, f.name)) is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_every_float_key_refuses_what_cannot_train(key, value):
+    """No float key takes a NaN, an infinity or a negative value: each
+    is a rate, a norm, a fraction or a temperature, and such a value
+    would stop training as a numerical error or silently sample id 0."""
+    assert len(FLOAT_KEYS) == 26
+    with pytest.raises(ConfigError, match=key.rsplit(".", 1)[0]):
+        load_config(None, [f"{key}={value}"])
+
+
 @pytest.mark.parametrize("name", [
     f.name for f in dataclasses.fields(load_config(None, []).train)])
 def test_a_train_section_passes_its_whole_schedule(name):

@@ -494,8 +494,8 @@ class TestSoftPrompt:
         shapes = set()
         register = tensor._register
 
-        def spied(out, inputs, backward_fn):
-            recorded = register(out, inputs, backward_fn)
+        def spied(out, inputs, backward_fn, rebuild=None):
+            recorded = register(out, inputs, backward_fn, rebuild)
             if recorded.node is not None:
                 shapes.add(recorded.shape)
             return recorded

@@ -446,19 +446,19 @@ def uncalled_functions(target: Path, modules: list[Path]) -> list[str]:
 
 def backward_reads(path: Path) -> list[str]:
     """Each ``_needs_grad`` call and ``.data`` read inside a function
-    named ``bwd`` that is nested in another function: an op's backward
-    that reads either still refers to an operand tensor, which keeps it
-    alive on the tape."""
+    named ``bwd`` or ``rebuild`` that is nested in another function: an
+    op's backward, or the rebuild of its output, that reads either still
+    refers to an operand tensor, which keeps it alive on the tape."""
     tree, _ = _parse(path)
     found = set()
     for outer in ast.walk(tree):
         if not isinstance(outer, ast.FunctionDef):
             continue
-        for bwd in ast.walk(outer):
-            if (bwd is outer or not isinstance(bwd, ast.FunctionDef)
-                    or bwd.name != "bwd"):
+        for inner in ast.walk(outer):
+            if (inner is outer or not isinstance(inner, ast.FunctionDef)
+                    or inner.name not in ("bwd", "rebuild")):
                 continue
-            for node in ast.walk(bwd):
+            for node in ast.walk(inner):
                 if isinstance(node, ast.Call):
                     fn = node.func
                     name = (fn.id if isinstance(fn, ast.Name) else fn.attr
@@ -803,7 +803,10 @@ def test_checks_catch_what_they_name(tmp_path):
         "        return g * w.data if _needs_grad(x) else T._needs_grad(w)\n"
         "    def helper(g):\n"
         "        return g.data + x_d\n"
-        "    return bwd, helper\n"
+        "    def rebuild():\n"
+        "        return x.data * 2.0\n"
+        "    return bwd, helper, rebuild\n"
         "def bwd(g):\n"
         "    return g.data\n")
-    assert backward_reads(back) == ["back.py:4 .data", "back.py:4 _needs_grad"]
+    assert backward_reads(back) == ["back.py:4 .data", "back.py:4 _needs_grad",
+                                    "back.py:8 .data"]

@@ -34,6 +34,7 @@ from conftest import (
     concat,
     finite_diff_grad,
     kept_arrays,
+    kept_bytes,
     max_relative_error,
     mean_all,
     mul,
@@ -476,6 +477,87 @@ class TestSharedBlock:
             T.attention(q, k, v, 2, rows, rows, True)
         with pytest.raises(ShapeError, match="shared block"):
             T.attention(q, k, v, 2, rows, rows, True, (sk, Tensor(sv.data[1:])))
+
+
+def _rebuild_cases():
+    """name -> (leaf arrays, upstream gradient, graph): ``graph(through,
+    *leaves)`` returns a producer's output and a trainable projection of
+    ``through(output)``; the projection's weight is the last leaf."""
+    rng = np.random.default_rng(50)
+    x, g_lin, g_head = (rng.standard_normal(s) for s in ((5, 4), (5, 3), (5, 7)))
+    norm = [x, rng.standard_normal(4), rng.standard_normal(4)]
+    w, bias, embed = (rng.standard_normal(s) for s in ((4, 3), (3,), (7, 4)))
+    w_ctx, b_ctx = rng.standard_normal((8, 3)), rng.standard_normal(3)
+
+    def projected(produce):
+        def graph(through, *leaves):
+            out = produce(*leaves[:-2])
+            return out, T.linear(through(out), *leaves[-2:])
+        return graph
+
+    def tied_head(through, x, gamma, beta, embed):
+        out = layer_norm(x, gamma, beta)
+        return out, matmul(through(out), swapaxes(embed, 0, 1))
+
+    cases = {"layer_norm": (norm + [w, bias], g_lin, projected(layer_norm)),
+             "tied_head": (norm + [embed], g_head, tied_head)}
+    for name, seed, kw in (("self_attention", 51, {"lkv": 3, "causal": True}),
+                           ("cross_attention", 52, {})):
+        arrays, g, masks = _attention_operands(seed, **kw)
+        cases[name] = (arrays + [w_ctx, b_ctx], g[..., :3], projected(
+            lambda q, k, v, masks=masks: T.attention(q, k, v, 2, *masks)))
+    arrays, g, rows = _shared_block_operands(53)
+    cases["shared_block"] = (arrays + [w_ctx, b_ctx], g[..., :3], projected(
+        lambda q, k, v, sk, sv: T.attention(q, k, v, 2, rows, rows, True,
+                                            (sk, sv))))
+    return cases
+
+
+REBUILD_CASES = _rebuild_cases()
+
+
+class TestRebuild:
+    """A trainable projection of a layer-norm output or an attention
+    context keeps its producer's rebuild, not the output itself.  The
+    reference graph routes the output through ``scale(., 1.0)``, a copy
+    that offers no rebuild."""
+
+    @staticmethod
+    def run(case, through):
+        """The projection's output and every leaf's gradient, the bytes
+        the tape keeps before backward, leaves left out, and the bytes of
+        the producer's output."""
+        arrays, g, graph = case
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            produced, out = graph(through, *leaves)
+            loss = sum_all(mul(out, Tensor(g)))
+        kept = kept_bytes(tape, skip=leaves)
+        tape.backward(loss)
+        return ([out.data] + [t.grad for t in leaves], kept,
+                produced.data.nbytes)
+
+    @pytest.mark.parametrize("name", REBUILD_CASES)
+    def test_gradients_keep_their_bytes_and_the_output_is_not_kept(
+            self, name, kernel):
+        got, kept, nbytes = self.run(REBUILD_CASES[name], lambda t: t)
+        want, kept_copy, _ = self.run(REBUILD_CASES[name],
+                                      lambda t: scale(t, 1.0))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert kept_copy - kept == nbytes
+
+    def test_what_keeps_no_operand_it_would_read_offers_no_rebuild(self):
+        """GELU keeps neither its input nor ``Phi(x)``, and attention
+        whose values alone need a gradient keeps no values."""
+        arrays, _, masks = _attention_operands(54)
+        q, k, v = (Tensor(a, requires_grad=t)
+                   for a, t in zip(arrays, (False, False, True)))
+        with Tape():
+            outs = [gelu(v), T.attention(q, k, v, 2, *masks),
+                    layer_norm(v, *(Tensor(np.ones(8)) for _ in range(2)))]
+        assert [out.node.rebuild is None for out in outs] == [True, True,
+                                                            False]
 
 
 class TestSoftmax:
@@ -956,27 +1038,34 @@ class TestTapeMemory:
             assert got.grad.tobytes() == want.grad.tobytes()
 
     def test_backward_releases_every_activation(self):
+        """Also what the rebuild of an output the test still holds reads:
+        the layer norm's ``xh``."""
         rng = np.random.default_rng(31)
         x = Tensor(rng.standard_normal((3, 4)))
         params = [Tensor(rng.standard_normal(s), requires_grad=True)
-                  for s in ((4, 6), (6,), (6,), (6,))]
-        w, b, gamma, beta = params
+                  for s in ((4, 6), (6,), (6,), (6,), (6, 2), (2,))]
+        w, b, gamma, beta, w_out, b_out = params
         with Tape() as tape:
             h = T.linear(x, w, b)
             a = gelu(h)
             n = layer_norm(a, gamma, beta)
-            loss = mean_all(mul(n, n))
-        refs = [_weakrefs(t.data) for t in (h, a, n)]
-        del h, a, n
+            o = T.linear(n, w_out, b_out)
+            loss = mean_all(mul(o, o))
+        [xh] = [c.cell_contents for c in n.node.rebuild.__closure__
+                if getattr(c.cell_contents, "shape", None) == n.shape]
+        refs = [_weakrefs(t.data) for t in (h, a, o)] + [_weakrefs(xh)]
+        del h, a, o, xh
         recorded = len(tape)
-        # gelu keeps its slope and the test's product its operands, but
-        # no backward reads the linear's or gelu's output
-        assert refs[2][0]() is not None
+        # gelu keeps its slope, layer norm its xh and the test's product
+        # its operands, but no backward reads the linear's or gelu's
+        # output, and the last linear reads n's rebuild, not n
+        assert refs[2][0]() is not None and refs[3][0]() is not None
         assert all(r() is None for rs in refs[:2] for r in rs)
         tape.backward(loss)
         assert all(p.grad is not None for p in params)
+        assert n.node.rebuild is None
         assert all(r() is None for rs in refs for r in rs)
-        assert len(tape) == recorded == 6
+        assert len(tape) == recorded == 7
 
 
 class TestFiniteDiff:
