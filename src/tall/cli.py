@@ -2,7 +2,10 @@
 
 ``tall eval`` takes its approaches from ``runner.APPROACHES``: the
 ``--approach`` choices, what ``--all`` runs and the checkpoint flags
-each approach needs all come from that one table.
+each approach needs all come from that one table.  ``train-tall`` and
+``eval`` declare their checkpoint flags from ``runner.CHECKPOINTS``,
+and every model a command reads is built by ``runner.load_models``, so
+this module names no model class, checkpoint kind or stage.
 
 Exit codes: 0 success, 2 configuration problem (also a missing
 checkpoint flag or an output directory that does not exist), 3
@@ -32,13 +35,8 @@ EXIT_CHECKPOINT = 3
 EXIT_NUMERICAL = 4
 EXIT_SHAPE = 5
 
-# checkpoint flag -> the meta kind its file must carry, the stage it fills
-CHECKPOINTS = {
-    "lr2hr": ("translator-lr2hr", "stage 1 encoder backbone"),
-    "hr2lr": ("translator-hr2lr", "stage 7 decoder backbone"),
-    "llm": ("causal-lm", "stage 4 language-model backbone"),
-    "tall": ("tall", "trainable stages 2, 3, 5 and 6"),
-}
+# runner's checkpoint flags: the three backbones', then the pipeline's
+*BACKBONES, PIPELINE = runner.CHECKPOINTS
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -77,12 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-tall", help="train the adapter/bridge parts")
     _add_config_args(p)
-    p.add_argument("--lr2hr", required=True, help="LR->HR translator checkpoint")
-    p.add_argument("--hr2lr", required=True, help="HR->LR translator checkpoint")
-    p.add_argument("--llm", required=True, help="language model checkpoint")
+    for flag in BACKBONES:
+        p.add_argument(f"--{flag}", required=True,
+                       help=f"checkpoint of the {runner.CHECKPOINTS[flag][1]}")
     p.add_argument("--out", help="best-checkpoint output path")
     p.add_argument("--metrics", help="metrics JSONL output path")
-    p.add_argument("--resume", dest="tall",
+    p.add_argument("--resume", dest=PIPELINE,
                    help="trainable-parts checkpoint to resume from; its "
                         "weights are kept unless an epoch beats their "
                         "held-out loss, which is reported after training")
@@ -101,10 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                          for a in runner.APPROACHES.values()))
     group.add_argument("--all", action="store_true",
                        help="run every approach on the shared dataset")
-    p.add_argument("--lr2hr")
-    p.add_argument("--hr2lr")
-    p.add_argument("--llm")
-    p.add_argument("--tall", help="trained pipeline checkpoint")
+    for flag, (_, stage) in runner.CHECKPOINTS.items():
+        p.add_argument(f"--{flag}", help=f"checkpoint of the {stage}")
     p.add_argument("--eval-seed", type=int, default=None,
                    help="evaluation dataset seed (defaults to world.eval_seed)")
     p.add_argument("--json", help="write machine-readable results here")
@@ -132,34 +128,11 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _load_models(cfg, seed, args, flags) -> tuple[dict, dict]:
-    """The models the checkpoint ``flags`` name, keyed by flag, each filled
-    from its flag's file when one is given (``tall`` is the pipeline on
-    the filled backbones), and each loaded file's metadata."""
-    models = {f: m for f, m in runner.backbones(cfg, seed).items()
-              if f in flags}
-    metas = {}
-    for flag, (kind, stage) in CHECKPOINTS.items():
-        if flag not in flags:
-            continue
-        if flag not in models:  # the pipeline, on the backbones filled above
-            models[flag] = runner.assemble_tall(cfg, models, seed)
-        if getattr(args, flag) is None:
-            continue  # train-tall without --resume
-        # every entry of a fresh backbone; the pipeline's trainable parts
-        params = dict(models[flag].store.trainable_items())
-        try:
-            metas[flag] = runner.load_into(params, getattr(args, flag), cfg,
-                                           kind)
-        except (CheckpointError, OSError) as exc:
-            raise CheckpointError(f"{stage}: {exc}")
-    return models, metas
-
-
 def cmd_train_tall(args) -> int:
     cfg, seed = _load(args)
-    models, metas = _load_models(cfg, seed, args, tuple(CHECKPOINTS))
-    model = models["tall"]
+    models, metas = runner.load_models(
+        cfg, seed, {f: getattr(args, f) for f in runner.CHECKPOINTS})
+    model = models[PIPELINE]
     corpus = runner.train_corpus(cfg)
     if args.dry_run:
         logits = model.final_logits([list(p.lr_tokens)[:-1] for p in corpus[:4]])
@@ -170,11 +143,11 @@ def cmd_train_tall(args) -> int:
             "config_hash": config_hash(cfg),
         }))
         return EXIT_OK
-    start_step = int(metas["tall"].get("step", 0)) if "tall" in metas else 0
+    start_step = int(metas[PIPELINE].get("step", 0)) if PIPELINE in metas else 0
     meta, metrics = train_tall(model, corpus,
                                cfg.train.tall.to_train_config(seed), start_step)
     meta = runner.stamp_meta(cfg, meta)
-    if "tall" in metas:
+    if PIPELINE in metas:
         # a resumed run's first eval record scores the weights it resumed
         first = metrics[0]
         stats = ({k: v for k, v in first.items() if k not in ("step", "split")}
@@ -194,11 +167,12 @@ def cmd_eval(args) -> int:
     cfg, seed = _load(args)
     wanted = [name for name, a in sorted(runner.APPROACHES.items())
               if args.all or a.cli_name == args.approach]
-    flags = {f for name in wanted for f in runner.APPROACHES[name].checkpoints}
-    missing = [f"--{f}" for f in sorted(flags) if getattr(args, f) is None]
+    files = {f: getattr(args, f)
+             for name in wanted for f in runner.APPROACHES[name].checkpoints}
+    missing = [f"--{f}" for f in sorted(files) if files[f] is None]
     if missing:
         raise ConfigError(f"approaches {wanted} need {', '.join(missing)}")
-    models, _ = _load_models(cfg, seed, args, flags)
+    models, _ = runner.load_models(cfg, seed, files)
     examples, dataset_hash = runner.eval_dataset(cfg, args.eval_seed)
     rows, details = runner.run_approaches(cfg, wanted, models, examples,
                                           dataset_hash, sampler_seed=seed)
@@ -218,7 +192,9 @@ def cmd_param_report(args) -> int:
         raise ConfigError("--check applies to the published presets only")
     if preset == "toy":
         cfg, seed = _load(args)
-        report = param_report("toy", runner.untrained_tall(cfg, seed).store)
+        models, _ = runner.load_models(cfg, seed,
+                                       dict.fromkeys(runner.CHECKPOINTS))
+        report = param_report("toy", models[PIPELINE].store)
     else:
         report = param_report(preset)
     print(format_report(report))

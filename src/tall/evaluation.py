@@ -184,7 +184,7 @@ def _single_step(next_logits: Callable[[list], np.ndarray],
 
 def _lm_ids(world: World, lr_seqs: list) -> list:
     """LR id sequences re-tokenized into LM ids."""
-    return [world.lr_to_lm(np.array(s)).tolist() for s in lr_seqs]
+    return [world.lr_to_lm(s).tolist() for s in lr_seqs]
 
 
 def _lm_to_lr(world: World) -> Callable[[int], tuple[int, str]]:
@@ -222,7 +222,7 @@ def eval_naive(lr2hr: Translator, llm: CausalLM, hr2lr: Translator,
                if len(h) + 1 > llm.cfg.max_len}
         fits_lm = [j for j in range(len(hr_seqs)) if j not in out]
         logits = llm.next_token_logits([
-            world.hr_to_lm(np.array(hr_seqs[j], dtype=np.int64)).tolist()
+            world.hr_to_lm(hr_seqs[j]).tolist()
             for j in fits_lm]) if fits_lm else []
         completed = {}
         for row, j in enumerate(fits_lm):
@@ -282,7 +282,7 @@ def train_soft_prompt(llm: CausalLM, world: World, corpus_lr: list,
     prompt = store.add("prompt", rng.normal(0.0, 0.1,
                                             size=(n_prompt, llm.cfg.d_model)))
     prefixes = _lm_ids(world, [s[:-1] for s in corpus_lr])
-    targets = world.lr_to_lm(np.array([s[-1] for s in corpus_lr]))
+    targets = world.lr_to_lm([s[-1] for s in corpus_lr])
 
     def loss_fn(batch_idx):
         logits = _soft_prompt_logits(llm, prompt,

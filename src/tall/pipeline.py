@@ -202,11 +202,7 @@ class TallModel:
         for start in range(0, len(prefixes), TRANSLATE_CHUNK):
             chunk = prefixes[start : start + TRANSLATE_CHUNK]
             hr = self.lr2hr.greedy_translate(chunk)
-            out.extend(
-                [BOS] + self.world.hr_to_lm(np.array(h, dtype=np.int64)).tolist()
-                if h else [BOS]
-                for h in hr
-            )
+            out.extend([BOS] + self.world.hr_to_lm(h).tolist() for h in hr)
         return out
 
     def make_batch(self, teachers: list, hr_lm_seqs: list) -> TallBatch:

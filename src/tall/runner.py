@@ -3,8 +3,11 @@
 Everything here is a deterministic function of a RunConfig and a seed.
 Checkpoints stamp the resolved config, its hash, and a narrower
 architecture-compatibility hash that loading verifies.  The
-benchmark's approaches are declared once, in :data:`APPROACHES`, which
-the command line reads for its choices and checkpoint flags.
+checkpoint table, :data:`CHECKPOINTS` (flag -> meta kind, stage), is
+read by the one loader, :func:`load_models`, which builds every model a
+command reads.  The benchmark's approaches are declared once, in
+:data:`APPROACHES`, which the command line reads for its choices and
+checkpoint flags.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from . import evaluation as ev
 from .checkpoint import CheckpointError, load_checkpoint
@@ -83,55 +84,84 @@ def pretrain_translator(cfg: RunConfig, direction: str, seed: int
 def pretrain_llm(cfg: RunConfig, seed: int
                  ) -> tuple[CausalLM, dict, list[dict]]:
     world = build_world(cfg)
-    sequences = [world.hr_to_lm(np.array(p.hr_tokens)).tolist()
+    sequences = [world.hr_to_lm(p.hr_tokens).tolist()
                  for p in train_corpus(cfg)]
     model, meta, metrics = train_llm(llm_config(cfg), sequences,
                                      cfg.train.llm.to_train_config(seed))
     return model, stamp_meta(cfg, meta), metrics
 
 
-def backbones(cfg: RunConfig, seed: int) -> dict:
-    """The three backbones, randomly initialised, keyed by checkpoint flag."""
-    return {"lr2hr": Translator.init(translator_config(cfg, "lr2hr"), seed),
-            "hr2lr": Translator.init(translator_config(cfg, "hr2lr"), seed),
-            "llm": CausalLM.init(llm_config(cfg), seed)}
+# checkpoint flag -> the meta kind its file must carry, the stage it fills;
+# in build order, the pipeline last, on the backbones filled before it
+CHECKPOINTS = {
+    "lr2hr": ("translator-lr2hr", "stage 1 encoder backbone"),
+    "hr2lr": ("translator-hr2lr", "stage 7 decoder backbone"),
+    "llm": ("causal-lm", "stage 4 language-model backbone"),
+    "tall": ("tall", "trainable stages 2, 3, 5 and 6"),
+}
 
 
-def assemble_tall(cfg: RunConfig, backbones: dict, seed: int) -> TallModel:
+def _init(cfg: RunConfig, flag: str, built: dict, seed: int):
+    """The random init of checkpoint ``flag``'s model; the pipeline is
+    assembled on the backbones in ``built``."""
+    if flag in ("lr2hr", "hr2lr"):
+        return Translator.init(translator_config(cfg, flag), seed)
+    if flag == "llm":
+        return CausalLM.init(llm_config(cfg), seed)
     return TallModel.assemble(tall_config(cfg), build_world(cfg),
-                              backbones["lr2hr"], backbones["hr2lr"],
-                              backbones["llm"], seed)
+                              built["lr2hr"], built["hr2lr"], built["llm"], seed)
+
+
+def load_models(cfg: RunConfig, seed: int, files: dict) -> tuple[dict, dict]:
+    """The models of the checkpoint flags ``files`` names, keyed by flag,
+    and each loaded file's metadata.
+
+    ``files`` maps a flag of :data:`CHECKPOINTS` to a checkpoint path, or
+    to None to keep the random init; naming ``tall``, the pipeline, needs
+    its three backbones named too.  Only the models named are built, in
+    the table's order, so the pipeline is assembled on the backbones
+    already filled.  A file must be written for ``cfg``'s architecture,
+    hold exactly the entries its model trains (every entry of a
+    backbone, the pipeline's trainable parts) at their shapes and carry
+    its flag's meta kind; anything else is a :class:`CheckpointError`
+    that names the stage.
+    """
+    models, metas = {}, {}
+    for flag, (kind, stage) in CHECKPOINTS.items():
+        if flag not in files:
+            continue
+        model = models[flag] = _init(cfg, flag, models, seed)
+        path = files[flag]
+        if path is None:
+            continue
+        params = dict(model.store.trainable_items())
+        try:
+            store, meta = load_checkpoint(
+                path, expect_meta={"compat_hash": compat_hash(cfg)})
+            want = {n: t.shape for n, t in params.items()}
+            got = {n: t.shape for n, t in store.items()}
+            if got != want:
+                name = next(n for n in [*got, *want]
+                            if got.get(n) != want.get(n))
+                part = {"tall": "trainable pipeline"}.get(kind, kind)
+                problem = ("is missing" if name not in got
+                           else f"is not a {part} part" if name not in want
+                           else f"has shape {got[name]}, expected {want[name]}")
+                raise CheckpointError(f"{path}: entry {name!r} {problem}")
+            if meta.get("kind") != kind:
+                raise CheckpointError(f"{path}: checkpoint kind is "
+                                      f"{meta.get('kind')!r}, expected {kind!r}")
+        except (CheckpointError, OSError) as exc:
+            raise CheckpointError(f"{stage}: {exc}")
+        for name, t in store.items():
+            params[name].data[:] = t.data
+        metas[flag] = meta
+    return models, metas
 
 
 def untrained_tall(cfg: RunConfig, seed: int) -> TallModel:
     """The pipeline on randomly initialised backbones, for shape-only uses."""
-    return assemble_tall(cfg, backbones(cfg, seed), seed)
-
-
-def load_into(params: dict, path, cfg: RunConfig, kind: str) -> dict:
-    """Overwrite ``params`` (name -> tensor of a built model) from the
-    checkpoint at ``path`` and return its metadata.  The file must be
-    written for ``cfg``'s architecture, hold exactly those entries at
-    their shapes and carry the meta ``kind`` its trainer writes
-    (``translator-lr2hr``, ``translator-hr2lr``, ``causal-lm`` or
-    ``tall``); anything else is a :class:`CheckpointError`."""
-    store, meta = load_checkpoint(path,
-                                  expect_meta={"compat_hash": compat_hash(cfg)})
-    want = {n: t.shape for n, t in params.items()}
-    got = {n: t.shape for n, t in store.items()}
-    if got != want:
-        name = next(n for n in [*got, *want] if got.get(n) != want.get(n))
-        part = {"tall": "trainable pipeline"}.get(kind, kind)
-        problem = ("is missing" if name not in got
-                   else f"is not a {part} part" if name not in want
-                   else f"has shape {got[name]}, expected {want[name]}")
-        raise CheckpointError(f"{path}: entry {name!r} {problem}")
-    if meta.get("kind") != kind:
-        raise CheckpointError(f"{path}: checkpoint kind is "
-                              f"{meta.get('kind')!r}, expected {kind!r}")
-    for name, t in store.items():
-        params[name].data[:] = t.data
-    return meta
+    return load_models(cfg, seed, dict.fromkeys(CHECKPOINTS))[0]["tall"]
 
 
 def write_metrics(metrics: list[dict], path) -> None:
@@ -185,7 +215,7 @@ class Approach:
     """One approach of the benchmark.
 
     ``cli_name`` is its ``tall eval --approach`` name, ``checkpoints``
-    the checkpoint flags (keys of ``cli.CHECKPOINTS``) whose models it
+    the checkpoint flags (keys of :data:`CHECKPOINTS`) whose models it
     reads, and ``run(cfg, models, world, corpus_lr, examples, sampler)``
     trains whatever the approach trains, on ``corpus_lr()`` (the LR
     sentences of the training corpus), then returns its eval records.

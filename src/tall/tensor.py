@@ -32,7 +32,8 @@ Design constraints, in order of priority:
   they keep anyway (``xh``; the probabilities and values), and a
   :func:`linear` or :func:`matmul` whose weight needs a gradient keeps
   that function instead of its input and calls it in backward, as in
-  the selective activation recomputation of Korthikanti et al. (2022).
+  the selective activation recomputation of Korthikanti et al. (2022);
+  the consumers of one output share one rebuild per backward.
   The rebuild runs the forward's operations on the same shapes, so its
   bytes are the output's on either kernel.  No kernel copies an array
   to change its layout.  A transformer stack's activations are packed
@@ -158,14 +159,23 @@ class _Slot:
     that recomputes the output's data from arrays the node keeps anyway,
     with the forward's own operations in their order, so its bytes are
     the output's.  A consumer that would keep the output for a weight's
-    gradient keeps this function instead (see :func:`_kept`).
+    gradient keeps :meth:`rebuilt` instead (see :func:`_kept`).
     """
 
-    __slots__ = ("grad", "rebuild")
+    __slots__ = ("grad", "rebuild", "cache")
 
     def __init__(self, rebuild=None):
         self.grad = None
         self.rebuild = rebuild
+        self.cache = None  # the rebuilt array, while consumers read it
+
+    def rebuilt(self) -> np.ndarray:
+        """The output's data, rebuilt once per backward: the first
+        consumer to run rebuilds it and the rest read the same array,
+        until the producer's own node runs and drops it."""
+        if self.cache is None:
+            self.cache = self.rebuild()
+        return self.cache
 
 
 def _route(x) -> "_Slot | Tensor | None":
@@ -215,11 +225,10 @@ class Tape:
         receive grad storage.  A node's output gradient is dropped as
         soon as the node has run, and backward releases every node, with
         the arrays its backward kept, and drops every slot's rebuild
-        before it returns, so after backward the tape holds no
-        activation and only leaves hold ``grad``; ``len`` still counts
-        the nodes recorded.  A tape runs
-        backward once: a second call is a :class:`ContractError`, since
-        its nodes are gone.
+        and rebuilt array before it returns, so after backward the tape
+        holds no activation and only leaves hold ``grad``; ``len`` still
+        counts the nodes recorded.  A tape runs backward once: a second
+        call is a :class:`ContractError`, since its nodes are gone.
         """
         if self._ran is not None:
             raise ContractError("backward already ran on this tape and "
@@ -232,6 +241,7 @@ class Tape:
         nodes = self._nodes
         self._ran = len(nodes)
         for slot, routes, backward_fn in reversed(nodes):
+            slot.cache = None  # every consumer of the output has run
             if slot.grad is None:
                 continue
             grads = backward_fn(slot.grad)
@@ -248,7 +258,7 @@ class Tape:
         # and fault them in again; an output the caller still holds
         # keeps its slot, so the slot lets go of what its rebuild reads
         for slot, _, _ in nodes:
-            slot.rebuild = None
+            slot.rebuild = slot.cache = None
         nodes.clear()
 
 
@@ -282,11 +292,13 @@ def _register(out: Tensor, inputs: tuple, backward_fn,
 def _kept(x, x_d: np.ndarray):
     """What an op keeps of its activation operand ``x`` (data ``x_d``)
     for a weight's gradient: a function of no arguments that returns the
-    array, the producer's rebuild when its slot offers one (so no second
-    copy of what the producer keeps is held), else ``x_d`` itself."""
+    array, the producer slot's :meth:`_Slot.rebuilt` when it offers a
+    rebuild (so no second copy of what the producer keeps is held, and
+    the consumers of one output share one rebuild), else ``x_d``
+    itself."""
     slot = x.node if isinstance(x, Tensor) else None
     if slot is not None and slot.rebuild is not None:
-        return slot.rebuild
+        return slot.rebuilt
     return lambda: x_d
 
 

@@ -10,6 +10,7 @@ from tall import cli, runner
 from tall import evaluation as ev
 from tall.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from tall.config import ConfigError, build_world, llm_config, load_config
+from tall.models import Translator
 from tall.nn import ParamStore
 from tall.pipeline import TallModel, evaluate_tall
 from tall.pretrain import split_train_eval
@@ -120,7 +121,7 @@ def test_an_eval_set_the_grammar_cannot_fill_names_its_size():
 
 def test_param_report_check_of_the_toy_preset_is_refused_first(
         monkeypatch, capsys):
-    monkeypatch.setattr(runner, "untrained_tall",
+    monkeypatch.setattr(runner, "load_models",
                         lambda *args: pytest.fail("the pipeline was built"))
     code = cli.main(["param-report", "--preset", "toy", "--check"])
     out, err = capsys.readouterr()
@@ -257,9 +258,7 @@ def test_resume_translates_each_prefix_once(
     argv = ["train-tall", *args, "--resume", ckpt["tall"]]
     cfg = load_config(args[1])
     seed = cfg.world.seed
-    parsed = cli.build_parser().parse_args(argv)
-    model = cli._load_models(cfg, seed, parsed,
-                             tuple(cli.CHECKPOINTS))[0]["tall"]
+    model = runner.load_models(cfg, seed, ckpt)[0]["tall"]
     teachers = [list(p.lr_tokens) for p in runner.train_corpus(cfg)]
     hr_lm = model.translate_prefixes([t[:-1] for t in teachers])
     _, heldout = split_train_eval(list(zip(teachers, hr_lm)),
@@ -291,9 +290,7 @@ def test_a_fresh_run_ends_no_worse_than_its_init(tiny_run):
     args, ckpt = tiny_run
     cfg = load_config(args[1])
     seed = cfg.world.seed
-    parsed = cli.build_parser().parse_args(["train-tall", *args])
-    model = cli._load_models(cfg, seed, parsed,
-                             tuple(cli.CHECKPOINTS))[0]["tall"]
+    model = runner.load_models(cfg, seed, {**ckpt, "tall": None})[0]["tall"]
     teachers = [list(p.lr_tokens) for p in runner.train_corpus(cfg)]
     hr_lm = model.translate_prefixes([t[:-1] for t in teachers])
     _, heldout = split_train_eval(list(zip(teachers, hr_lm)),
@@ -325,9 +322,7 @@ def test_run_approaches_matches_the_eval_calls(tmp_path, monkeypatch,
     examples, dataset_hash = runner.eval_dataset(cfg)
 
     def tiny_models():
-        models = runner.backbones(cfg, 0)
-        models["tall"] = runner.assemble_tall(cfg, models, 0)
-        return models
+        return runner.load_models(cfg, 0, dict.fromkeys(runner.CHECKPOINTS))[0]
 
     corpora = []
     train_corpus = runner.train_corpus
@@ -383,6 +378,57 @@ def test_missing_checkpoint_flags_are_named_before_any_work(tmp_path,
     assert captured.err == ("config error: approaches ['naive'] need "
                             "--hr2lr, --lr2hr\n")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("approach, built", [("direct", 0), ("naive", 2)])
+def test_eval_builds_only_the_models_its_approach_reads(
+        tiny_run, monkeypatch, approach, built):
+    """Every checkpoint flag is given; ``direct`` reads the LM alone, so
+    no translator is built."""
+    args, _ = tiny_run
+    calls = []
+    init = Translator.init.__func__
+
+    def spy(cls, *rest):
+        calls.append(rest)
+        return init(cls, *rest)
+
+    monkeypatch.setattr(Translator, "init", classmethod(spy))
+    assert cli.main(["eval", "--approach", approach, *args]) == cli.EXIT_OK
+    assert len(calls) == built
+
+
+def test_the_pipeline_is_assembled_on_the_loaded_backbones(
+        tiny_run, monkeypatch):
+    """The frozen entries of the pipeline ``eval --approach tall`` runs
+    hold the backbone files' bytes, not a random init's."""
+    args, ckpt = tiny_run
+    seen = {}
+    run = runner.run_approaches
+
+    def capture(cfg, approaches, models, *rest, **kwargs):
+        seen.update(models)
+        return run(cfg, approaches, models, *rest, **kwargs)
+
+    monkeypatch.setattr(runner, "run_approaches", capture)
+    assert cli.main(["eval", "--approach", "tall", *args,
+                     "--tall", ckpt["tall"]]) == cli.EXIT_OK
+    store = seen["tall"].store
+    cfg = load_config(args[1])
+    fresh = runner.untrained_tall(cfg, cfg.world.seed).store
+    files = {flag: load_checkpoint(ckpt[flag])[0]
+             for flag in ("lr2hr", "hr2lr", "llm")}
+    want = {**{n: t for n, t in files["lr2hr"].items()
+               if n.startswith("encoder.")},
+            **{f"llm.{n}": t for n, t in files["llm"].items()},
+            **{n: t for n, t in files["hr2lr"].items()
+               if n.startswith("decoder.")}}
+    frozen = {n: t for n, t in store.items()
+              if n.split(".", 1)[0] in ("encoder", "llm", "decoder")}
+    assert sorted(frozen) == sorted(want)
+    for name, t in frozen.items():
+        assert t.data.tobytes() == want[name].data.tobytes()
+        assert t.data.tobytes() != fresh[name].data.tobytes()
 
 
 def test_eval_help_lists_each_approach_and_its_checkpoint_flags(capsys):

@@ -1,6 +1,6 @@
 """Import hygiene and the product seam, checked with the stdlib ``ast``.
 
-Fifteen rules for every module under ``src/tall``:
+Sixteen rules for every module under ``src/tall``:
 
 - a module-level import binds a name the module references, unless its
   line carries ``# noqa: F401`` (an import kept on purpose);
@@ -30,9 +30,13 @@ Fifteen rules for every module under ``src/tall``:
 - only ``pipeline.py`` (from the backbones' widths) and
   ``params_report.py`` (for the published presets) call ``AdapterSpec``,
   so the adapters' geometry is not stated a second time;
-- only ``runner.load_into`` calls ``load_checkpoint``, so every
+- only ``runner.load_models`` calls ``load_checkpoint``, so every
   checkpoint a command reads is checked for its architecture, entries
   and kind the same way;
+- only ``runner.py`` and ``pretrain.py`` call ``Translator.init``,
+  ``CausalLM.init`` or ``TallModel.assemble``: the trainers build the
+  models they train, and ``runner.load_models`` every model a command
+  reads;
 - only ``nn.py`` calls ``take_rows``, and no module picks final positions
   out of a whole sequence with ``[np.arange(...), ... - 1]``: a caller
   passes ``last`` to the stack, which picks each row's last real token
@@ -304,6 +308,26 @@ def approach_name_comparisons(path: Path) -> list[str]:
                       for item in items if isinstance(item, ast.Constant)
                       and item.value in APPROACH_NAMES]
             left = right
+    return sorted(found)
+
+
+# the model classes and the constructor each is built by
+MODEL_BUILDERS = {"Translator": "init", "CausalLM": "init",
+                  "TallModel": "assemble"}
+
+
+def model_builds(path: Path) -> list[str]:
+    """``Translator.init``, ``CausalLM.init`` and ``TallModel.assemble``
+    calls, also through a module (``models.Translator.init``)."""
+    tree, _ = _parse(path)
+    found = []
+    for node in ast.walk(tree):
+        fn = node.func if isinstance(node, ast.Call) else None
+        if not isinstance(fn, ast.Attribute):
+            continue
+        owner = getattr(fn.value, "id", getattr(fn.value, "attr", None))
+        if MODEL_BUILDERS.get(owner) == fn.attr:
+            found.append(f"{path.name}:{node.lineno} {owner}.{fn.attr}")
     return sorted(found)
 
 
@@ -579,11 +603,18 @@ def test_every_default_is_passed_by_some_caller():
     assert unpassed_defaults(MODULES, CALLERS) == sorted(ONE_VALUE_KEPT)
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("runner.py", "pretrain.py")],
+    ids=lambda p: p.name)
+def test_only_the_runner_and_the_trainers_build_models(path):
+    assert model_builds(path) == []
+
+
 def test_checkpoints_are_read_by_one_loader():
     sites = [s for p in MODULES for s in calls_to(p, ("load_checkpoint",))]
     tree, _ = _parse(SRC / "runner.py")
     [loader] = [f for f in tree.body
-                if isinstance(f, ast.FunctionDef) and f.name == "load_into"]
+                if isinstance(f, ast.FunctionDef) and f.name == "load_models"]
     [call] = [n for n in ast.walk(loader) if isinstance(n, ast.Call)
               and getattr(n.func, "id", None) == "load_checkpoint"]
     assert sites == [f"runner.py:{call.lineno} load_checkpoint"]
@@ -745,6 +776,15 @@ def test_checks_catch_what_they_name(tmp_path):
         "            for i in examples]\n"
         "record = EvalRecord\n")
     assert eval_record_builds(loop) == ["loop.py:4 EvalRecord"]
+    builds = tmp_path / "builds.py"
+    builds.write_text(
+        "lm = CausalLM.init(llm_config(cfg), seed)\n"
+        "tr = models.Translator.init(cfg, 0) or Translator(cfg, store)\n"
+        "tall = TallModel.assemble(c, world, tr, tr, lm, 0)\n"
+        "x = TallModel.init(c) or CausalLM.assemble(c) or store.init(c)\n")
+    assert model_builds(builds) == ["builds.py:1 CausalLM.init",
+                                    "builds.py:2 Translator.init",
+                                    "builds.py:3 TallModel.assemble"]
     built = tmp_path / "built.py"
     built.write_text(
         "from . import world\n"

@@ -547,6 +547,38 @@ class TestRebuild:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert kept_copy - kept == nbytes
 
+    @staticmethod
+    def three_projections(seed, through, count=None):
+        """A layer norm read by three trainable linears, as an attention
+        block's ``ln_self`` output feeds its q, k and v projections: every
+        leaf's gradient after one backward.  ``count``, a list, gets one
+        entry per call of the norm's rebuild."""
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
+        leaves = [x] + [Tensor(rng.standard_normal(s), requires_grad=True)
+                        for s in [(8,), (8,)] + [(8, 6), (6,)] * 3]
+        gamma, beta, *proj = leaves[1:]
+        with Tape() as tape:
+            n = layer_norm(x, gamma, beta)
+            if count is not None:
+                rebuild = n.node.rebuild
+                n.node.rebuild = lambda: count.append(1) or rebuild()
+            outs = [T.linear(through(n), w, b)
+                    for w, b in zip(proj[::2], proj[1::2])]
+            loss = sum_all(mul(add(add(outs[0], outs[1]), outs[2]),
+                               Tensor(rng.standard_normal((5, 6)))))
+        tape.backward(loss)
+        return [t.grad for t in leaves]
+
+    def test_an_output_read_by_three_projections_is_rebuilt_once(
+            self, kernel):
+        calls = []
+        got = self.three_projections(56, lambda t: t, calls)
+        want = self.three_projections(56, lambda t: scale(t, 1.0))
+        assert len(calls) == 1
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_what_keeps_no_operand_it_would_read_offers_no_rebuild(self):
         """GELU keeps neither its input nor ``Phi(x)``, and attention
         whose values alone need a gradient keeps no values."""
@@ -1056,6 +1088,7 @@ class TestTapeMemory:
         refs = [_weakrefs(t.data) for t in (h, a, o)] + [_weakrefs(xh)]
         del h, a, o, xh
         recorded = len(tape)
+        slots = [slot for slot, _, _ in tape._nodes]
         # gelu keeps its slope, layer norm its xh and the test's product
         # its operands, but no backward reads the linear's or gelu's
         # output, and the last linear reads n's rebuild, not n
@@ -1064,6 +1097,7 @@ class TestTapeMemory:
         tape.backward(loss)
         assert all(p.grad is not None for p in params)
         assert n.node.rebuild is None
+        assert all(slot.cache is None for slot in slots)
         assert all(r() is None for rs in refs for r in rs)
         assert len(tape) == recorded == 7
 
