@@ -143,7 +143,7 @@ def cmd_train_tall(args) -> int:
             "config_hash": config_hash(cfg),
         }))
         return EXIT_OK
-    start_step = int(metas[PIPELINE].get("step", 0)) if PIPELINE in metas else 0
+    start_step = metas[PIPELINE]["step"] if PIPELINE in metas else 0
     meta, metrics = train_tall(model, corpus,
                                cfg.train.tall.to_train_config(seed), start_step)
     meta = runner.stamp_meta(cfg, meta)

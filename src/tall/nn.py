@@ -215,16 +215,20 @@ class ParamStore:
         return [(n, t) for n, t in self._entries.items() if t.requires_grad]
 
     def adopt(self, prefix: str, other: "ParamStore", source: str = "") -> None:
-        """Copy each entry ``source.<rest>`` of ``other`` (every entry when
-        ``source`` is empty) in as ``prefix.<rest>``, frozen, in fresh
-        arrays; a ``source`` that matches nothing is a KeyError."""
+        """Re-root each entry ``source.<rest>`` of ``other`` (every entry
+        when ``source`` is empty) as ``prefix.<rest>``, frozen, on a
+        read-only view of ``other``'s own array: the two stores share one
+        array, which ``other`` alone can write.  A ``source`` that
+        matches nothing is a KeyError."""
         strip = f"{source}." if source else ""
         picked = [(n[len(strip):], t) for n, t in other.items()
                   if n.startswith(strip)]
         if not picked:
             raise KeyError(f"adopt: no parameter matches prefix {source!r}")
         for rest, t in picked:
-            self.add(f"{prefix}.{rest}", t.data.copy(), trainable=False)
+            view = t.data.view()
+            view.flags.writeable = False
+            self.add(f"{prefix}.{rest}", view, trainable=False)
 
     def snapshot_bytes(self, prefix: str = "") -> dict[str, bytes]:
         return {

@@ -94,7 +94,13 @@ class TallBatch:
 
 
 class TallModel:
-    """Assembled pipeline: one store, frozen backbones, trainable parts."""
+    """Assembled pipeline: one store, frozen backbones, trainable parts.
+
+    The store's ``encoder.*``, ``llm.*`` and ``decoder.*`` entries are
+    read-only views of the backbones' own arrays (``ParamStore.adopt``),
+    so the pipeline holds no second copy of a backbone, and stage 1
+    reads the very weights ``lr2hr`` translates the prefixes with.
+    """
 
     def __init__(self, cfg: TallConfig, store: ParamStore, world: World,
                  lr2hr: Translator, llm_cfg: CausalLMConfig,
@@ -103,7 +109,6 @@ class TallModel:
         self.store = store
         self.world = world
         self.lr2hr = lr2hr
-        self.encoder_cfg = lr2hr.cfg
         self.llm_cfg = llm_cfg
         self.decoder_cfg = decoder_cfg
         d_enc, d_lm, d_dec = lr2hr.cfg.d_model, llm_cfg.d_model, decoder_cfg.d_model
@@ -129,8 +134,6 @@ class TallModel:
         nn.init_adapter(store, "adapter2", model.adapter2, rng)
         init_stack(store, "bridge2", llm.cfg.max_len, cfg.bridge2.n_layers,
                    model.bridge2_layer, rng)
-        for part in FROZEN_PARTS:
-            store.freeze(part)
         return model
 
     def check_frozen(self) -> None:
@@ -148,7 +151,7 @@ class TallModel:
 
     def encode_lr(self, enc_ids: np.ndarray, enc_lengths: np.ndarray) -> Tensor:
         """Stage 1: frozen encoder over the LR prefix."""
-        return encoder_forward(self.store, "encoder", self.encoder_cfg,
+        return encoder_forward(self.store, "encoder", self.lr2hr.cfg,
                                enc_ids, enc_lengths)
 
     def bridge1_forward(self, hr_ids: np.ndarray, hr_lengths: np.ndarray,
@@ -270,7 +273,7 @@ def train_tall(model: TallModel, corpus: list[BilingualPair],
     def loss_fn(batch_idx):
         chunk = [train[i] for i in batch_idx]
         batch = model.make_batch([t for t, _ in chunk], [h for _, h in chunk])
-        return T.scale(model.loss(batch), float(len(chunk))), len(chunk)
+        return T.cross_entropy_sum(model.forward(batch), batch.targets)
 
     def evaluate(step: int) -> dict:
         stats = evaluate_tall(model, heldout, batch_size=train_cfg.batch_size)

@@ -12,8 +12,9 @@ cosine schedule.
 The weight says what an update averages over.  The translator and LM
 trainers here, which build the pipeline's frozen backbones, return
 summed token cross entropy with the token count, so an update is the
-mean over every target token it saw.  TALL returns its mean final-token
-loss times the batch size with the batch size, a mean over examples.
+mean over every target token it saw.  TALL returns the summed
+cross entropy of each example's final token with the batch size, a mean
+over examples.
 The soft prompt returns its mean loss with weight 1: at accumulation 1
 that is its batch mean exactly, and at accumulation > 1 it averages the
 micro-batch means, so a short last batch counts as much as a full one.

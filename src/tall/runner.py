@@ -119,12 +119,14 @@ def load_models(cfg: RunConfig, seed: int, files: dict) -> tuple[dict, dict]:
     ``files`` maps a flag of :data:`CHECKPOINTS` to a checkpoint path, or
     to None to keep the random init; naming ``tall``, the pipeline, needs
     its three backbones named too.  Only the models named are built, in
-    the table's order, so the pipeline is assembled on the backbones
-    already filled.  A file must be written for ``cfg``'s architecture,
-    hold exactly the entries its model trains (every entry of a
-    backbone, the pipeline's trainable parts) at their shapes and carry
-    its flag's meta kind; anything else is a :class:`CheckpointError`
-    that names the stage.
+    the table's order, so the backbones are filled before the pipeline
+    is assembled on them; the pipeline shares their arrays
+    (``ParamStore.adopt``) and holds no copy of them.  A file must be
+    written for ``cfg``'s architecture, hold exactly the entries its
+    model trains (every entry of a backbone, the pipeline's trainable
+    parts) at their shapes and carry its flag's meta kind, and a
+    pipeline file its update count, an int ``step >= 0``; anything else
+    is a :class:`CheckpointError` that names the stage.
     """
     models, metas = {}, {}
     for flag, (kind, stage) in CHECKPOINTS.items():
@@ -151,6 +153,11 @@ def load_models(cfg: RunConfig, seed: int, files: dict) -> tuple[dict, dict]:
             if meta.get("kind") != kind:
                 raise CheckpointError(f"{path}: checkpoint kind is "
                                       f"{meta.get('kind')!r}, expected {kind!r}")
+            step = meta.get("step")
+            if isinstance(model, TallModel) and (type(step) is not int
+                                                 or step < 0):
+                raise CheckpointError(f"{path}: checkpoint step is {step!r}, "
+                                      f"expected an int >= 0")
         except (CheckpointError, OSError) as exc:
             raise CheckpointError(f"{stage}: {exc}")
         for name, t in store.items():

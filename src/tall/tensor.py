@@ -332,15 +332,6 @@ def add(a, b) -> Tensor:
     return _register(out, (a, b), bwd)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * c)
-
-    def bwd(g):
-        return (g * c,)
-
-    return _register(out, (a,), bwd)
-
-
 def swapaxes(a: Tensor, i: int, j: int) -> Tensor:
     out = Tensor(np.swapaxes(a.data, i, j))
 

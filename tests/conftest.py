@@ -17,7 +17,7 @@ entry by entry (``reference_attention_bias``), the all-positions stack that
 replace (``padded_rows``, ``masked_cross_entropy_sum``,
 ``padded_teacher_loss``), the per-row soft prompt that the shared prompt
 cache replaces, the finite-difference gradient check, and the tape ops
-and parameter count that only tests use (``mul``, ``reshape``,
+and parameter count that only tests use (``mul``, ``scale``, ``reshape``,
 ``broadcast_to``, ``concat``, ``sum_all``, ``mean_all``,
 ``trainable_param_count``), the grammar as a
 materialized [V+1, V+1, V] transition table with its ``np.searchsorted``
@@ -102,6 +102,16 @@ def mul(a, b):
     return tensor._register(out, (a, b), bwd)
 
 
+def scale(a, c: float):
+    """``a`` times the constant ``c``, one tape node."""
+    out = tensor.Tensor(a.data * c)
+
+    def bwd(g):
+        return (g * c,)
+
+    return tensor._register(out, (a,), bwd)
+
+
 def sum_all(a):
     """The sum of every entry, as a scalar tensor."""
     out = tensor.Tensor(a.data.sum())
@@ -148,7 +158,7 @@ def concat(parts: list, axis: int):
 
 
 def mean_all(a):
-    return tensor.scale(sum_all(a), 1.0 / a.size)
+    return scale(sum_all(a), 1.0 / a.size)
 
 
 def trainable_param_count(store) -> tuple[int, int]:
@@ -249,7 +259,7 @@ def composed_attention(q, k, v, bias, n_heads: int):
     def split(x, length):
         return tensor.swapaxes(reshape(x, (b, length, n_heads, hd)), 1, 2)
 
-    scores = tensor.scale(
+    scores = scale(
         batched_matmul(split(q, lq), tensor.swapaxes(split(k, lkv), 2, 3)),
         hd ** -0.5)
     weights = tensor.softmax(tensor.add(scores, bias), axis=-1)

@@ -4,6 +4,7 @@ end-to-end run of every approach on a tiny configuration."""
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from tall import cli, runner
@@ -426,9 +427,13 @@ def test_the_pipeline_is_assembled_on_the_loaded_backbones(
     frozen = {n: t for n, t in store.items()
               if n.split(".", 1)[0] in ("encoder", "llm", "decoder")}
     assert sorted(frozen) == sorted(want)
+    owner = {"encoder": "lr2hr", "llm": "llm", "decoder": "hr2lr"}
     for name, t in frozen.items():
         assert t.data.tobytes() == want[name].data.tobytes()
         assert t.data.tobytes() != fresh[name].data.tobytes()
+        backbone = seen[owner[name.split(".", 1)[0]]].store
+        assert np.shares_memory(t.data,
+                                backbone[name.removeprefix("llm.")].data)
 
 
 def test_eval_help_lists_each_approach_and_its_checkpoint_flags(capsys):
@@ -451,6 +456,12 @@ def _adapter1_only(ckpt, tmp_path):
     return path
 
 
+def _tall_argv(command, args, path):
+    return (["eval", "--approach", "tall", *args, "--tall", str(path)]
+            if command == "eval"
+            else ["train-tall", *args, "--resume", str(path)])
+
+
 @pytest.mark.parametrize("command", ["eval", "resume"])
 @pytest.mark.parametrize("checkpoint, message", [
     ("adapter1_only", "entry 'bridge1.pos' is missing"),
@@ -461,13 +472,31 @@ def test_tall_checkpoint_must_hold_exactly_the_trainable_parts(
     args, ckpt = tiny_run
     path = (_adapter1_only(ckpt, tmp_path) if checkpoint == "adapter1_only"
             else ckpt["llm"])
-    argv = (["eval", "--approach", "tall", *args, "--tall", str(path)]
-            if command == "eval"
-            else ["train-tall", *args, "--resume", str(path)])
     capsys.readouterr()
-    assert cli.main(argv) == cli.EXIT_CHECKPOINT
+    assert cli.main(_tall_argv(command, args, path)) == cli.EXIT_CHECKPOINT
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+@pytest.mark.parametrize("step", ["x", None, -1, 2.5, True, "absent"])
+def test_tall_checkpoint_step_must_be_an_update_count(
+        tiny_run, tmp_path, capsys, command, step):
+    """``step``, the update count resumed from, is an int >= 0; a bool is
+    not one."""
+    args, ckpt = tiny_run
+    store, meta = load_checkpoint(ckpt["tall"])
+    meta = {k: v for k, v in meta.items() if k != "step"}
+    if step != "absent":
+        meta["step"] = step
+    path = tmp_path / "bad_step.npz"
+    save_checkpoint(store, meta, path)
+    capsys.readouterr()
+    assert cli.main(_tall_argv(command, args, path)) == cli.EXIT_CHECKPOINT
+    captured = capsys.readouterr()
+    assert ("checkpoint error: trainable stages 2, 3, 5 and 6: "
+            f"{path}: checkpoint step is") in captured.err
     assert captured.out == ""
 
 

@@ -333,7 +333,7 @@ class TestFreezing:
             assert store.trainable_items() == []
         assert [n for n, _ in store.trainable_items()] == ["b.w"]
 
-    def test_adopt_re_roots_fresh_frozen_copies(self):
+    def test_adopt_re_roots_read_only_frozen_views(self):
         source = ParamStore()
         source.add("encoder.w", np.arange(3.0))
         source.add("encoder.b", np.ones(2), trainable=False)
@@ -347,7 +347,11 @@ class TestFreezing:
         for name, src in (("stage1.w", "encoder.w"), ("all.decoder.w",
                                                       "decoder.w")):
             assert store[name].data.tobytes() == source[src].data.tobytes()
-            assert not np.shares_memory(store[name].data, source[src].data)
+            assert np.shares_memory(store[name].data, source[src].data)
+            with pytest.raises(ValueError, match="read-only"):
+                store[name].data[0] = 1.0
+        source["encoder.w"].data[0] = 7.0
+        assert store["stage1.w"].data[0] == 7.0
         with pytest.raises(KeyError, match="no parameter matches prefix "
                                            "'enc'"):
             store.adopt("x", source, "enc")

@@ -112,6 +112,47 @@ class TestAssembly:
                   if model.store.is_frozen(n)}
         assert frozen == set(FROZEN_PARTS)
 
+    def test_frozen_entries_are_read_only_views_of_the_backbones(
+            self, monkeypatch):
+        """The pipeline holds no second copy of a backbone: each frozen
+        entry is a read-only view of its backbone's array, the trainable
+        parts own theirs, and training writes into no backbone."""
+        seen = {}
+        assemble = TallModel.assemble.__func__
+
+        def spy(cls, cfg, world, lr2hr, hr2lr, llm, seed):
+            seen.update(encoder=lr2hr.store, llm=llm.store,
+                        decoder=hr2lr.store)
+            return assemble(cls, cfg, world, lr2hr, hr2lr, llm, seed)
+
+        monkeypatch.setattr(TallModel, "assemble", classmethod(spy))
+        model, corpus, _ = tiny_setup(seed=8)
+        store = model.store
+        for name, t in store.items():
+            part, rest = name.split(".", 1)
+            if part in FROZEN_PARTS:
+                source = seen[part][rest if part == "llm" else name]
+                assert np.shares_memory(t.data, source.data)
+                assert not t.data.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    t.data[...] = 0.0
+        assert model.lr2hr.store is seen["encoder"]
+        assert np.shares_memory(store["encoder.src_embed"].data,
+                                model.lr2hr.store["encoder.src_embed"].data)
+        outside = [t.data for backbone in seen.values()
+                   for _, t in backbone.items()]
+        inside = [t.data for _, t in store.items()]
+        for _, t in store.trainable_items():
+            assert sum(np.shares_memory(t.data, a) for a in inside) == 1
+            assert not any(np.shares_memory(t.data, a) for a in outside)
+        before = {part: backbone.snapshot_bytes()
+                  for part, backbone in seen.items()}
+        train_tall(model, corpus, train_config(
+            learning_rate=2e-3, epochs=1, batch_size=8, seed=3,
+            eval_fraction=0.2))
+        assert {part: backbone.snapshot_bytes()
+                for part, backbone in seen.items()} == before
+
     def test_forward_shape_and_finiteness(self):
         model, corpus, _ = tiny_setup()
         teachers = [list(p.lr_tokens) for p in corpus[:5]]

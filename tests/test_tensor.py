@@ -18,7 +18,6 @@ from tall.tensor import (
     gelu,
     layer_norm,
     matmul,
-    scale,
     softmax,
     swapaxes,
     take_rows,
@@ -40,6 +39,7 @@ from conftest import (
     mul,
     reference_attention_bias,
     reshape,
+    scale,
     sum_all,
 )
 
